@@ -38,6 +38,7 @@ from .clustering import (
     FirstOrderClustering,
     SecondOrderClustering,
     UnsupportedVariant,
+    ZeroClustering,
 )
 from .logdomain import NEG_INF
 
@@ -116,7 +117,7 @@ class Kappa1Report:
 
 
 def _first_h(spec_or_h):
-    if isinstance(spec_or_h, FirstOrderClustering):
+    if isinstance(spec_or_h, (ZeroClustering, FirstOrderClustering)):
         return spec_or_h.h
     return spec_or_h
 
@@ -379,9 +380,7 @@ def tail_bound(spec, n, tol=1e-18, k_cap=20000):
     the zero spec has no tail. Finite-list specs contribute only the ages
     they define.
     """
-    if spec.variant == "zero":
-        return 0.0
-    if spec.variant == "first":
+    if spec.variant in ("zero", "first"):
         gamma = lambda k: spec.h(k)
         has_tail = spec.h.has_tail
         last = k_cap if has_tail else spec.h.max_age
@@ -408,7 +407,8 @@ def bisect_upper(spec, n, delta, tail, iters=80):
     zeta_n is nondecreasing in J, so the crossing is unique; the bracket is
     verified and a violation raises BracketError rather than being patched.
     """
-    cond = lambda j: dp.zeta(spec, n, j) - tail > delta
+    H, const = dp._weights(spec, n)
+    cond = lambda j: dp._ln_z(H, const, n, j)[0] / (1 << n) - tail > delta
     hi = 1.0
     while not cond(hi):
         hi *= 2
@@ -423,6 +423,8 @@ def bisect_upper(spec, n, delta, tail, iters=80):
         raise BracketError("non-monotone bracket at [%g, %g]" % (lo, hi))
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: later steps would change nothing
         if cond(mid):
             hi = mid
         else:

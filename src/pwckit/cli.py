@@ -106,6 +106,15 @@ def _spec_label(args):
     return "preset:" + args.preset
 
 
+def _check_oracle_depth(n):
+    if n > oracle.ORACLE_MAX_DEPTH:
+        raise SpecConfigError(
+            "depth",
+            "capacity specs have no dynamic program; depth <= %d only"
+            % (oracle.ORACLE_MAX_DEPTH,),
+        )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -115,15 +124,10 @@ def _cmd_zeta(args):
     grid = _parse_grid(args.j_grid)
     n = args.depth
     if spec.variant == "capacity":
-        if n > oracle.ORACLE_MAX_DEPTH:
-            raise SpecConfigError(
-                "depth",
-                "capacity specs have no dynamic program; depth <= %d only"
-                % (oracle.ORACLE_MAX_DEPTH,),
-            )
+        _check_oracle_depth(n)
         values = [oracle.enum_zeta(spec, n, j) for j in grid]
     else:
-        values = [dp.zeta(spec, n, j) for j in grid]
+        values = dp.zeta(spec, n, grid).tolist()
     out = _Out(args.out)
     out.line("j,zeta_n")
     for j, z in zip(grid, values):
@@ -141,15 +145,10 @@ def _cmd_density(args):
     grid = _parse_grid(args.j_grid)
     n = args.depth
     if spec.variant == "capacity":
-        if n > oracle.ORACLE_MAX_DEPTH:
-            raise SpecConfigError(
-                "depth",
-                "capacity specs have no dynamic program; depth <= %d only"
-                % (oracle.ORACLE_MAX_DEPTH,),
-            )
+        _check_oracle_depth(n)
         values = [oracle.enum_density(spec, n, j) for j in grid]
     else:
-        values = [dp.dp_density(spec, n, j) for j in grid]
+        values = dp.dp_density(spec, n, grid).tolist()
     out = _Out(args.out)
     out.line("j,rho_n")
     for j, r in zip(grid, values):
@@ -166,12 +165,7 @@ def _cmd_canonical(args):
     spec = _load_spec(args)
     n = args.depth
     if spec.variant == "capacity":
-        if n > oracle.ORACLE_MAX_DEPTH:
-            raise SpecConfigError(
-                "depth",
-                "capacity specs have no dynamic program; depth <= %d only"
-                % (oracle.ORACLE_MAX_DEPTH,),
-            )
+        _check_oracle_depth(n)
         table = oracle.enum_W(spec, n)
     elif args.maxterm:
         table = dp.dp_W_maxterm(
@@ -275,13 +269,8 @@ def _cmd_diagnose(args):
     s_grid = _parse_s_grid(args.s_grid)
     out = _Out(args.out)
     if spec.variant in ("zero", "first"):
-        h = spec.h if spec.variant == "first" else None
-        if h is None:
-            from .clustering import HSequence
-
-            h = HSequence.from_function(lambda k: 0.0, tag="zero")
-        curve = analysis.laplace_first(h, s_grid)
-        tau = analysis.tauberian_first(h, k_max=args.k_max)
+        curve = analysis.laplace_first(spec.h, s_grid)
+        tau = analysis.tauberian_first(spec.h, k_max=args.k_max)
     elif spec.variant == "second":
         curve = analysis.laplace_second(
             spec, s_grid, allow_large=args.allow_large
@@ -432,7 +421,7 @@ def _cmd_verify(args):
 # argument wiring
 
 
-def _add_spec_flags(p, capacity_ok=True):
+def _add_spec_flags(p):
     p.add_argument("--preset", help="spec preset, e.g. zero, first:linear:3ln2")
     p.add_argument("--spec-file", help="JSON parameter file")
 

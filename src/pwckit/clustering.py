@@ -190,9 +190,14 @@ class HArray:
 
 @dataclass(frozen=True)
 class ZeroClustering:
-    """Phi identically zero; the measure is i.i.d. leaf percolation."""
+    """Phi identically zero; the measure is i.i.d. leaf percolation.
+
+    Its weight sequence is h = 0, which makes it the first-order family with
+    no penalty wherever a weight sequence is read.
+    """
 
     variant = "zero"
+    h = HSequence.from_function(lambda k: 0.0)
 
     def h_const_at(self, depth):
         return 0.0
@@ -205,7 +210,7 @@ class ZeroClustering:
 class FirstOrderClustering:
     """Phi(A) = sum_k h_k b_k(A) + h for nonempty A.
 
-    ``h_const=None`` resolves to h_n at depth n, the largest constant still
+    ``h_const=None`` resolves to h_n at depth n, the smallest constant still
     compatible with monotone subadditivity for nondecreasing weights.
     """
 

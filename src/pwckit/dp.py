@@ -6,17 +6,18 @@ Grand partition function at depth n, coupling J, clustering weights h:
 
 The recursions exploit that a nonempty leaf set inside a depth-d subtree
 either lives entirely in one child (two choices) or splits across both, in
-which case the subtree root is a branching point of age d:
+which case the subtree root is a branching point of age d. Its weight
+depends on that age and, in second order, on the age a of its direct
+branching ancestor outside the subtree:
 
-    first order:   Y_0 = e^{J - h_0},
-                   Y_d = 2 Y_{d-1} + e^{-h_d} Y_{d-1}^2,
-                   Z = 1 + e^{-h} Y_n.
+    F_0(a) = e^{J - h[a][0]},
+    F_d(a) = 2 F_{d-1}(a) + e^{-h[a][d]} F_{d-1}(d)^2,
+    Z = 1 + e^{-h} F_n(n+1)   (virtual top ancestor n + 1).
 
-    second order:  the subtree's oldest branching point remembers the age a
-                   of its direct branching ancestor outside the subtree:
-                   F_0(a) = e^{J - h[a][0]},
-                   F_d(a) = 2 F_{d-1}(a) + e^{-h[a][d]} F_{d-1}(d)^2,
-                   Z = 1 + e^{-h} F_n(n+1)   (virtual top ancestor n + 1).
+First order is the ancestor-free case h[a][d] = h_d: F_d no longer depends
+on a, and a single row carries the whole recursion. One level kernel runs
+it for every family, vectorised over a and over a batch of J values, so
+``zeta`` and ``dp_density`` accept a J array as well as a number.
 
 Size-resolved variants replace the scalar square by a size convolution and
 produce the canonical table W(a0) = sum_{|A| = a0} e^{-Phi(A)}; these are the
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import UnsupportedVariant
+from .clustering import SpecConfigError, UnsupportedVariant
 from .logdomain import LogReal, NEG_INF
 
 LN2 = math.log(2.0)
@@ -84,102 +85,107 @@ class CanonicalTable:
         return self.ln_w / (1 << self.depth)
 
 
-def _first_params(spec, n):
-    if spec.variant == "zero":
-        return np.zeros(n + 1), 0.0
-    if spec.variant == "first":
-        return spec.h.array(n), spec.h_const_at(n)
-    raise UnsupportedVariant(
-        "first-order recursion got variant %r" % (spec.variant,)
-    )
+def _weights(spec, n):
+    """Branching weights ``(H, const)`` of a dp family at depth n.
 
-
-def _second_params(spec, n):
-    if spec.variant != "second":
+    H[a, d] weighs a branching point of age d whose branching ancestor has
+    age a. Second order has rows a = 0 .. n+1; first order and zero have a
+    single row, because their weights do not depend on a. Every dynamic
+    program and the sampler enter here, so bad depths and weight lists that
+    stop short of the depth are rejected here, naming their key.
+    """
+    if spec.variant not in ("zero", "first", "second"):
         raise UnsupportedVariant(
-            "second-order recursion got variant %r" % (spec.variant,)
+            "variant %r has no subtree recursion; use the enumeration oracle "
+            "at small depth" % (spec.variant,)
         )
-    return spec.h.array(n), spec.h_const_at(n)
+    if n < 0:
+        raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
+    try:
+        H = spec.h.array(n)
+        const = spec.h_const_at(n)
+    except IndexError as exc:
+        raise SpecConfigError("h.values", "too short for depth %d: %s" % (n, exc))
+    return (H if spec.variant == "second" else H[None, :]), const
+
+
+def _levels(H, j, n, ratio=False):
+    """Yield ``(ln F_d, r_d)`` for d = 0 .. n, one column per J of ``j``.
+
+    Row a of ln F_d is the subtree sum for ancestor age a (the rows of H);
+    the square term reads row min(d, last), the split point's own age, and
+    the last row after level n is the root's. With ``ratio`` the log
+    derivative r_d = F_d' / F_d is carried along (None otherwise); it starts
+    at 1 and at most doubles per level, so it stays within float range.
+    """
+    j = np.atleast_1d(np.asarray(j, dtype=float))
+    if not np.isfinite(j).all():
+        raise SpecConfigError(
+            "j", "J must be finite, got %r" % (float(j[~np.isfinite(j)][0]),)
+        )
+    last = len(H) - 1
+    neg = -H
+    f = j - H[:, :1]
+    r = np.ones_like(f) if ratio else None
+    yield f, r
+    for d in range(1, n + 1):
+        s = min(d, last)
+        u = LN2 + f
+        v = neg[:, d : d + 1] + 2.0 * f[s : s + 1]
+        new = np.logaddexp(u, v)
+        if ratio:
+            r = np.exp(u - new) * r + 2.0 * np.exp(v - new) * r[s : s + 1]
+        f = new
+        yield f, r
+
+
+def _ln_z(H, const, n, j):
+    """ln Z_n at each J of ``j`` from prepared weights."""
+    for f, _ in _levels(H, j, n):
+        pass
+    return np.logaddexp(0.0, -const + f[-1])
+
+
+def _per_j(j, values):
+    """A float for a scalar J, the array for an array of J."""
+    return float(values[0]) if np.ndim(j) == 0 else values
 
 
 def dp_Z(spec, n, j):
-    """Grand partition function as a LogReal; dispatches on the family."""
-    if spec.variant in ("zero", "first"):
-        return dp_Z_first(spec, n, j)
-    if spec.variant == "second":
-        return dp_Z_second(spec, n, j)
-    raise UnsupportedVariant(
-        "no dynamic program for variant %r; use the enumeration oracle at "
-        "small depth" % (spec.variant,)
-    )
+    """Grand partition function at one J as a LogReal; dispatches on the family."""
+    return (dp_Z_second if spec.variant == "second" else dp_Z_first)(spec, n, j)
 
 
-def dp_Z_first(spec, n, j):
-    h, const = _first_params(spec, n)
-    y = j - h[0]
-    for d in range(1, n + 1):
-        y = np.logaddexp(LN2 + y, -h[d] + 2.0 * y)
-    return LogReal(float(np.logaddexp(0.0, -const + y)))
+def _dp_Z(spec, n, j):
+    H, const = _weights(spec, n)
+    return LogReal(float(_ln_z(H, const, n, j)[0]))
 
 
-def dp_Z_second(spec, n, j):
-    H, const = _second_params(spec, n)
-    # f[a] = ln F_d(a), valid for a = d+1 .. n+1 (index a kept absolute)
-    f = np.array([j - H[a][0] if a >= 1 else NEG_INF for a in range(n + 2)])
-    for d in range(1, n + 1):
-        square = 2.0 * f[d]
-        new = np.full(n + 2, NEG_INF)
-        for a in range(d + 1, n + 2):
-            new[a] = np.logaddexp(LN2 + f[a], -H[a][d] + square)
-        f = new
-    return LogReal(float(np.logaddexp(0.0, -const + f[n + 1])))
+# One recursion serves every family, so each _first/_second pair below is one
+# function under two names. dp_Z and dp_W still call through the family's
+# name, so a wrapper installed on either name (as bench/tracing.py does)
+# sees the calls of that family.
+dp_Z_first = dp_Z_second = _dp_Z
 
 
 def zeta(spec, n, j):
-    """Finite-depth free energy zeta_n(J) = 2^-n ln Z_n(J)."""
-    return dp_Z(spec, n, j).ln / (1 << n)
+    """Finite-depth free energy zeta_n(J) = 2^-n ln Z_n(J); J may be an array."""
+    H, const = _weights(spec, n)
+    return _per_j(j, _ln_z(H, const, n, j) / (1 << n))
 
 
 def dp_density(spec, n, j):
-    """Mean occupied fraction rho_n(J) = 2^-n d ln Z / dJ.
+    """Mean occupied fraction rho_n(J) = 2^-n d ln Z / dJ; J may be an array.
 
-    Propagates the pair (value, d/dJ) through the recursion analytically;
-    the ratio r = Y'/Y starts at 1 and multiplies by (Y + 2 e^{-h} Y^2) /
-    (Y + e^{-h} Y^2) <= 2 per level, so it stays within float range.
+    Carries the log derivative of every level table through the recursion
+    analytically instead of differencing ln Z.
     """
-    if spec.variant in ("zero", "first"):
-        h, const = _first_params(spec, n)
-        y = j - h[0]
-        r = 1.0
-        for d in range(1, n + 1):
-            u = LN2 + y
-            v = -h[d] + 2.0 * y
-            y_new = np.logaddexp(u, v)
-            r = r * (1.0 + math.exp(v - y_new))
-            y = y_new
-        ln_z = np.logaddexp(0.0, -const + y)
-        return math.exp(-const + y - ln_z) * r / (1 << n)
-    if spec.variant == "second":
-        H, const = _second_params(spec, n)
-        f = np.array([j - H[a][0] if a >= 1 else NEG_INF for a in range(n + 2)])
-        r = np.ones(n + 2)
-        for d in range(1, n + 1):
-            square = 2.0 * f[d]
-            r_sq = r[d]
-            new_f = np.full(n + 2, NEG_INF)
-            new_r = np.zeros(n + 2)
-            for a in range(d + 1, n + 2):
-                u = LN2 + f[a]
-                v = -H[a][d] + square
-                val = np.logaddexp(u, v)
-                new_f[a] = val
-                new_r[a] = math.exp(u - val) * r[a] + 2.0 * math.exp(v - val) * r_sq
-            f, r = new_f, new_r
-        ln_z = np.logaddexp(0.0, -const + f[n + 1])
-        return math.exp(-const + f[n + 1] - ln_z) * r[n + 1] / (1 << n)
-    raise UnsupportedVariant(
-        "no dynamic program for variant %r" % (spec.variant,)
-    )
+    H, const = _weights(spec, n)
+    for f, r in _levels(H, j, n, ratio=True):
+        pass
+    occupied = -const + f[-1]
+    ln_z = np.logaddexp(0.0, occupied)
+    return _per_j(j, np.exp(occupied - ln_z) * r[-1] / (1 << n))
 
 
 def _log_self_convolve(y, out_len):
@@ -210,14 +216,8 @@ def dp_W(spec, n, m_max=None, allow_large=False):
     only add in the convolution) and turns the cost into O(n * m_max^2);
     without it the full table costs O(4^n) and depth is guarded.
     """
-    if spec.variant in ("zero", "first"):
-        return dp_W_first(spec, n, m_max=m_max, allow_large=allow_large)
-    if spec.variant == "second":
-        return dp_W_second(spec, n, m_max=m_max, allow_large=allow_large)
-    raise UnsupportedVariant(
-        "no dynamic program for variant %r; use the enumeration oracle at "
-        "small depth" % (spec.variant,)
-    )
+    kernel = dp_W_second if spec.variant == "second" else dp_W_first
+    return kernel(spec, n, m_max=m_max, allow_large=allow_large)
 
 
 def _check_guard(n, m_max, limit, allow_large, label):
@@ -228,58 +228,35 @@ def _check_guard(n, m_max, limit, allow_large, label):
         )
 
 
-def dp_W_first(spec, n, m_max=None, allow_large=False):
-    h, const = _first_params(spec, n)
-    _check_guard(n, m_max, W_FIRST_MAX_DEPTH, allow_large, "dp_W_first")
+def _dp_W(spec, n, m_max=None, allow_large=False):
+    """The recursion of ``_levels`` resolved by size.
+
+    Row a of f holds ln F_d(a) split by leaf count, and the square becomes a
+    size self-convolution of row min(d, last).
+    """
+    H, const = _weights(spec, n)
+    limit = W_SECOND_MAX_DEPTH if spec.variant == "second" else W_FIRST_MAX_DEPTH
+    _check_guard(n, m_max, limit, allow_large, "dp_W")
     full = 1 << n
     cap = full if m_max is None else min(int(m_max), full)
 
-    size = min(1, cap)
-    y = np.full(size + 1, NEG_INF)
+    last = len(H) - 1
+    f = np.full((last + 1, min(1, cap) + 1), NEG_INF)
     if cap >= 1:
-        y[1] = -h[0]
+        f[:, 1] = -H[:, 0]
     for d in range(1, n + 1):
-        new_size = min(1 << d, cap)
-        conv = _log_self_convolve(y, new_size)
-        new = np.full(new_size + 1, NEG_INF)
-        m_prev = len(y) - 1
-        new[1 : m_prev + 1] = LN2 + y[1:]
-        new = np.logaddexp(new, -h[d] + conv)
-        y = new
+        size = min(1 << d, cap)
+        conv = _log_self_convolve(f[min(d, last)], size)
+        keep = np.full((last + 1, size + 1), NEG_INF)
+        keep[:, 1 : f.shape[1]] = LN2 + f[:, 1:]
+        f = np.logaddexp(keep, -H[:, d : d + 1] + conv)
     ln_w = np.full(cap + 1, NEG_INF)
     ln_w[0] = 0.0
-    ln_w[1:] = -const + y[1:]
+    ln_w[1:] = -const + f[-1, 1:]
     return CanonicalTable(n, ln_w, kind="sum", source="dp")
 
 
-def dp_W_second(spec, n, m_max=None, allow_large=False):
-    H, const = _second_params(spec, n)
-    _check_guard(n, m_max, W_SECOND_MAX_DEPTH, allow_large, "dp_W_second")
-    full = 1 << n
-    cap = full if m_max is None else min(int(m_max), full)
-
-    size = min(1, cap)
-    f = {}
-    for a in range(1, n + 2):
-        arr = np.full(size + 1, NEG_INF)
-        if cap >= 1:
-            arr[1] = -H[a][0]
-        f[a] = arr
-    for d in range(1, n + 1):
-        new_size = min(1 << d, cap)
-        conv = _log_self_convolve(f[d], new_size)
-        new = {}
-        for a in range(d + 1, n + 2):
-            arr = np.full(new_size + 1, NEG_INF)
-            prev = f[a]
-            arr[1 : len(prev)] = LN2 + prev[1:]
-            arr = np.logaddexp(arr, -H[a][d] + conv)
-            new[a] = arr
-        f = new
-    ln_w = np.full(cap + 1, NEG_INF)
-    ln_w[0] = 0.0
-    ln_w[1:] = -const + f[n + 1][1:]
-    return CanonicalTable(n, ln_w, kind="sum", source="dp")
+dp_W_first = dp_W_second = _dp_W
 
 
 def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
@@ -291,7 +268,10 @@ def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
     a_{k-1} = a_k + b_k. The canonical table dominates this entrywise, and
     the gap is at most ln of the number of admissible profiles.
     """
-    h, const = _first_params(spec, n)
+    if spec.variant == "second":
+        raise UnsupportedVariant("dp_W_maxterm is first order only")
+    H, const = _weights(spec, n)
+    h = H[0]
     _check_guard(n, m_max, W_FIRST_MAX_DEPTH, allow_large, "dp_W_maxterm")
     full = 1 << n
     cap = full if m_max is None else min(int(m_max), full)

@@ -3,8 +3,9 @@
 The same subtree recursion that computes Z also factorizes the measure: a
 nonempty configuration inside a depth-d subtree restricts to the left child
 only, the right child only, or both children with relative weights
-Y_{d-1}, Y_{d-1}, e^{-h_d} Y_{d-1}^2 (first order; the second-order tables
-carry the age of the governing branching ancestor along). Descending the
+F_{d-1}(a), F_{d-1}(a), e^{-h[a][d]} F_{d-1}(d)^2, where a is the age of the
+governing branching ancestor (a single row in first order; see ``dp``).
+After a split both children answer to the new branching point. Descending the
 tree and resolving each three-way choice therefore draws A from the exact
 finite-volume law, no Markov chain involved.
 
@@ -22,55 +23,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import UnsupportedVariant
-from .logdomain import NEG_INF
+from . import dp
 from .tree import LeafSet
-
-LN2 = math.log(2.0)
 
 
 class Sampler:
     """Prepared tables for repeated draws at fixed spec, depth, and J."""
 
     def __init__(self, spec, n, j):
-        if spec.variant not in ("zero", "first", "second"):
-            raise UnsupportedVariant(
-                "sampling needs the subtree decomposition, which variant %r "
-                "does not have" % (spec.variant,)
-            )
         self.spec = spec
         self.depth = n
         self.j = j
-        if spec.variant == "second":
-            H = spec.h.array(n)
-            self._const = spec.h_const_at(n)
-            # levels[d][a] = ln F_d(a)
-            levels = [np.full(n + 2, NEG_INF)]
-            levels[0][1:] = j - H[1:, 0]
-            for d in range(1, n + 1):
-                prev = levels[d - 1]
-                cur = np.full(n + 2, NEG_INF)
-                square = 2.0 * prev[d]
-                for a in range(d + 1, n + 2):
-                    cur[a] = np.logaddexp(LN2 + prev[a], -H[a, d] + square)
-                levels.append(cur)
-            self._levels = levels
-            self._H = H
-            self._ln_occupied = -self._const + levels[n][n + 1]
-        else:
-            if spec.variant == "zero":
-                h = np.zeros(n + 1)
-                self._const = 0.0
-            else:
-                h = spec.h.array(n)
-                self._const = spec.h_const_at(n)
-            y = np.full(n + 1, NEG_INF)
-            y[0] = j - h[0]
-            for d in range(1, n + 1):
-                y[d] = np.logaddexp(LN2 + y[d - 1], -h[d] + 2.0 * y[d - 1])
-            self._y = y
-            self._h = h
-            self._ln_occupied = -self._const + y[n]
+        H, const = dp._weights(spec, n)
+        levels = [f[:, 0] for f, _ in dp._levels(H, j, n)]
+        last = len(H) - 1
+        # per level d >= 1 and ancestor row, as plain lists for the descent:
+        # the log weight of keeping one child and of splitting; after a split
+        # both children answer to row min(d, last)
+        self._keep = [None]
+        self._split = [None]
+        for d in range(1, n + 1):
+            prev = levels[d - 1]
+            self._keep.append(prev.tolist())
+            self._split.append((-H[:, d] + 2.0 * prev[min(d, last)]).tolist())
+        self._last = last
+        self._ln_occupied = -const + levels[n][last]
         self.ln_z = float(np.logaddexp(0.0, self._ln_occupied))
 
     def sample(self, rng):
@@ -79,40 +56,18 @@ class Sampler:
         if g[0] + 0.0 > g[1] + self._ln_occupied:
             return LeafSet(self.depth, ())
         leaves = []
-        if self.spec.variant == "second":
-            self._descend_second(rng, self.depth, self.depth + 1, 0, leaves)
-        else:
-            self._descend_first(rng, self.depth, 0, leaves)
+        self._descend(rng, self.depth, self._last, 0, leaves)
         return LeafSet(self.depth, tuple(leaves))
 
-    def _descend_first(self, rng, d, base, out):
+    def _descend(self, rng, d, a, base, out):
         while d > 0:
-            y = self._y[d - 1]
-            logw = (y, y, -self._h[d] + 2.0 * y)
+            keep = self._keep[d][a]
+            logw = (keep, keep, self._split[d][a])
             pick = int(np.argmax(rng.gumbel(size=3) + logw))
             half = 1 << (d - 1)
             if pick == 2:
-                self._descend_first(rng, d - 1, base, out)
-                base += half
-            elif pick == 1:
-                base += half
-            d -= 1
-        out.append(base)
-
-    def _descend_second(self, rng, d, a, base, out):
-        while d > 0:
-            prev = self._levels[d - 1]
-            logw = (
-                prev[a],
-                prev[a],
-                -self._H[a, d] + 2.0 * prev[d],
-            )
-            pick = int(np.argmax(rng.gumbel(size=3) + logw))
-            half = 1 << (d - 1)
-            if pick == 2:
-                # both children now answer to the branching point at age d
-                self._descend_second(rng, d - 1, d, base, out)
-                a = d
+                a = min(d, self._last)
+                self._descend(rng, d - 1, a, base, out)
                 base += half
             elif pick == 1:
                 base += half

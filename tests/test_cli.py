@@ -288,3 +288,46 @@ def test_compact_preset_spelling(capsys):
          "--j-grid", "0"],
     )
     assert code == 0
+
+
+def test_threshold_zero_no_transition(capsys):
+    code, out, err = run(
+        capsys, ["threshold", "--preset", "zero", "--depths", "8", "--k-max", "1000"]
+    )
+    assert code == 0 and err == ""
+    doc = json.loads([l for l in out.splitlines() if l.startswith("{")][0])
+    assert doc["kappa_value"] == math.inf
+    assert doc["tauberian_verdict"] == "no-transition-supported"
+    assert doc["verdict"] == "no-transition-supported"
+
+
+SHORT_LIST = {"variant": "first", "h": {"kind": "list", "values": [0, 1, 2]}}
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["zeta", "--preset", "first:linear:2", "--depth", "-1", "--j-grid", "0"],
+         "'depth'"),
+        (["zeta", "--preset", "zero", "--depth", "-1", "--j-grid", "0"], "'depth'"),
+        (["zeta", "--spec-file", "SHORT", "--depth", "5", "--j-grid", "0"],
+         "'h.values'"),
+        (["canonical", "--spec-file", "SHORT", "--depth", "5"], "'h.values'"),
+        (["sample", "--spec-file", "SHORT", "--depth", "5", "--j", "0",
+          "--seed", "1"], "'h.values'"),
+        (["density", "--preset", "zero", "--depth", "3", "--j-grid", "nan"], "'j'"),
+        (["density", "--preset", "zero", "--depth", "3", "--j-grid=-inf,inf"], "'j'"),
+        (["sample", "--preset", "dgff", "--depth", "3", "--j", "inf",
+          "--seed", "1"], "'j'"),
+    ],
+    ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
+         "short-list-sample", "density-nan", "density-inf", "sample-inf"],
+)
+def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(SHORT_LIST))
+    argv = [str(short) if a == "SHORT" else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: key %s" % (key,))

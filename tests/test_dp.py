@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pwckit import oracle
 from pwckit.clustering import (
     FirstOrderClustering,
     HArray,
@@ -10,6 +12,8 @@ from pwckit.clustering import (
     SecondOrderClustering,
     UnsupportedVariant,
     capacity_uniform,
+    dgff_spec,
+    first_linear,
     random_first_order,
     random_second_order,
     zero_spec,
@@ -182,3 +186,37 @@ def test_second_reduces_to_first_when_ancestor_free():
             a = dp_Z(first, n, j).ln
             b = dp_Z(second, n, j).ln
             assert b == pytest.approx(a, rel=1e-12)
+
+
+def test_batched_j_matches_per_point():
+    # One kernel call over a J array must reproduce the per-point results:
+    # zeta bit for bit, the density to rounding.
+    grid = np.array([-3.0 + 0.05 * i for i in range(121)])
+    rng = np.random.default_rng(6)
+    specs = (zero_spec(), first_linear(3 * LN2), dgff_spec(),
+             random_first_order(8, rng), random_second_order(8, rng))
+    for spec in specs:
+        for n in (0, 1, 3, 8):
+            assert zeta(spec, n, grid).tolist() == [zeta(spec, n, j) for j in grid]
+            single = [dp_density(spec, n, j) for j in grid]
+            assert np.allclose(dp_density(spec, n, grid), single, rtol=1e-13, atol=0.0)
+
+
+_specs = st.tuples(
+    st.sampled_from([random_first_order, random_second_order]),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+    st.floats(-50.0, 50.0),
+)
+
+
+@given(_specs)
+@settings(max_examples=60, deadline=None)
+def test_dp_matches_oracle_and_difference(case):
+    maker, n, seed, j = case
+    spec = maker(n, np.random.default_rng(seed))
+    lz = dp_Z(spec, n, j).ln
+    assert lz == pytest.approx(oracle.enum_Z(spec, n, j).ln, rel=1e-10, abs=1e-12)
+    eps = 1e-5
+    diff = (zeta(spec, n, j + eps) - zeta(spec, n, j - eps)) / (2 * eps)
+    assert dp_density(spec, n, j) == pytest.approx(diff, abs=1e-6)

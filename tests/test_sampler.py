@@ -111,3 +111,23 @@ def test_large_j_saturates():
 def test_very_negative_j_empties():
     draws = sample(tiny_first(), 3, -30.0, seed=3, num_samples=20)
     assert all(len(s) == 0 for s in draws)
+
+
+def test_draws_pinned():
+    # Pinned masks: a given seed must keep giving the same leaf sets, so
+    # changes to the tables or the descent cannot alter draws unnoticed.
+    first = FirstOrderClustering(
+        HSequence.from_values([0.0, 0.5, 1.5, 2.0, 3.0]), h_const=3.0
+    )
+    pinned = {
+        ("zero", 3): [243, 40, 174, 233, 93, 119, 118, 249],
+        ("zero", 4): [27551, 30608, 45711, 58850, 45907, 22237, 52701, 62582],
+        ("first", 3): [19, 0, 174, 9, 93, 0, 118, 0],
+        ("first", 4): [33285, 4160, 8364, 226, 13139, 0, 59252, 16946],
+        ("dgff", 3): [19, 40, 174, 1, 93, 0, 118, 0],
+        ("dgff", 4): [33285, 4160, 37548, 8674, 13139, 0, 59252, 16946],
+    }
+    specs = {"zero": zero_spec(), "first": first, "dgff": dgff_spec()}
+    for (name, n), masks in pinned.items():
+        draws = sample(specs[name], n, 0.5, seed=2024, num_samples=8)
+        assert [s.mask for s in draws] == masks, (name, n)
