@@ -116,6 +116,14 @@ class Kappa1Report:
     converged: bool
 
 
+def _blocks(first, last):
+    """Ages first .. last (last may be inf) as consecutive arrays of 4096:
+    memory stays bounded and a sum stops at the block where it converges."""
+    while first <= last:
+        yield np.arange(first, min(first + 4096, last + 1))
+        first += 4096
+
+
 def _first_h(spec_or_h):
     if isinstance(spec_or_h, (ZeroClustering, FirstOrderClustering)):
         return spec_or_h.h
@@ -143,12 +151,18 @@ def kappa1(spec_or_h, tol=1e-15, k_cap=200000):
     k_last = h.max_age if not h.has_tail else k_cap
     converged = False
     k = 0
-    for k in range(1, k_last + 1):
-        term = math.exp(min(k * LN2 - h(k), 700.0))
-        total += term
+    for ks in _blocks(1, k_last):
+        terms = np.exp(np.minimum(ks * LN2 - h(ks), 700.0))
+        # running totals accumulated term by term, as a loop would
+        partial = np.cumsum(np.concatenate(([total], terms)))[1:]
+        stop = np.flatnonzero(
+            (partial > 1e15) | (terms < tol * np.maximum(partial, 1.0))
+        )
+        i = stop[0] if stop.size else -1
+        k, total = int(ks[i]), float(partial[i])
         if total > 1e15:
             return Kappa1Report(math.inf, -math.inf, k, False)
-        if term < tol * max(total, 1.0):
+        if stop.size:
             converged = True
             break
     if h.has_tail and not converged:
@@ -190,8 +204,7 @@ def kappa2(spec_or_h, k_max=100000):
     attained = grid[0]
     for k in grid:
         ell = np.arange(k)
-        hv = np.array([h(k, int(l)) for l in ell])
-        s = float(np.exp(np.minimum(ell * LN2 - hv, 700.0)).sum())
+        s = float(np.exp(np.minimum(ell * LN2 - h(k, ell), 700.0)).sum())
         if s > best:
             best, attained = s, k
         if best > 1e15:
@@ -230,14 +243,11 @@ def laplace_first(spec_or_h, s_values, tol=1e-12, blow_up=1e15):
         raise ValueError("s grid must lie in (0, 1]")
     diag = np.empty_like(s_arr)
     divergent = []
-    block = 4096
     for i, s in enumerate(s_arr):
         total = 0.0
-        k0 = 1
         bad = False
-        while k0 <= k_limit:
-            ks = np.arange(k0, min(k0 + block, k_limit + 1))
-            g = np.array([h(int(k)) for k in ks]) - LN2 * ks
+        for ks in _blocks(1, k_limit):
+            g = h(ks) - LN2 * ks
             contrib = float((np.exp(-s * ks) * np.maximum(g, 0.0)).sum())
             total += contrib
             if total > blow_up:
@@ -245,7 +255,6 @@ def laplace_first(spec_or_h, s_values, tol=1e-12, blow_up=1e15):
                 break
             if contrib < tol:
                 break
-            k0 += block
         divergent.append(bad)
         diag[i] = NEG_INF if bad else math.log(1.0 / s) - s * total
     return DiagnosticCurve("laplace-first", s_arr, diag, tuple(divergent))
@@ -271,7 +280,6 @@ def laplace_second(spec_or_h, s_values, tol=1e-12, blow_up=1e15,
         )
     diag = np.empty_like(s_arr)
     divergent = []
-    block = 4096
     for i, s in enumerate(s_arr):
         total = 0.0
         bad = False
@@ -280,11 +288,8 @@ def laplace_second(spec_or_h, s_values, tol=1e-12, blow_up=1e15,
         while d <= k_limit:
             damp = math.exp(-2.0 * s * d)
             row = 0.0
-            l0 = 0
-            while l0 + d <= k_limit:
-                stop = min(l0 + block, k_limit - d + 1)
-                ls = np.arange(l0, stop)
-                g = np.array([h(int(l) + d, int(l)) for l in ls]) - LN2 * ls
+            for ls in _blocks(0, k_limit - d):
+                g = h(ls + d, ls) - LN2 * ls
                 contrib = float((np.exp(-s * ls) * np.maximum(g, 0.0)).sum())
                 row += contrib
                 if damp * row > blow_up:
@@ -292,7 +297,6 @@ def laplace_second(spec_or_h, s_values, tol=1e-12, blow_up=1e15,
                     break
                 if damp * contrib < tol:
                     break
-                l0 += block
             total += damp * row
             if bad or total > blow_up:
                 bad = True
@@ -334,8 +338,7 @@ def tauberian_first(spec_or_h, k_max=100000):
     if not h.has_tail:
         k_max = min(k_max, h.max_age)
     ks = np.arange(1, k_max + 1)
-    hv = np.array([h(int(k)) for k in ks])
-    u = LN2 * ks + np.log(ks) - hv
+    u = LN2 * ks + np.log(ks) - h(ks)
     return TauberianReport(ks, u, _trend_verdict(u))
 
 
@@ -350,18 +353,17 @@ def tauberian_second(spec_or_h, h1, h2, k_max=100000, check_tol=1e-9):
     if not h.has_tail:
         samples = tuple(k for k in samples if k <= h.max_ancestor_age)
     for k in samples:
-        for l in range(0, k, max(1, k // 4)):
-            got = h(k, l)
-            want = h1(l) + h2(k - l)
-            if abs(got - want) > check_tol:
-                raise ValueError(
-                    "additive decomposition mismatch at (k=%d, l=%d): "
-                    "array %.17g vs h1+h2 %.17g" % (k, l, got, want)
-                )
+        l = np.arange(0, k, max(1, k // 4))
+        got, want = h(k, l), h1(l) + h2(k - l)
+        bad = np.flatnonzero(np.abs(got - want) > check_tol)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                "additive decomposition mismatch at (k=%d, l=%d): "
+                "array %.17g vs h1+h2 %.17g" % (k, l[i], got[i], want[i])
+            )
     ks = np.arange(1, k_max + 1)
-    u = LN2 * ks + np.log(ks) - np.array(
-        [h1(int(k)) + h2(int(k) // 2) for k in ks]
-    )
+    u = LN2 * ks + np.log(ks) - (h1(ks) + h2(ks // 2))
     return TauberianReport(ks, u, _trend_verdict(u))
 
 

@@ -93,11 +93,24 @@ class _Out:
             self._fh.close()
 
 
+def _json(document, indent=None):
+    """Strict JSON text: +-inf become the strings "inf" and "-inf", NaN raises."""
+    def strict(x):
+        if isinstance(x, dict):
+            return {k: strict(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [strict(v) for v in x]
+        if isinstance(x, float) and math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
+
+    return json.dumps(strict(document), indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _write_summary(args, document):
     if getattr(args, "summary", None):
         with open(args.summary, "w") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json(document, indent=2) + "\n")
 
 
 def _spec_label(args):
@@ -119,44 +132,25 @@ def _check_oracle_depth(n):
 # subcommands
 
 
-def _cmd_zeta(args):
+def _cmd_grid(args):
+    """``zeta`` and ``density``: ``args.dp`` over the J grid, or ``args.enum``
+    per point for capacity specs, written as column ``args.column``."""
     spec = _load_spec(args)
     grid = _parse_grid(args.j_grid)
     n = args.depth
     if spec.variant == "capacity":
         _check_oracle_depth(n)
-        values = [oracle.enum_zeta(spec, n, j) for j in grid]
+        values = [args.enum(spec, n, j) for j in grid]
     else:
-        values = dp.zeta(spec, n, grid).tolist()
+        values = args.dp(spec, n, grid).tolist()
     out = _Out(args.out)
-    out.line("j,zeta_n")
-    for j, z in zip(grid, values):
-        out.line("%s,%s" % (_fmt(j), _fmt(z)))
+    out.line("j," + args.column)
+    for j, v in zip(grid, values):
+        out.line("%s,%s" % (_fmt(j), _fmt(v)))
     out.close()
     _write_summary(args, {
-        "command": "zeta", "spec": _spec_label(args), "depth": n,
-        "j_grid": grid, "zeta_n": values,
-    })
-    return 0
-
-
-def _cmd_density(args):
-    spec = _load_spec(args)
-    grid = _parse_grid(args.j_grid)
-    n = args.depth
-    if spec.variant == "capacity":
-        _check_oracle_depth(n)
-        values = [oracle.enum_density(spec, n, j) for j in grid]
-    else:
-        values = dp.dp_density(spec, n, grid).tolist()
-    out = _Out(args.out)
-    out.line("j,rho_n")
-    for j, r in zip(grid, values):
-        out.line("%s,%s" % (_fmt(j), _fmt(r)))
-    out.close()
-    _write_summary(args, {
-        "command": "density", "spec": _spec_label(args), "depth": n,
-        "j_grid": grid, "rho_n": values,
+        "command": args.command, "spec": _spec_label(args), "depth": n,
+        "j_grid": grid, args.column: values,
     })
     return 0
 
@@ -203,7 +197,7 @@ def _cmd_threshold(args):
         _write_summary(args, doc)
     else:
         out.line("# report")
-        out.line(json.dumps(doc, sort_keys=True))
+        out.line(_json(doc))
     out.close()
     return 0
 
@@ -439,19 +433,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("zeta", help="free energy over a J grid")
-    _add_spec_flags(p)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--j-grid", required=True, help="start:stop:step or list")
-    _add_out(p)
-    p.set_defaults(fn=_cmd_zeta)
-
-    p = sub.add_parser("density", help="mean dry fraction over a J grid")
-    _add_spec_flags(p)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--j-grid", required=True)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_density)
+    for name, help_text, dp_fn, enum_fn, column in (
+        ("zeta", "free energy over a J grid", dp.zeta, oracle.enum_zeta,
+         "zeta_n"),
+        ("density", "mean dry fraction over a J grid", dp.dp_density,
+         oracle.enum_density, "rho_n"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_spec_flags(p)
+        p.add_argument("--depth", type=int, required=True)
+        p.add_argument("--j-grid", required=True, help="start:stop:step or list")
+        _add_out(p)
+        p.set_defaults(fn=_cmd_grid, dp=dp_fn, enum=enum_fn, column=column)
 
     p = sub.add_parser("canonical", help="size-resolved table ln W(a0)")
     _add_spec_flags(p)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,18 +61,22 @@ class HSequence:
     a closed-form callable (usable at any age, required by the asymptotic
     diagnostics). ``tag`` records preset provenance so parameter files can
     round-trip closed forms.
+
+    ``h(k)`` is a float for an int age and an array for an integer array of
+    ages, so a closed form receives integer arrays and must broadcast (numpy,
+    not ``math``); a constant such as ``lambda k: 0.0`` is expanded.
     """
 
     def __init__(self, fn=None, values=None, tag=None):
         if (fn is None) == (values is None):
             raise ValueError("provide exactly one of fn or values")
         self._fn = fn
-        self._values = None if values is None else [float(v) for v in values]
+        self._values = None if values is None else np.array(values, dtype=float)
         self.tag = tag
 
     @classmethod
     def from_values(cls, values):
-        return cls(values=list(values))
+        return cls(values=values)
 
     @classmethod
     def from_function(cls, fn, tag=None):
@@ -88,45 +93,49 @@ class HSequence:
 
     def __call__(self, k):
         if self._fn is not None:
-            return float(self._fn(k))
-        if k >= len(self._values):
-            raise IndexError(
-                "weight sequence has %d entries, age %d requested; use a "
-                "closed-form sequence for unbounded ages" % (len(self._values), k)
-            )
-        return self._values[k]
+            out = np.full(np.shape(k), self._fn(k), dtype=float)
+        else:
+            k = np.asarray(k)
+            if k.size and k.max() >= len(self._values):
+                raise IndexError(
+                    "weight sequence has %d entries, age %d requested; use a closed"
+                    " form for unbounded ages" % (len(self._values), k.max())
+                )
+            out = self._values[k]
+        return float(out) if out.ndim == 0 else out
 
     def array(self, kmax):
         """h_0 .. h_kmax as a float array."""
-        return np.array([self(k) for k in range(kmax + 1)], dtype=float)
+        return self(np.arange(kmax + 1))
 
     def is_nondecreasing(self, kmax=None):
         """Exact check for lists; dense probe up to ``kmax`` for closed forms."""
         if self._values is not None:
-            vals = self._values
-            return all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
-        kmax = _PROBE_LIMIT if kmax is None else kmax
-        prev = self(0)
-        for k in range(1, kmax + 1):
-            cur = self(k)
-            if cur < prev - 1e-12:
-                return False
-            prev = cur
-        return True
+            return bool(np.all(self._values[:-1] <= self._values[1:]))
+        h = self.array(_PROBE_LIMIT if kmax is None else kmax)
+        return bool(np.all(h[1:] >= h[:-1] - 1e-12))
 
 
 class HArray:
     """Ancestor-pair weights h[k][l] for 0 <= l < k.
 
-    Backed by a callable or by an explicit dense table (row k, column l).
+    Backed by a callable or by an explicit table (row k, column l; rows may
+    be ragged). ``h(k, l)`` takes ints or broadcasting integer arrays, as
+    ``HSequence`` does, and a closed form must broadcast over them.
     """
 
     def __init__(self, fn=None, table=None, tag=None):
         if (fn is None) == (table is None):
             raise ValueError("provide exactly one of fn or table")
-        self._fn = fn
-        self._table = None if table is None else [list(map(float, r)) for r in table]
-        self.tag = tag
+        self._fn, self._table, self.tag = fn, None, tag
+        if table is not None:
+            # NaN marks missing cells; an extra NaN row and column stand for
+            # every cell past the end, onto which lookups clamp their indices
+            rows = [np.asarray(r, dtype=float) for r in table]
+            width = max(map(len, rows), default=0)
+            self._table = np.full((len(rows) + 1, width + 1), np.nan)
+            for k, r in enumerate(rows):
+                self._table[k, : len(r)] = r
 
     @classmethod
     def from_table(cls, table):
@@ -142,27 +151,30 @@ class HArray:
 
     @property
     def max_ancestor_age(self):
-        return None if self._fn is not None else len(self._table) - 1
+        return None if self._fn is not None else len(self._table) - 2
 
     def __call__(self, k, l):
-        if not 0 <= l < k:
-            raise ValueError("ancestor pairs require 0 <= l < k, got (%d, %d)" % (k, l))
+        kk, ll = np.broadcast_arrays(k, l)
+        if np.any((ll < 0) | (ll >= kk)):
+            raise ValueError("ancestor pairs require 0 <= l < k, got (%s, %s)" % (k, l))
         if self._fn is not None:
-            return float(self._fn(k, l))
-        if k >= len(self._table) or l >= len(self._table[k]):
-            raise IndexError(
-                "weight table has no entry (%d, %d); use a closed form for "
-                "unbounded ages" % (k, l)
-            )
-        return self._table[k][l]
+            out = np.full(kk.shape, self._fn(k, l), dtype=float)
+        else:
+            rows, cols = self._table.shape
+            out = self._table[np.minimum(kk, rows - 1), np.minimum(ll, cols - 1)]
+            missing = np.isnan(out)
+            if missing.any():
+                raise IndexError(
+                    "weight table has no entry (%d, %d); use a closed form for "
+                    "unbounded ages" % (kk[missing][0], ll[missing][0])
+                )
+        return float(out) if out.ndim == 0 else out
 
     def array(self, depth):
         """Dense (depth+2) x (depth+2) array; entries with l >= k are zero."""
-        n = depth
-        out = np.zeros((n + 2, n + 2))
-        for k in range(1, n + 2):
-            for l in range(k):
-                out[k, l] = self(k, l)
+        out = np.zeros((depth + 2, depth + 2))
+        k, l = np.tril_indices(depth + 2, -1)
+        out[k, l] = self(k, l)
         return out
 
     def is_nondecreasing(self, kmax=None):
@@ -170,17 +182,17 @@ class HArray:
 
         Nondecreasing means h[k][l] <= h[k'][l'] whenever k <= k' and
         l <= l'; equivalently every step in k and every step in l (within
-        the l < k region) does not decrease.
+        the l < k region) does not decrease. Read row by row, so the probe
+        never holds the whole triangle.
         """
-        kmax = (_PROBE_LIMIT if self._fn is not None else len(self._table) - 1) \
-            if kmax is None else kmax
+        if kmax is None:
+            kmax = _PROBE_LIMIT if self._fn is not None else self.max_ancestor_age
+        prev = np.empty(0)
         for k in range(1, kmax + 1):
-            for l in range(k):
-                here = self(k, l)
-                if k + 1 <= kmax and self(k + 1, l) < here - 1e-12:
-                    return False
-                if l + 1 < k and self(k, l + 1) < here - 1e-12:
-                    return False
+            row = self(k, np.arange(k))
+            if np.any(row[1:] < row[:-1] - 1e-12) or np.any(row[:-1] < prev - 1e-12):
+                return False
+            prev = row
         return True
 
 
@@ -227,7 +239,7 @@ class FirstOrderClustering:
         if self.h.tag is not None:
             d["h"] = self.h.tag
         elif self.h.max_age is not None:
-            d["h"] = {"kind": "list", "values": [self.h(k) for k in range(self.h.max_age + 1)]}
+            d["h"] = {"kind": "list", "values": self.h.array(self.h.max_age).tolist()}
         else:
             d["h"] = {"kind": "function"}
         return d
@@ -273,9 +285,7 @@ class CapacityClustering:
     variant = "capacity"
 
     def profile(self, depth):
-        return cap_mod.ConductanceProfile(
-            tuple(self.conductance(l) for l in range(depth))
-        )
+        return cap_mod.ConductanceProfile(tuple(self.conductance(np.arange(depth))))
 
     def h_const_at(self, depth):
         return 0.0
@@ -287,7 +297,7 @@ class CapacityClustering:
         elif self.conductance.max_age is not None:
             d["conductance"] = {
                 "kind": "list",
-                "values": [self.conductance(k) for k in range(self.conductance.max_age + 1)],
+                "values": self.conductance.array(self.conductance.max_age).tolist(),
             }
         else:
             d["conductance"] = {"kind": "function"}
@@ -417,7 +427,7 @@ def first_logcorrected():
     """First-order weights h_k = (ln 2) k + ln k, the boundary family."""
     return FirstOrderClustering(
         HSequence.from_function(
-            lambda k: LN2 * k + math.log(max(k, 1)),
+            lambda k: LN2 * k + np.log(np.maximum(k, 1)),
             tag={"kind": "preset", "name": "logcorrected"},
         )
     )
@@ -428,7 +438,7 @@ def dgff_spec():
     h[k][l] = (ln 2) l + 1.5 ln+ min(l, k - l)."""
     return SecondOrderClustering(
         HArray.from_function(
-            lambda k, l: LN2 * l + 1.5 * math.log(max(min(l, k - l), 1)),
+            lambda k, l: LN2 * l + 1.5 * np.log(np.maximum(np.minimum(l, k - l), 1)),
             tag={"kind": "preset", "name": "dgff"},
         )
     )
@@ -488,10 +498,7 @@ def _h_from_doc(doc, key):
         raise SpecConfigError(key, "expected an object with a 'kind' field")
     kind = doc["kind"]
     if kind == "list":
-        values = doc.get("values")
-        if not isinstance(values, list) or not values:
-            raise SpecConfigError(key + ".values", "expected a nonempty list")
-        return HSequence.from_values(values)
+        return HSequence.from_values(_numbers(doc.get("values"), key + ".values"))
     if kind == "preset":
         name = doc.get("name")
         if name == "linear":
@@ -502,6 +509,18 @@ def _h_from_doc(doc, key):
             return first_logcorrected().h
         raise SpecConfigError(key + ".name", "unknown sequence preset %r" % (name,))
     raise SpecConfigError(key + ".kind", "unknown kind %r" % (kind,))
+
+
+def _numbers(values, key, empty=False):
+    """A JSON list of finite numbers as floats; anything else names ``key``."""
+    if not isinstance(values, list) or not (values or empty):
+        raise SpecConfigError(key, "expected a %slist" % ("" if empty else "nonempty "))
+    # type() excludes bool; the comparison rejects nan, inf and too large ints
+    bad = [v for v in values
+           if type(v) not in (int, float) or not abs(v) <= sys.float_info.max]
+    if bad:
+        raise SpecConfigError(key, "expected finite numbers, got %r" % (bad[0],))
+    return [float(v) for v in values]
 
 
 def spec_from_doc(doc):
@@ -526,7 +545,7 @@ def spec_from_doc(doc):
             table = hdoc.get("values")
             if not isinstance(table, list):
                 raise SpecConfigError("h.values", "expected a list of rows")
-            h = HArray.from_table(table)
+            h = HArray.from_table([_numbers(r, "h.values", empty=True) for r in table])
         else:
             raise SpecConfigError("h.kind", "expected 'table' or the dgff preset")
         return SecondOrderClustering(h, _const_from_doc(doc))
@@ -537,9 +556,7 @@ def spec_from_doc(doc):
         if cdoc.get("kind") == "uniform":
             return capacity_uniform(cdoc.get("value", 1.0))
         if cdoc.get("kind") == "list":
-            values = cdoc.get("values")
-            if not isinstance(values, list) or not values:
-                raise SpecConfigError("conductance.values", "expected a nonempty list")
+            values = _numbers(cdoc.get("values"), "conductance.values")
             if any(v <= 0 for v in values):
                 raise SpecConfigError("conductance.values", "conductances must be positive")
             return CapacityClustering(HSequence.from_values(values))
@@ -573,11 +590,6 @@ def save_spec_file(spec, path):
         raise SpecConfigError(
             "h", "cannot serialize an untagged closed form; use a preset or a list"
         )
-    if spec.variant == "first" and isinstance(spec.h.max_age, int):
-        doc["h"] = {
-            "kind": "list",
-            "values": [spec.h(k) for k in range(spec.h.max_age + 1)],
-        }
     if doc.get("h_const", "missing") is None:
         doc["h_const"] = "default"
     with open(path, "w") as f:

@@ -60,18 +60,14 @@ def _pattern1_matrix(n):
 
 
 @lru_cache(maxsize=None)
-def _pair_index(n):
-    pairs = [(k, l) for k in range(1, n + 2) for l in range(k)]
-    return pairs, {kl: i for i, kl in enumerate(pairs)}
-
-
-@lru_cache(maxsize=None)
 def _pattern2_matrix(n):
-    """Rows indexed by bitmask, columns by the (ancestor age, own age) pairs."""
+    """Rows indexed by bitmask, columns by the (ancestor age, own age) pairs
+    in the row-major order of ``np.tril_indices(n + 2, -1)``."""
     from collections import defaultdict
 
-    pairs, index = _pair_index(n)
-    rows = np.zeros((1 << (1 << n), len(pairs)), dtype=np.int64)
+    pairs = zip(*(a.tolist() for a in np.tril_indices(n + 2, -1)))
+    index = {kl: i for i, kl in enumerate(pairs)}
+    rows = np.zeros((1 << (1 << n), len(index)), dtype=np.int64)
     for mask in range(1, 1 << (1 << n)):
         leaves = [i for i in range(1 << n) if mask >> i & 1]
         counts = defaultdict(int)
@@ -101,22 +97,17 @@ def phi_vector(spec, n):
     _check_depth(n)
     if spec.variant == "zero":
         return np.zeros(1 << (1 << n))
-    if spec.variant == "first":
-        h = spec.h.array(n)
-        const = spec.h_const_at(n)
-        phi = _pattern1_matrix(n) @ h + const
-        phi[0] = 0.0
-        return phi
-    if spec.variant == "second":
-        H = spec.h.array(n)
-        pairs, _ = _pair_index(n)
-        hvec = np.array([H[k][l] for k, l in pairs])
-        phi = _pattern2_matrix(n) @ hvec + spec.h_const_at(n)
-        phi[0] = 0.0
-        return phi
     if spec.variant == "capacity":
         return _capacity.cap_table(n, spec.profile(n))
-    raise UnsupportedVariant("unknown variant %r" % (spec.variant,))
+    if spec.variant == "first":
+        phi = _pattern1_matrix(n) @ spec.h.array(n)
+    elif spec.variant == "second":
+        phi = _pattern2_matrix(n) @ spec.h.array(n)[np.tril_indices(n + 2, -1)]
+    else:
+        raise UnsupportedVariant("unknown variant %r" % (spec.variant,))
+    phi += spec.h_const_at(n)
+    phi[0] = 0.0
+    return phi
 
 
 def enum_phi(spec, ls):

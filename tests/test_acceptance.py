@@ -305,7 +305,7 @@ def test_09_dgff_preset():
 
 def test_10_sampler_exactness():
     t0 = time.perf_counter()
-    spec = FirstOrderClustering(HSequence.from_function(lambda k: float(k)))
+    spec = FirstOrderClustering(HSequence.from_function(lambda k: 1.0 * k))
     dist = oracle.ExactDistribution.compute(spec, 3, 0.5)
     draws = sample(spec, 3, 0.5, seed=2026, num_samples=100000)
     counts = Counter(s.mask for s in draws)

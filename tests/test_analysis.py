@@ -91,6 +91,26 @@ def test_kappa1_finite_list():
     assert rep.value == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec,value,terms,converged",
+    [
+        (first_linear(2.0), 0.37112250518172546, 27, True),
+        (first_linear(3 * LN2), 0.33333333333333315, 25, True),
+        (first_logcorrected(), math.inf, 200000, False),
+        (zero_spec(), math.inf, 49, False),
+        (FirstOrderClustering(HSequence.from_values([0.0, 3.0, 6.0])),
+         0.10948914544239333, 2, False),
+    ],
+    ids=["linear2", "linear3ln2", "logcorrected", "zero", "list"],
+)
+def test_kappa1_pinned(spec, value, terms, converged):
+    # values of the term-by-term loop the blockwise sum replaced
+    rep = kappa1(spec)
+    assert rep.terms_used == terms
+    assert rep.converged is converged
+    assert rep.value == pytest.approx(value, rel=1e-13)
+
+
 def test_kappa2_dgff_finite():
     rep = kappa2(dgff_spec(), k_max=100000)
     # Converges to 1 + 2 zeta(3/2) ~ 6.2248 like 1/sqrt(k); at the cutoff

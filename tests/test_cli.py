@@ -290,18 +290,30 @@ def test_compact_preset_spelling(capsys):
     assert code == 0
 
 
+def _reject_constant(name):
+    raise ValueError("not strict JSON: %s" % (name,))
+
+
 def test_threshold_zero_no_transition(capsys):
     code, out, err = run(
         capsys, ["threshold", "--preset", "zero", "--depths", "8", "--k-max", "1000"]
     )
     assert code == 0 and err == ""
-    doc = json.loads([l for l in out.splitlines() if l.startswith("{")][0])
-    assert doc["kappa_value"] == math.inf
+    doc = json.loads([l for l in out.splitlines() if l.startswith("{")][0],
+                     parse_constant=_reject_constant)
+    assert float(doc["kappa_value"]) == math.inf
     assert doc["tauberian_verdict"] == "no-transition-supported"
     assert doc["verdict"] == "no-transition-supported"
 
 
-SHORT_LIST = {"variant": "first", "h": {"kind": "list", "values": [0, 1, 2]}}
+SPEC_FILES = {
+    "SHORT": '{"variant": "first", "h": {"kind": "list", "values": [0, 1, 2]}}',
+    "NULL-H": '{"variant": "first", "h": {"kind": "list", "values": [0, null, 2]}}',
+    "HUGE-H": '{"variant": "first", "h": {"kind": "list", "values": [0, 1e400, 2]}}',
+    "TEXT-ROW": '{"variant": "second", "h": {"kind": "table", "values": [[], ["1"]]}}',
+    "NULL-ROW": '{"variant": "second", "h": {"kind": "table", "values": [[], [null]]}}',
+    "NULL-C": '{"variant": "capacity", "conductance": {"kind": "list", "values": [1, null]}}',
+}
 
 
 @pytest.mark.parametrize(
@@ -319,14 +331,25 @@ SHORT_LIST = {"variant": "first", "h": {"kind": "list", "values": [0, 1, 2]}}
         (["density", "--preset", "zero", "--depth", "3", "--j-grid=-inf,inf"], "'j'"),
         (["sample", "--preset", "dgff", "--depth", "3", "--j", "inf",
           "--seed", "1"], "'j'"),
+        (["zeta", "--spec-file", "NULL-H", "--depth", "2", "--j-grid", "0"],
+         "'h.values'"),
+        (["zeta", "--spec-file", "HUGE-H", "--depth", "2", "--j-grid", "0"],
+         "'h.values'"),
+        (["zeta", "--spec-file", "TEXT-ROW", "--depth", "0", "--j-grid", "0"],
+         "'h.values'"),
+        (["zeta", "--spec-file", "NULL-ROW", "--depth", "0", "--j-grid", "0"],
+         "'h.values'"),
+        (["zeta", "--spec-file", "NULL-C", "--depth", "2", "--j-grid", "0"],
+         "'conductance.values'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
-         "short-list-sample", "density-nan", "density-inf", "sample-inf"],
+         "short-list-sample", "density-nan", "density-inf", "sample-inf",
+         "null-h", "huge-h", "text-row", "null-row", "null-conductance"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
-    short = tmp_path / "short.json"
-    short.write_text(json.dumps(SHORT_LIST))
-    argv = [str(short) if a == "SHORT" else a for a in argv]
+    for name, text in SPEC_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in SPEC_FILES else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

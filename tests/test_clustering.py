@@ -240,3 +240,76 @@ def test_random_specs_are_valid():
         assert all(s3.conductance(l) > 0 for l in range(n))
         profile = s3.profile(n)
         assert profile.depth == n
+
+
+SEQUENCES = {
+    "zero": zero_spec().h,
+    "linear": first_linear(2.0).h,
+    "linear3ln2": parse_preset("first:linear:3ln2").h,
+    "logcorrected": first_logcorrected().h,
+    "capacity": capacity_uniform(2.5).conductance,
+    "list": HSequence.from_values([0.0, 0.5, 2.0, 2.25, 7.0]),
+}
+ARRAYS = {
+    "dgff": dgff_spec().h,
+    # row 3 runs past l < k, row 4 stops short at l = 1
+    "table": HArray.from_table([[], [1.0], [2.0, 3.0], [4.0, 5.0, 6.5, 9.0], [7.0, 8.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_sequence_array_read_matches_scalar_reads(name):
+    h = SEQUENCES[name]
+    ks = np.arange(5 if h.max_age is not None else 3000)
+    got = h(ks)
+    assert isinstance(got, np.ndarray) and got.shape == ks.shape
+    want = np.array([h(int(k)) for k in ks])
+    assert all(isinstance(h(int(k)), float) for k in ks[:5])
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(h.array(len(ks) - 1), got)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_harray_array_read_matches_scalar_reads(name):
+    h = ARRAYS[name]
+    n = 2 if h.max_ancestor_age is not None else 60
+    k, l = np.tril_indices(n + 2, -1)
+    want = np.array([h(int(a), int(b)) for a, b in zip(k, l)])
+    np.testing.assert_allclose(h(k, l), want, rtol=1e-15, atol=0)
+    arr = h.array(n)
+    np.testing.assert_allclose(arr[k, l], want, rtol=1e-15, atol=0)
+    assert not np.triu(arr).any()  # l >= k stays zero
+
+
+def test_array_read_past_the_end_raises():
+    with pytest.raises(IndexError):
+        SEQUENCES["list"](np.arange(6))
+    with pytest.raises(IndexError):
+        SEQUENCES["list"].array(5)
+    table = ARRAYS["table"]
+    with pytest.raises(IndexError):
+        table(np.array([3, 5]), np.array([0, 0]))  # row 5 is past the end
+    with pytest.raises(IndexError):
+        table(np.array([4, 4]), np.array([1, 2]))  # ragged row 4 has no l = 2
+    with pytest.raises(IndexError):
+        table.array(3)
+
+
+def test_empty_age_array_reads():
+    empty = np.arange(0)
+    for h in SEQUENCES.values():
+        assert h(empty).shape == (0,)
+    for h in ARRAYS.values():
+        assert h(empty, empty).shape == (0,)
+    spec = spec_from_doc(
+        {"variant": "capacity", "conductance": {"kind": "list", "values": [1.0]}}
+    )
+    assert spec.profile(0).depth == 0
+    assert capacity_uniform(2.0).profile(0).depth == 0
+
+
+def test_harray_closed_form_monotonicity_probe():
+    # the default probe reads 4096 rows of the triangle
+    assert HArray.from_function(lambda k, l: k + l).is_nondecreasing()
+    assert not HArray.from_function(lambda k, l: k - 2 * l).is_nondecreasing(kmax=5)
+    assert not HArray.from_function(lambda k, l: 10 * l - k).is_nondecreasing(kmax=5)
