@@ -207,7 +207,7 @@ def _cmd_sample(args):
     draws = sampmod.sample(spec, args.depth, args.j, args.seed, args.num)
     out = _Out(args.out)
     for ls in draws:
-        out.line(" ".join(str(x) for x in ls))
+        out.line(" ".join([str(x) for x in ls]))
     out.close()
     mean = sum(len(ls) for ls in draws) / (len(draws) * (1 << args.depth))
     _write_summary(args, {

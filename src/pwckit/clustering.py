@@ -504,23 +504,26 @@ def _h_from_doc(doc, key):
         if name == "linear":
             if "c" not in doc:
                 raise SpecConfigError(key + ".c", "linear preset needs a slope")
-            return first_linear(doc["c"]).h
+            return first_linear(_number(doc["c"], key + ".c")).h
         if name == "logcorrected":
             return first_logcorrected().h
         raise SpecConfigError(key + ".name", "unknown sequence preset %r" % (name,))
     raise SpecConfigError(key + ".kind", "unknown kind %r" % (kind,))
 
 
+def _number(v, key):
+    """A JSON number as a finite float; anything else names ``key``."""
+    # type() excludes bool; the comparison rejects nan, inf and too large ints
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise SpecConfigError(key, "expected a finite number, got %r" % (v,))
+    return float(v)
+
+
 def _numbers(values, key, empty=False):
     """A JSON list of finite numbers as floats; anything else names ``key``."""
     if not isinstance(values, list) or not (values or empty):
         raise SpecConfigError(key, "expected a %slist" % ("" if empty else "nonempty "))
-    # type() excludes bool; the comparison rejects nan, inf and too large ints
-    bad = [v for v in values
-           if type(v) not in (int, float) or not abs(v) <= sys.float_info.max]
-    if bad:
-        raise SpecConfigError(key, "expected finite numbers, got %r" % (bad[0],))
-    return [float(v) for v in values]
+    return [_number(v, key) for v in values]
 
 
 def spec_from_doc(doc):
@@ -554,7 +557,7 @@ def spec_from_doc(doc):
         if not isinstance(cdoc, dict):
             raise SpecConfigError("conductance", "capacity family needs a profile")
         if cdoc.get("kind") == "uniform":
-            return capacity_uniform(cdoc.get("value", 1.0))
+            return capacity_uniform(_number(cdoc.get("value", 1.0), "conductance.value"))
         if cdoc.get("kind") == "list":
             values = _numbers(cdoc.get("values"), "conductance.values")
             if any(v <= 0 for v in values):
@@ -568,11 +571,7 @@ def spec_from_doc(doc):
 
 def _const_from_doc(doc):
     v = doc.get("h_const")
-    if v is None or v == "default":
-        return None
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise SpecConfigError("h_const", "expected a number, null, or 'default'")
-    return float(v)
+    return None if v is None or v == "default" else _number(v, "h_const")
 
 
 def load_spec_file(path):

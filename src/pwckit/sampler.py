@@ -12,8 +12,8 @@ finite-volume law, no Markov chain involved.
 Choices are made by Gumbel-max over log weights, so extreme J values only
 shift the logs instead of underflowing probabilities. Each sample gets its
 own child stream spawned from the seed, which makes results reproducible
-independent of batching, and the descent consumes its stream in a fixed
-left-to-right order.
+independent of batching. The iterative descent reads that stream in blocks,
+three variates per node in a fixed depth-first, left-to-right order.
 """
 
 from __future__ import annotations
@@ -51,28 +51,29 @@ class Sampler:
         self.ln_z = float(np.logaddexp(0.0, self._ln_occupied))
 
     def sample(self, rng):
-        """One exact draw using the given numpy Generator."""
+        """One exact draw; past the empty check ``rng`` is read in blocks."""
         g = rng.gumbel(size=2)
         if g[0] + 0.0 > g[1] + self._ln_occupied:
             return LeafSet(self.depth, ())
-        leaves = []
-        self._descend(rng, self.depth, self._last, 0, leaves)
+        keep, split, last = self._keep, self._split, self._last
+        leaves, stack = [], [(self.depth, last, 0)]
+        buf, i, chunk = [], 0, 48  # chunks stay multiples of the 3 per node
+        while stack:
+            d, a, base = stack.pop()
+            while d > 0:
+                if i == len(buf):
+                    buf, i, chunk = rng.gumbel(size=chunk).tolist(), 0, 2 * chunk
+                k = keep[d][a]
+                x0, x1, x2 = buf[i] + k, buf[i + 1] + k, buf[i + 2] + split[d][a]
+                i, d = i + 3, d - 1
+                if x1 > x0 or x2 > x0:  # argmax, first index on ties
+                    if x1 >= x2:
+                        base += 1 << d
+                    else:
+                        a = min(d + 1, last)
+                        stack.append((d, a, base + (1 << d)))
+            leaves.append(base)
         return LeafSet(self.depth, tuple(leaves))
-
-    def _descend(self, rng, d, a, base, out):
-        while d > 0:
-            keep = self._keep[d][a]
-            logw = (keep, keep, self._split[d][a])
-            pick = int(np.argmax(rng.gumbel(size=3) + logw))
-            half = 1 << (d - 1)
-            if pick == 2:
-                a = min(d, self._last)
-                self._descend(rng, d - 1, a, base, out)
-                base += half
-            elif pick == 1:
-                base += half
-            d -= 1
-        out.append(base)
 
     def sample_many(self, num_samples, seed):
         """Independent draws on per-sample child streams of ``seed``."""

@@ -313,6 +313,12 @@ SPEC_FILES = {
     "TEXT-ROW": '{"variant": "second", "h": {"kind": "table", "values": [[], ["1"]]}}',
     "NULL-ROW": '{"variant": "second", "h": {"kind": "table", "values": [[], [null]]}}',
     "NULL-C": '{"variant": "capacity", "conductance": {"kind": "list", "values": [1, null]}}',
+    "NULL-SLOPE": '{"variant": "first", "h": {"kind": "preset", "name": "linear", "c": null}}',
+    "TEXT-SLOPE": '{"variant": "first", "h": {"kind": "preset", "name": "linear", "c": "x"}}',
+    "HUGE-SLOPE": '{"variant": "first", "h": {"kind": "preset", "name": "linear", "c": 1e400}}',
+    "NAN-CONST": ('{"variant": "first", "h": {"kind": "preset", "name": "linear", "c": 2},'
+                  ' "h_const": NaN}'),
+    "NULL-UNIFORM": '{"variant": "capacity", "conductance": {"kind": "uniform", "value": null}}',
 }
 
 
@@ -341,10 +347,18 @@ SPEC_FILES = {
          "'h.values'"),
         (["zeta", "--spec-file", "NULL-C", "--depth", "2", "--j-grid", "0"],
          "'conductance.values'"),
+        (["zeta", "--spec-file", "NULL-SLOPE", "--depth", "2", "--j-grid", "0"], "'h.c'"),
+        (["zeta", "--spec-file", "TEXT-SLOPE", "--depth", "2", "--j-grid", "0"], "'h.c'"),
+        (["zeta", "--spec-file", "HUGE-SLOPE", "--depth", "2", "--j-grid", "0"], "'h.c'"),
+        (["zeta", "--spec-file", "NAN-CONST", "--depth", "2", "--j-grid", "0"],
+         "'h_const'"),
+        (["zeta", "--spec-file", "NULL-UNIFORM", "--depth", "2", "--j-grid", "0"],
+         "'conductance.value'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
-         "null-h", "huge-h", "text-row", "null-row", "null-conductance"],
+         "null-h", "huge-h", "text-row", "null-row", "null-conductance",
+         "null-slope", "text-slope", "huge-slope", "nan-const", "null-uniform"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():

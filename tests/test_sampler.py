@@ -1,9 +1,12 @@
+import hashlib
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from pwckit import dp, oracle
+from pwckit.cli import main
 from pwckit.clustering import (
     FirstOrderClustering,
     HSequence,
@@ -131,3 +134,70 @@ def test_draws_pinned():
     for (name, n), masks in pinned.items():
         draws = sample(specs[name], n, 0.5, seed=2024, num_samples=8)
         assert [s.mask for s in draws] == masks, (name, n)
+
+
+@pytest.mark.parametrize(
+    "preset,depth,j,digest",
+    [
+        ("zero", "10", "0.0",
+         "5632065a40d4e9dd1080de2b03ccfd720009ae58b78ce7683cd95aef99dfadeb"),
+        ("first:logcorrected", "8", "1.0",
+         "7954b1a6cec5b0955bc13434374804f3c513261ad82d09dc0a5d74c8900e79bd"),
+        ("dgff", "10", "0.5",
+         "95e11b7d332df23988b06eb85cbc9adb158dabf20d22815d1970ed46593a771f"),
+    ],
+)
+def test_sample_output_pinned(capsys, preset, depth, j, digest):
+    # Pinned stdout at sizes where the descent refills its variate buffer,
+    # splits deep in the tree and (dgff) reads second-order rows.
+    code = main(["sample", "--preset", preset, "--depth", depth, "--j", j,
+                 "--num", "20", "--seed", "2024"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_saturated_deep_draw():
+    # Every node splits: 65535 nodes per draw through the explicit stack.
+    for s in sample(zero_spec(), 16, 30.0, seed=3, num_samples=2):
+        assert s.leaves == tuple(range(1 << 16))
+
+
+class _RoundedGumbel:
+    """Gumbel variates rounded to integers, so that choices often tie."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def gumbel(self, size):
+        return np.round(self._rng.gumbel(size=size))
+
+
+def _argmax_draw(s, rng):
+    # reference descent: one gumbel(3) read and one np.argmax per node
+    g = rng.gumbel(size=2)
+    if g[0] + 0.0 > g[1] + s._ln_occupied:
+        return ()
+    out = []
+
+    def descend(d, a, base):
+        while d > 0:
+            keep = s._keep[d][a]
+            pick = int(np.argmax(rng.gumbel(size=3) + (keep, keep, s._split[d][a])))
+            if pick == 2:
+                a = min(d, s._last)
+                descend(d - 1, a, base)
+            base += (1 << (d - 1)) * (pick > 0)
+            d -= 1
+        out.append(base)
+
+    descend(s.depth, s._last, 0)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec_name,n,j", [("zero", 6, 0.0), ("dgff", 6, 0.5)])
+def test_ties_follow_argmax(spec_name, n, j):
+    s = Sampler({"zero": zero_spec(), "dgff": dgff_spec()}[spec_name], n, j)
+    for seed in range(40):
+        draw = s.sample(_RoundedGumbel(seed)).leaves
+        assert draw == _argmax_draw(s, _RoundedGumbel(seed))
