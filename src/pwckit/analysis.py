@@ -37,6 +37,7 @@ from . import dp
 from .clustering import (
     FirstOrderClustering,
     SecondOrderClustering,
+    SpecConfigError,
     UnsupportedVariant,
     ZeroClustering,
 )
@@ -130,6 +131,11 @@ def _first_h(spec_or_h):
     return spec_or_h
 
 
+def _check_k_max(k_max):
+    if k_max < 1:
+        raise SpecConfigError("k_max", "must be at least 1, got %d" % (k_max,))
+
+
 def _second_h(spec_or_h):
     if isinstance(spec_or_h, SecondOrderClustering):
         return spec_or_h.h
@@ -191,6 +197,7 @@ def kappa2(spec_or_h, k_max=100000):
     ``at_cutoff`` flags a sup attained at the largest evaluated k, where
     the true sup may lie beyond the cutoff.
     """
+    _check_k_max(k_max)
     h = _second_h(spec_or_h)
     if not h.has_tail:
         k_max = min(k_max, h.max_ancestor_age)
@@ -334,6 +341,7 @@ def tauberian_first(spec_or_h, k_max=100000):
     this test says nothing (h may still be too small elsewhere), reported
     as inconclusive-for-this-test.
     """
+    _check_k_max(k_max)
     h = _first_h(spec_or_h)
     if not h.has_tail:
         k_max = min(k_max, h.max_age)
@@ -348,6 +356,7 @@ def tauberian_second(spec_or_h, h1, h2, k_max=100000, check_tol=1e-9):
     The caller supplies h_{l+d, l} = h1(l) + h2(d); the decomposition is
     spot-checked against the array on a grid of indices before use.
     """
+    _check_k_max(k_max)
     h = _second_h(spec_or_h)
     samples = (1, 2, 3, 5, 8, 13, 21, 55, 144)
     if not h.has_tail:
@@ -509,6 +518,10 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
         raise UnsupportedVariant(
             "threshold estimation needs a dp-engine variant, got %r"
             % (spec.variant,)
+        )
+    if not depths or min(depths) < 0:
+        raise SpecConfigError(
+            "depths", "need one or more nonnegative depths, got %r" % (list(depths),)
         )
     uppers, tails, deltas, slopes, sizes = [], [], [], [], []
     for n in depths:

@@ -119,12 +119,10 @@ def _spec_label(args):
     return "preset:" + args.preset
 
 
-def _check_oracle_depth(n):
+def _check_oracle_depth(n, why="capacity specs have no dynamic program"):
     if n > oracle.ORACLE_MAX_DEPTH:
         raise SpecConfigError(
-            "depth",
-            "capacity specs have no dynamic program; depth <= %d only"
-            % (oracle.ORACLE_MAX_DEPTH,),
+            "depth", "%s; depth <= %d only" % (why, oracle.ORACLE_MAX_DEPTH)
         )
 
 
@@ -225,6 +223,8 @@ def _parse_subset(text, depth):
 
 def _cmd_capacity(args):
     n = args.depth
+    if n < 0:
+        raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
     if args.spec_file:
         spec = load_spec_file(args.spec_file)
         if spec.variant != "capacity":
@@ -236,12 +236,7 @@ def _cmd_capacity(args):
         profile = capmod.ConductanceProfile.uniform(n, args.conductance)
     subsets = [_parse_subset(s, n) for s in args.subset or []]
     if args.all_subsets:
-        if n > oracle.ORACLE_MAX_DEPTH:
-            raise SpecConfigError(
-                "depth",
-                "--all-subsets enumerates 2^%d rows; depth <= %d only"
-                % (1 << n, oracle.ORACLE_MAX_DEPTH),
-            )
+        _check_oracle_depth(n, "--all-subsets enumerates 2^%d rows" % (1 << n))
         subsets = [
             LeafSet.from_mask(n, mask) for mask in range(1 << (1 << n))
         ]
@@ -331,9 +326,7 @@ def _run_verify(args, out):
             out.line("FAIL %s n=%d draw=%d: %s" % (suite, n, draw, message))
 
     for n in range(1, depth_cap + 1):
-        counts = np.array(
-            [bin(m).count("1") for m in range(1 << (1 << n))], dtype=float
-        )
+        sizes = oracle.profile_table(n).sizes
         for i in range(args.draws):
             j = float(rng.uniform(-2.0, 3.0))
 
@@ -378,7 +371,7 @@ def _run_verify(args, out):
                         sorted(ls), c_red, float(table[mask]))
                 check("capacity-dual", n, i, msg)
             lz_en = oracle.enum_Z(spec, n, j).ln
-            terms = j * counts - table
+            terms = j * sizes - table
             mx = float(terms.max())
             lz_direct = mx + math.log(float(np.exp(terms - mx).sum()))
             check("capacity-z", n, i,
@@ -389,6 +382,9 @@ def _run_verify(args, out):
 
 
 def _cmd_verify(args):
+    for key, value in (("depth", args.depth), ("draws", args.draws)):
+        if value < 1:
+            raise SpecConfigError(key, "must be at least 1, got %d" % (value,))
     out = _Out(args.out)
     failures = _run_verify(args, out)
     suites = (

@@ -221,6 +221,8 @@ def dp_W(spec, n, m_max=None, allow_large=False):
 
 
 def _check_guard(n, m_max, limit, allow_large, label):
+    if m_max is not None and m_max < 0:
+        raise SpecConfigError("m_max", "must be nonnegative, got %d" % (m_max,))
     if m_max is None and n > limit and not allow_large:
         raise ValueError(
             "%s at depth %d exceeds the default cost guard (%d); pass "

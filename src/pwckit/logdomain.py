@@ -2,9 +2,7 @@
 
 Partition functions here routinely exceed exp(1e6), so every sum of weights
 is carried as a logarithm. The one awkward point is exact zero, whose
-logarithm is -inf; ``LogReal`` makes that case explicit and keeps the
-semiring operations (add via shifted log-sum-exp, multiply via log addition)
-well defined at the boundary.
+logarithm is -inf; the helpers below accept it as an operand.
 """
 
 from __future__ import annotations
@@ -58,94 +56,16 @@ def log_sum_array(arr, axis=None):
 class LogReal:
     """A nonnegative real number stored as its natural logarithm.
 
-    ``ln`` is -inf for exact zero. Addition and multiplication follow the
-    (+, *) semiring on the underlying values; comparison compares values.
+    ``ln`` is -inf for exact zero. ``dp_Z`` and ``enum_Z`` return one, so a
+    partition function far beyond float range still has a readable ``ln``.
     """
 
     ln: float
 
-    @classmethod
-    def from_ln(cls, ln):
-        return cls(float(ln))
-
-    @classmethod
-    def from_value(cls, x):
-        if x < 0:
-            raise ValueError("LogReal represents nonnegative reals, got %r" % (x,))
-        return cls(NEG_INF if x == 0 else math.log(x))
-
-    @classmethod
-    def zero(cls):
-        return cls(NEG_INF)
-
-    @classmethod
-    def one(cls):
-        return cls(0.0)
-
-    @property
-    def is_zero(self):
-        return self.ln == NEG_INF
-
     @property
     def value(self):
         """The represented number as a float; may overflow to inf."""
-        if self.is_zero:
-            return 0.0
         try:
             return math.exp(self.ln)
         except OverflowError:
             return float("inf")
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return LogReal(log_add(self.ln, other.ln))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if self.is_zero or other.is_zero:
-            return LogReal.zero()
-        return LogReal(self.ln + other.ln)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogReal zero")
-        if self.is_zero:
-            return LogReal.zero()
-        return LogReal(self.ln - other.ln)
-
-    def __pow__(self, k):
-        if self.is_zero:
-            if k == 0:
-                return LogReal.one()
-            if k < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return LogReal.zero()
-        return LogReal(self.ln * k)
-
-    def __lt__(self, other):
-        return self.ln < _coerce(other).ln
-
-    def __le__(self, other):
-        return self.ln <= _coerce(other).ln
-
-    def __gt__(self, other):
-        return self.ln > _coerce(other).ln
-
-    def __ge__(self, other):
-        return self.ln >= _coerce(other).ln
-
-    def __repr__(self):
-        if self.is_zero:
-            return "LogReal(0)"
-        return f"LogReal(ln={self.ln!r})"
-
-
-def _coerce(x):
-    if isinstance(x, LogReal):
-        return x
-    return LogReal.from_value(x)

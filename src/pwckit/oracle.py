@@ -6,9 +6,18 @@ independent check on the dynamic programs: Phi is assembled from the
 per-subset branching profiles (or the electrical capacity table), never from
 the level recursions.
 
-The profile matrices are cached per depth and shared across parameter
-choices, so repeated calls with different h or J only pay for a matrix
-product.
+The profiles of all subsets come from one table per depth, built the way
+``capacity.cap_table`` builds capacities: level by level, the mask of a
+depth-d subtree is the pair [hi, lo] of its two half masks. Each mask
+carries the age of its top branching point (a leaf is its own top, at age
+0). Where both halves are nonempty the age-d root becomes a branching point,
+the ancestor of both half tops; otherwise the nonempty half's top carries
+over. At the end the top point of every nonempty mask gets the virtual
+ancestor n + 1. This bottom-up merge is independent of the consecutive-meet
+walk in ``patterns``, which the tests compare it against.
+
+The table is cached per depth and shared across parameter choices, so
+repeated calls with different h or J only pay for a matrix product.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +33,7 @@ from . import capacity as _capacity
 from .clustering import UnsupportedVariant
 from .dp import CanonicalTable
 from .logdomain import LogReal, NEG_INF
-from .tree import LeafSet, leaf_meet_age
+from .tree import LeafSet
 
 ORACLE_MAX_DEPTH = 4
 
@@ -38,58 +48,45 @@ def _check_depth(n):
         raise ValueError("depth must be nonnegative")
 
 
-@lru_cache(maxsize=None)
-def _popcounts(n):
-    return np.array([m.bit_count() for m in range(1 << (1 << n))], dtype=np.int64)
+class ProfileTable(NamedTuple):
+    """Branching profiles of every subset of the depth-n leaves, rows by mask.
 
-
-@lru_cache(maxsize=None)
-def _pattern1_matrix(n):
-    """Rows indexed by leaf-set bitmask, columns by age k = 0 .. n.
-
-    Row m holds the first-order profile b_k of the subset with mask m; the
-    empty row is all zero, so Phi contributions must skip mask 0 separately.
+    ``second`` has one column per (ancestor age k, own age l) pair, in the
+    order of ``np.tril_indices(n + 2, -1)`` (column k(k-1)/2 + l); ``first``
+    sums it over k into the first-order profile b_0 .. b_n; ``sizes`` is
+    b_0. The empty set has an all-zero row. Counts are at most 2^n <= 16.
     """
-    rows = np.zeros((1 << (1 << n), n + 1), dtype=np.int64)
-    for mask in range(1, 1 << (1 << n)):
-        leaves = [i for i in range(1 << n) if mask >> i & 1]
-        rows[mask, 0] = len(leaves)
-        for x, y in zip(leaves, leaves[1:]):
-            rows[mask, leaf_meet_age(x, y)] += 1
-    return rows
+
+    second: np.ndarray
+    first: np.ndarray
+    sizes: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _pattern2_matrix(n):
-    """Rows indexed by bitmask, columns by the (ancestor age, own age) pairs
-    in the row-major order of ``np.tril_indices(n + 2, -1)``."""
-    from collections import defaultdict
-
-    pairs = zip(*(a.tolist() for a in np.tril_indices(n + 2, -1)))
-    index = {kl: i for i, kl in enumerate(pairs)}
-    rows = np.zeros((1 << (1 << n), len(index)), dtype=np.int64)
-    for mask in range(1, 1 << (1 << n)):
-        leaves = [i for i in range(1 << n) if mask >> i & 1]
-        counts = defaultdict(int)
-        _collect_pattern2(leaves, n + 1, counts)
-        for kl, c in counts.items():
-            rows[mask, index[kl]] = c
-    return rows
-
-
-def _collect_pattern2(leaves, ancestor, out):
-    if len(leaves) == 1:
-        out[(ancestor, 0)] += 1
-        return
-    ages = [leaf_meet_age(x, y) for x, y in zip(leaves, leaves[1:])]
-    oldest = max(ages)
-    out[(ancestor, oldest)] += 1
-    start = 0
-    for i, age in enumerate(ages):
-        if age == oldest:
-            _collect_pattern2(leaves[start : i + 1], oldest, out)
-            start = i + 1
-    _collect_pattern2(leaves[start:], oldest, out)
+def profile_table(n):
+    """The profile table at depth n, by merging subtree halves level by level."""
+    _check_depth(n)
+    cols = (n + 2) * (n + 1) // 2
+    counts = np.zeros((2, cols), dtype=np.uint8)
+    top = np.array([-1, 0])  # age of the top branching point, -1 when empty
+    for d in range(1, n + 1):
+        m = len(top)
+        counts = counts[:, None] + counts[None, :]  # [hi, lo]
+        hi, lo = np.nonzero(np.outer(top >= 0, top >= 0))
+        counts[hi, lo, d * (d - 1) // 2 + top[hi]] += 1
+        counts[hi, lo, d * (d - 1) // 2 + top[lo]] += 1
+        top = np.maximum.outer(top, top)
+        top[hi, lo] = d
+        counts, top = counts.reshape(m * m, cols), top.reshape(-1)
+    nonempty = np.flatnonzero(top >= 0)
+    counts[nonempty, (n + 1) * n // 2 + top[nonempty]] += 1
+    first = np.zeros((len(counts), n + 1), dtype=np.uint8)
+    for col, l in enumerate(np.tril_indices(n + 2, -1)[1]):
+        first[:, l] += counts[:, col]
+    table = ProfileTable(counts, first, first[:, 0].astype(np.int64))
+    for rows in table:
+        rows.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 def phi_vector(spec, n):
@@ -100,9 +97,9 @@ def phi_vector(spec, n):
     if spec.variant == "capacity":
         return _capacity.cap_table(n, spec.profile(n))
     if spec.variant == "first":
-        phi = _pattern1_matrix(n) @ spec.h.array(n)
+        phi = profile_table(n).first @ spec.h.array(n)
     elif spec.variant == "second":
-        phi = _pattern2_matrix(n) @ spec.h.array(n)[np.tril_indices(n + 2, -1)]
+        phi = profile_table(n).second @ spec.h.array(n)[np.tril_indices(n + 2, -1)]
     else:
         raise UnsupportedVariant("unknown variant %r" % (spec.variant,))
     phi += spec.h_const_at(n)
@@ -110,18 +107,25 @@ def phi_vector(spec, n):
     return phi
 
 
+def _ln_terms(spec, n, j):
+    """ln of every subset's Boltzmann term J |A| - Phi(A)."""
+    return j * profile_table(n).sizes - phi_vector(spec, n)
+
+
+def _log_sum(ln_terms):
+    """ln sum exp over an array, with the max factored out and fsum."""
+    mx = ln_terms.max()
+    return mx + math.log(math.fsum(np.exp(ln_terms - mx)))
+
+
 def enum_phi(spec, ls):
     """Phi of a single leaf set, via the cached per-mask table."""
-    _check_depth(ls.depth)
     return float(phi_vector(spec, ls.depth)[ls.mask])
 
 
 def enum_Z(spec, n, j):
     """Grand partition function by direct summation over all subsets."""
-    _check_depth(n)
-    ln_terms = j * _popcounts(n) - phi_vector(spec, n)
-    mx = ln_terms.max()
-    return LogReal(mx + math.log(math.fsum(np.exp(ln_terms - mx))))
+    return LogReal(_log_sum(_ln_terms(spec, n, j)))
 
 
 def enum_zeta(spec, n, j):
@@ -130,14 +134,9 @@ def enum_zeta(spec, n, j):
 
 def enum_W(spec, n):
     """Canonical table by grouping subsets by size."""
-    _check_depth(n)
-    pop = _popcounts(n)
+    sizes = profile_table(n).sizes
     neg_phi = -phi_vector(spec, n)
-    ln_w = np.full((1 << n) + 1, NEG_INF)
-    for a0 in range(0, (1 << n) + 1):
-        vals = neg_phi[pop == a0]
-        mx = vals.max()
-        ln_w[a0] = mx + math.log(math.fsum(np.exp(vals - mx)))
+    ln_w = np.array([_log_sum(neg_phi[sizes == a0]) for a0 in range((1 << n) + 1)])
     return CanonicalTable(n, ln_w, kind="sum", source="enum")
 
 
@@ -154,30 +153,23 @@ def enum_maxterm(spec, n):
         raise UnsupportedVariant(
             "profile maxima are defined for first-order specs only"
         )
-    rows = _pattern1_matrix(n)
-    pop = _popcounts(n)
+    table = profile_table(n)
     neg_phi = -phi_vector(spec, n)
+    # one key per profile: b_0 .. b_n as base-32 digits (each b_l <= 16)
+    key = table.first[1:].astype(np.int64) @ 32 ** np.arange(n + 1)
+    _, rep, count = np.unique(key, return_index=True, return_counts=True)
+    rep += 1  # the smallest mask with each profile
     ln_w = np.full((1 << n) + 1, NEG_INF)
+    np.maximum.at(ln_w, table.sizes[rep],
+                  [math.log(c) for c in count] + neg_phi[rep])
     ln_w[0] = 0.0
-    for a0 in range(1, (1 << n) + 1):
-        sel = np.nonzero(pop == a0)[0]
-        groups = {}
-        for mask in sel:
-            key = rows[mask].tobytes()
-            entry = groups.setdefault(key, [0, mask])
-            entry[0] += 1
-        best = NEG_INF
-        for count, mask in groups.values():
-            best = max(best, math.log(count) + neg_phi[mask])
-        ln_w[a0] = best
     return CanonicalTable(n, ln_w, kind="max", source="enum")
 
 
 def enum_density(spec, n, j):
     """Mean occupied fraction by direct summation."""
-    _check_depth(n)
-    pop = _popcounts(n)
-    ln_terms = j * pop - phi_vector(spec, n)
+    ln_terms = _ln_terms(spec, n, j)
+    pop = profile_table(n).sizes
     mx = ln_terms.max()
     w = np.exp(ln_terms - mx)
     return math.fsum(w * pop) / math.fsum(w) / (1 << n)
@@ -193,11 +185,8 @@ class ExactDistribution:
 
     @classmethod
     def compute(cls, spec, n, j):
-        _check_depth(n)
-        ln_terms = j * _popcounts(n) - phi_vector(spec, n)
-        mx = ln_terms.max()
-        ln_z = mx + math.log(math.fsum(np.exp(ln_terms - mx)))
-        log_probs = ln_terms - ln_z
+        ln_terms = _ln_terms(spec, n, j)
+        log_probs = ln_terms - _log_sum(ln_terms)
         total = math.fsum(np.exp(log_probs))
         if abs(total - 1.0) > 1e-12:
             raise AssertionError(

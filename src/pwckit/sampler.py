@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
+from .clustering import SpecConfigError
 from .tree import LeafSet
 
 
@@ -77,6 +78,10 @@ class Sampler:
 
     def sample_many(self, num_samples, seed):
         """Independent draws on per-sample child streams of ``seed``."""
+        if num_samples < 1:
+            raise SpecConfigError(
+                "num", "need at least one draw, got %d" % (num_samples,)
+            )
         streams = np.random.SeedSequence(seed).spawn(num_samples)
         return [self.sample(np.random.default_rng(s)) for s in streams]
 

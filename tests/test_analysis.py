@@ -28,6 +28,7 @@ from pwckit.clustering import (
     HArray,
     HSequence,
     SecondOrderClustering,
+    SpecConfigError,
     capacity_uniform,
     dgff_spec,
     first_linear,
@@ -184,6 +185,8 @@ def test_tauberian_second_checks_decomposition():
     )
     with pytest.raises(ValueError):
         tauberian_second(spec, h1, lambda d: 0.4 * d, k_max=2000)
+    with pytest.raises(SpecConfigError, match="k_max"):
+        tauberian_second(spec, h1, h2, k_max=0)
 
 
 def test_tail_bound_decreases_with_depth():

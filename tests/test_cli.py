@@ -354,11 +354,32 @@ SPEC_FILES = {
          "'h_const'"),
         (["zeta", "--spec-file", "NULL-UNIFORM", "--depth", "2", "--j-grid", "0"],
          "'conductance.value'"),
+        (["sample", "--preset", "zero", "--depth", "2", "--j", "0", "--num", "0",
+          "--seed", "1"], "'num'"),
+        (["sample", "--preset", "zero", "--depth", "2", "--j", "0", "--num", "-1",
+          "--seed", "1"], "'num'"),
+        (["canonical", "--preset", "zero", "--depth", "3", "--m-max", "-1"], "'m_max'"),
+        (["canonical", "--preset", "zero", "--depth", "3", "--m-max", "-1",
+          "--maxterm"], "'m_max'"),
+        (["verify", "--depth", "0"], "'depth'"),
+        (["verify", "--depth", "-3", "--draws", "1"], "'depth'"),
+        (["verify", "--draws", "0"], "'draws'"),
+        (["threshold", "--preset", "first:linear:2", "--depths", "4", "--k-max", "0"],
+         "'k_max'"),
+        (["diagnose", "--preset", "first:linear:2", "--k-max", "0"], "'k_max'"),
+        (["threshold", "--preset", "dgff", "--depths", "4", "--k-max", "0"], "'k_max'"),
+        (["threshold", "--preset", "dgff", "--depths", ""], "'depths'"),
+        (["threshold", "--preset", "dgff", "--depths", "-1"], "'depths'"),
+        (["capacity", "--depth", "-1", "--subset", "0"], "'depth'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
          "null-h", "huge-h", "text-row", "null-row", "null-conductance",
-         "null-slope", "text-slope", "huge-slope", "nan-const", "null-uniform"],
+         "null-slope", "text-slope", "huge-slope", "nan-const", "null-uniform",
+         "num-zero", "num-negative", "m-max-negative", "m-max-negative-maxterm",
+         "verify-depth-zero", "verify-depth-negative", "verify-draws-zero",
+         "threshold-k-max-zero", "diagnose-k-max-zero", "threshold-k-max-zero-second",
+         "threshold-no-depths", "threshold-negative-depth", "capacity-negative-depth"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():

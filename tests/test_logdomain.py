@@ -47,37 +47,11 @@ def test_log_sum_array_with_zeros():
     assert log_sum_array(arr) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_logreal_semiring_basics():
-    three = LogReal.from_value(3.0)
-    five = LogReal.from_value(5.0)
-    assert (three + five).value == pytest.approx(8.0, rel=1e-15)
-    assert (three * five).value == pytest.approx(15.0, rel=1e-15)
-    assert (five / three).value == pytest.approx(5.0 / 3.0, rel=1e-15)
-    assert (three**4).value == pytest.approx(81.0, rel=1e-13)
-
-
 def test_logreal_zero_and_one():
-    zero = LogReal.zero()
-    one = LogReal.one()
-    x = LogReal.from_value(0.7)
-    assert (zero + x).ln == x.ln
-    assert (zero * x).is_zero
-    assert (one * x).ln == x.ln
-    assert zero.value == 0.0
-    assert (zero**0).ln == 0.0
-    with pytest.raises(ZeroDivisionError):
-        x / zero
-
-
-def test_logreal_rejects_negative():
-    with pytest.raises(ValueError):
-        LogReal.from_value(-1.0)
-
-
-def test_logreal_comparison_and_coercion():
-    assert LogReal.from_value(2.0) < 3.0
-    assert LogReal.from_value(2.0) >= LogReal.from_value(2.0)
-    assert (2.0 + LogReal.from_value(1.0)).value == pytest.approx(3.0, rel=1e-15)
+    assert LogReal(NEG_INF).value == 0.0
+    assert LogReal(0.0).value == 1.0
+    assert LogReal(math.log(0.7)).value == pytest.approx(0.7, rel=1e-15)
+    assert LogReal(1e6).value == math.inf
 
 
 positive = st.floats(min_value=1e-300, max_value=1e300)

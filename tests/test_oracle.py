@@ -11,6 +11,7 @@ from pwckit.clustering import (
     dgff_spec,
     phi,
     random_capacity,
+    random_first_order,
     random_second_order,
     zero_spec,
 )
@@ -24,6 +25,7 @@ from pwckit.oracle import (
     enum_phi,
     enum_zeta,
     phi_vector,
+    profile_table,
 )
 from pwckit.patterns import entropy1, enumerate_patterns1, pattern1_of
 from pwckit.tree import LeafSet
@@ -59,6 +61,16 @@ def test_phi_vector_agrees_with_phi():
                     n,
                     mask,
                 )
+    # depth 4 (the rows verify uses) on a seeded sample of the 65536 masks
+    masks = np.random.default_rng(4).integers(0, 1 << 16, size=2000)
+    for spec in (random_first_order(4, rng), random_second_order(4, rng), dgff_spec()):
+        vec = phi_vector(spec, 4)
+        for mask in masks.tolist():
+            ls = LeafSet.from_mask(4, mask)
+            assert vec[mask] == pytest.approx(phi(spec, ls), abs=1e-12), (
+                spec.variant,
+                mask,
+            )
 
 
 def test_enum_phi_single_set():
@@ -150,3 +162,5 @@ def test_profiles_consistent_with_matrix():
         p = pattern1_of(ls)
         want = sum(2.0 * (k == 1) * p.b[k] + 5.0 * (k == 2) * p.b[k] for k in (1, 2)) + 7.0
         assert vec[mask] == pytest.approx(want, abs=1e-12)
+    sizes = profile_table(4).sizes
+    assert sizes.tolist() == [mask.bit_count() for mask in range(1 << 16)]
