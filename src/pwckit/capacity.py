@@ -85,7 +85,10 @@ def cap_reduce(ls, profile):
         rr = r_edge + subtree_resistance(right, d - 1)
         return rl * rr / (rl + rr)
 
-    return 1.0 / subtree_resistance(list(ls.leaves), ls.depth)
+    r = subtree_resistance(list(ls.leaves), ls.depth)
+    # At depth 0 the grounded leaf is the root itself: zero resistance, and
+    # infinite capacity, as in cap_table.
+    return math.inf if r == 0.0 else 1.0 / r
 
 
 def cap_quadratic(ls, profile):

@@ -40,17 +40,24 @@ def _fmt(x):
 
 
 def _parse_grid(text):
-    """J grids: 'start:stop:step' (inclusive) or a comma list."""
+    """J grids: 'start:stop:step' (inclusive) or a comma list; never empty."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError("grid %r; expected start:stop:step" % (text,))
+            raise SpecConfigError("j-grid", "%r; expected start:stop:step" % (text,))
         start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("grid step must be positive")
+        if not (step > 0 and math.isfinite((stop - start) / step)):
+            raise SpecConfigError(
+                "j-grid", "%r; expected finite start and stop and a positive step"
+                % (text,)
+            )
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(count, 0))]
-    return [float(p) for p in text.split(",") if p]
+        grid = [start + i * step for i in range(max(count, 0))]
+    else:
+        grid = [float(p) for p in text.split(",") if p]
+    if not grid:
+        raise SpecConfigError("j-grid", "%r holds no J value" % (text,))
+    return grid
 
 
 def _parse_s_grid(text):

@@ -24,14 +24,23 @@ produce the canonical table W(a0) = sum_{|A| = a0} e^{-Phi(A)}; these are the
 inputs to free-energy curves and to exact sampling. Convolutions stay in the
 log domain with a per-entry max shift (no transform tricks, which would
 destroy relative precision across the huge dynamic range), so dp_W costs
-O(4^n) and is guarded at moderate depth.
+O(4^n) and is guarded at moderate depth. The convolution sums only the half
+anti-diagonal i <= j of each output size, counting the terms off the
+diagonal twice, and reads its rows as sliding windows of the input and of
+the input reversed; rows go in blocks of at most ``_BLOCK`` entries (512 KB
+of float64), so no (size, size) matrix is ever built. Its sums run in another
+order than a term-by-term loop, so results agree with one to a few ulps.
 
 The max-plus table (``dp_W_maxterm``) computes ln max over admissible
 first-order profiles of N(b) e^{-Phi(b)} by a max-plus pass over the
 level-population chain a_{k-1} = a_k + b_k. Running the subset recursion
 itself in max-plus would instead maximize over embedded tree shapes, which
 drops the positional binomial C(a_k, b_k); the chain form matches the
-profile-level quantity exactly. No second-order analogue is provided: the
+profile-level quantity exactly. Each level takes a max over a skewed block
+of (population, branching count) pairs, read as windows the same way; every
+entry is formed by the same floating-point operations in the same order as a
+one-population-at-a-time loop, and max does not round, so the table is exact
+to the bit whatever the blocking. No second-order analogue is provided: the
 per-level multinomials couple every ancestor-descendant pair, and no
 polynomial-state exact recursion is known to us.
 """
@@ -39,9 +48,11 @@ polynomial-state exact recursion is known to us.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .clustering import SpecConfigError, UnsupportedVariant
 from .logdomain import LogReal, NEG_INF
@@ -51,6 +62,14 @@ LN2 = math.log(2.0)
 #: default depth guards for the size-resolved tables (O(4^n) work)
 W_FIRST_MAX_DEPTH = 12
 W_SECOND_MAX_DEPTH = 10
+
+#: ln Z_n grows like 2^n (it is 2^n ln 2 for the zero family at J = 0), so
+#: past this depth the recursion leaves float range at every J
+MAX_DEPTH = 1022
+
+#: entries per temporary block of the size convolution and the max-plus
+#: chain (512 KB of float64)
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,6 +120,10 @@ def _weights(spec, n):
         )
     if n < 0:
         raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
+    if n > MAX_DEPTH:
+        raise SpecConfigError(
+            "depth", "ln Z_n leaves float range past depth %d, got %d" % (MAX_DEPTH, n)
+        )
     try:
         H = spec.h.array(n)
         const = spec.h_const_at(n)
@@ -117,11 +140,15 @@ def _levels(H, j, n, ratio=False):
     the last row after level n is the root's. With ``ratio`` the log
     derivative r_d = F_d' / F_d is carried along (None otherwise); it starts
     at 1 and at most doubles per level, so it stays within float range.
+    ln F_n grows like 2^n |J|, so |J| is bounded to keep 2 ln F finite.
     """
     j = np.atleast_1d(np.asarray(j, dtype=float))
-    if not np.isfinite(j).all():
+    bound = math.ldexp(sys.float_info.max, -(n + 2))
+    ok = np.abs(j) < bound
+    if not ok.all():
         raise SpecConfigError(
-            "j", "J must be finite, got %r" % (float(j[~np.isfinite(j)][0]),)
+            "j", "J must be finite with |J| < %g at depth %d, got %r"
+            % (bound, n, float(j[~ok][0]))
         )
     last = len(H) - 1
     neg = -H
@@ -189,23 +216,59 @@ def dp_density(spec, n, j):
 
 
 def _log_self_convolve(y, out_len):
-    """c[m] = ln sum_{i+j=m} exp(y[i] + y[j]) for m = 0 .. out_len.
+    """c[m] = ln sum_{i+j=m} exp(y[i] + y[j]) over i, j >= 1, for m = 0 .. out_len.
 
-    ``y`` is indexed by size with y[0] = -inf. Direct O(out_len * len(y))
-    accumulation with a per-entry max shift.
+    ``y`` is indexed by size and y[0] (the empty set) takes no part. Only
+    sizes lo .. hi between the first and last finite entry of y are read,
+    so c is computed for m = 2 lo .. min(out_len, 2 hi) and stays -inf
+    elsewhere. By symmetry only the half anti-diagonal i <= j is summed:
+    with m = 2 lo + 2p + e (e = 0, 1) the row pairs i = lo + p - k with
+    j = lo + p + e + k, k = 0, 1, ..., so row p reads a window of y forward
+    from lo + p + e and a window of y backward from lo + p. Both are views
+    of one -inf padded buffer, and an index past either end reads -inf.
+    Each term off the diagonal stands for two, so a row sums to 2S minus its
+    diagonal term (k = 0, e = 0), which is at most S: no cancellation.
+
+    Rows are taken in blocks of at most ``_BLOCK`` entries, each with a
+    per-row max shift; a row with no finite term is shifted by 0 and gives
+    -inf without forming -inf - -inf.
     """
-    top = len(y) - 1
     c = np.full(out_len + 1, NEG_INF)
-    for m in range(2, out_len + 1):
-        lo = max(1, m - top)
-        hi = min(top, m - 1)
-        if lo > hi:
-            continue
-        t = y[lo : hi + 1] + y[m - hi : m - lo + 1][::-1]
-        mx = t.max()
-        if mx == NEG_INF:
-            continue
-        c[m] = mx + math.log(np.exp(t - mx).sum())
+    live = np.flatnonzero(y[1:] > NEG_INF) + 1
+    if live.size == 0:
+        return c
+    lo, hi = int(live[0]), int(live[-1])
+    top = hi - lo
+    last = min(out_len - 2 * lo, 2 * top)
+    if last < 0:
+        return c
+    rows = last // 2 + 1
+    width = min(rows - 1, top) + 1
+    step = max(1, _BLOCK // (2 * width))
+    buf = np.full((2, top + 1 + width), NEG_INF)
+    buf[0, : top + 1] = y[lo : hi + 1]
+    buf[1, : top + 1] = y[lo : hi + 1][::-1]
+    win = sliding_window_view(buf, width + 1, axis=1)
+    fwd, back = win[0], win[1, :, :width]
+    out = c[2 * lo : 2 * lo + last + 1]
+    for p0 in range(0, rows, step):
+        p1 = min(p0 + step, rows)
+        k = min(p1 - 1, top - p0) + 1
+        b = back[top - p1 + 1 : top - p0 + 1, :k][::-1]
+        t = np.empty((p1 - p0, 2, k))
+        np.add(fwd[p0:p1, :k], b, out=t[:, 0])
+        np.add(fwd[p0:p1, 1 : k + 1], b, out=t[:, 1])
+        mx = t.max(axis=2)
+        shift = np.where(mx > NEG_INF, mx, 0.0)
+        t -= shift[:, :, None]
+        np.exp(t, out=t)
+        s = t.sum(axis=2)
+        s *= 2.0
+        s[:, 0] -= t[:, 0, 0]
+        with np.errstate(divide="ignore"):
+            vals = (shift + np.log(s)).reshape(-1)
+        seg = out[2 * p0 : 2 * p1]
+        seg[:] = vals[: len(seg)]
     return c
 
 
@@ -224,9 +287,11 @@ def _check_guard(n, m_max, limit, allow_large, label):
     if m_max is not None and m_max < 0:
         raise SpecConfigError("m_max", "must be nonnegative, got %d" % (m_max,))
     if m_max is None and n > limit and not allow_large:
-        raise ValueError(
+        raise SpecConfigError(
+            "depth",
             "%s at depth %d exceeds the default cost guard (%d); pass "
-            "allow_large=True or truncate with m_max" % (label, n, limit)
+            "--allow-large (allow_large=True) or truncate with --m-max (m_max)"
+            % (label, n, limit),
         )
 
 
@@ -278,28 +343,46 @@ def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
     full = 1 << n
     cap = full if m_max is None else min(int(m_max), full)
 
-    lg = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, full + 1)))))
+    lg = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cap + 1)))))
 
+    # Level k moves population a to t = a + b with gain(a, b) =
+    # lg[a] - lg[b] - lg[a - b] + (a - b) ln2 - h_k b, so row t of a block
+    # holds best[a] + gain(a, t - a) for a window of a and takes its max.
+    # Row t reads lg and x ln2 at x = 2a - t (a stride-2 window forward) and
+    # lg and h_k x at x = t - a (a window backward); lg is +inf at x < 0, so
+    # the out-of-range b < 0 and b > a come out -inf. The windows are views
+    # made once; each level only rewrites the h_k x row under them.
+    pad = cap + 1
+    x = np.arange(-pad, 2 * cap + 3)
+    lgx = np.full(len(x), np.inf)
+    lgx[pad : pad + cap + 1] = lg
+    by_2a_t = sliding_window_view(np.stack((lgx, x * LN2)), 2 * cap + 1, axis=1)
+    by_2a_t = by_2a_t[:, :, ::2]
+    back = np.empty((2, len(x)))
+    back[0] = lgx
+    by_t_a = sliding_window_view(back[:, ::-1], cap + 1, axis=1)
+    end = len(x) - 1 - pad
     best = np.full(2, NEG_INF)
     best[1] = 0.0  # population 1 above the deepest branching age
     for k in range(n, 0, -1):
         reach = min(1 << (n - k + 1), cap)
-        new = np.full(reach + 1, NEG_INF)
         top_a = min(len(best) - 1, reach)
-        for a in range(1, top_a + 1):
-            if best[a] == NEG_INF:
-                continue
-            bmax = min(a, reach - a)
-            if bmax < 0:
-                continue
-            b = np.arange(bmax + 1)
-            gain = (
-                lg[a] - lg[b] - lg[a - b[::-1]][::-1]
-                + (a - b) * LN2
-                - h[k] * b
-            )
-            seg = slice(a, a + bmax + 1)
-            new[seg] = np.maximum(new[seg], best[a] + gain)
+        new = np.full(reach + 1, NEG_INF)
+        np.multiply(h[k], x, out=back[1])
+        step = max(1, _BLOCK // (top_a + 1))
+        for t0 in range(1, reach + 1, step):
+            t1 = min(t0 + step, reach + 1)
+            a0 = (t0 + 1) // 2
+            a1 = min(t1 - 1, top_a) + 1
+            f = by_2a_t[:, pad + 2 * a0 - t1 + 1 : pad + 2 * a0 - t0 + 1]
+            r = by_t_a[:, end - t1 + 1 + a0 : end - t0 + 1 + a0]
+            f, r = f[:, ::-1, : a1 - a0], r[:, ::-1, : a1 - a0]
+            g = lg[a0:a1] - r[0]
+            g -= f[0]
+            g += f[1]
+            g -= r[1]
+            g += best[a0:a1]
+            new[t0:t1] = g.max(axis=1)
         best = new
     ln_w = np.full(cap + 1, NEG_INF)
     ln_w[0] = 0.0

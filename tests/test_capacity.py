@@ -60,6 +60,11 @@ def test_all_leaves_closed_form():
             assert got == pytest.approx(c / (1.0 - 2.0**-n), rel=1e-14)
 
 
+def test_depth_zero_leaf_agrees_with_table():
+    profile = ConductanceProfile.uniform(0)
+    assert cap_reduce(LeafSet(0, (0,)), profile) == cap_table(0, profile)[1] == math.inf
+
+
 def test_empty_set_capacity_zero():
     assert cap_reduce(LeafSet(2, ()), ConductanceProfile.uniform(2)) == 0.0
 

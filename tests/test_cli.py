@@ -205,6 +205,38 @@ def test_capacity_all_subsets_guard(capsys):
     assert code == 2
 
 
+def test_capacity_depth_zero_is_infinite(capsys):
+    # The one leaf of a depth-0 tree is the root: grounding it shorts the
+    # root, as cap_table says.
+    code, out, err = run(capsys, ["capacity", "--depth", "0", "--subset", "0"])
+    assert (code, out, err) == (0, "leaves,cap\n0,inf\n", "")
+    code, out, err = run(capsys, ["capacity", "--depth", "0", "--all-subsets"])
+    assert (code, out, err) == (0, "leaves,cap\n,0\n0,inf\n", "")
+
+
+def test_cost_guard_names_the_flags(capsys):
+    code, out, err = run(capsys, ["canonical", "--preset", "zero", "--depth", "13"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: key 'depth'")
+    assert "--allow-large" in err and "--m-max" in err
+
+
+def test_deepest_depth_stays_finite(capsys):
+    # ln Z = 2^n ln(1 + e^J) for the zero family fits a float up to the bound.
+    code, out, err = run(
+        capsys, ["zeta", "--preset", "zero", "--depth", "1022", "--j-grid=-0.9,0,0.9"]
+    )
+    assert code == 0 and err == ""
+    for row in data_rows(out):
+        j, z = map(float, row.split(","))
+        assert z == pytest.approx(math.log1p(math.exp(j)), rel=1e-12)
+    code, out, err = run(
+        capsys, ["density", "--preset", "zero", "--depth", "1022", "--j-grid", "0"]
+    )
+    assert code == 0 and err == ""
+    assert float(data_rows(out)[0].split(",")[1]) == pytest.approx(0.5, rel=1e-12)
+
+
 def test_diagnose_first_order(capsys):
     code, out, _ = run(
         capsys,
@@ -371,6 +403,10 @@ SPEC_FILES = {
         (["threshold", "--preset", "dgff", "--depths", ""], "'depths'"),
         (["threshold", "--preset", "dgff", "--depths", "-1"], "'depths'"),
         (["capacity", "--depth", "-1", "--subset", "0"], "'depth'"),
+        (["zeta", "--preset", "dgff", "--depth", "2", "--j-grid", "3:1:0.5"], "'j-grid'"),
+        (["zeta", "--preset", "dgff", "--depth", "2", "--j-grid", "0:inf:1"], "'j-grid'"),
+        (["zeta", "--preset", "dgff", "--depth", "2", "--j-grid", "1e308"], "'j'"),
+        (["density", "--preset", "zero", "--depth", "1100", "--j-grid", "0"], "'depth'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -379,7 +415,8 @@ SPEC_FILES = {
          "num-zero", "num-negative", "m-max-negative", "m-max-negative-maxterm",
          "verify-depth-zero", "verify-depth-negative", "verify-draws-zero",
          "threshold-k-max-zero", "diagnose-k-max-zero", "threshold-k-max-zero-second",
-         "threshold-no-depths", "threshold-negative-depth", "capacity-negative-depth"],
+         "threshold-no-depths", "threshold-negative-depth", "capacity-negative-depth",
+         "descending-grid", "unbounded-grid", "j-overflow", "depth-overflow"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():

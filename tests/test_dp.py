@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pwckit.clustering import (
 )
 from pwckit.dp import (
     CanonicalTable,
+    _log_self_convolve,
     dp_W,
     dp_W_maxterm,
     dp_Z,
@@ -220,3 +222,106 @@ def test_dp_matches_oracle_and_difference(case):
     eps = 1e-5
     diff = (zeta(spec, n, j + eps) - zeta(spec, n, j - eps)) / (2 * eps)
     assert dp_density(spec, n, j) == pytest.approx(diff, abs=1e-6)
+
+
+# Reference kernels: the direct per-entry loops that the blocked kernels in
+# dp replace, kept here to pin them.
+
+
+def ref_log_self_convolve(y, out_len):
+    """c[m] = ln sum_{i+j=m, i,j>=1} exp(y[i] + y[j]), one row at a time."""
+    top = len(y) - 1
+    c = np.full(out_len + 1, -np.inf)
+    for m in range(2, out_len + 1):
+        lo = max(1, m - top)
+        hi = min(top, m - 1)
+        if lo > hi:
+            continue
+        t = y[lo : hi + 1] + y[m - hi : m - lo + 1][::-1]
+        mx = t.max()
+        if mx == -np.inf:
+            continue
+        c[m] = mx + math.log(np.exp(t - mx).sum())
+    return c
+
+
+def ref_maxterm(spec, n, m_max=None):
+    """ln W of dp_W_maxterm, one population a at a time."""
+    h = spec.h.array(n)
+    const = spec.h_const_at(n)
+    full = 1 << n
+    cap = full if m_max is None else min(int(m_max), full)
+    lg = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, full + 1)))))
+    best = np.full(2, -np.inf)
+    best[1] = 0.0
+    for k in range(n, 0, -1):
+        reach = min(1 << (n - k + 1), cap)
+        new = np.full(reach + 1, -np.inf)
+        for a in range(1, min(len(best) - 1, reach) + 1):
+            if best[a] == -np.inf:
+                continue
+            b = np.arange(min(a, reach - a) + 1)
+            gain = (
+                lg[a] - lg[b] - lg[a - b[::-1]][::-1]
+                + (a - b) * LN2
+                - h[k] * b
+            )
+            seg = slice(a, a + len(b))
+            new[seg] = np.maximum(new[seg], best[a] + gain)
+        best = new
+    ln_w = np.full(cap + 1, -np.inf)
+    ln_w[0] = 0.0
+    top = min(len(best) - 1, cap)
+    ln_w[1 : top + 1] = best[1 : top + 1] - h[0] * np.arange(1, top + 1) - const
+    return ln_w
+
+
+@st.composite
+def _conv_inputs(draw):
+    size = draw(st.integers(1, 300))
+    scale = draw(st.sampled_from([1.0, 50.0, 1e6, 1e300]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(-1.0, 1.0, size) * scale
+    y[0] = -np.inf
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, size - 1))
+        y[start : start + draw(st.integers(1, size))] = -np.inf
+    out_len = draw(st.integers(0, 2 * size + 2))
+    return y, out_len
+
+
+def assert_conv_close(got, want):
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    live = ~np.isneginf(want)
+    assert np.isfinite(got[live]).all()
+    assert np.all(
+        np.abs(got[live] - want[live]) <= 1e-14 * np.maximum(1.0, np.abs(want[live]))
+    )
+
+
+@given(_conv_inputs())
+@settings(max_examples=300, deadline=None)
+def test_blocked_convolution_matches_reference(case):
+    y, out_len = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_self_convolve(y, out_len)
+    assert_conv_close(got, ref_log_self_convolve(y, out_len))
+
+
+def test_blocked_convolution_spans_blocks():
+    # The last level of a full depth-13 table: many row blocks.
+    y = np.concatenate(([-np.inf], -0.3 * np.arange(1, 4097)))
+    assert_conv_close(_log_self_convolve(y, 8192), ref_log_self_convolve(y, 8192))
+
+
+def test_maxterm_is_bit_identical_to_reference():
+    rng = np.random.default_rng(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(10):
+            spec = random_first_order(n, rng)
+            for m_max in (None, int(rng.integers(0, (1 << n) + 3))):
+                got = dp_W_maxterm(spec, n, m_max=m_max).ln_w
+                assert got.tobytes() == ref_maxterm(spec, n, m_max).tobytes()
