@@ -41,7 +41,7 @@ from .clustering import (
     UnsupportedVariant,
     ZeroClustering,
 )
-from .logdomain import NEG_INF
+from .dp import NEG_INF
 
 LN2 = math.log(2.0)
 
@@ -380,8 +380,16 @@ def tauberian_second(spec_or_h, h1, h2, k_max=100000, check_tol=1e-9):
 # threshold estimation
 
 
-class BracketError(RuntimeError):
-    """Bisection bracket did not behave monotonically."""
+class BracketError(SpecConfigError):
+    """zeta_n(J) - tail > delta is not false then true along a J grid."""
+
+    def __init__(self, message):
+        super().__init__("delta", message)
+
+
+#: where the root search starts: -2^23 .. -1 and 1 .. 2^23
+_POWERS = np.ldexp(1.0, np.arange(24))
+_BRACKET_ENDS = np.concatenate((-_POWERS[::-1], _POWERS))
 
 
 def tail_bound(spec, n, tol=1e-18, k_cap=20000):
@@ -412,35 +420,31 @@ def tail_bound(spec, n, tol=1e-18, k_cap=20000):
     return total
 
 
-def bisect_upper(spec, n, delta, tail, iters=80):
-    """Smallest J with zeta_n(J) - tail > delta, by bisection.
+def bisect_upper(spec, n, delta, tail):
+    """Smallest J with zeta_n(J) - tail > delta, by multisection.
 
-    zeta_n is nondecreasing in J, so the crossing is unique; the bracket is
-    verified and a violation raises BracketError rather than being patched.
+    zeta_n is nondecreasing in J, so along any J grid the condition is false
+    and then true. One batched evaluation over the bracket ends (those with
+    |J| inside the range bound at depth n) finds the cell where it turns
+    true; each step re-grids that cell with 65 points, until the cell is two
+    adjacent floats, and returns the upper one: the float bisection would
+    return. A grid on which the condition is not false then true raises
+    BracketError rather than being patched.
     """
     H, const = dp._weights(spec, n)
-    cond = lambda j: dp._ln_z(H, const, n, j)[0] / (1 << n) - tail > delta
-    hi = 1.0
-    while not cond(hi):
-        hi *= 2
-        if hi > 1e7:
-            raise BracketError("condition never satisfied up to J = 1e7")
-    lo = -1.0
-    while cond(lo):
-        lo *= 2
-        if lo < -1e7:
-            raise BracketError("condition holds down to J = -1e7")
-    if cond(lo) or not cond(hi):
-        raise BracketError("non-monotone bracket at [%g, %g]" % (lo, hi))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # adjacent floats: later steps would change nothing
-        if cond(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    grid = _BRACKET_ENDS[np.abs(_BRACKET_ENDS) < dp._range_bound(n)]
+    while True:
+        ok = dp._ln_z(H, const, n, grid) / (1 << n) - tail > delta
+        if len(ok) < 2 or ok[0] or not ok[-1] or (ok[:-1] > ok[1:]).any():
+            raise BracketError(
+                "zeta_%d(J) - tail > %g is not false then true on %d points of "
+                "J in [%g, %g]"
+                % (n, delta, len(grid), grid.min(initial=0), grid.max(initial=0))
+            )
+        k = int(np.argmax(ok))
+        grid = np.unique(np.linspace(grid[k - 1], grid[k], 65))
+        if len(grid) == 2:
+            return float(grid[1])
 
 
 def slope_a0(spec, n):
@@ -507,7 +511,7 @@ class WettingReport:
 def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
     """Bracket the wetting threshold from finite-depth free energies.
 
-    For each depth the bisection finds where zeta_n provably exceeds its
+    For each depth the root search finds where zeta_n provably exceeds its
     finite-size error budget (tail_n plus delta); the kappa criterion
     supplies the analytic lower bound, and the Tauberian trend covers the
     no-transition direction. ``delta=None`` applies the default policy
@@ -523,6 +527,8 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
         raise SpecConfigError(
             "depths", "need one or more nonnegative depths, got %r" % (list(depths),)
         )
+    if delta is not None and not 0.0 < delta < math.inf:
+        raise SpecConfigError("delta", "must be finite and positive, got %r" % (delta,))
     uppers, tails, deltas, slopes, sizes = [], [], [], [], []
     for n in depths:
         tail = tail_bound(spec, n)

@@ -103,6 +103,8 @@ def cap_quadratic(ls, profile):
         raise ValueError("profile depth %d != leaf set depth %d" % (profile.depth, n))
     if len(ls) == 0:
         return 0.0
+    if n == 0:
+        return math.inf  # the grounded leaf is the root, as in cap_reduce
     grounded = set(ls.leaves)
     c = profile.values
 

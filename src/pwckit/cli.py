@@ -464,7 +464,7 @@ def build_parser():
     _add_spec_flags(p)
     p.add_argument("--depths", required=True, help="comma list, e.g. 8,12,16")
     p.add_argument("--delta", type=float,
-                   help="fixed excess; default is the per-depth policy")
+                   help="fixed excess, finite and > 0; default is the per-depth policy")
     p.add_argument("--k-max", type=int, default=100000)
     _add_out(p)
     p.set_defaults(fn=_cmd_threshold)

@@ -55,9 +55,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .clustering import SpecConfigError, UnsupportedVariant
-from .logdomain import LogReal, NEG_INF
 
 LN2 = math.log(2.0)
+NEG_INF = float("-inf")
 
 #: default depth guards for the size-resolved tables (O(4^n) work)
 W_FIRST_MAX_DEPTH = 12
@@ -70,6 +70,25 @@ MAX_DEPTH = 1022
 #: entries per temporary block of the size convolution and the max-plus
 #: chain (512 KB of float64)
 _BLOCK = 1 << 16
+
+
+@dataclass(frozen=True, slots=True)
+class LogReal:
+    """A nonnegative real number stored as its natural logarithm.
+
+    ``ln`` is -inf for exact zero. ``dp_Z`` and ``enum_Z`` return one, so a
+    partition function far beyond float range still has a readable ``ln``.
+    """
+
+    ln: float
+
+    @property
+    def value(self):
+        """The represented number as a float; may overflow to inf."""
+        try:
+            return math.exp(self.ln)
+        except OverflowError:
+            return float("inf")
 
 
 @dataclass(frozen=True)
@@ -104,14 +123,32 @@ class CanonicalTable:
         return self.ln_w / (1 << self.depth)
 
 
+def _range_bound(n):
+    """Bound at depth n on |J| and on the negative weights (see ``_weights``).
+
+    J enters ln F_n with factor 2^n, so below this bound it adds at most a
+    quarter of the float maximum to ln F_n.
+    """
+    return math.ldexp(sys.float_info.max, -(n + 2))
+
+
 def _weights(spec, n):
     """Branching weights ``(H, const)`` of a dp family at depth n.
 
     H[a, d] weighs a branching point of age d whose branching ancestor has
     age a. Second order has rows a = 0 .. n+1; first order and zero have a
     single row, because their weights do not depend on a. Every dynamic
-    program and the sampler enter here, so bad depths and weight lists that
-    stop short of the depth are rejected here, naming their key.
+    program and the sampler enter here, so bad depths, weight lists that
+    stop short of the depth and weights that carry ln Z out of float range
+    are rejected here, naming their key.
+
+    Only negative weights raise ln F. With P_d = max(ln F_d, 0) the
+    recursion gives P_d <= 2 P_{d-1} + max(0, -h_d) + 2 ln2, so h_d enters
+    ln F_n with factor 2^(n-d), and the constant enters ln Z once. Weighted
+    by 2^-d (2^-n for the constant), the negative parts must sum below
+    ``_range_bound(n)``, as |J| must: then ln Z_n stays below half the float
+    maximum plus (2^(n+1) + 1) ln2. Positive weights only lower ln F, and
+    ln F_d >= ln F_0 + d ln2 keeps it finite from below.
     """
     if spec.variant not in ("zero", "first", "second"):
         raise UnsupportedVariant(
@@ -129,7 +166,20 @@ def _weights(spec, n):
         const = spec.h_const_at(n)
     except IndexError as exc:
         raise SpecConfigError("h.values", "too short for depth %d: %s" % (n, exc))
-    return (H if spec.variant == "second" else H[None, :]), const
+    if spec.variant != "second":
+        H = H[None, :]
+    # both sides scaled by 1/4, so that the sums cannot overflow
+    limit = _range_bound(n + 2)
+    neg = np.maximum(-H[:, : n + 1].min(axis=0), 0.0)
+    weights = np.ldexp(neg, -np.arange(n + 1) - 2).sum()
+    if not weights + math.ldexp(max(-const, 0.0), -(n + 2)) < limit:
+        raise SpecConfigError(
+            "h.values" if not weights < limit else "h_const",
+            "negative weights carry ln Z_%d out of float range: "
+            "sum_d 2^-d max(0, -h_d) + 2^-%d max(0, -h_const) must stay below %g"
+            % (n, n, _range_bound(n)),
+        )
+    return H, const
 
 
 def _levels(H, j, n, ratio=False):
@@ -143,7 +193,7 @@ def _levels(H, j, n, ratio=False):
     ln F_n grows like 2^n |J|, so |J| is bounded to keep 2 ln F finite.
     """
     j = np.atleast_1d(np.asarray(j, dtype=float))
-    bound = math.ldexp(sys.float_info.max, -(n + 2))
+    bound = _range_bound(n)
     ok = np.abs(j) < bound
     if not ok.all():
         raise SpecConfigError(

@@ -31,8 +31,7 @@ import numpy as np
 
 from . import capacity as _capacity
 from .clustering import UnsupportedVariant
-from .dp import CanonicalTable
-from .logdomain import LogReal, NEG_INF
+from .dp import NEG_INF, CanonicalTable, LogReal
 from .tree import LeafSet
 
 ORACLE_MAX_DEPTH = 4

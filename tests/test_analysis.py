@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwckit import dp
 from pwckit.analysis import (
     BracketError,
     OmegaCurve,
     binary_entropy,
+    bisect_upper,
     certificate_first,
     certificate_second,
     estimate_jstar,
@@ -33,6 +35,8 @@ from pwckit.clustering import (
     dgff_spec,
     first_linear,
     first_logcorrected,
+    random_first_order,
+    random_second_order,
     zero_spec,
 )
 from pwckit.patterns import entropy2
@@ -240,6 +244,90 @@ def test_bisect_bracket_failure_reported():
     )
     with pytest.raises(BracketError):
         estimate_jstar(spec, [4])
+
+
+def reference_bisect_upper(spec, n, delta, tail, iters=80):
+    """The scalar bisection that bisect_upper replaced, as its reference.
+
+    Returns the final bracket (lo, hi); hi was the answer.
+    """
+    H, const = dp._weights(spec, n)
+    cond = lambda j: dp._ln_z(H, const, n, j)[0] / (1 << n) - tail > delta
+    hi = 1.0
+    while not cond(hi):
+        hi *= 2
+        if hi > 1e7:
+            raise BracketError("condition never satisfied up to J = 1e7")
+    lo = -1.0
+    while cond(lo):
+        lo *= 2
+        if lo < -1e7:
+            raise BracketError("condition holds down to J = -1e7")
+    if cond(lo) or not cond(hi):
+        raise BracketError("non-monotone bracket at [%g, %g]" % (lo, hi))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: later steps would change nothing
+        if cond(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@st.composite
+def random_specs(draw, max_depth):
+    """A random first- or second-order spec with weight scale 1e-2 .. 1e3."""
+    make = draw(st.sampled_from([random_first_order, random_second_order]))
+    n = draw(st.integers(0, max_depth))
+    scale = 10.0 ** draw(st.floats(-2.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return make(n, rng, scale), n
+
+
+@given(random_specs(16), st.sampled_from([None, 1e-3, 0.05, 0.5, 2.0]))
+@settings(max_examples=80)
+def test_multisection_matches_reference_bisection(case, fixed):
+    spec, n = case
+    tail = tail_bound(spec, n)
+    delta = max(1e-6, tail + n * LN2 / (1 << n)) if fixed is None else fixed
+    lo, hi = reference_bisect_upper(spec, n, delta, tail)
+    got = bisect_upper(spec, n, delta, tail)
+    if np.nextafter(lo, math.inf) == hi:
+        assert got.hex() == hi.hex()
+    else:
+        # the step cap stopped the reference short of adjacent floats, which
+        # happens only for a crossing within ~1e-8 of 0
+        assert lo < got <= hi
+
+
+def test_multisection_matches_reference_on_presets():
+    for spec in (zero_spec(), first_linear(2.0), first_linear(3 * LN2),
+                 first_logcorrected(), dgff_spec()):
+        for n in (0, 1, 5, 8, 12, 16):
+            tail = tail_bound(spec, n)
+            delta = max(1e-6, tail + n * LN2 / (1 << n))
+            lo, hi = reference_bisect_upper(spec, n, delta, tail)
+            assert np.nextafter(lo, math.inf) == hi
+            assert bisect_upper(spec, n, delta, tail).hex() == hi.hex()
+
+
+@given(random_specs(12), st.floats(-50.0, 49.0), st.floats(1.0, 100.0))
+def test_zeta_nondecreasing_and_convex_in_j(case, lo, width):
+    # What the root search relies on: the condition flips once along J.
+    spec, n = case
+    j = np.linspace(lo, min(lo + width, 50.0), 41)
+    z = dp.zeta(spec, n, j)
+    step = np.diff(z)
+    assert (step >= -1e-12 * np.maximum(1.0, np.abs(z[:-1]))).all()
+    assert (np.diff(step / np.diff(j)) >= -1e-9).all()
+
+
+def test_estimate_jstar_rejects_bad_fixed_delta():
+    for delta in (0.0, -5.0, math.inf, math.nan):
+        with pytest.raises(SpecConfigError, match="'delta'"):
+            estimate_jstar(first_linear(2.0), [4], delta=delta)
 
 
 def test_slope_estimate_sizing():

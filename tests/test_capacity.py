@@ -62,7 +62,9 @@ def test_all_leaves_closed_form():
 
 def test_depth_zero_leaf_agrees_with_table():
     profile = ConductanceProfile.uniform(0)
-    assert cap_reduce(LeafSet(0, (0,)), profile) == cap_table(0, profile)[1] == math.inf
+    leaf = LeafSet(0, (0,))
+    assert cap_reduce(leaf, profile) == cap_table(0, profile)[1] == math.inf
+    assert cap_quadratic(leaf, profile) == math.inf
 
 
 def test_empty_set_capacity_zero():

@@ -351,6 +351,10 @@ SPEC_FILES = {
     "NAN-CONST": ('{"variant": "first", "h": {"kind": "preset", "name": "linear", "c": 2},'
                   ' "h_const": NaN}'),
     "NULL-UNIFORM": '{"variant": "capacity", "conductance": {"kind": "uniform", "value": null}}',
+    "NEG-CONST": ('{"variant": "first", "h": {"kind": "preset", "name": "linear", "c": 2},'
+                  ' "h_const": -1e9}'),
+    "NEG-H": ('{"variant": "first", "h": {"kind": "list",'
+              ' "values": [0, -1e306, 0, 0, 0, 0, 0, 0, 0, 0, 0]}}'),
 }
 
 
@@ -407,6 +411,14 @@ SPEC_FILES = {
         (["zeta", "--preset", "dgff", "--depth", "2", "--j-grid", "0:inf:1"], "'j-grid'"),
         (["zeta", "--preset", "dgff", "--depth", "2", "--j-grid", "1e308"], "'j'"),
         (["density", "--preset", "zero", "--depth", "1100", "--j-grid", "0"], "'depth'"),
+        (["threshold", "--preset", "first:linear:2", "--depths", "4", "--delta", "1e9"],
+         "'delta'"),
+        (["threshold", "--preset", "first:linear:2", "--depths", "4", "--delta", "-5"],
+         "'delta'"),
+        (["threshold", "--spec-file", "NEG-CONST", "--depths", "4"], "'delta'"),
+        (["zeta", "--spec-file", "NEG-H", "--depth", "10", "--j-grid", "0"], "'h.values'"),
+        (["density", "--spec-file", "NEG-H", "--depth", "10", "--j-grid", "0"],
+         "'h.values'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -416,7 +428,10 @@ SPEC_FILES = {
          "verify-depth-zero", "verify-depth-negative", "verify-draws-zero",
          "threshold-k-max-zero", "diagnose-k-max-zero", "threshold-k-max-zero-second",
          "threshold-no-depths", "threshold-negative-depth", "capacity-negative-depth",
-         "descending-grid", "unbounded-grid", "j-overflow", "depth-overflow"],
+         "descending-grid", "unbounded-grid", "j-overflow", "depth-overflow",
+         "threshold-delta-unreachable", "threshold-delta-negative",
+         "threshold-crossing-out-of-range", "zeta-weight-overflow",
+         "density-weight-overflow"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():

@@ -11,6 +11,7 @@ from pwckit.clustering import (
     HArray,
     HSequence,
     SecondOrderClustering,
+    SpecConfigError,
     UnsupportedVariant,
     capacity_uniform,
     dgff_spec,
@@ -20,8 +21,11 @@ from pwckit.clustering import (
     zero_spec,
 )
 from pwckit.dp import (
+    NEG_INF,
     CanonicalTable,
+    LogReal,
     _log_self_convolve,
+    _range_bound,
     dp_W,
     dp_W_maxterm,
     dp_Z,
@@ -158,6 +162,35 @@ def test_depth_guards():
         dp_W(spec2, 11)
     # dp_Z has no such guard; moderate depth is cheap.
     assert math.isfinite(dp_Z(spec, 16, 0.0).ln)
+
+
+def test_logreal_zero_and_one():
+    assert LogReal(NEG_INF).value == 0.0
+    assert LogReal(0.0).value == 1.0
+    assert LogReal(math.log(0.7)).value == pytest.approx(0.7, rel=1e-15)
+    assert LogReal(1e6).value == math.inf
+
+
+def test_negative_weights_bounded_by_float_range():
+    # h_1 enters ln F_10 with factor 2^9: -1e306 would overflow ln Z to inf.
+    spec = FirstOrderClustering(HSequence.from_values([0.0, -1e306] + [0.0] * 9))
+    for fn in (zeta, dp_density):
+        with pytest.raises(SpecConfigError, match="'h.values'"):
+            fn(spec, 10, 0.0)
+    spec = FirstOrderClustering(HSequence.from_values([0.0] * 11), h_const=-1e308)
+    with pytest.raises(SpecConfigError, match="'h_const'"):
+        zeta(spec, 10, 0.0)
+    # Just inside the bound, with J at it too, every output stays finite.
+    bound = _range_bound(10)
+    h = [0.0, -1.9 * bound] + [0.0] * 9
+    spec = FirstOrderClustering(HSequence.from_values(h), h_const=0.0)
+    j = np.array([-0.99, 0.0, 0.99]) * bound
+    assert np.isfinite(zeta(spec, 10, j)).all()
+    rho = dp_density(spec, 10, j)
+    assert np.isfinite(rho).all() and (rho >= 0).all() and (rho <= 1).all()
+    # Large positive weights are harmless and stay accepted.
+    spec = FirstOrderClustering(HSequence.from_values([1e300] * 11), h_const=1e300)
+    assert zeta(spec, 10, 0.0) == 0.0 and dp_density(spec, 10, 0.0) == 0.0
 
 
 def test_capacity_has_no_dp():
