@@ -34,16 +34,30 @@ from fractions import Fraction
 import numpy as np
 
 from . import dp
-from .clustering import (
-    FirstOrderClustering,
-    SecondOrderClustering,
-    SpecConfigError,
-    UnsupportedVariant,
-    ZeroClustering,
-)
+from .clustering import SpecConfigError, UnsupportedVariant
 from .dp import NEG_INF
 
 LN2 = math.log(2.0)
+
+#: kappa_1 sums to relative tolerance _KAPPA_TOL over at most _KAPPA_CAP
+#: ages; it, and a Laplace sum, is called divergent past _BLOW_UP
+_KAPPA_TOL = 1e-15
+_KAPPA_CAP = 200000
+_BLOW_UP = 1e15
+
+#: tail_bound and the certificate tails sum to relative tolerance _TAIL_TOL,
+#: tail_bound over at most _TAIL_CAP ages
+_TAIL_TOL = 1e-18
+_TAIL_CAP = 20000
+
+#: a Laplace block contributing less than this ends its sum
+_LAPLACE_TOL = 1e-12
+
+#: Legendre grid values within this of the maximum count as ties
+_TIE_TOL = 1e-9
+
+#: largest mismatch tauberian_second accepts in the additive decomposition
+_DECOMPOSITION_TOL = 1e-9
 
 #: numeric-trend thresholds for divergence verdicts: the sequence value at
 #: k_max must clear _DIVERGE_VALUE and gain at least _DIVERGE_GAIN over the
@@ -88,10 +102,10 @@ class LegendreResult:
     ties: tuple
 
 
-def legendre(curve, j, tie_tol=1e-9):
+def legendre(curve, j):
     """max over the grid of J eps + omega(eps), with near-tie reporting.
 
-    Grid points within ``tie_tol`` of the maximum count as ties; the
+    Grid points within ``_TIE_TOL`` of the maximum count as ties; the
     reported eps_star is the smallest of them and ``unique`` is False when
     there is more than one (the free energy is then non-differentiable at J
     to grid resolution, and no single density is meaningful).
@@ -100,7 +114,7 @@ def legendre(curve, j, tie_tol=1e-9):
         raise ValueError("empty omega grid")
     values = j * curve.eps + curve.omega
     best = float(np.max(values))
-    tie_idx = np.nonzero(values >= best - tie_tol)[0]
+    tie_idx = np.nonzero(values >= best - _TIE_TOL)[0]
     ties = tuple(float(curve.eps[i]) for i in tie_idx)
     return LegendreResult(best, ties[0], len(ties) == 1, ties)
 
@@ -125,10 +139,45 @@ def _blocks(first, last):
         first += 4096
 
 
-def _first_h(spec_or_h):
-    if isinstance(spec_or_h, (ZeroClustering, FirstOrderClustering)):
-        return spec_or_h.h
-    return spec_or_h
+def _series(terms, first, last, tol, blow_up):
+    """Sum ``terms(ks)`` over the ages first .. last in order: ``(total, k, stopped)``.
+
+    The running sum is a cumsum, so it adds the terms as a loop would. It
+    stops at the first age k from which the terms, to the end of their
+    block, lie below tol * max(partial, 1) and do not grow in size, up to
+    the first term past the block (``stopped``); or at the first partial
+    sum past ``blow_up``. k is the last age summed. Tiny terms that still
+    grow do not stop it. Blocks hold 64 ages and double up to 4096, so a sum
+    that stops early stays cheap.
+    """
+    total, k, size = 0.0, first - 1, 64
+    while first <= last:
+        # one age past the block, if there is one, to see whether terms grow
+        ks = np.arange(first, min(first + size, last) + 1)
+        t = terms(ks)
+        mag = np.abs(t)
+        ks, t = ks[:size], t[:size]
+        partial = np.cumsum(np.concatenate(([total], t)))[1:]
+        small = mag[: len(t)] < tol * np.maximum(partial, 1.0)
+        settle = len(t)
+        if small[-1]:
+            small[: len(mag) - 1] &= mag[1:] <= mag[:-1]
+            # settled from the age after the last term that is not small
+            r = int(np.argmin(small[::-1]))
+            settle = 0 if small[-1 - r] else len(t) - r
+        over = np.flatnonzero(partial > blow_up)
+        i = min(settle, int(over[0]) if over.size else len(t))
+        if i < len(t):
+            return float(partial[i]), int(ks[i]), i == settle
+        total, k = float(partial[-1]), int(ks[-1])
+        first, size = k + 1, min(2 * size, 4096)
+    return total, k, False
+
+
+def _exp2(e):
+    """2^e as exp(e ln2) by ``math.exp`` per entry: bit for bit what a loop
+    of scalar terms computes, where ``np.exp`` can differ in the last ulp."""
+    return np.fromiter(map(math.exp, e * LN2), float, len(e))
 
 
 def _check_k_max(k_max):
@@ -136,46 +185,27 @@ def _check_k_max(k_max):
         raise SpecConfigError("k_max", "must be at least 1, got %d" % (k_max,))
 
 
-def _second_h(spec_or_h):
-    if isinstance(spec_or_h, SecondOrderClustering):
-        return spec_or_h.h
-    return spec_or_h
-
-
-def kappa1(spec_or_h, tol=1e-15, k_cap=200000):
+def kappa1(spec):
     """kappa_1 = sum_{k>=1} 2^k e^{-h_k}, or inf when it will not converge.
 
-    Finite-list sequences are summed over their whole range and flagged
-    converged only if the final term is already below ``tol``. Closed-form
-    sequences are summed until the running tail drops below ``tol`` times
-    the total; if that has not happened by ``k_cap`` terms, or the partial
-    sum exceeds 1e15, the series is reported divergent.
+    Finite-list sequences are summed over their whole range, and flagged
+    converged only if the sum settles by the last age. Closed-form
+    sequences are summed until the terms settle below ``_KAPPA_TOL`` times
+    the total (see ``_series``); if that has not happened by ``_KAPPA_CAP``
+    terms, or the partial sum exceeds ``_BLOW_UP``, the series is reported
+    divergent.
     """
-    h = _first_h(spec_or_h)
-    h0 = h(0)
-    total = 0.0
-    k_last = h.max_age if not h.has_tail else k_cap
-    converged = False
-    k = 0
-    for ks in _blocks(1, k_last):
-        terms = np.exp(np.minimum(ks * LN2 - h(ks), 700.0))
-        # running totals accumulated term by term, as a loop would
-        partial = np.cumsum(np.concatenate(([total], terms)))[1:]
-        stop = np.flatnonzero(
-            (partial > 1e15) | (terms < tol * np.maximum(partial, 1.0))
-        )
-        i = stop[0] if stop.size else -1
-        k, total = int(ks[i]), float(partial[i])
-        if total > 1e15:
-            return Kappa1Report(math.inf, -math.inf, k, False)
-        if stop.size:
-            converged = True
-            break
-    if h.has_tail and not converged:
+    h = spec.h
+    last = h.max_age if not h.has_tail else _KAPPA_CAP
+    total, k, converged = _series(
+        lambda ks: np.exp(np.minimum(ks * LN2 - h(ks), 700.0)),
+        1, last, _KAPPA_TOL, _BLOW_UP,
+    )
+    if total > _BLOW_UP or (h.has_tail and not converged):
         return Kappa1Report(math.inf, -math.inf, k, False)
     if total == 0.0:
         return Kappa1Report(0.0, math.inf, k, converged)
-    bound = 2 * LN2 + h0 - math.log(total)
+    bound = 2 * LN2 + h(0) - math.log(total)
     return Kappa1Report(total, bound, k, converged)
 
 
@@ -189,7 +219,7 @@ class Kappa2Report:
     grid: tuple
 
 
-def kappa2(spec_or_h, k_max=100000):
+def kappa2(spec, k_max=100000):
     """kappa_2 = sup_k sum_{l<k} 2^l e^{-h_{k,l}} over k <= k_max.
 
     Inner sums are evaluated exactly; the sup is taken over a geometric
@@ -198,7 +228,7 @@ def kappa2(spec_or_h, k_max=100000):
     the true sup may lie beyond the cutoff.
     """
     _check_k_max(k_max)
-    h = _second_h(spec_or_h)
+    h = spec.h
     if not h.has_tail:
         k_max = min(k_max, h.max_ancestor_age)
     grid = []
@@ -214,7 +244,7 @@ def kappa2(spec_or_h, k_max=100000):
         s = float(np.exp(np.minimum(ell * LN2 - h(k, ell), 700.0)).sum())
         if s > best:
             best, attained = s, k
-        if best > 1e15:
+        if best > _BLOW_UP:
             return Kappa2Report(
                 math.inf, -math.inf, k_max, k, True, tuple(grid)
             )
@@ -236,18 +266,27 @@ class DiagnosticCurve:
     divergent: tuple
 
 
-def laplace_first(spec_or_h, s_values, tol=1e-12, blow_up=1e15):
+def _s_grid(s_values):
+    """The s grid as an array; empty grids and points outside (0, 1] name 's-grid'."""
+    s_arr = np.asarray(list(s_values), dtype=float)
+    if not s_arr.size or not np.all((s_arr > 0) & (s_arr <= 1)):
+        raise SpecConfigError(
+            "s-grid", "need one or more points in (0, 1], got %r" % (s_arr.tolist(),)
+        )
+    return s_arr
+
+
+def laplace_first(spec, s_values):
     """ln(1/s) - s ghat+(s) on the grid, ghat+(s) = sum e^{-sk} g+_k.
 
     The series is summed in blocks until a block contributes less than
-    ``tol``; a partial sum past ``blow_up`` marks the point divergent and
-    reports -inf there (the diagnostic is then conclusively negative).
+    ``_LAPLACE_TOL``; a partial sum past ``_BLOW_UP`` marks the point
+    divergent and reports -inf there (the diagnostic is then conclusively
+    negative).
     """
-    h = _first_h(spec_or_h)
+    h = spec.h
     k_limit = math.inf if h.has_tail else h.max_age
-    s_arr = np.asarray(list(s_values), dtype=float)
-    if np.any(s_arr <= 0) or np.any(s_arr > 1):
-        raise ValueError("s grid must lie in (0, 1]")
+    s_arr = _s_grid(s_values)
     diag = np.empty_like(s_arr)
     divergent = []
     for i, s in enumerate(s_arr):
@@ -257,33 +296,31 @@ def laplace_first(spec_or_h, s_values, tol=1e-12, blow_up=1e15):
             g = h(ks) - LN2 * ks
             contrib = float((np.exp(-s * ks) * np.maximum(g, 0.0)).sum())
             total += contrib
-            if total > blow_up:
+            if total > _BLOW_UP:
                 bad = True
                 break
-            if contrib < tol:
+            if contrib < _LAPLACE_TOL:
                 break
         divergent.append(bad)
         diag[i] = NEG_INF if bad else math.log(1.0 / s) - s * total
     return DiagnosticCurve("laplace-first", s_arr, diag, tuple(divergent))
 
 
-def laplace_second(spec_or_h, s_values, tol=1e-12, blow_up=1e15,
-                   allow_large=False):
+def laplace_second(spec, s_values, allow_large=False):
     """ln(1/s) - 2 s^2 ghat+(s, 2s) with the double Laplace transform
     ghat+(s, u) = sum_{l>=0, d>=1} e^{-s l - u d} g+_{l,d}.
 
     Cost grows like (1/s)^2; grids reaching below 2^-8 are refused without
     ``allow_large``.
     """
-    h = _second_h(spec_or_h)
+    h = spec.h
     k_limit = math.inf if h.has_tail else h.max_ancestor_age
-    s_arr = np.asarray(list(s_values), dtype=float)
-    if np.any(s_arr <= 0) or np.any(s_arr > 1):
-        raise ValueError("s grid must lie in (0, 1]")
+    s_arr = _s_grid(s_values)
     if np.any(s_arr < 1.0 / 256) and not allow_large:
-        raise ValueError(
-            "second-order Laplace diagnostic below s = 2^-8 costs O(1/s^2); "
-            "pass allow_large=True to proceed"
+        raise SpecConfigError(
+            "s-grid",
+            "the second-order Laplace diagnostic below s = 2^-8 costs O(1/s^2); "
+            "pass --allow-large (allow_large=True) to proceed",
         )
     diag = np.empty_like(s_arr)
     divergent = []
@@ -299,16 +336,16 @@ def laplace_second(spec_or_h, s_values, tol=1e-12, blow_up=1e15,
                 g = h(ls + d, ls) - LN2 * ls
                 contrib = float((np.exp(-s * ls) * np.maximum(g, 0.0)).sum())
                 row += contrib
-                if damp * row > blow_up:
+                if damp * row > _BLOW_UP:
                     bad = True
                     break
-                if damp * contrib < tol:
+                if damp * contrib < _LAPLACE_TOL:
                     break
             total += damp * row
-            if bad or total > blow_up:
+            if bad or total > _BLOW_UP:
                 bad = True
                 break
-            small_rows = small_rows + 1 if damp * row < tol else 0
+            small_rows = small_rows + 1 if damp * row < _LAPLACE_TOL else 0
             if small_rows >= 3 and d > 8:
                 break
             d += 1
@@ -334,7 +371,7 @@ def _trend_verdict(u):
     return "inconclusive"
 
 
-def tauberian_first(spec_or_h, k_max=100000):
+def tauberian_first(spec, k_max=100000):
     """u_k = (ln2) k + ln k - h_k with a monotone-trend verdict.
 
     u_k -> +inf is the certified no-transition regime; u_k -> -inf means
@@ -342,7 +379,7 @@ def tauberian_first(spec_or_h, k_max=100000):
     as inconclusive-for-this-test.
     """
     _check_k_max(k_max)
-    h = _first_h(spec_or_h)
+    h = spec.h
     if not h.has_tail:
         k_max = min(k_max, h.max_age)
     ks = np.arange(1, k_max + 1)
@@ -350,21 +387,21 @@ def tauberian_first(spec_or_h, k_max=100000):
     return TauberianReport(ks, u, _trend_verdict(u))
 
 
-def tauberian_second(spec_or_h, h1, h2, k_max=100000, check_tol=1e-9):
+def tauberian_second(spec, h1, h2, k_max=100000):
     """Additive-decomposition variant: u_k = (ln2)k + ln k - h1_k - h2_{k//2}.
 
     The caller supplies h_{l+d, l} = h1(l) + h2(d); the decomposition is
     spot-checked against the array on a grid of indices before use.
     """
     _check_k_max(k_max)
-    h = _second_h(spec_or_h)
+    h = spec.h
     samples = (1, 2, 3, 5, 8, 13, 21, 55, 144)
     if not h.has_tail:
         samples = tuple(k for k in samples if k <= h.max_ancestor_age)
     for k in samples:
         l = np.arange(0, k, max(1, k // 4))
         got, want = h(k, l), h1(l) + h2(k - l)
-        bad = np.flatnonzero(np.abs(got - want) > check_tol)
+        bad = np.flatnonzero(np.abs(got - want) > _DECOMPOSITION_TOL)
         if bad.size:
             i = bad[0]
             raise ValueError(
@@ -392,32 +429,29 @@ _POWERS = np.ldexp(1.0, np.arange(24))
 _BRACKET_ENDS = np.concatenate((-_POWERS[::-1], _POWERS))
 
 
-def tail_bound(spec, n, tol=1e-18, k_cap=20000):
+def tail_bound(spec, n):
     """Finite-size tail 2 sum_{k>n} gamma_k 2^{-k}.
 
     gamma_k = h_k for first-order specs and 2 h_{k+1,k} for second order;
     the zero spec has no tail. Finite-list specs contribute only the ages
-    they define.
+    they define; closed forms are summed to ``_TAIL_TOL`` (see ``_series``)
+    over at most ``_TAIL_CAP`` ages.
     """
     if spec.variant in ("zero", "first"):
-        gamma = lambda k: spec.h(k)
-        has_tail = spec.h.has_tail
-        last = k_cap if has_tail else spec.h.max_age
+        h = gamma = spec.h
+        last = _TAIL_CAP if h.has_tail else h.max_age
     elif spec.variant == "second":
-        gamma = lambda k: 2.0 * spec.h(k + 1, k)
-        has_tail = spec.h.has_tail
-        last = k_cap if has_tail else spec.h.max_ancestor_age - 1
+        h = spec.h
+        gamma = lambda k: 2.0 * h(k + 1, k)
+        last = _TAIL_CAP if h.has_tail else h.max_ancestor_age - 1
     else:
         raise UnsupportedVariant(
             "no tail bound for variant %r" % (spec.variant,)
         )
-    total = 0.0
-    for k in range(n + 1, last + 1):
-        term = 2.0 * gamma(k) * math.exp(-k * LN2)
-        total += term
-        if abs(term) < tol * max(total, 1.0):
-            break
-    return total
+    return _series(
+        lambda ks: 2.0 * gamma(ks) * _exp2(-ks),
+        n + 1, last, _TAIL_TOL, math.inf,
+    )[0]
 
 
 def bisect_upper(spec, n, delta, tail):
@@ -458,10 +492,10 @@ def slope_a0(spec, n):
     return int(min(1 << n, max(32, math.ceil(6.0 * (const + n * LN2)))))
 
 
-def slope_estimate(spec, n, a0=None):
-    """Second J* estimator: -omega_n(eps)/eps at small eps = a0/2^n."""
-    if a0 is None:
-        a0 = slope_a0(spec, n)
+def slope_estimate(spec, n):
+    """Second J* estimator: -omega_n(eps)/eps at small eps = a0/2^n, with
+    a0 from ``slope_a0``."""
+    a0 = slope_a0(spec, n)
     table = dp.dp_W(spec, n, m_max=a0)
     return -float(table.ln_w[a0]) / a0, a0
 
@@ -580,6 +614,10 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
 # ---------------------------------------------------------------------------
 # certificate patterns
 
+#: largest a0 evaluated with exact binomials; past it lgamma arguments
+#: overflow or lose all precision anyway
+_EXACT_A0_MAX = 1 << 40
+
 
 def _as_dyadic(t):
     frac = Fraction(t)
@@ -591,19 +629,10 @@ def _as_dyadic(t):
     return frac
 
 
-def _stirling_needed(a0):
-    # past this size lgamma arguments overflow or lose all precision anyway
-    return a0 > 1 << 40
-
-
 @dataclass(frozen=True)
-class CertificateFirst:
-    """The explicit first-order profile t_k = t (k <= j), then 1.
-
-    ``value`` is A_n(b) = a0^{-1} sum_k (ln C(a_k, b_k) - g_k b_k); it
-    certifies -J* >= value - C for the unknown constant C, so only
-    differences between certificates are quantitative.
-    """
+class _Certificate:
+    """What both certificate orders hold: the profile parameters (t, j, n),
+    the value and log2 a0, and whether exact binomials gave the value."""
 
     t: Fraction
     j: int
@@ -611,6 +640,21 @@ class CertificateFirst:
     value: float
     a0_log2: float
     exact_evaluation: bool
+
+    @classmethod
+    def _of(cls, t, j, n, value, exact):
+        a0_log2 = j * math.log2(1 + float(t)) + (n - j)
+        return cls(t, j, n, value, a0_log2, exact)
+
+
+@dataclass(frozen=True)
+class CertificateFirst(_Certificate):
+    """The explicit first-order profile t_k = t (k <= j), then 1.
+
+    ``value`` is A_n(b) = a0^{-1} sum_k (ln C(a_k, b_k) - g_k b_k); it
+    certifies -J* >= value - C for the unknown constant C, so only
+    differences between certificates are quantitative.
+    """
 
     def populations(self):
         """Exact integer (a_k, b_k) chains, top age down to 0."""
@@ -626,7 +670,6 @@ class CertificateFirst:
 def _first_chain(t, j, n):
     """a_k and b_k as exact integers, index k = 0 .. n."""
     p, twoq = t.numerator, t.denominator
-    q = twoq.bit_length() - 1
     a = [0] * (n + 1)
     b = [0] * (n + 1)
     for k in range(n, j, -1):
@@ -656,7 +699,24 @@ def minimal_certificate_depth(t, j):
     return j * (q + 1)
 
 
-def certificate_first(spec_or_h, t, j, n=None):
+def _certificate_depth(t, j, n, n_default):
+    """Dyadic ``t`` and the certificate depth: ``n``, or with none the larger
+    of ``n_default`` and the minimal depth with integer populations."""
+    t = _as_dyadic(t)
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    n_min = minimal_certificate_depth(t, j)
+    if n is None:
+        n = max(n_min, n_default)
+    if n < n_min:
+        raise ValueError(
+            "integrality unattainable at depth %d; minimal depth is %d"
+            % (n, n_min)
+        )
+    return t, n
+
+
+def certificate_first(spec, t, j, n=None):
     """Build and exactly validate the profile, then evaluate A_n.
 
     With no ``n`` the minimal depth with integer populations is used. Small
@@ -664,27 +724,17 @@ def certificate_first(spec_or_h, t, j, n=None):
     per-level Stirling form (a_k phi(t) for ln C) takes over, whose dropped
     corrections are O(n ln a0 / a0) and far below double precision there.
     """
-    h = _first_h(spec_or_h)
-    t = _as_dyadic(t)
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    n_min = minimal_certificate_depth(t, j)
-    if n is None:
-        n = max(n_min, j + 1, 1)
-    if n < n_min:
-        raise ValueError(
-            "integrality unattainable at depth %d; minimal depth is %d"
-            % (n, n_min)
-        )
+    t, n = _certificate_depth(t, j, n, j + 1)
     a, b = _first_chain(t, j, n)  # raises if integrality fails
     for k in range(1, n + 1):
         if not 0 <= b[k] <= a[k]:
             raise AssertionError("inadmissible certificate chain")
 
+    h = spec.h
     tf = float(t)
     g = lambda k: h(k) - LN2 * k
-    a0_log2 = j * math.log2(1 + tf) + (n - j)
-    if not _stirling_needed(a[0]):
+    exact = a[0] <= _EXACT_A0_MAX
+    if exact:
         total = 0.0
         for k in range(1, n + 1):
             lnc = (
@@ -694,7 +744,6 @@ def certificate_first(spec_or_h, t, j, n=None):
             )
             total += lnc - g(k) * b[k]
         value = total / a[0]
-        exact = True
     else:
         phi = binary_entropy(tf)
         value = 0.0
@@ -702,35 +751,25 @@ def certificate_first(spec_or_h, t, j, n=None):
             value += (1 + tf) ** (-k) * (phi - tf * g(k))
         # k > j: full branching, ln C = 0, b_k/a0 = 2^{j-k} (1+t)^{-j}
         scale = (1 + tf) ** (-j)
-        for k in range(j + 1, n + 1):
-            term = scale * g(k) * math.exp((j - k) * LN2)
-            value -= term
-            if abs(term) < 1e-18 * max(1.0, abs(value)):
-                break
-        exact = False
-    return CertificateFirst(
-        t=t, j=j, n=n, value=value, a0_log2=a0_log2, exact_evaluation=exact
-    )
+        value -= _series(
+            lambda ks: scale * g(ks) * _exp2(j - ks),
+            j + 1, n, _TAIL_TOL, math.inf,
+        )[0]
+    return CertificateFirst._of(t, j, n, value, exact)
 
 
 @dataclass(frozen=True)
-class CertificateSecond:
+class CertificateSecond(_Certificate):
     """Second-order analog: geometric spread of own ages below each row.
 
     ``value`` is B_n(b) = a0^{-1} sum_k [ln multinomial(2b_k; row_k)
     - sum_d g_{k-d,d} b_{k,k-d}].
     """
 
-    t: Fraction
-    j: int
-    n: int
-    value: float
-    a0_log2: float
-    exact_evaluation: bool
-
     def entries(self):
         """Sparse exact table {(ancestor age, own age): count}."""
-        return _second_entries(self.t, self.j, self.n)
+        _, b = _first_chain(self.t, self.j, self.n)
+        return _second_entries(self.t, self.j, self.n, b)
 
     def pattern(self):
         from .patterns import Pattern2
@@ -740,10 +779,10 @@ class CertificateSecond:
                 "dense pattern table at depth %d refused; use entries()"
                 % (self.n,)
             )
-        return Pattern2.from_counts(self.n, _second_entries(self.t, self.j, self.n))
+        return Pattern2.from_counts(self.n, self.entries())
 
 
-def _second_row_counts(t, j, n, k, bk):
+def _second_row_counts(t, n, k, bk):
     """Exact row k entries {own age: count} for a spread row (k <= j+1)."""
     p, twoq = t.numerator, t.denominator
     row = {}
@@ -763,11 +802,11 @@ def _second_row_counts(t, j, n, k, bk):
     return row
 
 
-def _second_entries(t, j, n):
-    a, b = _first_chain(t, j, n)
+def _second_entries(t, j, n, b):
+    """Sparse table {(k, l): count} of the profile, from the b_k chain."""
     entries = {}
     for k in range(1, min(j + 1, n) + 1):
-        for l, c in _second_row_counts(t, j, n, k, b[k]).items():
+        for l, c in _second_row_counts(t, n, k, b[k]).items():
             if c:
                 entries[(k, l)] = c
     for k in range(j + 2, n + 1):
@@ -776,10 +815,9 @@ def _second_entries(t, j, n):
     return entries
 
 
-def _second_validate(t, j, n):
-    """Exact consistency of the sparse table: row and column identities."""
-    a, b = _first_chain(t, j, n)
-    entries = _second_entries(t, j, n)
+def _second_validate(t, j, n, a, b):
+    """The sparse table, after exact checks of its row and column identities."""
+    entries = _second_entries(t, j, n, b)
     rows = {}
     cols = {}
     for (k, l), c in entries.items():
@@ -801,7 +839,7 @@ def _second_validate(t, j, n):
     return entries
 
 
-def certificate_second(spec_or_h, t, j, n=None):
+def certificate_second(spec, t, j, n=None):
     """Second-order certificate with exact validation and B_n evaluation.
 
     The spread rows put a fraction t(1-t)^{d-1} of each row's 2 b_k
@@ -809,26 +847,15 @@ def certificate_second(spec_or_h, t, j, n=None):
     cutoff are fully concentrated one generation down. The row at j+1 is
     spread as well, which is exactly what the column identities require.
     """
-    h = _second_h(spec_or_h)
-    t = _as_dyadic(t)
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    n_min = minimal_certificate_depth(t, j)
-    if n is None:
-        n = max(n_min, j + 2)
-    if n < n_min:
-        raise ValueError(
-            "integrality unattainable at depth %d; minimal depth is %d"
-            % (n, n_min)
-        )
-    _second_validate(t, j, n)
+    t, n = _certificate_depth(t, j, n, j + 2)
     a, b = _first_chain(t, j, n)
+    entries = _second_validate(t, j, n, a, b)
 
+    h = spec.h
     tf = float(t)
     g = lambda l, d: h(l + d, l) - LN2 * l
-    a0_log2 = j * math.log2(1 + tf) + (n - j)
-    if not _stirling_needed(a[0]):
-        entries = _second_entries(t, j, n)
+    exact = a[0] <= _EXACT_A0_MAX
+    if exact:
         rows = {}
         for (k, l), c in entries.items():
             rows.setdefault(k, {})[l] = c
@@ -841,7 +868,6 @@ def certificate_second(spec_or_h, t, j, n=None):
                 total -= g(l, k - l) * c
             total += lnm
         value = total / a[0]
-        exact = True
     else:
         value = 0.0
         for k in range(1, min(j + 1, n) + 1):
@@ -864,12 +890,8 @@ def certificate_second(spec_or_h, t, j, n=None):
                 energy += qd * g(k - d, d)
             value += share * (entropy - energy)
         scale = (1 + tf) ** (-j)
-        for k in range(j + 2, n + 1):
-            term = scale * math.exp((j + 1 - k) * LN2) * g(k - 1, 1)
-            value -= term
-            if abs(term) < 1e-18 * max(1.0, abs(value)):
-                break
-        exact = False
-    return CertificateSecond(
-        t=t, j=j, n=n, value=value, a0_log2=a0_log2, exact_evaluation=exact
-    )
+        value -= _series(
+            lambda ks: scale * _exp2(j + 1 - ks) * g(ks - 1, 1),
+            j + 2, n, _TAIL_TOL, math.inf,
+        )[0]
+    return CertificateSecond._of(t, j, n, value, exact)

@@ -39,13 +39,21 @@ def _fmt(x):
     return "%.17g" % (float(x),)
 
 
+def _parse_each(parse, parts, key, text):
+    """``parse`` of each part; a part it rejects names ``key``."""
+    try:
+        return [parse(p) for p in parts]
+    except ValueError:
+        raise SpecConfigError(key, "%r; expected a list of numbers" % (text,)) from None
+
+
 def _parse_grid(text):
     """J grids: 'start:stop:step' (inclusive) or a comma list; never empty."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise SpecConfigError("j-grid", "%r; expected start:stop:step" % (text,))
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = _parse_each(float, parts, "j-grid", text)
         if not (step > 0 and math.isfinite((stop - start) / step)):
             raise SpecConfigError(
                 "j-grid", "%r; expected finite start and stop and a positive step"
@@ -54,7 +62,7 @@ def _parse_grid(text):
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         grid = [start + i * step for i in range(max(count, 0))]
     else:
-        grid = [float(p) for p in text.split(",") if p]
+        grid = _parse_each(float, [p for p in text.split(",") if p], "j-grid", text)
     if not grid:
         raise SpecConfigError("j-grid", "%r holds no J value" % (text,))
     return grid
@@ -65,16 +73,16 @@ def _parse_s_grid(text):
     if text.startswith("pow2:"):
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError("s grid %r; expected pow2:a:b" % (text,))
-        a, b = int(parts[1]), int(parts[2])
+            raise SpecConfigError("s-grid", "%r; expected pow2:a:b" % (text,))
+        a, b = _parse_each(int, parts[1:], "s-grid", text)
         if b < a:
             a, b = b, a
         return [2.0**-e for e in range(a, b + 1)]
-    return [float(p) for p in text.split(",") if p]
+    return _parse_each(float, [p for p in text.split(",") if p], "s-grid", text)
 
 
 def _parse_depths(text):
-    return [int(p) for p in text.split(",") if p]
+    return _parse_each(int, [p for p in text.split(",") if p], "depths", text)
 
 
 def _load_spec(args):
@@ -167,6 +175,8 @@ def _cmd_canonical(args):
         _check_oracle_depth(n)
         table = oracle.enum_W(spec, n)
     elif args.maxterm:
+        if spec.variant == "second":
+            raise SpecConfigError("maxterm", "the max-plus table is first order only")
         table = dp.dp_W_maxterm(
             spec, n, m_max=args.m_max, allow_large=args.allow_large
         )
@@ -208,6 +218,8 @@ def _cmd_threshold(args):
 
 
 def _cmd_sample(args):
+    if args.seed < 0:
+        raise SpecConfigError("seed", "must be nonnegative, got %d" % (args.seed,))
     spec = _load_spec(args)
     draws = sampmod.sample(spec, args.depth, args.j, args.seed, args.num)
     out = _Out(args.out)
@@ -224,8 +236,10 @@ def _cmd_sample(args):
 
 
 def _parse_subset(text, depth):
-    leaves = tuple(int(p) for p in text.replace(",", " ").split())
-    return LeafSet(depth, leaves)
+    try:
+        return LeafSet(depth, tuple(int(p) for p in text.replace(",", " ").split()))
+    except ValueError as exc:
+        raise SpecConfigError("subset", "%r: %s" % (text, exc)) from None
 
 
 def _cmd_capacity(args):
@@ -239,8 +253,12 @@ def _cmd_capacity(args):
                 "variant", "capacity subcommand needs a capacity spec"
             )
         profile = spec.profile(n)
-    else:
+    elif 0 < args.conductance < math.inf:
         profile = capmod.ConductanceProfile.uniform(n, args.conductance)
+    else:
+        raise SpecConfigError(
+            "conductance", "must be finite and positive, got %r" % (args.conductance,)
+        )
     subsets = [_parse_subset(s, n) for s in args.subset or []]
     if args.all_subsets:
         _check_oracle_depth(n, "--all-subsets enumerates 2^%d rows" % (1 << n))
@@ -265,8 +283,8 @@ def _cmd_diagnose(args):
     s_grid = _parse_s_grid(args.s_grid)
     out = _Out(args.out)
     if spec.variant in ("zero", "first"):
-        curve = analysis.laplace_first(spec.h, s_grid)
-        tau = analysis.tauberian_first(spec.h, k_max=args.k_max)
+        curve = analysis.laplace_first(spec, s_grid)
+        tau = analysis.tauberian_first(spec, k_max=args.k_max)
     elif spec.variant == "second":
         curve = analysis.laplace_second(
             spec, s_grid, allow_large=args.allow_large
@@ -392,6 +410,8 @@ def _cmd_verify(args):
     for key, value in (("depth", args.depth), ("draws", args.draws)):
         if value < 1:
             raise SpecConfigError(key, "must be at least 1, got %d" % (value,))
+    if not 0 < args.tol < math.inf:
+        raise SpecConfigError("tol", "must be finite and positive, got %r" % (args.tol,))
     out = _Out(args.out)
     failures = _run_verify(args, out)
     suites = (

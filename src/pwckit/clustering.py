@@ -37,6 +37,13 @@ LN2 = math.log(2.0)
 #: ages probed when checking monotonicity of closed-form sequences
 _PROBE_LIMIT = 4096
 
+#: slack of the exhaustive monotonicity check, and violations it keeps
+_MONOTONE_TOL = 1e-9
+_MAX_WITNESSES = 20
+
+#: spread of ln conductance in ``random_capacity``
+_CAPACITY_SIGMA = 0.7
+
 
 class SpecConfigError(ValueError):
     """Raised for malformed parameter documents; names the offending key."""
@@ -170,6 +177,10 @@ class HArray:
                 )
         return float(out) if out.ndim == 0 else out
 
+    def _rows(self):
+        """The explicit table as lists of floats, row k holding h[k][0 ..]."""
+        return [r[~np.isnan(r)].tolist() for r in self._table[:-1]]
+
     def array(self, depth):
         """Dense (depth+2) x (depth+2) array; entries with l >= k are zero."""
         out = np.zeros((depth + 2, depth + 2))
@@ -265,7 +276,7 @@ class SecondOrderClustering:
         if self.h.tag is not None:
             d["h"] = self.h.tag
         elif self.h.max_ancestor_age is not None:
-            d["h"] = {"kind": "table"}
+            d["h"] = {"kind": "table", "values": self.h._rows()}
         else:
             d["h"] = {"kind": "function"}
         return d
@@ -345,14 +356,15 @@ class MonotoneReport:
         return not self.order_violations and not self.subadditive_violations
 
 
-def check_monotone(spec, depth, size_limit=4, tol=1e-9, max_witnesses=20):
+def check_monotone(spec, depth, size_limit=4):
     """Exhaustively test both monotonicity conditions at the given depth.
 
     Order condition: for every pair of equal-size sets with A at least as
     clustered as B (decided by bijection search, never by the profile
     filter), Phi(A) <= Phi(B). Subadditivity: for every pair of disjoint
     nonempty sets, Phi(A union B) <= Phi(A) + Phi(B). Sizes are capped at
-    ``size_limit`` on each side.
+    ``size_limit`` on each side. Up to ``_MAX_WITNESSES`` violations of each
+    kind are kept.
     """
     nleaves = 1 << depth
     report = MonotoneReport(depth, size_limit)
@@ -374,8 +386,8 @@ def check_monotone(spec, depth, size_limit=4, tol=1e-9, max_witnesses=20):
                     continue
                 if is_more_clustered(a, b, size_limit=size_limit) is Clustered.YES:
                     report.order_pairs += 1
-                    if phis[a.mask] > phis[b.mask] + tol:
-                        if len(report.order_violations) < max_witnesses:
+                    if phis[a.mask] > phis[b.mask] + _MONOTONE_TOL:
+                        if len(report.order_violations) < _MAX_WITNESSES:
                             report.order_violations.append(
                                 (a.leaves, b.leaves, phis[a.mask], phis[b.mask])
                             )
@@ -390,8 +402,8 @@ def check_monotone(spec, depth, size_limit=4, tol=1e-9, max_witnesses=20):
             if sub.bit_count() <= size_limit:
                 report.subadditive_pairs += 1
                 total = phis[mask_a | sub]
-                if total > phis[mask_a] + phis[sub] + tol:
-                    if len(report.subadditive_violations) < max_witnesses:
+                if total > phis[mask_a] + phis[sub] + _MONOTONE_TOL:
+                    if len(report.subadditive_violations) < _MAX_WITNESSES:
                         report.subadditive_violations.append(
                             (
                                 LeafSet.from_mask(depth, mask_a).leaves,
@@ -469,23 +481,29 @@ def parse_preset(text):
     compact form ``first:linear3ln2`` is tolerated.
     """
     parts = text.split(":")
-    if parts == ["zero"]:
-        return zero_spec()
-    if parts == ["dgff"]:
-        return dgff_spec()
-    if parts[0] == "first":
-        if len(parts) == 3 and parts[1] == "linear":
-            return first_linear(_coefficient(parts[2]))
-        if len(parts) == 2 and parts[1].startswith("linear") and parts[1] != "linear":
-            return first_linear(_coefficient(parts[1][len("linear") :]))
-        if len(parts) == 2 and parts[1] == "logcorrected":
-            return first_logcorrected()
-    if parts[0] == "capacity" and len(parts) >= 2 and parts[1] == "uniform":
-        return capacity_uniform(float(parts[2]) if len(parts) == 3 else 1.0)
+    try:
+        if parts == ["zero"]:
+            return zero_spec()
+        if parts == ["dgff"]:
+            return dgff_spec()
+        if parts[0] == "first":
+            if len(parts) == 3 and parts[1] == "linear":
+                return first_linear(_coefficient(parts[2]))
+            if len(parts) == 2 and parts[1].startswith("linear") and parts[1] != "linear":
+                return first_linear(_coefficient(parts[1][len("linear") :]))
+            if len(parts) == 2 and parts[1] == "logcorrected":
+                return first_logcorrected()
+        if parts[0] == "capacity" and len(parts) >= 2 and parts[1] == "uniform":
+            c = float(parts[2]) if len(parts) == 3 else 1.0
+            if 0 < c < math.inf:
+                return capacity_uniform(c)
+    except ValueError:  # a slope or conductance that is not a number
+        pass
     raise SpecConfigError(
         "preset",
         "unknown preset %r; expected zero, first:linear:<c>, "
-        "first:logcorrected, dgff, or capacity:uniform[:<c>]" % (text,),
+        "first:logcorrected, dgff, or capacity:uniform[:<c>], with c a number "
+        "(positive for capacity)" % (text,),
     )
 
 
@@ -557,7 +575,10 @@ def spec_from_doc(doc):
         if not isinstance(cdoc, dict):
             raise SpecConfigError("conductance", "capacity family needs a profile")
         if cdoc.get("kind") == "uniform":
-            return capacity_uniform(_number(cdoc.get("value", 1.0), "conductance.value"))
+            value = _number(cdoc.get("value", 1.0), "conductance.value")
+            if not value > 0:
+                raise SpecConfigError("conductance.value", "conductance must be positive")
+            return capacity_uniform(value)
         if cdoc.get("kind") == "list":
             values = _numbers(cdoc.get("values"), "conductance.values")
             if any(v <= 0 for v in values):
@@ -619,7 +640,7 @@ def random_second_order(depth, rng, scale=1.0):
     return SecondOrderClustering(h, h_const)
 
 
-def random_capacity(depth, rng, sigma=0.7):
+def random_capacity(depth, rng):
     """Random positive conductance profile."""
-    values = np.exp(rng.normal(0.0, sigma, size=depth))
+    values = np.exp(rng.normal(0.0, _CAPACITY_SIGMA, size=depth))
     return CapacityClustering(HSequence.from_values(values))

@@ -124,7 +124,7 @@ class CanonicalTable:
 
 
 def _range_bound(n):
-    """Bound at depth n on |J| and on the negative weights (see ``_weights``).
+    """Bound at depth n on |J| and on the weights (see ``_weights``).
 
     J enters ln F_n with factor 2^n, so below this bound it adds at most a
     quarter of the float maximum to ln F_n.
@@ -142,13 +142,15 @@ def _weights(spec, n):
     stop short of the depth and weights that carry ln Z out of float range
     are rejected here, naming their key.
 
-    Only negative weights raise ln F. With P_d = max(ln F_d, 0) the
-    recursion gives P_d <= 2 P_{d-1} + max(0, -h_d) + 2 ln2, so h_d enters
-    ln F_n with factor 2^(n-d), and the constant enters ln Z once. Weighted
-    by 2^-d (2^-n for the constant), the negative parts must sum below
-    ``_range_bound(n)``, as |J| must: then ln Z_n stays below half the float
-    maximum plus (2^(n+1) + 1) ln2. Positive weights only lower ln F, and
-    ln F_d >= ln F_0 + d ln2 keeps it finite from below.
+    Negative weights raise ln F. With P_d = max(ln F_d, 0) the recursion
+    gives P_d <= 2 P_{d-1} + max(0, -h_d) + 2 ln2, so h_d enters ln F_n with
+    factor 2^(n-d), and the constant enters ln Z once. Positive weights lower
+    ln F instead, and unbounded they overflow 2 ln F_{d-1} or
+    ln F_n - h_const to -inf on the way (a right value, with a numpy
+    warning). So weighted by 2^-d (2^-n for the constant), the magnitudes
+    must sum below ``_range_bound(n)``, as |J| must: then ln Z_n stays below
+    half the float maximum plus (2^(n+1) + 1) ln2, and every intermediate
+    stays finite from below, as ln F_d >= J - h_0 + d ln2.
     """
     if spec.variant not in ("zero", "first", "second"):
         raise UnsupportedVariant(
@@ -170,13 +172,13 @@ def _weights(spec, n):
         H = H[None, :]
     # both sides scaled by 1/4, so that the sums cannot overflow
     limit = _range_bound(n + 2)
-    neg = np.maximum(-H[:, : n + 1].min(axis=0), 0.0)
-    weights = np.ldexp(neg, -np.arange(n + 1) - 2).sum()
-    if not weights + math.ldexp(max(-const, 0.0), -(n + 2)) < limit:
+    size = np.abs(H[:, : n + 1]).max(axis=0)
+    weights = np.ldexp(size, -np.arange(n + 1) - 2).sum()
+    if not weights + math.ldexp(abs(const), -(n + 2)) < limit:
         raise SpecConfigError(
             "h.values" if not weights < limit else "h_const",
-            "negative weights carry ln Z_%d out of float range: "
-            "sum_d 2^-d max(0, -h_d) + 2^-%d max(0, -h_const) must stay below %g"
+            "weights carry ln Z_%d out of float range: "
+            "sum_d 2^-d |h_d| + 2^-%d |h_const| must stay below %g"
             % (n, n, _range_bound(n)),
         )
     return H, const

@@ -15,40 +15,12 @@ joints, the meets of consecutive leaves in sorted order).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class Vertex:
-    """A tree vertex identified by (age, index within its level)."""
-
-    age: int
-    index: int
-
-    def leaf_span(self):
-        """Half-open interval of leaf labels below this vertex."""
-        return (self.index << self.age, (self.index + 1) << self.age)
-
-    def ancestor(self, age):
-        """The ancestor of this vertex at the given (greater) age."""
-        if age < self.age:
-            raise ValueError("ancestor age must be >= vertex age")
-        return Vertex(age, self.index >> (age - self.age))
 
 
 def leaf_meet_age(x, y):
     """Age of the closest common ancestor of leaves x and y."""
     return (x ^ y).bit_length()
-
-
-def meet(u, v):
-    """Closest common ancestor of two vertices."""
-    a = max(u.age, v.age)
-    pu = u.index >> (a - u.age)
-    pv = v.index >> (a - v.age)
-    lift = (pu ^ pv).bit_length()
-    return Vertex(a + lift, pu >> lift)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,49 +85,12 @@ def joint_ages(ls):
     return [leaf_meet_age(xs[i], xs[i + 1]) for i in range(len(xs) - 1)]
 
 
-def branching_points(ls):
-    """The set of branching points of ``ls`` (its leaves included)."""
-    pts = {Vertex(0, x) for x in ls.leaves}
-    xs = ls.leaves
-    for i in range(len(xs) - 1):
-        a = leaf_meet_age(xs[i], xs[i + 1])
-        pts.add(Vertex(a, xs[i] >> a))
-    return pts
-
-
-def beta_profile(ls):
-    """beta_k = number of branching points of age <= k, for k = 0 .. depth.
-
-    Nondecreasing, beta_0 = |A|, beta_depth = 2|A| - 1 for nonempty A.
-    """
-    n = ls.depth
-    counts = [0] * (n + 1)
-    counts[0] = len(ls)
-    for a in joint_ages(ls):
-        counts[a] += 1
-    beta = list(itertools.accumulate(counts))
-    return tuple(beta)
-
-
 class Clustered(enum.Enum):
     """Ternary outcome of the clustering comparison."""
 
     YES = "yes"
     NO = "no"
     TOO_LARGE = "too-large"
-
-
-def beta_dominates(a, b):
-    """Necessary condition for ``a`` to be at least as clustered as ``b``.
-
-    If a matching pushing every pairwise meet of ``a`` no lower exists, then
-    ``a`` accumulates branching points at least as early, level by level.
-    The converse fails in general, so this is only a cross-check or filter.
-    """
-    if len(a) != len(b):
-        return False
-    ba, bb = beta_profile(a), beta_profile(b)
-    return all(x >= y for x, y in zip(ba, bb))
 
 
 def is_more_clustered(a, b, size_limit=6):
@@ -199,43 +134,3 @@ def is_more_clustered(a, b, size_limit=6):
         return False
 
     return Clustered.YES if extend(0) else Clustered.NO
-
-
-@dataclass(frozen=True)
-class TreeAutomorphism:
-    """A symmetry of the binary tree: an independent left/right swap at
-    each internal vertex, encoded as the set of (age, index) pairs that swap.
-
-    Useful in tests: every quantity defined through meets and levels must be
-    invariant under these relabelings.
-    """
-
-    depth: int
-    swaps: frozenset
-
-    @classmethod
-    def identity(cls, depth):
-        return cls(depth, frozenset())
-
-    @classmethod
-    def random(cls, depth, rng):
-        swaps = set()
-        for age in range(1, depth + 1):
-            for index in range(1 << (depth - age)):
-                if rng.random() < 0.5:
-                    swaps.add((age, index))
-        return cls(depth, frozenset(swaps))
-
-    def apply_leaf(self, leaf):
-        out = 0
-        for age in range(self.depth, 0, -1):
-            bit = (leaf >> (age - 1)) & 1
-            if (age, leaf >> age) in self.swaps:
-                bit ^= 1
-            out = (out << 1) | bit
-        # Swap decisions are keyed by the *original* labels of internal
-        # vertices, so the walk above reads original bits and emits new ones.
-        return out
-
-    def apply(self, ls):
-        return LeafSet.of(ls.depth, (self.apply_leaf(x) for x in ls.leaves))

@@ -254,7 +254,7 @@ def test_07_no_transition_boundary():
     values = []
     for m in range(2, 9):
         t = Fraction(1, 1 << m)
-        values.append(certificate_first(spec.h, t, 4 << m).value)
+        values.append(certificate_first(spec, t, 4 << m).value)
     for prev, cur in zip(values, values[1:]):
         if abs((cur - prev) - LN2) >= 0.2 * LN2:
             ok = False

@@ -156,7 +156,7 @@ def test_laplace_rejects_bad_grid():
 
 def test_laplace_second_guard_and_values():
     spec = dgff_spec()
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecConfigError, match="'s-grid'.*--allow-large"):
         laplace_second(spec, [1.0 / 512])
     curve = laplace_second(spec, [0.25, 0.0625])
     assert curve.kind == "laplace-second"
@@ -206,6 +206,69 @@ def test_tail_bound_closed_form_linear():
     for n in (6, 10):
         want = 2.0 * c * (n + 2.0) * 2.0**-n
         assert tail_bound(first_linear(c), n) == pytest.approx(want, rel=1e-9)
+
+
+def test_kappa1_not_stopped_by_tiny_growing_terms():
+    # h_k = 100: the terms 2^k e^-100 start tiny but grow, so kappa_1 = inf
+    # and zeta(J) = ln(1 + e^(J - 200)) > 0 for every J: no transition.
+    spec = FirstOrderClustering(HSequence.from_function(lambda k: 100.0 + 0 * k))
+    rep = kappa1(spec)
+    assert math.isinf(rep.value) and not rep.converged
+    report = estimate_jstar(spec, [4, 8])
+    assert math.isinf(report.kappa_value)
+    assert report.verdict == "no-transition-supported"
+
+
+def reference_tail_bound(spec, n):
+    """The term-by-term loop tail_bound replaced, as its reference.
+
+    It stops at the first term below 1e-18 max(total, 1), which is wrong
+    when tiny terms come before larger ones.
+    """
+    if spec.variant == "second":
+        gamma = lambda k: 2.0 * spec.h(k + 1, k)
+        last = 20000 if spec.h.has_tail else spec.h.max_ancestor_age - 1
+    else:
+        gamma = spec.h
+        last = 20000 if spec.h.has_tail else spec.h.max_age
+    total = 0.0
+    for k in range(n + 1, last + 1):
+        term = 2.0 * gamma(k) * math.exp(-k * LN2)
+        total += term
+        if abs(term) < 1e-18 * max(total, 1.0):
+            break
+    return total
+
+
+def test_tail_bound_matches_reference_loop():
+    rng = np.random.default_rng(11)
+    specs = [zero_spec(), first_linear(2.0), first_linear(3 * LN2),
+             first_logcorrected(), dgff_spec()]
+    for _ in range(20):
+        n = int(rng.integers(1, 14))
+        scale = float(10 ** rng.uniform(-2, 3))
+        specs += [random_first_order(n, rng, scale), random_second_order(n, rng, scale)]
+    for spec in specs:
+        for n in range(0, 41):
+            assert tail_bound(spec, n).hex() == reference_tail_bound(spec, n).hex()
+
+
+def test_tail_bound_sums_past_zero_terms():
+    # h_k = max(0, k - 20): the tail past n = 8 starts with twelve zero terms
+    # and is 2 sum_{k>20} (k - 20) 2^-k = 2^-18.
+    spec = FirstOrderClustering(
+        HSequence.from_function(lambda k: np.maximum(0, k - 20) + 0.0), 50.0
+    )
+    assert tail_bound(spec, 8) == pytest.approx(2.0**-18, rel=1e-12)
+
+
+def test_certificate_tail_sums_past_a_zero_term():
+    # logcorrected has g_k = ln k, zero at k = 1; with j = 0 and a0 = 2^41
+    # (the Stirling route) the value is -sum_{k=1}^{41} ln(k) 2^-k.
+    cert = certificate_first(first_logcorrected(), Fraction(1, 2), 0, n=41)
+    assert not cert.exact_evaluation
+    want = -sum(math.log(k) * 2.0**-k for k in range(1, 42))
+    assert cert.value == pytest.approx(want, rel=1e-12)
 
 
 def test_estimate_jstar_linear_family():
@@ -346,8 +409,8 @@ def test_minimal_certificate_depth():
 
 
 def test_certificate_first_small_exact():
-    h = first_linear(LN2).h
-    cert = certificate_first(h, Fraction(1, 2), 2)
+    spec = first_linear(LN2)
+    cert = certificate_first(spec, Fraction(1, 2), 2)
     assert cert.exact_evaluation
     assert cert.n == 4
     a, b = cert.populations()
@@ -364,34 +427,34 @@ def test_certificate_first_small_exact():
 
 
 def test_certificate_first_errors():
-    h = first_linear(LN2).h
+    spec = first_linear(LN2)
     with pytest.raises(ValueError):
-        certificate_first(h, Fraction(1, 3), 2)  # not dyadic
+        certificate_first(spec, Fraction(1, 3), 2)  # not dyadic
     with pytest.raises(ValueError):
-        certificate_first(h, Fraction(3, 2), 2)  # outside (0, 1]
+        certificate_first(spec, Fraction(3, 2), 2)  # outside (0, 1]
     with pytest.raises(ValueError):
-        certificate_first(h, Fraction(1, 2), 3, n=5)  # below minimal depth
+        certificate_first(spec, Fraction(1, 2), 3, n=5)  # below minimal depth
     with pytest.raises(ValueError):
-        certificate_first(h, Fraction(1, 2), -1)
+        certificate_first(spec, Fraction(1, 2), -1)
 
 
 def test_certificate_first_stirling_crossover():
     # Same certificate evaluated exactly (n = 40 keeps a0 under 2^40) and
     # via the Stirling route (n = 41 pushes it over); for g = 0 the value
     # is insensitive to n, so the two routes must agree closely.
-    h = first_linear(LN2).h
-    lo = certificate_first(h, Fraction(1, 2), 2, n=40)
-    hi = certificate_first(h, Fraction(1, 2), 2, n=41)
+    spec = first_linear(LN2)
+    lo = certificate_first(spec, Fraction(1, 2), 2, n=40)
+    hi = certificate_first(spec, Fraction(1, 2), 2, n=41)
     assert lo.exact_evaluation and not hi.exact_evaluation
     assert hi.value == pytest.approx(lo.value, abs=1e-8)
 
 
 def test_certificate_increments_toward_ln2():
-    h = first_linear(LN2).h
+    spec = first_linear(LN2)
     values = []
     for m in (2, 3, 4, 5):
         t = Fraction(1, 1 << m)
-        values.append(certificate_first(h, t, 4 << m).value)
+        values.append(certificate_first(spec, t, 4 << m).value)
     for prev, cur in zip(values, values[1:]):
         assert abs((cur - prev) - LN2) < 0.2 * LN2
 

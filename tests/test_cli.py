@@ -355,6 +355,9 @@ SPEC_FILES = {
                   ' "h_const": -1e9}'),
     "NEG-H": ('{"variant": "first", "h": {"kind": "list",'
               ' "values": [0, -1e306, 0, 0, 0, 0, 0, 0, 0, 0, 0]}}'),
+    "POS-H": ('{"variant": "first", "h": {"kind": "list", "values": [%s]}}'
+              % ", ".join(["1e308"] * 11)),
+    "NEG-UNIFORM": '{"variant": "capacity", "conductance": {"kind": "uniform", "value": -1}}',
 }
 
 
@@ -419,6 +422,32 @@ SPEC_FILES = {
         (["zeta", "--spec-file", "NEG-H", "--depth", "10", "--j-grid", "0"], "'h.values'"),
         (["density", "--spec-file", "NEG-H", "--depth", "10", "--j-grid", "0"],
          "'h.values'"),
+        (["zeta", "--spec-file", "POS-H", "--depth", "10", "--j-grid", "0"], "'h.values'"),
+        (["density", "--spec-file", "POS-H", "--depth", "10", "--j-grid", "0"],
+         "'h.values'"),
+        (["sample", "--spec-file", "POS-H", "--depth", "10", "--j", "0", "--seed", "1"],
+         "'h.values'"),
+        (["zeta", "--spec-file", "NEG-UNIFORM", "--depth", "2", "--j-grid", "0"],
+         "'conductance.value'"),
+        (["threshold", "--preset", "dgff", "--depths", "8,x"], "'depths'"),
+        (["zeta", "--preset", "zero", "--depth", "2", "--j-grid", "a,b"], "'j-grid'"),
+        (["diagnose", "--preset", "first:linear:2", "--s-grid", "pow2:a:3"], "'s-grid'"),
+        (["diagnose", "--preset", "first:linear:2", "--s-grid", "2"], "'s-grid'"),
+        (["diagnose", "--preset", "first:linear:2", "--s-grid", ","], "'s-grid'"),
+        (["diagnose", "--preset", "dgff"], "'s-grid'"),
+        (["capacity", "--depth", "3", "--subset", "0,9"], "'subset'"),
+        (["capacity", "--depth", "3", "--subset", "0,x"], "'subset'"),
+        (["capacity", "--depth", "3", "--subset", "0", "--conductance", "-1"],
+         "'conductance'"),
+        (["sample", "--preset", "zero", "--depth", "2", "--j", "0", "--seed", "-1"],
+         "'seed'"),
+        (["zeta", "--preset", "first:linear:x", "--depth", "2", "--j-grid", "0"],
+         "'preset'"),
+        (["zeta", "--preset", "capacity:uniform:-1", "--depth", "2", "--j-grid", "0"],
+         "'preset'"),
+        (["canonical", "--preset", "dgff", "--depth", "3", "--maxterm"], "'maxterm'"),
+        (["verify", "--depth", "1", "--draws", "1", "--tol", "-1"], "'tol'"),
+        (["verify", "--depth", "1", "--draws", "1", "--tol", "nan"], "'tol'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -431,7 +460,12 @@ SPEC_FILES = {
          "descending-grid", "unbounded-grid", "j-overflow", "depth-overflow",
          "threshold-delta-unreachable", "threshold-delta-negative",
          "threshold-crossing-out-of-range", "zeta-weight-overflow",
-         "density-weight-overflow"],
+         "density-weight-overflow", "zeta-huge-weights", "density-huge-weights",
+         "sample-huge-weights", "negative-uniform", "depths-text", "j-grid-text",
+         "s-grid-text", "s-grid-outside", "s-grid-empty", "s-grid-second-order-cost",
+         "subset-outside", "subset-text", "conductance-negative", "seed-negative",
+         "preset-slope-text", "preset-conductance-negative", "maxterm-second-order",
+         "verify-tol-negative", "verify-tol-nan"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():

@@ -25,6 +25,7 @@ from pwckit.clustering import (
     spec_from_doc,
     zero_spec,
 )
+from pwckit.dp import zeta
 from pwckit.tree import LeafSet
 
 LN2 = math.log(2.0)
@@ -162,6 +163,15 @@ def test_spec_doc_roundtrip_first(tmp_path):
     assert back.variant == "first"
     assert back.h_const == 3.0
     assert [back.h(k) for k in range(3)] == [0.0, 0.5, 2.0]
+
+
+def test_spec_doc_roundtrip_second_order_table(tmp_path):
+    spec = random_second_order(4, np.random.default_rng(3))
+    path = tmp_path / "second.json"
+    save_spec_file(spec, path)
+    back = load_spec_file(path)
+    assert back.variant == "second" and back.h_const == spec.h_const
+    assert zeta(back, 4, [-1.0, 0.5]).tolist() == zeta(spec, 4, [-1.0, 0.5]).tolist()
 
 
 def test_spec_doc_roundtrip_preset(tmp_path):

@@ -1,20 +1,63 @@
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pwckit.patterns import pattern1_of
 from pwckit.tree import (
     Clustered,
     LeafSet,
-    TreeAutomorphism,
-    Vertex,
-    beta_dominates,
-    beta_profile,
-    branching_points,
     is_more_clustered,
     joint_ages,
     leaf_meet_age,
-    meet,
 )
+
+
+@dataclass(frozen=True)
+class TreeAutomorphism:
+    """A symmetry of the binary tree: an independent left/right swap at
+    each internal vertex, encoded as the set of (age, index) pairs that swap.
+
+    Every quantity defined through meets and levels must be invariant under
+    these relabelings.
+    """
+
+    depth: int
+    swaps: frozenset
+
+    @classmethod
+    def identity(cls, depth):
+        return cls(depth, frozenset())
+
+    @classmethod
+    def random(cls, depth, rng):
+        swaps = set()
+        for age in range(1, depth + 1):
+            for index in range(1 << (depth - age)):
+                if rng.random() < 0.5:
+                    swaps.add((age, index))
+        return cls(depth, frozenset(swaps))
+
+    def apply_leaf(self, leaf):
+        out = 0
+        for age in range(self.depth, 0, -1):
+            bit = (leaf >> (age - 1)) & 1
+            if (age, leaf >> age) in self.swaps:
+                bit ^= 1
+            out = (out << 1) | bit
+        # Swap decisions are keyed by the *original* labels of internal
+        # vertices, so the walk above reads original bits and emits new ones.
+        return out
+
+    def apply(self, ls):
+        return LeafSet.of(ls.depth, (self.apply_leaf(x) for x in ls.leaves))
+
+
+def beta(ls):
+    """beta_k = number of branching points of age <= k, for k = 0 .. depth."""
+    return tuple(itertools.accumulate(pattern1_of(ls).b))
 
 
 def test_leaf_meet_age_small_cases():
@@ -25,22 +68,6 @@ def test_leaf_meet_age_small_cases():
     assert leaf_meet_age(0, 3) == 2
     assert leaf_meet_age(3, 4) == 3
     assert leaf_meet_age(0, 7) == 3
-
-
-def test_meet_of_vertices():
-    # Leaves 0 and 1 meet at the age-1 vertex over them.
-    assert meet(Vertex(0, 0), Vertex(0, 1)) == Vertex(1, 0)
-    # A vertex is its own ancestor's descendant.
-    assert meet(Vertex(1, 0), Vertex(0, 1)) == Vertex(1, 0)
-    assert meet(Vertex(2, 0), Vertex(2, 1)) == Vertex(3, 0)
-
-
-def test_vertex_leaf_span_and_ancestor():
-    v = Vertex(2, 3)
-    assert v.leaf_span() == (12, 16)
-    assert v.ancestor(4) == Vertex(4, 0)
-    with pytest.raises(ValueError):
-        v.ancestor(1)
 
 
 def test_leafset_normalizes_and_validates():
@@ -61,28 +88,11 @@ def test_joint_ages_examples():
     assert joint_ages(LeafSet(3, (0, 1, 2, 3))) == [1, 2, 1]
 
 
-def test_branching_points_count():
-    # m leaves plus m-1 internal joints.
-    for leaves in [(0,), (0, 1), (0, 5, 6), (0, 1, 2, 3, 7)]:
-        ls = LeafSet(3, leaves)
-        assert len(branching_points(ls)) == 2 * len(ls) - 1
-
-
-def test_beta_profile_endpoints():
-    ls = LeafSet(3, (0, 1, 6))
-    beta = beta_profile(ls)
-    assert beta[0] == 3
-    assert beta[-1] == 5
-    assert all(x <= y for x, y in zip(beta, beta[1:]))
-
-
 def test_is_more_clustered_sibling_vs_split():
     ls = LeafSet(2, (0, 1))  # meet at age 1
     far = LeafSet(2, (0, 3))  # meet at age 2
     assert is_more_clustered(ls, far) is Clustered.YES
     assert is_more_clustered(far, ls) is Clustered.NO
-    assert beta_dominates(ls, far)
-    assert not beta_dominates(far, ls)
 
 
 def test_is_more_clustered_reflexive_and_size_rules():
@@ -99,7 +109,7 @@ def test_is_more_clustered_needs_real_bijection():
     a = LeafSet(3, (0, 1, 4, 6))
     b = LeafSet(3, (0, 2, 4, 5))
     if is_more_clustered(a, b) is Clustered.YES:
-        assert beta_dominates(a, b)
+        assert all(x >= y for x, y in zip(beta(a), beta(b)))
 
 
 @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
@@ -129,7 +139,7 @@ def test_automorphism_preserves_meets(ls, seed):
     mapped = auto.apply(ls)
     assert len(mapped) == len(ls)
     assert sorted(joint_ages(mapped)) == sorted(joint_ages(ls))
-    assert beta_profile(mapped) == beta_profile(ls)
+    assert beta(mapped) == beta(ls)
 
 
 @given(leaf_sets)
