@@ -194,19 +194,28 @@ def kappa1(spec):
     the total (see ``_series``); if that has not happened by ``_KAPPA_CAP``
     terms, or the partial sum exceeds ``_BLOW_UP``, the series is reported
     divergent.
+
+    Terms whose logarithms k ln2 - h_k lie below -700 at each of the first
+    64 ages are summed divided by the largest of them, e^c, so that they
+    neither underflow to a zero sum that looks settled nor lose the bound,
+    which comes from ln kappa_1 = c + ln(scaled sum). Such a scaled sum is
+    divergent past _BLOW_UP e^min(-c, 600), the largest threshold floats hold.
     """
     h = spec.h
     last = h.max_age if not h.has_tail else _KAPPA_CAP
+    head = np.arange(1, min(last, 64) + 1)
+    top = float(np.max(head * LN2 - h(head), initial=-math.inf))
+    c = top if -math.inf < top < -700.0 else 0.0
+    blow_up = _BLOW_UP * math.exp(min(-c, 600.0))
     total, k, converged = _series(
-        lambda ks: np.exp(np.minimum(ks * LN2 - h(ks), 700.0)),
-        1, last, _KAPPA_TOL, _BLOW_UP,
+        lambda ks: np.exp(np.minimum(ks * LN2 - h(ks) - c, 700.0)),
+        1, last, _KAPPA_TOL, blow_up,
     )
-    if total > _BLOW_UP or (h.has_tail and not converged):
+    if total > blow_up or (h.has_tail and not converged):
         return Kappa1Report(math.inf, -math.inf, k, False)
-    if total == 0.0:
-        return Kappa1Report(0.0, math.inf, k, converged)
-    bound = 2 * LN2 + h(0) - math.log(total)
-    return Kappa1Report(total, bound, k, converged)
+    ln_total = math.log(total) + c if total > 0.0 else -math.inf
+    bound = 2 * LN2 + h(0) - ln_total
+    return Kappa1Report(total * math.exp(c), bound, k, converged)
 
 
 @dataclass(frozen=True)
@@ -280,9 +289,10 @@ def laplace_first(spec, s_values):
     """ln(1/s) - s ghat+(s) on the grid, ghat+(s) = sum e^{-sk} g+_k.
 
     The series is summed in blocks until a block contributes less than
-    ``_LAPLACE_TOL``; a partial sum past ``_BLOW_UP`` marks the point
-    divergent and reports -inf there (the diagnostic is then conclusively
-    negative).
+    ``_LAPLACE_TOL`` once the damping e^{-sk} has fallen below it too (a
+    run of ages with g+ = 0 does not end the sum); a partial sum past
+    ``_BLOW_UP`` marks the point divergent and reports -inf there (the
+    diagnostic is then conclusively negative).
     """
     h = spec.h
     k_limit = math.inf if h.has_tail else h.max_age
@@ -294,12 +304,13 @@ def laplace_first(spec, s_values):
         bad = False
         for ks in _blocks(1, k_limit):
             g = h(ks) - LN2 * ks
-            contrib = float((np.exp(-s * ks) * np.maximum(g, 0.0)).sum())
+            damp = np.exp(-s * ks)
+            contrib = float((damp * np.maximum(g, 0.0)).sum())
             total += contrib
             if total > _BLOW_UP:
                 bad = True
                 break
-            if contrib < _LAPLACE_TOL:
+            if max(contrib, damp[-1]) < _LAPLACE_TOL:
                 break
         divergent.append(bad)
         diag[i] = NEG_INF if bad else math.log(1.0 / s) - s * total
@@ -310,8 +321,10 @@ def laplace_second(spec, s_values, allow_large=False):
     """ln(1/s) - 2 s^2 ghat+(s, 2s) with the double Laplace transform
     ghat+(s, u) = sum_{l>=0, d>=1} e^{-s l - u d} g+_{l,d}.
 
-    Cost grows like (1/s)^2; grids reaching below 2^-8 are refused without
-    ``allow_large``.
+    Rows d and their l-blocks are summed as in ``laplace_first``: neither
+    ends before its damping, e^{-2sd} for the rows and e^{-2sd - sl} within
+    a row, has fallen below ``_LAPLACE_TOL``. Cost grows like (1/s)^2; grids
+    reaching below 2^-8 are refused without ``allow_large``.
     """
     h = spec.h
     k_limit = math.inf if h.has_tail else h.max_ancestor_age
@@ -334,19 +347,20 @@ def laplace_second(spec, s_values, allow_large=False):
             row = 0.0
             for ls in _blocks(0, k_limit - d):
                 g = h(ls + d, ls) - LN2 * ls
-                contrib = float((np.exp(-s * ls) * np.maximum(g, 0.0)).sum())
+                inner = np.exp(-s * ls)
+                contrib = float((inner * np.maximum(g, 0.0)).sum())
                 row += contrib
                 if damp * row > _BLOW_UP:
                     bad = True
                     break
-                if damp * contrib < _LAPLACE_TOL:
+                if damp * max(contrib, inner[-1]) < _LAPLACE_TOL:
                     break
             total += damp * row
             if bad or total > _BLOW_UP:
                 bad = True
                 break
             small_rows = small_rows + 1 if damp * row < _LAPLACE_TOL else 0
-            if small_rows >= 3 and d > 8:
+            if small_rows >= 3 and d > 8 and damp < _LAPLACE_TOL:
                 break
             d += 1
         divergent.append(bad)

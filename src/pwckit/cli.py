@@ -10,12 +10,21 @@ All tables are comma-separated with an exact header row; floats print with
 17 significant digits so parsing them back loses nothing. Lines starting
 with '#' are comments. Runs are deterministic: the same flags and seed
 produce byte-identical output. Exit codes: 0 ok, 1 verification failure,
-2 usage or configuration error.
+2 usage or configuration error, which includes a spec file that cannot be
+read and an --out or --summary path that cannot be written.
+
+Commands only compute: each returns its output lines, its summary document
+and its exit code, and ``main`` opens --out and --summary and writes them
+only once the command has succeeded, so a rejected command leaves existing
+output files as they were. ``verify`` therefore prints its FAIL lines, then
+one PASS or FAIL line per suite, when the run ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -25,7 +34,6 @@ import numpy as np
 from . import analysis, capacity as capmod, dp, oracle, sampler as sampmod
 from .clustering import (
     SpecConfigError,
-    UnsupportedVariant,
     load_spec_file,
     parse_preset,
     random_capacity,
@@ -85,27 +93,22 @@ def _parse_depths(text):
     return _parse_each(int, [p for p in text.split(",") if p], "depths", text)
 
 
+@contextlib.contextmanager
+def _naming(key, path):
+    """An OSError on ``path`` becomes a SpecConfigError naming ``key``."""
+    try:
+        yield
+    except OSError as exc:
+        raise SpecConfigError(key, "%r: %s" % (path, exc.strerror or exc)) from None
+
+
 def _load_spec(args):
     if getattr(args, "spec_file", None):
-        return load_spec_file(args.spec_file)
+        with _naming("spec-file", args.spec_file):
+            return load_spec_file(args.spec_file)
     if getattr(args, "preset", None):
         return parse_preset(args.preset)
     raise SpecConfigError("spec", "provide --preset or --spec-file")
-
-
-class _Out:
-    """Output sink; '-' is stdout."""
-
-    def __init__(self, path):
-        self.path = path
-        self._fh = sys.stdout if path in (None, "-") else open(path, "w")
-
-    def line(self, text=""):
-        self._fh.write(text + "\n")
-
-    def close(self):
-        if self._fh is not sys.stdout:
-            self._fh.close()
 
 
 def _json(document, indent=None):
@@ -122,57 +125,41 @@ def _json(document, indent=None):
     return json.dumps(strict(document), indent=indent, sort_keys=True, allow_nan=False)
 
 
-def _write_summary(args, document):
-    if getattr(args, "summary", None):
-        with open(args.summary, "w") as fh:
-            fh.write(_json(document, indent=2) + "\n")
-
-
 def _spec_label(args):
     if getattr(args, "spec_file", None):
         return "file:" + args.spec_file
     return "preset:" + args.preset
 
 
-def _check_oracle_depth(n, why="capacity specs have no dynamic program"):
-    if n > oracle.ORACLE_MAX_DEPTH:
-        raise SpecConfigError(
-            "depth", "%s; depth <= %d only" % (why, oracle.ORACLE_MAX_DEPTH)
-        )
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (lines, summary document or None, exit code)
 
 
 def _cmd_grid(args):
-    """``zeta`` and ``density``: ``args.dp`` over the J grid, or ``args.enum``
-    per point for capacity specs, written as column ``args.column``."""
+    """``zeta`` and ``density`` over the J grid: the dynamic program, or the
+    enumeration oracle per point for capacity specs."""
     spec = _load_spec(args)
     grid = _parse_grid(args.j_grid)
     n = args.depth
+    density = args.command == "density"
     if spec.variant == "capacity":
-        _check_oracle_depth(n)
-        values = [args.enum(spec, n, j) for j in grid]
+        enum = oracle.enum_density if density else oracle.enum_zeta
+        values = [enum(spec, n, j) for j in grid]
     else:
-        values = args.dp(spec, n, grid).tolist()
-    out = _Out(args.out)
-    out.line("j," + args.column)
-    for j, v in zip(grid, values):
-        out.line("%s,%s" % (_fmt(j), _fmt(v)))
-    out.close()
-    _write_summary(args, {
+        values = (dp.dp_density if density else dp.zeta)(spec, n, grid).tolist()
+    column = "rho_n" if density else "zeta_n"
+    lines = ["j," + column]
+    lines += ["%s,%s" % (_fmt(j), _fmt(v)) for j, v in zip(grid, values)]
+    return lines, {
         "command": args.command, "spec": _spec_label(args), "depth": n,
-        "j_grid": grid, args.column: values,
-    })
-    return 0
+        "j_grid": grid, column: values,
+    }, 0
 
 
 def _cmd_canonical(args):
     spec = _load_spec(args)
     n = args.depth
     if spec.variant == "capacity":
-        _check_oracle_depth(n)
         table = oracle.enum_W(spec, n)
     elif args.maxterm:
         if spec.variant == "second":
@@ -182,39 +169,34 @@ def _cmd_canonical(args):
         )
     else:
         table = dp.dp_W(spec, n, m_max=args.m_max, allow_large=args.allow_large)
-    out = _Out(args.out)
-    out.line("a0,ln_w,omega_n")
-    for a0 in range(table.m_max + 1):
-        out.line("%d,%s,%s" % (a0, _fmt(table.ln_w[a0]), _fmt(table.omega(a0))))
-    out.close()
-    _write_summary(args, {
+    lines = ["a0,ln_w,omega_n"]
+    lines += [
+        "%d,%s,%s" % (a0, _fmt(table.ln_w[a0]), _fmt(table.omega(a0)))
+        for a0 in range(table.m_max + 1)
+    ]
+    return lines, {
         "command": "canonical", "spec": _spec_label(args), "depth": n,
         "kind": table.kind, "m_max": table.m_max,
-    })
-    return 0
+    }, 0
 
 
 def _cmd_threshold(args):
+    """The report document goes to --summary, or after the table if none."""
     spec = _load_spec(args)
     depths = _parse_depths(args.depths)
     report = analysis.estimate_jstar(
         spec, depths, delta=args.delta, k_max=args.k_max,
         label=_spec_label(args),
     )
-    out = _Out(args.out)
-    out.line("n,jstar_upper,slope_estimate,tail,delta")
-    for n, upper, slope, tail, delta in report.rows():
-        out.line(",".join(
-            [str(n), _fmt(upper), _fmt(slope), _fmt(tail), _fmt(delta)]
-        ))
+    lines = ["n,jstar_upper,slope_estimate,tail,delta"]
+    lines += [
+        ",".join([str(n), _fmt(upper), _fmt(slope), _fmt(tail), _fmt(delta)])
+        for n, upper, slope, tail, delta in report.rows()
+    ]
     doc = report.to_document()
-    if getattr(args, "summary", None):
-        _write_summary(args, doc)
-    else:
-        out.line("# report")
-        out.line(_json(doc))
-    out.close()
-    return 0
+    if not args.summary:
+        lines += ["# report", _json(doc)]
+    return lines, doc, 0
 
 
 def _cmd_sample(args):
@@ -222,17 +204,13 @@ def _cmd_sample(args):
         raise SpecConfigError("seed", "must be nonnegative, got %d" % (args.seed,))
     spec = _load_spec(args)
     draws = sampmod.sample(spec, args.depth, args.j, args.seed, args.num)
-    out = _Out(args.out)
-    for ls in draws:
-        out.line(" ".join([str(x) for x in ls]))
-    out.close()
+    lines = [" ".join([str(x) for x in ls]) for ls in draws]
     mean = sum(len(ls) for ls in draws) / (len(draws) * (1 << args.depth))
-    _write_summary(args, {
+    return lines, {
         "command": "sample", "spec": _spec_label(args), "depth": args.depth,
         "j": args.j, "seed": args.seed, "num": args.num,
         "mean_fraction": mean,
-    })
-    return 0
+    }, 0
 
 
 def _parse_subset(text, depth):
@@ -247,7 +225,7 @@ def _cmd_capacity(args):
     if n < 0:
         raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
     if args.spec_file:
-        spec = load_spec_file(args.spec_file)
+        spec = _load_spec(args)
         if spec.variant != "capacity":
             raise SpecConfigError(
                 "variant", "capacity subcommand needs a capacity spec"
@@ -261,27 +239,23 @@ def _cmd_capacity(args):
         )
     subsets = [_parse_subset(s, n) for s in args.subset or []]
     if args.all_subsets:
-        _check_oracle_depth(n, "--all-subsets enumerates 2^%d rows" % (1 << n))
+        oracle._check_depth(n)
         subsets = [
             LeafSet.from_mask(n, mask) for mask in range(1 << (1 << n))
         ]
     if not subsets:
         raise SpecConfigError("subset", "give --subset leaves or --all-subsets")
-    out = _Out(args.out)
-    out.line("leaves,cap")
-    for ls in subsets:
-        out.line("%s,%s" % (
-            " ".join(str(x) for x in ls),
-            _fmt(capmod.cap_reduce(ls, profile)),
-        ))
-    out.close()
-    return 0
+    lines = ["leaves,cap"]
+    lines += [
+        "%s,%s" % (" ".join(str(x) for x in ls), _fmt(capmod.cap_reduce(ls, profile)))
+        for ls in subsets
+    ]
+    return lines, None, 0
 
 
 def _cmd_diagnose(args):
     spec = _load_spec(args)
     s_grid = _parse_s_grid(args.s_grid)
-    out = _Out(args.out)
     if spec.variant in ("zero", "first"):
         curve = analysis.laplace_first(spec, s_grid)
         tau = analysis.tauberian_first(spec, k_max=args.k_max)
@@ -294,19 +268,11 @@ def _cmd_diagnose(args):
         raise SpecConfigError(
             "variant", "no summability diagnostics for capacity specs"
         )
-    out.line("# laplace %s" % (curve.kind,))
-    out.line("s,diag")
-    for s, d, bad in zip(curve.s, curve.diag, curve.divergent):
-        out.line("%s,%s%s" % (_fmt(s), _fmt(d), " # divergent" if bad else ""))
-    if tau is not None:
-        out.line("")
-        out.line("# tauberian verdict=%s" % (tau.verdict,))
-        out.line("k,diag")
-        k = 1
-        while k <= len(tau.u):
-            out.line("%d,%s" % (k, _fmt(tau.u[k - 1])))
-            k *= 2
-    out.close()
+    lines = ["# laplace %s" % (curve.kind,), "s,diag"]
+    lines += [
+        "%s,%s%s" % (_fmt(s), _fmt(d), " # divergent" if bad else "")
+        for s, d, bad in zip(curve.s, curve.diag, curve.divergent)
+    ]
     doc = {
         "command": "diagnose", "spec": _spec_label(args),
         "laplace_kind": curve.kind,
@@ -314,9 +280,13 @@ def _cmd_diagnose(args):
         "diag": [float(d) for d in curve.diag],
     }
     if tau is not None:
+        lines += ["", "# tauberian verdict=%s" % (tau.verdict,), "k,diag"]
+        k = 1
+        while k <= len(tau.u):
+            lines.append("%d,%s" % (k, _fmt(tau.u[k - 1])))
+            k *= 2
         doc["tauberian_verdict"] = tau.verdict
-    _write_summary(args, doc)
-    return 0
+    return lines, doc, 0
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +309,25 @@ def _verify_tables(t1, t2, tol):
     return None
 
 
-def _run_verify(args, out):
+def _cmd_verify(args):
+    """Every suite at every depth up to the oracle's and every draw: one FAIL
+    line per failed check, in check order, then one PASS or FAIL line per
+    suite, family by family (zeta-first, zeta-second, w-first, ...)."""
+    for key, value in (("depth", args.depth), ("draws", args.draws)):
+        if value < 1:
+            raise SpecConfigError(key, "must be at least 1, got %d" % (value,))
+    if not 0 < args.tol < math.inf:
+        raise SpecConfigError("tol", "must be finite and positive, got %r" % (args.tol,))
     tol = args.tol
-    failures = []
     depth_cap = min(args.depth, oracle.ORACLE_MAX_DEPTH)
     rng = np.random.default_rng(args.seed)
+    lines, failures, failed = [], [], {}  # failed: suite -> bool, first-checked order
 
     def check(suite, n, draw, message):
+        failed[suite] = failed.get(suite, False) or message is not None
         if message is not None:
-            failures.append((suite, n, draw, message))
-            out.line("FAIL %s n=%d draw=%d: %s" % (suite, n, draw, message))
+            failures.append("%s n=%d draw=%d: %s" % (suite, n, draw, message))
+            lines.append("FAIL " + failures[-1])
 
     for n in range(1, depth_cap + 1):
         sizes = oracle.profile_table(n).sizes
@@ -403,52 +382,25 @@ def _run_verify(args, out):
                   None if _rel_close(lz_en, lz_direct, tol) else
                   "ln Z %.17g vs %.17g" % (lz_en, lz_direct))
 
-    return failures
-
-
-def _cmd_verify(args):
-    for key, value in (("depth", args.depth), ("draws", args.draws)):
-        if value < 1:
-            raise SpecConfigError(key, "must be at least 1, got %d" % (value,))
-    if not 0 < args.tol < math.inf:
-        raise SpecConfigError("tol", "must be finite and positive, got %r" % (args.tol,))
-    out = _Out(args.out)
-    failures = _run_verify(args, out)
-    suites = (
-        "zeta-first", "zeta-second", "w-first", "w-second",
-        "density-first", "density-second", "maxterm", "capacity-dual",
-        "capacity-z",
-    )
-    failed = {f[0] for f in failures}
-    for suite in suites:
-        out.line("%s %s" % ("FAIL" if suite in failed else "PASS", suite))
-    out.line("# %d failure(s), depth<=%d, %d draws, seed %d" % (
-        len(failures), min(args.depth, oracle.ORACLE_MAX_DEPTH),
-        args.draws, args.seed))
-    out.close()
-    _write_summary(args, {
+    families = [suite.split("-")[0] for suite in failed]
+    for suite in sorted(failed, key=lambda s: families.index(s.split("-")[0])):
+        lines.append("%s %s" % ("FAIL" if failed[suite] else "PASS", suite))
+    lines.append("# %d failure(s), depth<=%d, %d draws, seed %d" % (
+        len(failures), depth_cap, args.draws, args.seed))
+    return lines, {
         "command": "verify", "depth": args.depth, "draws": args.draws,
-        "seed": args.seed, "tol": args.tol,
-        "failures": ["%s n=%d draw=%d: %s" % f for f in failures],
-    })
-    return 1 if failures else 0
+        "seed": args.seed, "tol": args.tol, "failures": failures,
+    }, 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
 
-def _add_spec_flags(p):
-    p.add_argument("--preset", help="spec preset, e.g. zero, first:linear:3ln2")
-    p.add_argument("--spec-file", help="JSON parameter file")
-
-
-def _add_out(p):
-    p.add_argument("--out", default="-", help="output path ('-' = stdout)")
-    p.add_argument("--summary", help="write a JSON run document here")
-
-
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: commands look the
+    compute functions up when they run, so patched module attributes apply."""
     parser = argparse.ArgumentParser(
         prog="pwckit",
         description="Exact computations for clustered dry-set measures on "
@@ -456,49 +408,44 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, dp_fn, enum_fn, column in (
-        ("zeta", "free energy over a J grid", dp.zeta, oracle.enum_zeta,
-         "zeta_n"),
-        ("density", "mean dry fraction over a J grid", dp.dp_density,
-         oracle.enum_density, "rho_n"),
-    ):
+    def add(name, fn, help_text, spec_flags=True):
         p = sub.add_parser(name, help=help_text)
-        _add_spec_flags(p)
+        p.set_defaults(fn=fn)
+        if spec_flags:
+            p.add_argument("--preset", help="spec preset, e.g. zero, first:linear:3ln2")
+            p.add_argument("--spec-file", help="JSON parameter file")
+        return p
+
+    for name, help_text in (
+        ("zeta", "free energy over a J grid"),
+        ("density", "mean dry fraction over a J grid"),
+    ):
+        p = add(name, _cmd_grid, help_text)
         p.add_argument("--depth", type=int, required=True)
         p.add_argument("--j-grid", required=True, help="start:stop:step or list")
-        _add_out(p)
-        p.set_defaults(fn=_cmd_grid, dp=dp_fn, enum=enum_fn, column=column)
 
-    p = sub.add_parser("canonical", help="size-resolved table ln W(a0)")
-    _add_spec_flags(p)
+    p = add("canonical", _cmd_canonical, "size-resolved table ln W(a0)")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--m-max", type=int, help="truncate the table at this size")
     p.add_argument("--maxterm", action="store_true",
                    help="dominant-profile table instead of the full sum")
     p.add_argument("--allow-large", action="store_true",
                    help="override the depth cost guard")
-    _add_out(p)
-    p.set_defaults(fn=_cmd_canonical)
 
-    p = sub.add_parser("threshold", help="wetting threshold estimation")
-    _add_spec_flags(p)
+    p = add("threshold", _cmd_threshold, "wetting threshold estimation")
     p.add_argument("--depths", required=True, help="comma list, e.g. 8,12,16")
     p.add_argument("--delta", type=float,
                    help="fixed excess, finite and > 0; default is the per-depth policy")
     p.add_argument("--k-max", type=int, default=100000)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_threshold)
 
-    p = sub.add_parser("sample", help="exact draws, one leaf set per line")
-    _add_spec_flags(p)
+    p = add("sample", _cmd_sample, "exact draws, one leaf set per line")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--j", type=float, required=True)
     p.add_argument("--num", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("capacity", help="effective conductances of leaf sets")
+    p = add("capacity", _cmd_capacity, "effective conductances of leaf sets",
+            spec_flags=False)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--conductance", type=float, default=1.0,
                    help="uniform conductance (ignored with --spec-file)")
@@ -506,26 +453,22 @@ def build_parser():
     p.add_argument("--subset", action="append",
                    help="leaf list such as '0,1,5'; repeatable")
     p.add_argument("--all-subsets", action="store_true")
-    _add_out(p)
-    p.set_defaults(fn=_cmd_capacity)
 
-    p = sub.add_parser("verify", help="dynamic programs vs enumeration")
+    p = add("verify", _cmd_verify, "dynamic programs vs enumeration", spec_flags=False)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--draws", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("diagnose", help="Laplace and Tauberian curves")
-    _add_spec_flags(p)
+    p = add("diagnose", _cmd_diagnose, "Laplace and Tauberian curves")
     p.add_argument("--s-grid", default="pow2:2:10",
                    help="pow2:a:b for 2^-a..2^-b, or a comma list")
     p.add_argument("--k-max", type=int, default=100000)
     p.add_argument("--allow-large", action="store_true")
-    _add_out(p)
-    p.set_defaults(fn=_cmd_diagnose)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default="-", help="output path ('-' = stdout)")
+        p.add_argument("--summary", help="write a JSON run document here")
     return parser
 
 
@@ -546,16 +489,40 @@ def _join_grid_values(argv):
     return out
 
 
+def _write(outputs):
+    """Write each ``(key, path, text)`` in one call; '-' is stdout.
+
+    Every path is opened before any text is written, and an OSError names
+    the key of its path.
+    """
+    with contextlib.ExitStack() as stack:
+        files = []
+        for key, path, _ in outputs:
+            with _naming(key, path):
+                files.append(
+                    sys.stdout if path == "-" else stack.enter_context(open(path, "w"))
+                )
+        for fh, (key, path, text) in zip(files, outputs):
+            with _naming(key, path):
+                fh.write(text)
+                if fh is not sys.stdout:
+                    fh.close()
+
+
 def main(argv=None):
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_grid_values(list(argv)))
+    args = build_parser().parse_args(_join_grid_values(list(argv)))
     try:
-        return args.fn(args)
-    except (SpecConfigError, UnsupportedVariant, ValueError) as exc:
+        lines, summary, code = args.fn(args)
+        outputs = [("out", args.out, "".join(line + "\n" for line in lines))]
+        if args.summary and summary is not None:
+            outputs.append(("summary", args.summary, _json(summary, indent=2) + "\n"))
+        _write(outputs)
+    except ValueError as exc:  # SpecConfigError and UnsupportedVariant among them
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -296,7 +296,13 @@ class CapacityClustering:
     variant = "capacity"
 
     def profile(self, depth):
-        return cap_mod.ConductanceProfile(tuple(self.conductance(np.arange(depth))))
+        try:
+            values = self.conductance(np.arange(depth))
+        except IndexError as exc:
+            raise SpecConfigError(
+                "conductance.values", "too short for depth %d: %s" % (depth, exc)
+            ) from None
+        return cap_mod.ConductanceProfile(tuple(values))
 
     def h_const_at(self, depth):
         return 0.0

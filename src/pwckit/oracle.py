@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import capacity as _capacity
-from .clustering import UnsupportedVariant
+from .clustering import SpecConfigError, UnsupportedVariant
 from .dp import NEG_INF, CanonicalTable, LogReal
 from .tree import LeafSet
 
@@ -39,12 +39,12 @@ ORACLE_MAX_DEPTH = 4
 
 def _check_depth(n):
     if n > ORACLE_MAX_DEPTH:
-        raise ValueError(
-            "enumeration over 2^%d subsets refused (depth cap %d)"
+        raise SpecConfigError(
+            "depth", "enumeration over 2^%d subsets refused; depth <= %d only"
             % (1 << n, ORACLE_MAX_DEPTH)
         )
     if n < 0:
-        raise ValueError("depth must be nonnegative")
+        raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
 
 
 class ProfileTable(NamedTuple):

@@ -219,6 +219,50 @@ def test_kappa1_not_stopped_by_tiny_growing_terms():
     assert report.verdict == "no-transition-supported"
 
 
+def test_kappa1_underflowing_terms():
+    # h_k = 1000: every term 2^k e^-1000 of the first block underflows, but
+    # the terms grow, so kappa_1 = inf and there is no transition.
+    spec = FirstOrderClustering(HSequence.from_function(lambda k: 1000.0 + 0 * k))
+    rep = kappa1(spec)
+    assert math.isinf(rep.value) and not rep.converged
+    report = estimate_jstar(spec, [4, 8])
+    assert math.isinf(report.kappa_value)
+    assert report.verdict == "no-transition-supported"
+    # Ten values 1000: kappa_1 = 1022 e^-1000 underflows, its bound must not.
+    rep = kappa1(FirstOrderClustering(HSequence.from_values([1000.0] * 10), 1000.0))
+    assert rep.lower_bound == pytest.approx(
+        2000.0 + 2 * LN2 - math.log(1022.0), rel=1e-12
+    )
+
+
+def test_laplace_first_not_stopped_by_zero_prefix():
+    # g_k = max(0, k - 5000) is 0 over the whole first block of ages.
+    spec = FirstOrderClustering(
+        HSequence.from_function(lambda k: LN2 * k + np.maximum(0, k - 5000))
+    )
+    s = np.array([2.0**-10, 2.0**-12])
+    curve = laplace_first(spec, s)
+    k = np.arange(1, 200000)
+    want = [math.log(1 / x) - x * float((np.exp(-x * k) * np.maximum(0, k - 5000)).sum())
+            for x in s]
+    assert curve.diag == pytest.approx(want, rel=1e-9)
+    assert curve.diag[0] == pytest.approx(-0.826021, abs=1e-6)
+
+
+def test_laplace_second_not_stopped_by_zero_rows():
+    # g_{l,d} = max(0, d - 12): the rows d <= 12 are 0.
+    spec = SecondOrderClustering(
+        HArray.from_function(lambda k, l: LN2 * l + np.maximum(0, k - l - 12))
+    )
+    s = 1.0 / 16
+    curve = laplace_second(spec, [s])
+    d = np.arange(1, 2000)
+    rows = np.exp(-2 * s * d) * np.maximum(0, d - 12) / (1 - math.exp(-s))
+    assert curve.diag[0] == pytest.approx(
+        math.log(1 / s) - 2 * s * s * float(rows.sum()), rel=1e-9
+    )
+
+
 def reference_tail_bound(spec, n):
     """The term-by-term loop tail_bound replaced, as its reference.
 

@@ -358,7 +358,11 @@ SPEC_FILES = {
     "POS-H": ('{"variant": "first", "h": {"kind": "list", "values": [%s]}}'
               % ", ".join(["1e308"] * 11)),
     "NEG-UNIFORM": '{"variant": "capacity", "conductance": {"kind": "uniform", "value": -1}}',
+    "SHORT-C": '{"variant": "capacity", "conductance": {"kind": "list", "values": [1.0, 2.0]}}',
 }
+
+#: paths under tmp_path that do not exist
+MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
 
 
 @pytest.mark.parametrize(
@@ -448,6 +452,19 @@ SPEC_FILES = {
         (["canonical", "--preset", "dgff", "--depth", "3", "--maxterm"], "'maxterm'"),
         (["verify", "--depth", "1", "--draws", "1", "--tol", "-1"], "'tol'"),
         (["verify", "--depth", "1", "--draws", "1", "--tol", "nan"], "'tol'"),
+        (["zeta", "--spec-file", "MISSING.json", "--depth", "2", "--j-grid", "0"],
+         "'spec-file'"),
+        (["zeta", "--preset", "zero", "--depth", "2", "--j-grid", "0",
+          "--out", "NO-DIR/table.csv"], "'out'"),
+        (["zeta", "--preset", "zero", "--depth", "2", "--j-grid", "0",
+          "--summary", "NO-DIR/run.json"], "'summary'"),
+        (["zeta", "--preset", "capacity:uniform", "--depth", "5", "--j-grid", "0"],
+         "'depth'"),
+        (["capacity", "--spec-file", "SHORT-C", "--depth", "4", "--subset", "0"],
+         "'conductance.values'"),
+        (["zeta", "--spec-file", "SHORT-C", "--depth", "4", "--j-grid", "0"],
+         "'conductance.values'"),
+        (["canonical", "--spec-file", "SHORT-C", "--depth", "3"], "'conductance.values'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -465,13 +482,27 @@ SPEC_FILES = {
          "s-grid-text", "s-grid-outside", "s-grid-empty", "s-grid-second-order-cost",
          "subset-outside", "subset-text", "conductance-negative", "seed-negative",
          "preset-slope-text", "preset-conductance-negative", "maxterm-second-order",
-         "verify-tol-negative", "verify-tol-nan"],
+         "verify-tol-negative", "verify-tol-nan", "spec-file-missing",
+         "out-unwritable", "summary-unwritable", "capacity-zeta-depth",
+         "short-conductance-capacity", "short-conductance-zeta",
+         "short-conductance-canonical"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in SPEC_FILES else a for a in argv]
+    argv = [str(tmp_path / a) if a in SPEC_FILES or a in MISSING else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: key %s" % (key,))
+
+
+def test_rejected_command_keeps_out_file(tmp_path, capsys):
+    # The default s grid is refused for second order; the rejected run must
+    # leave an existing --out file as it was.
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"a0,ln_w,omega_n\n0,0,0\n")
+    code, out, err = run(capsys, ["diagnose", "--preset", "dgff", "--out", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: key 's-grid'")
+    assert path.read_bytes() == b"a0,ln_w,omega_n\n0,0,0\n"
