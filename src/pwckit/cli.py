@@ -15,8 +15,9 @@ read and an --out or --summary path that cannot be written.
 
 Commands only compute: each returns its output lines, its summary document
 and its exit code, and ``main`` opens --out and --summary and writes them
-only once the command has succeeded, so a rejected command leaves existing
-output files as they were. ``verify`` therefore prints its FAIL lines, then
+only once the command has succeeded, emptying neither before both are
+open, so a rejected command or an unwritable path leaves existing output
+files as they were. ``verify`` therefore prints its FAIL lines, then
 one PASS or FAIL line per suite, when the run ends.
 """
 
@@ -27,6 +28,8 @@ import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -132,7 +135,7 @@ def _spec_label(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (lines, summary document or None, exit code)
+# subcommands: each returns (lines, summary document, exit code)
 
 
 def _cmd_grid(args):
@@ -245,12 +248,17 @@ def _cmd_capacity(args):
         ]
     if not subsets:
         raise SpecConfigError("subset", "give --subset leaves or --all-subsets")
+    caps = [capmod.cap_reduce(ls, profile) for ls in subsets]
     lines = ["leaves,cap"]
     lines += [
-        "%s,%s" % (" ".join(str(x) for x in ls), _fmt(capmod.cap_reduce(ls, profile)))
-        for ls in subsets
+        "%s,%s" % (" ".join(str(x) for x in ls), _fmt(cap))
+        for ls, cap in zip(subsets, caps)
     ]
-    return lines, None, 0
+    source = _spec_label(args) if args.spec_file else "uniform:%r" % (args.conductance,)
+    return lines, {
+        "command": "capacity", "spec": source, "depth": n,
+        "subsets": [list(ls) for ls in subsets], "cap": caps,
+    }, 0
 
 
 def _cmd_diagnose(args):
@@ -492,18 +500,22 @@ def _join_grid_values(argv):
 def _write(outputs):
     """Write each ``(key, path, text)`` in one call; '-' is stdout.
 
-    Every path is opened before any text is written, and an OSError names
-    the key of its path.
+    Every path is opened, without truncating it, before any is emptied or
+    written, so a path that cannot be opened leaves the others as they
+    were. Only regular files are emptied: devices and pipes cannot be. An
+    OSError names the key of its path.
     """
     with contextlib.ExitStack() as stack:
         files = []
         for key, path, _ in outputs:
             with _naming(key, path):
                 files.append(
-                    sys.stdout if path == "-" else stack.enter_context(open(path, "w"))
+                    sys.stdout if path == "-" else stack.enter_context(open(path, "a"))
                 )
         for fh, (key, path, text) in zip(files, outputs):
             with _naming(key, path):
+                if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
                 fh.write(text)
                 if fh is not sys.stdout:
                     fh.close()
@@ -516,7 +528,7 @@ def main(argv=None):
     try:
         lines, summary, code = args.fn(args)
         outputs = [("out", args.out, "".join(line + "\n" for line in lines))]
-        if args.summary and summary is not None:
+        if args.summary:
             outputs.append(("summary", args.summary, _json(summary, indent=2) + "\n"))
         _write(outputs)
     except ValueError as exc:  # SpecConfigError and UnsupportedVariant among them

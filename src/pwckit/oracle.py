@@ -18,6 +18,13 @@ walk in ``patterns``, which the tests compare it against.
 
 The table is cached per depth and shared across parameter choices, so
 repeated calls with different h or J only pay for a matrix product.
+
+Every sum over subsets is exact up to one final rounding, as the standard
+library's fsum is, but runs in numpy: each term is an integer mantissa
+times a power of two, the mantissas are accumulated per group and
+exponent band in bins that cannot round, and the bins of a group become one
+Python int that is divided once (``_exact_sums``). ``enum_W`` sums every
+size in one such pass.
 """
 
 from __future__ import annotations
@@ -111,10 +118,55 @@ def _ln_terms(spec, n, j):
     return j * profile_table(n).sizes - phi_vector(spec, n)
 
 
+def _exact_sums(values, groups=None, count=1):
+    """Correctly rounded sums of nonnegative finite floats, one per group.
+
+    ``groups`` holds the group, in range(count), of each entry of
+    ``values``, and broadcasts against it; by default all entries form one
+    group. Each sum is the float fsum returns for its group, bit for bit,
+    for up to 2^20 entries per group.
+
+    With ``np.frexp``, a value is f 2^e = (hi + lo) 2^(8q - 1106) for
+    q = (e + 1080) >> 3 >= 0, an integer hi = floor(f 2^(26 + e % 8)) below
+    2^33 and a fraction lo, a multiple of 2^-27. ``np.bincount`` sums hi and
+    lo per (group, q) exactly, as no bin reaches 2^53 units in its last
+    place. A group's bins then add up to one integer, and int true division
+    by a power of two rounds it once, correctly.
+    """
+    frac, exp = np.frexp(values)
+    frac = np.ldexp(frac, (exp & 7) + 26)
+    hi = np.floor(frac)
+    frac -= hi
+    exp += 1080
+    exp >>= 3
+    q_lo = min(int(exp.min()), 141)  # 8 q_lo <= 1133 keeps the divisor an int
+    width = int(exp.max()) - q_lo + 1
+    exp -= q_lo
+    bins = (exp if groups is None else groups * width + exp).ravel()
+    lo_sums = np.bincount(bins, frac.ravel(), count * width).reshape(count, width)
+    hi_sums = np.bincount(bins, hi.ravel(), count * width).reshape(count, width)
+    # word[g, k] < 2^57 counts units 2^(8 (k + q_lo) - 1133) of group g; hi
+    # sits 27 bits above lo: 3 bytes, then a shift by 3. With 8 more bytes a
+    # row holds its group's whole integer.
+    row = width + 11
+    word = np.zeros((count, row), dtype="<i8")
+    word[:, :width] = lo_sums * 2.0**27
+    word[:, 3:width + 3] += hi_sums.astype(np.int64) << 3
+    # byte b of every word, read as one little-endian int, is shifted by 8b
+    size = count * row
+    octets = word.view(np.uint8).reshape(size, 8).T.tobytes()
+    total = sum(int.from_bytes(octets[b * size:(b + 1) * size], "little") << 8 * b
+                for b in range(8))
+    rows = total.to_bytes(size, "little")
+    unit = 1 << (1133 - 8 * q_lo)
+    return [int.from_bytes(rows[g * row:(g + 1) * row], "little") / unit
+            for g in range(count)]
+
+
 def _log_sum(ln_terms):
-    """ln sum exp over an array, with the max factored out and fsum."""
+    """ln sum exp over an array, with the max factored out."""
     mx = ln_terms.max()
-    return mx + math.log(math.fsum(np.exp(ln_terms - mx)))
+    return mx + math.log(_exact_sums(np.exp(ln_terms - mx))[0])
 
 
 def enum_phi(spec, ls):
@@ -132,10 +184,20 @@ def enum_zeta(spec, n, j):
 
 
 def enum_W(spec, n):
-    """Canonical table by grouping subsets by size."""
+    """Canonical table by summing subsets grouped by size, in one pass.
+
+    Each size's terms are scaled by their largest; a size whose terms are
+    all zero (Phi = inf throughout) gets ln W = -inf.
+    """
     sizes = profile_table(n).sizes
     neg_phi = -phi_vector(spec, n)
-    ln_w = np.array([_log_sum(neg_phi[sizes == a0]) for a0 in range((1 << n) + 1)])
+    count = (1 << n) + 1
+    mx = np.full(count, NEG_INF)
+    np.maximum.at(mx, sizes, neg_phi)
+    shift = np.where(mx > NEG_INF, mx, 0.0)  # -inf - -inf would be nan
+    sums = _exact_sums(np.exp(neg_phi - shift[sizes]), sizes, count)
+    ln_w = np.array([m + math.log(s) if s > 0 else NEG_INF
+                     for m, s in zip(mx.tolist(), sums)])
     return CanonicalTable(n, ln_w, kind="sum", source="enum")
 
 
@@ -171,7 +233,8 @@ def enum_density(spec, n, j):
     pop = profile_table(n).sizes
     mx = ln_terms.max()
     w = np.exp(ln_terms - mx)
-    return math.fsum(w * pop) / math.fsum(w) / (1 << n)
+    occupied, total = _exact_sums(np.stack((w * pop, w)), np.array([[0], [1]]), 2)
+    return occupied / total / (1 << n)
 
 
 @dataclass(frozen=True)
@@ -186,7 +249,7 @@ class ExactDistribution:
     def compute(cls, spec, n, j):
         ln_terms = _ln_terms(spec, n, j)
         log_probs = ln_terms - _log_sum(ln_terms)
-        total = math.fsum(np.exp(log_probs))
+        total = _exact_sums(np.exp(log_probs))[0]
         if abs(total - 1.0) > 1e-12:
             raise AssertionError(
                 "distribution normalizes to %.17g" % (total,)

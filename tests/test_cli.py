@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -506,3 +507,61 @@ def test_rejected_command_keeps_out_file(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: key 's-grid'")
     assert path.read_bytes() == b"a0,ln_w,omega_n\n0,0,0\n"
+
+
+def test_canonical_capacity_depth_zero(capsys):
+    # The one leaf is the root, so Phi of the full set is cap = inf and its
+    # size has no weight: ln W(1) = -inf, printed without a numpy warning.
+    code, out, err = run(
+        capsys, ["canonical", "--preset", "capacity:uniform:1.3", "--depth", "0"]
+    )
+    assert (code, out, err) == (0, "a0,ln_w,omega_n\n0,0,0\n1,-inf,-inf\n", "")
+
+
+def test_rejected_summary_keeps_out_file(tmp_path, capsys):
+    # --out opens before --summary; the summary's failure must not have
+    # emptied an existing --out file.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"j,zeta_n\n0,1\n")
+    code, out, err = run(
+        capsys,
+        ["zeta", "--preset", "zero", "--depth", "2", "--j-grid", "0",
+         "--out", str(path), "--summary", str(tmp_path / "nodir" / "r.json")],
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: key 'summary'")
+    assert path.read_bytes() == b"j,zeta_n\n0,1\n"
+
+
+def test_out_file_replaced_and_device_written(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a longer earlier table\n" * 10)
+    argv = ["zeta", "--preset", "zero", "--depth", "2", "--j-grid", "0"]
+    code, out, _ = run(capsys, argv + ["--out", str(path)])
+    assert (code, out) == (0, "")
+    assert path.read_text() == "j,zeta_n\n0,0.69314718055994529\n"
+    code, out, err = run(capsys, argv + ["--out", os.devnull,
+                                         "--summary", os.devnull])
+    assert (code, out, err) == (0, "", "")
+
+
+def test_capacity_summary(tmp_path, capsys):
+    path = tmp_path / "cap.json"
+    code, out, _ = run(
+        capsys,
+        ["capacity", "--depth", "0", "--subset", "0", "--subset", "",
+         "--summary", str(path)],
+    )
+    assert (code, out) == (0, "leaves,cap\n0,inf\n,0\n")
+    doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert doc == {"command": "capacity", "spec": "uniform:1.0", "depth": 0,
+                   "subsets": [[0], []], "cap": ["inf", 0.0]}
+    code, _, _ = run(
+        capsys,
+        ["capacity", "--depth", "2", "--conductance", "0.5", "--subset", "0,3",
+         "--summary", str(path)],
+    )
+    doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert code == 0
+    assert (doc["spec"], doc["subsets"]) == ("uniform:0.5", [[0, 3]])
+    assert doc["cap"][0] == pytest.approx(0.5, rel=1e-12)

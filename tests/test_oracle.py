@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pwckit.clustering import (
     FirstOrderClustering,
@@ -9,6 +11,7 @@ from pwckit.clustering import (
     UnsupportedVariant,
     capacity_uniform,
     dgff_spec,
+    parse_preset,
     phi,
     random_capacity,
     random_first_order,
@@ -18,6 +21,7 @@ from pwckit.clustering import (
 from pwckit.oracle import (
     ORACLE_MAX_DEPTH,
     ExactDistribution,
+    _exact_sums,
     enum_W,
     enum_Z,
     enum_density,
@@ -164,3 +168,105 @@ def test_profiles_consistent_with_matrix():
         assert vec[mask] == pytest.approx(want, abs=1e-12)
     sizes = profile_table(4).sizes
     assert sizes.tolist() == [mask.bit_count() for mask in range(1 << 16)]
+
+
+def test_enum_w_depth_zero_capacity():
+    # The single leaf is the root, so Phi = cap = inf and size 1 has no weight.
+    assert enum_W(capacity_uniform(1.3), 0).ln_w.tolist() == [0.0, -math.inf]
+
+
+# The fsum versions of the oracle sums, kept as references: the numpy sums
+# must return the same floats, bit for bit.
+
+
+def ref_log_sum(ln_terms):
+    mx = ln_terms.max()
+    return mx + math.log(math.fsum(np.exp(ln_terms - mx)))
+
+
+def ref_enum_w(spec, n):
+    sizes = profile_table(n).sizes
+    neg_phi = -phi_vector(spec, n)
+    return np.array([ref_log_sum(neg_phi[sizes == a0]) for a0 in range((1 << n) + 1)])
+
+
+def ref_ln_terms(spec, n, j):
+    return j * profile_table(n).sizes - phi_vector(spec, n)
+
+
+def ref_enum_density(spec, n, j):
+    ln_terms = ref_ln_terms(spec, n, j)
+    w = np.exp(ln_terms - ln_terms.max())
+    return math.fsum(w * profile_table(n).sizes) / math.fsum(w) / (1 << n)
+
+
+REF_PRESETS = ("zero", "first:linear:2", "first:linear:3ln2", "first:logcorrected",
+               "dgff", "capacity:uniform:1.3")
+REF_JS = (-40.0, -2.5, 0.0, 0.7, 35.0)
+
+
+def hexes(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+@pytest.mark.parametrize("n", range(ORACLE_MAX_DEPTH + 1))
+def test_oracle_sums_match_fsum_references(n):
+    rng = np.random.default_rng(100 + n)
+    makers = (random_first_order, random_second_order, random_capacity)
+    specs = [parse_preset(p) for p in REF_PRESETS]
+    specs += [makers[i % 3](n, rng) for i in range(20)]
+    for spec in specs:
+        if not (n == 0 and spec.variant == "capacity"):  # ref: nan, new: -inf
+            assert hexes(enum_W(spec, n).ln_w) == hexes(ref_enum_w(spec, n))
+        for j in REF_JS:
+            ln_terms = ref_ln_terms(spec, n, j)
+            ln_z = ref_log_sum(ln_terms)
+            assert hexes(enum_Z(spec, n, j).ln) == hexes(ln_z)
+            assert hexes(enum_density(spec, n, j)) == hexes(ref_enum_density(spec, n, j))
+            dist = ExactDistribution.compute(spec, n, j)
+            assert dist.log_probs.tobytes() == (ln_terms - ln_z).tobytes()
+
+
+# Values whose sums round on a tie, or sit among subnormals and zeros.
+TIE_POOL = np.array([0.0, 5e-324, 7 * 5e-324, 2.0**-1022 - 5e-324, 2.0**-1022,
+                     1.0, 2.0**-53, 2.0**-52, 3 * 2.0**-53, 1.0 + 2.0**-52, 2.0**53])
+
+
+def _draw_values(kind, rng, size):
+    if kind == "exp":  # like the oracle's exp(ln term - max)
+        return np.exp(-rng.exponential(rng.uniform(0.1, 200.0), size))
+    if kind == "weighted":  # like the density's occupied weights
+        return np.exp(-rng.exponential(5.0, size)) * rng.integers(0, 17, size)
+    if kind == "wide":  # every binade, subnormals included
+        return np.ldexp(rng.random(size), rng.integers(-1100, 1000, size))
+    return rng.choice(TIE_POOL, size)
+
+
+@settings(max_examples=60)
+@given(
+    size=st.integers(1, 70_000),
+    count=st.integers(1, 17),
+    kind=st.sampled_from(["exp", "weighted", "wide", "ties"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=70_000, count=17, kind="exp", seed=0)
+@example(size=70_000, count=1, kind="ties", seed=1)
+@example(size=50_000, count=3, kind="wide", seed=2)
+def test_exact_sums_equal_fsum(size, count, kind, seed):
+    rng = np.random.default_rng(seed)
+    values = _draw_values(kind, rng, size)
+    groups = rng.integers(0, count, size)
+    want = [math.fsum(values[groups == g]) for g in range(count)]
+    assert hexes(_exact_sums(values, groups, count)) == hexes(want)
+    assert hexes(_exact_sums(values)) == hexes([math.fsum(values)])
+
+
+@given(st.lists(st.sampled_from(TIE_POOL.tolist())
+                | st.floats(0.0, 1e300, allow_subnormal=True), min_size=1, max_size=40))
+@example([1.0, 2.0**-53])
+@example([1.0, 2.0**-53, 5e-324])
+@example([1.0 + 2.0**-52, 2.0**-53])
+@example([5e-324])
+@example([0.0, 0.0])
+def test_exact_sums_equal_fsum_on_lists(values):
+    assert hexes(_exact_sums(np.array(values))) == hexes([math.fsum(values)])
