@@ -152,7 +152,7 @@ def _cmd_grid(args):
         values = (dp.dp_density if density else dp.zeta)(spec, n, grid).tolist()
     column = "rho_n" if density else "zeta_n"
     lines = ["j," + column]
-    lines += ["%s,%s" % (_fmt(j), _fmt(v)) for j, v in zip(grid, values)]
+    lines += ["%.17g,%.17g" % row for row in zip(grid, values)]
     return lines, {
         "command": args.command, "spec": _spec_label(args), "depth": n,
         "j_grid": grid, column: values,
@@ -173,10 +173,9 @@ def _cmd_canonical(args):
     else:
         table = dp.dp_W(spec, n, m_max=args.m_max, allow_large=args.allow_large)
     lines = ["a0,ln_w,omega_n"]
-    lines += [
-        "%d,%s,%s" % (a0, _fmt(table.ln_w[a0]), _fmt(table.omega(a0)))
-        for a0 in range(table.m_max + 1)
-    ]
+    rows = zip(range(table.m_max + 1), table.ln_w.tolist(),
+               table.omega_values().tolist())
+    lines += ["%d,%.17g,%.17g" % row for row in rows]
     return lines, {
         "command": "canonical", "spec": _spec_label(args), "depth": n,
         "kind": table.kind, "m_max": table.m_max,

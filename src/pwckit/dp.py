@@ -19,6 +19,15 @@ on a, and a single row carries the whole recursion. One level kernel runs
 it for every family, vectorised over a and over a batch of J values, so
 ``zeta`` and ``dp_density`` accept a J array as well as a number.
 
+In second order the rows form a triangle. Row d of F_{d-1} is read once,
+by the square term at level d, and a row a <= d is never read after level
+d; row 0 is never read at all. So level d keeps only the ancestor ages
+a = d+1 .. n+1, n + 1 - d rows, in order: the first row held is the next
+level's split row, and the last is the root's. Levels 1 .. n update
+n(n+1)/2 rows in all, where updating every row would take n(n+2), and
+each row kept is formed by the same floating-point operations either way.
+First order keeps its single row at every level.
+
 Size-resolved variants replace the scalar square by a size convolution and
 produce the canonical table W(a0) = sum_{|A| = a0} e^{-Phi(A)}; these are the
 inputs to free-energy curves and to exact sampling. Convolutions stay in the
@@ -70,6 +79,10 @@ MAX_DEPTH = 1022
 #: entries per temporary block of the size convolution and the max-plus
 #: chain (512 KB of float64)
 _BLOCK = 1 << 16
+
+#: floor of the shifted convolution terms; numpy's exp slows down sharply
+#: below about -708, where its results turn subnormal
+_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,12 +200,14 @@ def _weights(spec, n):
 def _levels(H, j, n, ratio=False):
     """Yield ``(ln F_d, r_d)`` for d = 0 .. n, one column per J of ``j``.
 
-    Row a of ln F_d is the subtree sum for ancestor age a (the rows of H);
-    the square term reads row min(d, last), the split point's own age, and
-    the last row after level n is the root's. With ``ratio`` the log
-    derivative r_d = F_d' / F_d is carried along (None otherwise); it starts
-    at 1 and at most doubles per level, so it stays within float range.
-    ln F_n grows like 2^n |J|, so |J| is bounded to keep 2 ln F finite.
+    Level d holds only the rows that a later level reads (see the module
+    docstring): ancestor ages a = d+1 .. n+1 in second order, first order's
+    single row throughout. So the square term at level d reads the first
+    row held at level d - 1, and the row left after level n is the root's.
+    With ``ratio`` the log derivative r_d = F_d' / F_d is carried along
+    (None otherwise); it starts at 1 and at most doubles per level, so it
+    stays within float range. ln F_n grows like 2^n |J|, so |J| is bounded
+    to keep 2 ln F finite.
     """
     j = np.atleast_1d(np.asarray(j, dtype=float))
     bound = _range_bound(n)
@@ -202,18 +217,17 @@ def _levels(H, j, n, ratio=False):
             "j", "J must be finite with |J| < %g at depth %d, got %r"
             % (bound, n, float(j[~ok][0]))
         )
-    last = len(H) - 1
+    drop = min(1, len(H) - 1)  # second order leaves each split row behind
     neg = -H
-    f = j - H[:, :1]
+    f = j - H[drop:, :1]
     r = np.ones_like(f) if ratio else None
     yield f, r
     for d in range(1, n + 1):
-        s = min(d, last)
-        u = LN2 + f
-        v = neg[:, d : d + 1] + 2.0 * f[s : s + 1]
+        u = LN2 + f[drop:]
+        v = neg[(d + 1) * drop :, d : d + 1] + 2.0 * f[:1]
         new = np.logaddexp(u, v)
         if ratio:
-            r = np.exp(u - new) * r + 2.0 * np.exp(v - new) * r[s : s + 1]
+            r = np.exp(u - new) * r[drop:] + 2.0 * np.exp(v - new) * r[:1]
         f = new
         yield f, r
 
@@ -283,7 +297,10 @@ def _log_self_convolve(y, out_len):
 
     Rows are taken in blocks of at most ``_BLOCK`` entries, each with a
     per-row max shift; a row with no finite term is shifted by 0 and gives
-    -inf without forming -inf - -inf.
+    -inf without forming -inf - -inf. Shifted terms are floored at
+    ``_EXP_FLOOR`` before ``exp``: a row's largest term is 1, so its sum is
+    at least 1, and its floored terms, each below 1e-304, move it by far less
+    than half an ulp. A row with no finite term has its sum reset to 0.
     """
     c = np.full(out_len + 1, NEG_INF)
     live = np.flatnonzero(y[1:] > NEG_INF) + 1
@@ -311,12 +328,15 @@ def _log_self_convolve(y, out_len):
         np.add(fwd[p0:p1, :k], b, out=t[:, 0])
         np.add(fwd[p0:p1, 1 : k + 1], b, out=t[:, 1])
         mx = t.max(axis=2)
-        shift = np.where(mx > NEG_INF, mx, 0.0)
+        live = mx > NEG_INF
+        shift = np.where(live, mx, 0.0)
         t -= shift[:, :, None]
+        np.maximum(t, _EXP_FLOOR, out=t)
         np.exp(t, out=t)
         s = t.sum(axis=2)
         s *= 2.0
         s[:, 0] -= t[:, 0, 0]
+        s[~live] = 0.0
         with np.errstate(divide="ignore"):
             vals = (shift + np.log(s)).reshape(-1)
         seg = out[2 * p0 : 2 * p1]
@@ -350,8 +370,9 @@ def _check_guard(n, m_max, limit, allow_large, label):
 def _dp_W(spec, n, m_max=None, allow_large=False):
     """The recursion of ``_levels`` resolved by size.
 
-    Row a of f holds ln F_d(a) split by leaf count, and the square becomes a
-    size self-convolution of row min(d, last).
+    Each row of f holds ln F_d(a) split by leaf count, for the same rows as
+    ``_levels`` keeps, and the square becomes a size self-convolution of the
+    first row held, the split row.
     """
     H, const = _weights(spec, n)
     limit = W_SECOND_MAX_DEPTH if spec.variant == "second" else W_FIRST_MAX_DEPTH
@@ -359,16 +380,16 @@ def _dp_W(spec, n, m_max=None, allow_large=False):
     full = 1 << n
     cap = full if m_max is None else min(int(m_max), full)
 
-    last = len(H) - 1
-    f = np.full((last + 1, min(1, cap) + 1), NEG_INF)
+    drop = min(1, len(H) - 1)
+    f = np.full((len(H) - drop, min(1, cap) + 1), NEG_INF)
     if cap >= 1:
-        f[:, 1] = -H[:, 0]
+        f[:, 1] = -H[drop:, 0]
     for d in range(1, n + 1):
         size = min(1 << d, cap)
-        conv = _log_self_convolve(f[min(d, last)], size)
-        keep = np.full((last + 1, size + 1), NEG_INF)
-        keep[:, 1 : f.shape[1]] = LN2 + f[:, 1:]
-        f = np.logaddexp(keep, -H[:, d : d + 1] + conv)
+        conv = _log_self_convolve(f[0], size)
+        keep = np.full((len(f) - drop, size + 1), NEG_INF)
+        keep[:, 1 : f.shape[1]] = LN2 + f[drop:, 1:]
+        f = np.logaddexp(keep, -H[(d + 1) * drop :, d : d + 1] + conv)
     ln_w = np.full(cap + 1, NEG_INF)
     ln_w[0] = 0.0
     ln_w[1:] = -const + f[-1, 1:]

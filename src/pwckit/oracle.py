@@ -95,6 +95,24 @@ def profile_table(n):
     return table
 
 
+@lru_cache(maxsize=None)
+def _profile_groups(n):
+    """The nonempty first-order profiles at depth n, for ``enum_maxterm``.
+
+    Returns, per profile, the smallest mask with it, its size b_0 and ln of
+    its number of masks.
+    """
+    table = profile_table(n)
+    # one key per profile: b_0 .. b_n as base-32 digits (each b_l <= 16)
+    key = table.first[1:].astype(np.int64) @ 32 ** np.arange(n + 1)
+    _, rep, count = np.unique(key, return_index=True, return_counts=True)
+    rep += 1
+    groups = (rep, table.sizes[rep], np.array([math.log(c) for c in count]))
+    for rows in groups:
+        rows.flags.writeable = False  # shared by every caller through the cache
+    return groups
+
+
 def phi_vector(spec, n):
     """Phi for every subset bitmask at depth n, as a float array."""
     _check_depth(n)
@@ -214,15 +232,10 @@ def enum_maxterm(spec, n):
         raise UnsupportedVariant(
             "profile maxima are defined for first-order specs only"
         )
-    table = profile_table(n)
-    neg_phi = -phi_vector(spec, n)
-    # one key per profile: b_0 .. b_n as base-32 digits (each b_l <= 16)
-    key = table.first[1:].astype(np.int64) @ 32 ** np.arange(n + 1)
-    _, rep, count = np.unique(key, return_index=True, return_counts=True)
-    rep += 1  # the smallest mask with each profile
+    rep, sizes, ln_count = _profile_groups(n)
+    neg_phi = -phi_vector(spec, n)[rep]
     ln_w = np.full((1 << n) + 1, NEG_INF)
-    np.maximum.at(ln_w, table.sizes[rep],
-                  [math.log(c) for c in count] + neg_phi[rep])
+    np.maximum.at(ln_w, sizes, ln_count + neg_phi)
     ln_w[0] = 0.0
     return CanonicalTable(n, ln_w, kind="max", source="enum")
 

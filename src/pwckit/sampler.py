@@ -14,6 +14,11 @@ shift the logs instead of underflowing probabilities. Each sample gets its
 own child stream spawned from the seed, which makes results reproducible
 independent of batching. The iterative descent reads that stream in blocks,
 three variates per node in a fixed depth-first, left-to-right order.
+
+The level tables come from ``dp._levels``, which in second order keeps at
+level d - 1 only the ancestor ages a = d .. n+1; a node at level d answers
+to an age a > d. The lists of level d are padded at the front with d unused
+entries, so the descent indexes them by the ancestor age itself.
 """
 
 from __future__ import annotations
@@ -40,15 +45,18 @@ class Sampler:
         last = len(H) - 1
         # per level d >= 1 and ancestor row, as plain lists for the descent:
         # the log weight of keeping one child and of splitting; after a split
-        # both children answer to row min(d, last)
+        # both children answer to row min(d, last). Level d - 1 holds rows
+        # min(d, last) .. last only, padded at the front to index by age.
         self._keep = [None]
         self._split = [None]
         for d in range(1, n + 1):
             prev = levels[d - 1]
-            self._keep.append(prev.tolist())
-            self._split.append((-H[:, d] + 2.0 * prev[min(d, last)]).tolist())
+            lo = min(d, last)
+            pad = [None] * lo
+            self._keep.append(pad + prev.tolist())
+            self._split.append(pad + (-H[lo:, d] + 2.0 * prev[0]).tolist())
         self._last = last
-        self._ln_occupied = -const + levels[n][last]
+        self._ln_occupied = -const + levels[n][-1]
         self.ln_z = float(np.logaddexp(0.0, self._ln_occupied))
 
     def sample(self, rng):

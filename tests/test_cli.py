@@ -1,11 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pwckit
+from pwckit import dp
 from pwckit.cli import main
-from pwckit.clustering import first_linear, save_spec_file
+from pwckit.clustering import dgff_spec, first_linear, save_spec_file
 
 
 def run(capsys, argv):
@@ -565,3 +569,47 @@ def test_capacity_summary(tmp_path, capsys):
     assert code == 0
     assert (doc["spec"], doc["subsets"]) == ("uniform:0.5", [[0, 3]])
     assert doc["cap"][0] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_table_rows_keep_their_format(capsys):
+    # Each row is formatted in one pass; the text is that of formatting
+    # every number on its own with %.17g, -inf included.
+    cases = [
+        (["canonical", "--preset", "dgff", "--depth", "5"], dp.dp_W(dgff_spec(), 5)),
+        (["canonical", "--preset", "first:linear:1.0", "--depth", "6",
+          "--m-max", "9", "--maxterm"], dp.dp_W_maxterm(first_linear(1.0), 6, m_max=9)),
+    ]
+    for argv, table in cases:
+        code, out, _ = run(capsys, argv)
+        want = ["a0,ln_w,omega_n"] + [
+            "%d,%s,%s" % (a0, "%.17g" % float(table.ln_w[a0]),
+                          "%.17g" % float(table.omega(a0)))
+            for a0 in range(table.m_max + 1)
+        ]
+        assert (code, out) == (0, "".join(line + "\n" for line in want))
+    code, out, _ = run(capsys, ["canonical", "--preset", "capacity:uniform:1.3",
+                                "--depth", "0"])
+    assert (code, out) == (0, "a0,ln_w,omega_n\n0,0,0\n1,-inf,-inf\n")
+    grid = [-1.5, 0.1, 2.0 / 3.0]
+    code, out, _ = run(capsys, ["density", "--preset", "dgff", "--depth", "4",
+                                "--j-grid", ",".join(repr(j) for j in grid)])
+    rows = ["%s,%s" % ("%.17g" % j, "%.17g" % dp.dp_density(dgff_spec(), 4, j))
+            for j in grid]
+    assert (code, out) == (0, "j,rho_n\n" + "".join(r + "\n" for r in rows))
+
+
+def test_python_m_pwckit(tmp_path, capsys):
+    # The package runs as a module, with the script's exit codes.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(pwckit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["zeta", "--preset", "dgff", "--depth", "3", "--j-grid", "0,1"]
+    ok = subprocess.run([sys.executable, "-m", "pwckit"] + argv, cwd=tmp_path,
+                        env=env, capture_output=True, text=True)
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout == run(capsys, argv)[1]
+    bad = subprocess.run([sys.executable, "-m", "pwckit", "zeta", "--preset", "dgff",
+                          "--depth", "-1", "--j-grid", "0"], cwd=tmp_path,
+                         env=env, capture_output=True, text=True)
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert "depth" in bad.stderr

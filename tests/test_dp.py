@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pwckit import oracle
+from pwckit import dp, oracle
+from pwckit.analysis import bisect_upper
 from pwckit.clustering import (
     FirstOrderClustering,
     HArray,
@@ -32,6 +33,7 @@ from pwckit.dp import (
     dp_density,
     zeta,
 )
+from pwckit.sampler import Sampler
 
 LN2 = math.log(2.0)
 
@@ -358,3 +360,178 @@ def test_maxterm_is_bit_identical_to_reference():
             for m_max in (None, int(rng.integers(0, (1 << n) + 3))):
                 got = dp_W_maxterm(spec, n, m_max=m_max).ln_w
                 assert got.tobytes() == ref_maxterm(spec, n, m_max).tobytes()
+
+
+# The full-row kernels that the triangular ones replace: every level updates
+# all ancestor rows, and the square term reads row min(d, last).
+
+
+def ref_levels(H, j, n, ratio=False):
+    j = np.atleast_1d(np.asarray(j, dtype=float))
+    last = len(H) - 1
+    neg = -H
+    f = j - H[:, :1]
+    r = np.ones_like(f) if ratio else None
+    yield f, r
+    for d in range(1, n + 1):
+        s = min(d, last)
+        u = LN2 + f
+        v = neg[:, d : d + 1] + 2.0 * f[s : s + 1]
+        new = np.logaddexp(u, v)
+        if ratio:
+            r = np.exp(u - new) * r + 2.0 * np.exp(v - new) * r[s : s + 1]
+        f = new
+        yield f, r
+
+
+def ref_dp_W(spec, n):
+    H, const = dp._weights(spec, n)
+    full = 1 << n
+    last = len(H) - 1
+    f = np.full((last + 1, 2), -np.inf)
+    f[:, 1] = -H[:, 0]
+    for d in range(1, n + 1):
+        size = 1 << d
+        conv = ref_full_log_self_convolve(f[min(d, last)], size)
+        keep = np.full((last + 1, size + 1), -np.inf)
+        keep[:, 1 : f.shape[1]] = LN2 + f[:, 1:]
+        f = np.logaddexp(keep, -H[:, d : d + 1] + conv)
+    ln_w = np.full(full + 1, -np.inf)
+    ln_w[0] = 0.0
+    ln_w[1:] = -const + f[-1, 1:]
+    return ln_w
+
+
+def ref_full_log_self_convolve(y, out_len):
+    """The blocked convolution without the exponent floor."""
+    c = np.full(out_len + 1, NEG_INF)
+    live = np.flatnonzero(y[1:] > NEG_INF) + 1
+    if live.size == 0:
+        return c
+    lo, hi = int(live[0]), int(live[-1])
+    top = hi - lo
+    last = min(out_len - 2 * lo, 2 * top)
+    if last < 0:
+        return c
+    rows = last // 2 + 1
+    width = min(rows - 1, top) + 1
+    step = max(1, dp._BLOCK // (2 * width))
+    buf = np.full((2, top + 1 + width), NEG_INF)
+    buf[0, : top + 1] = y[lo : hi + 1]
+    buf[1, : top + 1] = y[lo : hi + 1][::-1]
+    win = np.lib.stride_tricks.sliding_window_view(buf, width + 1, axis=1)
+    fwd, back = win[0], win[1, :, :width]
+    out = c[2 * lo : 2 * lo + last + 1]
+    for p0 in range(0, rows, step):
+        p1 = min(p0 + step, rows)
+        k = min(p1 - 1, top - p0) + 1
+        b = back[top - p1 + 1 : top - p0 + 1, :k][::-1]
+        t = np.empty((p1 - p0, 2, k))
+        np.add(fwd[p0:p1, :k], b, out=t[:, 0])
+        np.add(fwd[p0:p1, 1 : k + 1], b, out=t[:, 1])
+        mx = t.max(axis=2)
+        shift = np.where(mx > NEG_INF, mx, 0.0)
+        t -= shift[:, :, None]
+        np.exp(t, out=t)
+        s = t.sum(axis=2)
+        s *= 2.0
+        s[:, 0] -= t[:, 0, 0]
+        with np.errstate(divide="ignore"):
+            vals = (shift + np.log(s)).reshape(-1)
+        seg = out[2 * p0 : 2 * p1]
+        seg[:] = vals[: len(seg)]
+    return c
+
+
+def ref_sampler(spec, n, j):
+    """A Sampler whose tables are built from the full-row levels."""
+    sampler = Sampler.__new__(Sampler)
+    sampler.spec, sampler.depth, sampler.j = spec, n, j
+    H, const = dp._weights(spec, n)
+    levels = [f[:, 0] for f, _ in ref_levels(H, j, n)]
+    last = sampler._last = len(H) - 1
+    sampler._keep = [None] + [levels[d - 1].tolist() for d in range(1, n + 1)]
+    sampler._split = [None] + [
+        (-H[:, d] + 2.0 * levels[d - 1][min(d, last)]).tolist()
+        for d in range(1, n + 1)
+    ]
+    sampler._ln_occupied = -const + levels[n][last]
+    sampler.ln_z = float(np.logaddexp(0.0, sampler._ln_occupied))
+    return sampler
+
+
+def hexes(values):
+    return [float(x).hex() for x in np.atleast_1d(values)]
+
+
+_TRIANGLE_DEPTHS = (0, 1, 2, 3, 8, 16, 60)
+
+
+def _triangle_specs():
+    rng = np.random.default_rng(13)
+    return [dgff_spec()] + [random_second_order(60, rng) for _ in range(20)]
+
+
+def _sparse_j(spec, n):
+    """A J whose draws hold at most a few dozen leaves on average."""
+    j, step = 1.0, 1.0
+    while dp_density(spec, n, j) * (1 << n) > 32.0:
+        j, step = j - step, 2.0 * step
+    return j
+
+
+def test_triangular_levels_are_bit_identical(monkeypatch):
+    grid = np.array([-3.0 + 0.05 * i for i in range(121)])
+    specs = _triangle_specs()
+    got, want = [], []
+    for out, kernel, make in ((got, dp._levels, Sampler),
+                              (want, ref_levels, ref_sampler)):
+        monkeypatch.setattr(dp, "_levels", kernel)
+        for spec in specs:
+            for n in _TRIANGLE_DEPTHS:
+                j = _sparse_j(spec, n)
+                for x in (-2.5, 0.0, 0.7):
+                    out.append(hexes(zeta(spec, n, x)) + hexes(dp_density(spec, n, x)))
+                out.append(hexes(zeta(spec, n, grid)))
+                out.append(hexes(dp_density(spec, n, grid)))
+                out.append(hexes(bisect_upper(spec, n, 0.5, 0.0)))
+                sampler = make(spec, n, j)
+                out.append(hexes(sampler.ln_z))
+                out.append([s.leaves for s in sampler.sample_many(3, seed=n)])
+    assert got == want
+
+
+def test_triangular_dp_w_is_bit_identical():
+    for spec in _triangle_specs():
+        for n in (0, 1, 2, 3, 8):
+            assert hexes(dp_W(spec, n).ln_w) == hexes(ref_dp_W(spec, n))
+
+
+def test_triangular_level_shapes():
+    # Second-order level d holds the rows a = d+1 .. n+1 only; first order
+    # holds its single row.
+    n = 6
+    for spec, rows in ((dgff_spec(), lambda d: n + 1 - d),
+                       (first_linear(1.0), lambda d: 1)):
+        H, _ = dp._weights(spec, n)
+        shapes = [f.shape for f, _ in dp._levels(H, [0.0, 1.0], n)]
+        assert shapes == [(rows(d), 2) for d in range(n + 1)]
+
+
+def test_convolution_floor_is_bit_identical():
+    # Interior -inf entries leave output sizes without any finite term, and
+    # a spread of over 1400 puts shifted terms below numpy's slow exp range.
+    rng = np.random.default_rng(21)
+    cases = [np.array([-np.inf, 0.0, -np.inf, -np.inf, -np.inf, -5.0])]
+    for size in (2, 9, 40, 300, 2049):
+        y = rng.uniform(-1.0, 1.0, size) * rng.choice([1.0, 400.0, 800.0])
+        y[0] = -np.inf
+        y[rng.random(size) < 0.3] = -np.inf
+        y[size // 3 : size // 2] = -np.inf
+        cases.append(y)
+    cases.append(np.concatenate(([-np.inf], -1500.0 * np.arange(1, 200))))
+    cases.append(np.full(7, -np.inf))
+    for y in cases:
+        for out_len in (0, 3, len(y), 2 * len(y)):
+            want = ref_full_log_self_convolve(y, out_len)
+            assert hexes(_log_self_convolve(y, out_len)) == hexes(want)

@@ -270,3 +270,27 @@ def test_exact_sums_equal_fsum(size, count, kind, seed):
 @example([0.0, 0.0])
 def test_exact_sums_equal_fsum_on_lists(values):
     assert hexes(_exact_sums(np.array(values))) == hexes([math.fsum(values)])
+
+
+def ref_enum_maxterm(spec, n):
+    """enum_maxterm with the profile grouping redone on every call."""
+    table = profile_table(n)
+    neg_phi = -phi_vector(spec, n)
+    key = table.first[1:].astype(np.int64) @ 32 ** np.arange(n + 1)
+    _, rep, count = np.unique(key, return_index=True, return_counts=True)
+    rep += 1
+    ln_w = np.full((1 << n) + 1, -np.inf)
+    np.maximum.at(ln_w, table.sizes[rep],
+                  [math.log(c) for c in count] + neg_phi[rep])
+    ln_w[0] = 0.0
+    return ln_w
+
+
+def test_enum_maxterm_grouping_cached_per_depth():
+    rng = np.random.default_rng(31)
+    for n in range(ORACLE_MAX_DEPTH + 1):
+        specs = [zero_spec(), parse_preset("first:linear:2")]
+        specs += [random_first_order(n, rng) for _ in range(5)]
+        for spec in specs:
+            got = enum_maxterm(spec, n).ln_w
+            assert got.tobytes() == ref_enum_maxterm(spec, n).tobytes()
