@@ -375,9 +375,18 @@ class TauberianReport:
     verdict: str
 
 
+def _trend_indices(k_max):
+    """Where u_1 .. u_k_max holds the two ages the verdict reads,
+    k_max // 2 + 1 and k_max; nowhere for k_max = 0."""
+    return np.array([k_max // 2, k_max - 1] if k_max else [], dtype=int)
+
+
 def _trend_verdict(u):
-    last = u[-1]
-    mid = u[len(u) // 2]
+    """The verdict from u at the ages of ``_trend_indices``; inconclusive with
+    no ages."""
+    if len(u) == 0:
+        return "inconclusive"
+    mid, last = u
     if last > _DIVERGE_VALUE and last - mid > _DIVERGE_GAIN:
         return "no-transition-supported"
     if last < -_DIVERGE_VALUE and mid - last > _DIVERGE_GAIN:
@@ -385,20 +394,33 @@ def _trend_verdict(u):
     return "inconclusive"
 
 
+def _first_u(spec, k_max, trend_only=False):
+    """The ages 1 .. k_max, with k_max cut to a finite list's last age, and
+    u_k = (ln2) k + ln k - h_k at them; with ``trend_only``, only at the two
+    ages the verdict reads."""
+    _check_k_max(k_max)
+    h = spec.h
+    if not h.has_tail:
+        k_max = min(k_max, h.max_age)
+    ks = _trend_indices(k_max) + 1 if trend_only else np.arange(1, k_max + 1)
+    return ks, LN2 * ks + np.log(ks) - h(ks)
+
+
+def _first_verdict(spec, k_max):
+    """``tauberian_first(spec, k_max).verdict`` from two values of u."""
+    return _trend_verdict(_first_u(spec, k_max, trend_only=True)[1])
+
+
 def tauberian_first(spec, k_max=100000):
     """u_k = (ln2) k + ln k - h_k with a monotone-trend verdict.
 
     u_k -> +inf is the certified no-transition regime; u_k -> -inf means
     this test says nothing (h may still be too small elsewhere), reported
-    as inconclusive-for-this-test.
+    as inconclusive-for-this-test. The verdict compares u at k_max and at
+    k_max // 2 + 1; a list with no age past 0 is inconclusive.
     """
-    _check_k_max(k_max)
-    h = spec.h
-    if not h.has_tail:
-        k_max = min(k_max, h.max_age)
-    ks = np.arange(1, k_max + 1)
-    u = LN2 * ks + np.log(ks) - h(ks)
-    return TauberianReport(ks, u, _trend_verdict(u))
+    ks, u = _first_u(spec, k_max)
+    return TauberianReport(ks, u, _trend_verdict(u[_trend_indices(len(u))]))
 
 
 def tauberian_second(spec, h1, h2, k_max=100000):
@@ -424,7 +446,7 @@ def tauberian_second(spec, h1, h2, k_max=100000):
             )
     ks = np.arange(1, k_max + 1)
     u = LN2 * ks + np.log(ks) - (h1(ks) + h2(ks // 2))
-    return TauberianReport(ks, u, _trend_verdict(u))
+    return TauberianReport(ks, u, _trend_verdict(u[_trend_indices(k_max)]))
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +463,12 @@ class BracketError(SpecConfigError):
 #: where the root search starts: -2^23 .. -1 and 1 .. 2^23
 _POWERS = np.ldexp(1.0, np.arange(24))
 _BRACKET_ENDS = np.concatenate((-_POWERS[::-1], _POWERS))
+
+#: in ``_aimed_grid``, the inner points of the uniform sub-grid as fractions
+#: of the cell, and the exponents that space the offsets around the
+#: interpolated root geometrically, 16 on each side
+_SIXTEENTHS = np.arange(1, 16) / 16
+_AIM_STEPS = np.linspace(0.0, 1.0, 16)
 
 
 def tail_bound(spec, n):
@@ -468,29 +496,74 @@ def tail_bound(spec, n):
     )[0]
 
 
+def _aimed_grid(a, b, ga, gb):
+    """Next grid in the cell [a, b] where g = zeta_n - tail - delta turns
+    positive (ga <= 0 < gb): its ends, 15 uniform points between them, and
+    the root x of the line through (a, ga) and (b, gb), offset both ways by
+    16 amounts shrinking geometrically from the uniform spacing to one ulp
+    of x."""
+    t = ga / (ga - gb)
+    x = a + t * (b - a) if 0.0 <= t <= 1.0 else 0.5 * (a + b)
+    ulp = math.ulp(x)
+    w = max((b - a) / 16, ulp)
+    off = w * (ulp / w) ** _AIM_STEPS
+    inner = a + (b - a) * _SIXTEENTHS
+    points = np.concatenate(((a, b, x), inner, x - off, x + off))
+    return np.unique(np.clip(points, a, b))
+
+
 def bisect_upper(spec, n, delta, tail):
     """Smallest J with zeta_n(J) - tail > delta, by multisection.
 
     zeta_n is nondecreasing in J, so along any J grid the condition is false
     and then true. One batched evaluation over the bracket ends (those with
     |J| inside the range bound at depth n) finds the cell where it turns
-    true; each step re-grids that cell with 65 points, until the cell is two
+    true. Each later round evaluates one grid in the current cell and moves
+    to the cell where the condition turns true on it, until the cell is two
     adjacent floats, and returns the upper one: the float bisection would
-    return. A grid on which the condition is not false then true raises
-    BracketError rather than being patched.
+    return. Where the condition is monotone in J, that float is the only
+    one where it holds and fails at the float below, so every such search
+    returns it, wherever its grid points fall.
+
+    The grid (``_aimed_grid``) holds 17 uniform points, the cell's ends
+    included, so the cell shrinks at least 16-fold per round. It also holds
+    points clustered around the root of the line through
+    g = zeta_n - tail - delta at the two ends, the values just computed:
+    offsets from the uniform spacing down to one ulp, so that once the line
+    is close the next cell is narrow, and a few rounds reach two adjacent
+    floats.
+
+    Rounding can make the condition flicker within a few ulps of the root,
+    and a grid dense there may see it. A grid that is not false then true
+    restarts the search once from its first cell, re-gridded with 65
+    uniform points per round, which returns the float, or raises the
+    BracketError, of a search that only ever grids uniformly. A first grid
+    that is not false then true raises BracketError at once.
     """
     H, const = dp._weights(spec, n)
     grid = _BRACKET_ENDS[np.abs(_BRACKET_ENDS) < dp._range_bound(n)]
+    first = None  # the first cell, where a restart begins
+    uniform = False
     while True:
-        ok = dp._ln_z(H, const, n, grid) / (1 << n) - tail > delta
+        z = dp._ln_z(H, const, n, grid) / (1 << n) - tail
+        ok = z > delta
         if len(ok) < 2 or ok[0] or not ok[-1] or (ok[:-1] > ok[1:]).any():
-            raise BracketError(
-                "zeta_%d(J) - tail > %g is not false then true on %d points of "
-                "J in [%g, %g]"
-                % (n, delta, len(grid), grid.min(initial=0), grid.max(initial=0))
-            )
+            if first is None or uniform:
+                raise BracketError(
+                    "zeta_%d(J) - tail > %g is not false then true on %d points "
+                    "of J in [%g, %g]"
+                    % (n, delta, len(grid), grid.min(initial=0), grid.max(initial=0))
+                )
+            grid, uniform = np.unique(np.linspace(*first, 65)), True
+            continue
         k = int(np.argmax(ok))
-        grid = np.unique(np.linspace(grid[k - 1], grid[k], 65))
+        a, b = grid[k - 1], grid[k]
+        if first is None:
+            first = a, b
+        if uniform:
+            grid = np.unique(np.linspace(a, b, 65))
+        else:
+            grid = _aimed_grid(a, b, z[k - 1] - delta, z[k] - delta)
         if len(grid) == 2:
             return float(grid[1])
 
@@ -599,7 +672,7 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
         kind, k_value, at_cut, lower = (
             "kappa1", k1.value, False, k1.lower_bound,
         )
-        t_verdict = tauberian_first(spec, k_max=min(k_max, 100000)).verdict
+        t_verdict = _first_verdict(spec, min(k_max, 100000))
 
     if math.isfinite(k_value) and all(math.isfinite(u) for u in uppers):
         verdict = "transition-supported"

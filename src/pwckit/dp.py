@@ -317,8 +317,11 @@ def _log_self_convolve(y, out_len):
     buf = np.full((2, top + 1 + width), NEG_INF)
     buf[0, : top + 1] = y[lo : hi + 1]
     buf[1, : top + 1] = y[lo : hi + 1][::-1]
-    win = sliding_window_view(buf, width + 1, axis=1)
-    fwd, back = win[0], win[1, :, :width]
+    # row p of either view starts at entry p of its buffer row: the windows
+    # of sliding_window_view, made directly (it costs ~15 us per call)
+    stride = (buf.strides[1],) * 2
+    fwd = np.ndarray((top + 1, width + 1), float, buf, 0, stride)
+    back = np.ndarray((top + 1, width), float, buf, buf.strides[0], stride)
     out = c[2 * lo : 2 * lo + last + 1]
     for p0 in range(0, rows, step):
         p1 = min(p0 + step, rows)

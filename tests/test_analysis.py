@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pwckit import dp
+from pwckit import analysis, dp
 from pwckit.analysis import (
     BracketError,
     OmegaCurve,
@@ -418,6 +418,145 @@ def test_multisection_matches_reference_on_presets():
             lo, hi = reference_bisect_upper(spec, n, delta, tail)
             assert np.nextafter(lo, math.inf) == hi
             assert bisect_upper(spec, n, delta, tail).hex() == hi.hex()
+
+
+def uniform_multisection(spec, n, delta, tail):
+    """The search before it aimed its grids: every round re-grids the
+    crossing cell with 65 uniform points."""
+    H, const = dp._weights(spec, n)
+    grid = analysis._BRACKET_ENDS[
+        np.abs(analysis._BRACKET_ENDS) < dp._range_bound(n)
+    ]
+    while True:
+        ok = dp._ln_z(H, const, n, grid) / (1 << n) - tail > delta
+        if len(ok) < 2 or ok[0] or not ok[-1] or (ok[:-1] > ok[1:]).any():
+            raise BracketError("not false then true")
+        k = int(np.argmax(ok))
+        grid = np.unique(np.linspace(grid[k - 1], grid[k], 65))
+        if len(grid) == 2:
+            return float(grid[1])
+
+
+def _search_result(search, spec, n, delta, tail):
+    try:
+        return search(spec, n, delta, tail).hex()
+    except BracketError:
+        return "BracketError"
+
+
+@given(random_specs(64),
+       st.sampled_from([None, 1e-12, 1e-100, 0.05, 0.5, 2.0]))
+@settings(max_examples=100)
+def test_aimed_search_matches_uniform_multisection(case, fixed):
+    spec, n = case
+    tail = tail_bound(spec, n)
+    delta = max(1e-6, tail + n * LN2 / (1 << n)) if fixed is None else fixed
+    want = _search_result(uniform_multisection, spec, n, delta, tail)
+    assert _search_result(bisect_upper, spec, n, delta, tail) == want
+
+
+def test_aimed_search_matches_uniform_multisection_dgff_deep():
+    spec, n = dgff_spec(), 256
+    tail = tail_bound(spec, n)
+    want = uniform_multisection(spec, n, 1e-100, tail)
+    assert bisect_upper(spec, n, 1e-100, tail).hex() == want.hex()
+
+
+#: a second-order case where rounding makes the condition flicker: it also
+#: holds 4 floats below the answer
+FLICKER_SPEC = SecondOrderClustering(
+    HArray.from_table(np.array([
+        [0.02123919272245002, 0.08862309935705819, 0.1632145790200054],
+        [0.033353700198645655, 0.10325721742557406, 0.19154419811411483],
+        [0.08964270890441561, 0.1770443042955268, 0.2742883634255285],
+    ])),
+    0.19296384032724212,
+)
+FLICKER_ROOT = float.fromhex("-0x1.68e5172b9c7b6p-3")
+
+
+def test_aimed_search_on_a_flickering_condition(monkeypatch):
+    H, const = dp._weights(FLICKER_SPEC, 1)
+    below = FLICKER_ROOT - np.arange(5) * np.spacing(abs(FLICKER_ROOT))
+    ok = dp._ln_z(H, const, 1, below) / 2 > 0.5
+    assert ok.tolist() == [True, False, False, False, True]
+    assert uniform_multisection(FLICKER_SPEC, 1, 0.5, 0.0) == FLICKER_ROOT
+    assert bisect_upper(FLICKER_SPEC, 1, 0.5, 0.0) == FLICKER_ROOT
+    # a grid that sees the flicker restarts uniformly and still returns it
+    aimed = analysis._aimed_grid
+    flicker = below[3:]
+
+    def seeing(a, b, ga, gb):
+        inside = flicker[(a < flicker) & (flicker < b)]
+        return np.unique(np.concatenate((aimed(a, b, ga, gb), inside)))
+
+    calls = []
+    ln_z = dp._ln_z
+    monkeypatch.setattr(analysis, "_aimed_grid", seeing)
+    monkeypatch.setattr(dp, "_ln_z", lambda *a: calls.append(a[-1]) or ln_z(*a))
+    assert bisect_upper(FLICKER_SPEC, 1, 0.5, 0.0) == FLICKER_ROOT
+    flickered = [i for i, j in enumerate(calls) if np.isin(flicker, j).all()]
+    assert flickered and len(calls[flickered[0] + 1]) == 65
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_aimed_search_evaluation_budget(monkeypatch, n):
+    calls = [0]
+    ln_z = dp._ln_z
+
+    def counting(*args):
+        calls[0] += 1
+        return ln_z(*args)
+
+    monkeypatch.setattr(dp, "_ln_z", counting)
+    for spec in (zero_spec(), first_linear(2.0), first_linear(3 * LN2),
+                 first_logcorrected(), dgff_spec()):
+        tail = tail_bound(spec, n)
+        calls[0] = 0
+        bisect_upper(spec, n, max(1e-6, tail + n * LN2 / (1 << n)), tail)
+        assert 1 < calls[0] <= 7
+
+
+def _verdict_or_error(fn, spec, k):
+    try:
+        return fn(spec, k)
+    except TypeError as exc:  # tauberian_first reads first-order weights only
+        return type(exc)
+
+
+@st.composite
+def finite_list_specs(draw):
+    values = draw(st.lists(st.floats(-20.0, 200.0), min_size=1, max_size=40))
+    return FirstOrderClustering(HSequence.from_values(values))
+
+
+TWO_POINT_SPECS = (
+    zero_spec(), first_linear(2.0), first_linear(3 * LN2), first_logcorrected(),
+    dgff_spec(), FirstOrderClustering(HSequence.from_function(lambda k: 100.0 + 0 * k)),
+)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 1000, 100000])
+def test_two_point_verdict_matches_tauberian_first(k):
+    full = lambda spec, k: tauberian_first(spec, k).verdict
+    for spec in TWO_POINT_SPECS:
+        want = _verdict_or_error(full, spec, k)
+        assert _verdict_or_error(analysis._first_verdict, spec, k) == want
+
+
+@given(finite_list_specs(), st.sampled_from([1, 2, 3, 1000, 100000]))
+def test_two_point_verdict_matches_on_finite_lists(spec, k):
+    assert analysis._first_verdict(spec, k) == tauberian_first(spec, k).verdict
+
+
+def test_one_weight_list_verdict_is_inconclusive():
+    # a list with only h_0 has no age to read
+    spec = FirstOrderClustering(HSequence.from_values([1.0]))
+    rep = tauberian_first(spec)
+    assert (len(rep.u), rep.verdict) == (0, "inconclusive")
+    assert estimate_jstar(spec, [0]).tauberian_verdict == "inconclusive"
+    with pytest.raises(SpecConfigError, match="k_max"):
+        analysis._first_verdict(spec, 0)
 
 
 @given(random_specs(12), st.floats(-50.0, 49.0), st.floats(1.0, 100.0))

@@ -613,3 +613,17 @@ def test_python_m_pwckit(tmp_path, capsys):
                          env=env, capture_output=True, text=True)
     assert (bad.returncode, bad.stdout) == (2, "")
     assert "depth" in bad.stderr
+
+
+def test_one_weight_list_spec_runs(tmp_path, capsys):
+    # A list holding only h_0 gives the Tauberian trend no age to read: the
+    # verdict is inconclusive, where it used to end in an IndexError.
+    spec = tmp_path / "one.json"
+    spec.write_text('{"variant": "first", "h": {"kind": "list", "values": [1.0]}}')
+    summary = tmp_path / "run.json"
+    for argv in (["threshold", "--spec-file", str(spec), "--depths", "0"],
+                 ["diagnose", "--spec-file", str(spec)]):
+        code, out, err = run(capsys, argv + ["--summary", str(summary)])
+        assert (code, err) == (0, "")
+        doc = json.loads(summary.read_text(), parse_constant=_reject_constant)
+        assert doc["tauberian_verdict"] == "inconclusive"
