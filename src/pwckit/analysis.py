@@ -185,6 +185,19 @@ def _check_k_max(k_max):
         raise SpecConfigError("k_max", "must be at least 1, got %d" % (k_max,))
 
 
+#: the families each criterion serves
+_FIRST = ("zero", "first")
+_SECOND = ("second",)
+
+
+def _check_family(spec, families, what):
+    """Refuse a spec whose family is not one of ``families``."""
+    if spec.variant not in families:
+        raise UnsupportedVariant(
+            "%s serves %s specs, not %r" % (what, "/".join(families), spec.variant)
+        )
+
+
 def kappa1(spec):
     """kappa_1 = sum_{k>=1} 2^k e^{-h_k}, or inf when it will not converge.
 
@@ -200,9 +213,13 @@ def kappa1(spec):
     neither underflow to a zero sum that looks settled nor lose the bound,
     which comes from ln kappa_1 = c + ln(scaled sum). Such a scaled sum is
     divergent past _BLOW_UP e^min(-c, 600), the largest threshold floats hold.
+    An empty sum (a list with no age past 0) certifies nothing: divergent.
     """
+    _check_family(spec, _FIRST, "kappa1")
     h = spec.h
     last = h.max_age if not h.has_tail else _KAPPA_CAP
+    if last < 1:
+        return Kappa1Report(math.inf, -math.inf, 0, False)
     head = np.arange(1, min(last, 64) + 1)
     top = float(np.max(head * LN2 - h(head), initial=-math.inf))
     c = top if -math.inf < top < -700.0 else 0.0
@@ -237,6 +254,7 @@ def kappa2(spec, k_max=100000):
     the true sup may lie beyond the cutoff.
     """
     _check_k_max(k_max)
+    _check_family(spec, _SECOND, "kappa2")
     h = spec.h
     if not h.has_tail:
         k_max = min(k_max, h.max_ancestor_age)
@@ -285,33 +303,40 @@ def _s_grid(s_values):
     return s_arr
 
 
+def _damped_sum(g, s, first, last, scale=1.0):
+    """sum_{k = first .. last} e^{-sk} g+(k) over ``_blocks``: ``(sum, divergent)``.
+
+    The sum ends at a block where scale times both its contribution and its
+    last damping e^{-sk} lie below ``_LAPLACE_TOL`` (a run of ages with
+    g+ = 0 does not end it), and is divergent once scale times it passes
+    ``_BLOW_UP``.
+    """
+    total = 0.0
+    for ks in _blocks(first, last):
+        damp = np.exp(-s * ks)
+        contrib = float((damp * np.maximum(g(ks), 0.0)).sum())
+        total += contrib
+        if scale * total > _BLOW_UP:
+            return total, True
+        if scale * max(contrib, damp[-1]) < _LAPLACE_TOL:
+            break
+    return total, False
+
+
 def laplace_first(spec, s_values):
     """ln(1/s) - s ghat+(s) on the grid, ghat+(s) = sum e^{-sk} g+_k.
 
-    The series is summed in blocks until a block contributes less than
-    ``_LAPLACE_TOL`` once the damping e^{-sk} has fallen below it too (a
-    run of ages with g+ = 0 does not end the sum); a partial sum past
-    ``_BLOW_UP`` marks the point divergent and reports -inf there (the
+    The series is a ``_damped_sum``; a divergent point reports -inf (the
     diagnostic is then conclusively negative).
     """
+    _check_family(spec, _FIRST, "laplace_first")
     h = spec.h
     k_limit = math.inf if h.has_tail else h.max_age
     s_arr = _s_grid(s_values)
     diag = np.empty_like(s_arr)
     divergent = []
     for i, s in enumerate(s_arr):
-        total = 0.0
-        bad = False
-        for ks in _blocks(1, k_limit):
-            g = h(ks) - LN2 * ks
-            damp = np.exp(-s * ks)
-            contrib = float((damp * np.maximum(g, 0.0)).sum())
-            total += contrib
-            if total > _BLOW_UP:
-                bad = True
-                break
-            if max(contrib, damp[-1]) < _LAPLACE_TOL:
-                break
+        total, bad = _damped_sum(lambda ks: h(ks) - LN2 * ks, s, 1, k_limit)
         divergent.append(bad)
         diag[i] = NEG_INF if bad else math.log(1.0 / s) - s * total
     return DiagnosticCurve("laplace-first", s_arr, diag, tuple(divergent))
@@ -321,11 +346,12 @@ def laplace_second(spec, s_values, allow_large=False):
     """ln(1/s) - 2 s^2 ghat+(s, 2s) with the double Laplace transform
     ghat+(s, u) = sum_{l>=0, d>=1} e^{-s l - u d} g+_{l,d}.
 
-    Rows d and their l-blocks are summed as in ``laplace_first``: neither
-    ends before its damping, e^{-2sd} for the rows and e^{-2sd - sl} within
-    a row, has fallen below ``_LAPLACE_TOL``. Cost grows like (1/s)^2; grids
-    reaching below 2^-8 are refused without ``allow_large``.
+    Each row d is a ``_damped_sum`` over l scaled by e^{-2sd}, and the rows
+    do not end before e^{-2sd} has fallen below ``_LAPLACE_TOL``. Cost grows
+    like (1/s)^2; grids reaching below 2^-8 are refused without
+    ``allow_large``.
     """
+    _check_family(spec, _SECOND, "laplace_second")
     h = spec.h
     k_limit = math.inf if h.has_tail else h.max_ancestor_age
     s_arr = _s_grid(s_values)
@@ -344,17 +370,9 @@ def laplace_second(spec, s_values, allow_large=False):
         d = 1
         while d <= k_limit:
             damp = math.exp(-2.0 * s * d)
-            row = 0.0
-            for ls in _blocks(0, k_limit - d):
-                g = h(ls + d, ls) - LN2 * ls
-                inner = np.exp(-s * ls)
-                contrib = float((inner * np.maximum(g, 0.0)).sum())
-                row += contrib
-                if damp * row > _BLOW_UP:
-                    bad = True
-                    break
-                if damp * max(contrib, inner[-1]) < _LAPLACE_TOL:
-                    break
+            row, bad = _damped_sum(
+                lambda ls: h(ls + d, ls) - LN2 * ls, s, 0, k_limit - d, damp
+            )
             total += damp * row
             if bad or total > _BLOW_UP:
                 bad = True
@@ -375,18 +393,12 @@ class TauberianReport:
     verdict: str
 
 
-def _trend_indices(k_max):
-    """Where u_1 .. u_k_max holds the two ages the verdict reads,
-    k_max // 2 + 1 and k_max; nowhere for k_max = 0."""
-    return np.array([k_max // 2, k_max - 1] if k_max else [], dtype=int)
-
-
-def _trend_verdict(u):
-    """The verdict from u at the ages of ``_trend_indices``; inconclusive with
-    no ages."""
-    if len(u) == 0:
+def _trend_verdict(u, k_max):
+    """The verdict from the sequence ``u`` (a callable on age arrays) at the
+    ages k_max // 2 + 1 and k_max; inconclusive for k_max = 0."""
+    if k_max == 0:
         return "inconclusive"
-    mid, last = u
+    mid, last = u(np.array([k_max // 2 + 1, k_max]))
     if last > _DIVERGE_VALUE and last - mid > _DIVERGE_GAIN:
         return "no-transition-supported"
     if last < -_DIVERGE_VALUE and mid - last > _DIVERGE_GAIN:
@@ -394,21 +406,15 @@ def _trend_verdict(u):
     return "inconclusive"
 
 
-def _first_u(spec, k_max, trend_only=False):
-    """The ages 1 .. k_max, with k_max cut to a finite list's last age, and
-    u_k = (ln2) k + ln k - h_k at them; with ``trend_only``, only at the two
-    ages the verdict reads."""
+def _first_u(spec, k_max):
+    """u_k = (ln2) k + ln k - h_k as a callable, and k_max cut to a finite
+    list's last age."""
     _check_k_max(k_max)
+    _check_family(spec, _FIRST, "tauberian_first")
     h = spec.h
     if not h.has_tail:
         k_max = min(k_max, h.max_age)
-    ks = _trend_indices(k_max) + 1 if trend_only else np.arange(1, k_max + 1)
-    return ks, LN2 * ks + np.log(ks) - h(ks)
-
-
-def _first_verdict(spec, k_max):
-    """``tauberian_first(spec, k_max).verdict`` from two values of u."""
-    return _trend_verdict(_first_u(spec, k_max, trend_only=True)[1])
+    return lambda ks: LN2 * ks + np.log(ks) - h(ks), k_max
 
 
 def tauberian_first(spec, k_max=100000):
@@ -419,8 +425,9 @@ def tauberian_first(spec, k_max=100000):
     as inconclusive-for-this-test. The verdict compares u at k_max and at
     k_max // 2 + 1; a list with no age past 0 is inconclusive.
     """
-    ks, u = _first_u(spec, k_max)
-    return TauberianReport(ks, u, _trend_verdict(u[_trend_indices(len(u))]))
+    u, k_max = _first_u(spec, k_max)
+    ks = np.arange(1, k_max + 1)
+    return TauberianReport(ks, u(ks), _trend_verdict(u, k_max))
 
 
 def tauberian_second(spec, h1, h2, k_max=100000):
@@ -430,6 +437,7 @@ def tauberian_second(spec, h1, h2, k_max=100000):
     spot-checked against the array on a grid of indices before use.
     """
     _check_k_max(k_max)
+    _check_family(spec, _SECOND, "tauberian_second")
     h = spec.h
     samples = (1, 2, 3, 5, 8, 13, 21, 55, 144)
     if not h.has_tail:
@@ -444,9 +452,9 @@ def tauberian_second(spec, h1, h2, k_max=100000):
                 "additive decomposition mismatch at (k=%d, l=%d): "
                 "array %.17g vs h1+h2 %.17g" % (k, l[i], got[i], want[i])
             )
+    u = lambda ks: LN2 * ks + np.log(ks) - (h1(ks) + h2(ks // 2))
     ks = np.arange(1, k_max + 1)
-    u = LN2 * ks + np.log(ks) - (h1(ks) + h2(ks // 2))
-    return TauberianReport(ks, u, _trend_verdict(u[_trend_indices(k_max)]))
+    return TauberianReport(ks, u(ks), _trend_verdict(u, k_max))
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +487,14 @@ def tail_bound(spec, n):
     they define; closed forms are summed to ``_TAIL_TOL`` (see ``_series``)
     over at most ``_TAIL_CAP`` ages.
     """
-    if spec.variant in ("zero", "first"):
-        h = gamma = spec.h
-        last = _TAIL_CAP if h.has_tail else h.max_age
-    elif spec.variant == "second":
-        h = spec.h
+    _check_family(spec, _FIRST + _SECOND, "tail_bound")
+    h = spec.h
+    if spec.variant == "second":
         gamma = lambda k: 2.0 * h(k + 1, k)
         last = _TAIL_CAP if h.has_tail else h.max_ancestor_age - 1
     else:
-        raise UnsupportedVariant(
-            "no tail bound for variant %r" % (spec.variant,)
-        )
+        gamma = h
+        last = _TAIL_CAP if h.has_tail else h.max_age
     return _series(
         lambda ks: 2.0 * gamma(ks) * _exp2(-ks),
         n + 1, last, _TAIL_TOL, math.inf,
@@ -575,8 +580,7 @@ def slope_a0(spec, n):
     additive offsets (the constant h term and the ~n ln2 of positional
     entropy), so a0 scales with them, capped by the grid.
     """
-    const = 0.0 if spec.variant == "zero" else spec.h_const_at(n)
-    return int(min(1 << n, max(32, math.ceil(6.0 * (const + n * LN2)))))
+    return int(min(1 << n, max(32, math.ceil(6.0 * (spec.h_const_at(n) + n * LN2)))))
 
 
 def slope_estimate(spec, n):
@@ -639,11 +643,7 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
     max(1e-6, tail_n + n ln2 / 2^n) per depth; passing a number fixes delta
     across depths, which makes the upper estimates comparable between n.
     """
-    if spec.variant not in ("zero", "first", "second"):
-        raise UnsupportedVariant(
-            "threshold estimation needs a dp-engine variant, got %r"
-            % (spec.variant,)
-        )
+    _check_family(spec, _FIRST + _SECOND, "threshold estimation")
     if not depths or min(depths) < 0:
         raise SpecConfigError(
             "depths", "need one or more nonnegative depths, got %r" % (list(depths),)
@@ -672,7 +672,7 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
         kind, k_value, at_cut, lower = (
             "kappa1", k1.value, False, k1.lower_bound,
         )
-        t_verdict = _first_verdict(spec, min(k_max, 100000))
+        t_verdict = _trend_verdict(*_first_u(spec, min(k_max, 100000)))
 
     if math.isfinite(k_value) and all(math.isfinite(u) for u in uppers):
         verdict = "transition-supported"
@@ -811,6 +811,7 @@ def certificate_first(spec, t, j, n=None):
     per-level Stirling form (a_k phi(t) for ln C) takes over, whose dropped
     corrections are O(n ln a0 / a0) and far below double precision there.
     """
+    _check_family(spec, _FIRST, "certificate_first")
     t, n = _certificate_depth(t, j, n, j + 1)
     a, b = _first_chain(t, j, n)  # raises if integrality fails
     for k in range(1, n + 1):
@@ -934,6 +935,7 @@ def certificate_second(spec, t, j, n=None):
     cutoff are fully concentrated one generation down. The row at j+1 is
     spread as well, which is exactly what the column identities require.
     """
+    _check_family(spec, _SECOND, "certificate_second")
     t, n = _certificate_depth(t, j, n, j + 2)
     a, b = _first_chain(t, j, n)
     entries = _second_validate(t, j, n, a, b)

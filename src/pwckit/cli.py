@@ -160,13 +160,19 @@ def _cmd_grid(args):
 
 
 def _cmd_canonical(args):
+    """The dynamic program's table, or for capacity specs the enumerated
+    one cut to sizes <= --m-max."""
     spec = _load_spec(args)
     n = args.depth
+    if args.maxterm and spec.variant in ("second", "capacity"):
+        raise SpecConfigError("maxterm", "the max-plus table is first order only")
     if spec.variant == "capacity":
         table = oracle.enum_W(spec, n)
+        if args.m_max is not None:
+            if args.m_max < 0:
+                raise SpecConfigError("m_max", "must be nonnegative, got %d" % (args.m_max,))
+            table = dp.CanonicalTable(n, table.ln_w[: args.m_max + 1], source="enum")
     elif args.maxterm:
-        if spec.variant == "second":
-            raise SpecConfigError("maxterm", "the max-plus table is first order only")
         table = dp.dp_W_maxterm(
             spec, n, m_max=args.m_max, allow_large=args.allow_large
         )
@@ -263,18 +269,14 @@ def _cmd_capacity(args):
 def _cmd_diagnose(args):
     spec = _load_spec(args)
     s_grid = _parse_s_grid(args.s_grid)
-    if spec.variant in ("zero", "first"):
-        curve = analysis.laplace_first(spec, s_grid)
-        tau = analysis.tauberian_first(spec, k_max=args.k_max)
-    elif spec.variant == "second":
+    if spec.variant == "second":
         curve = analysis.laplace_second(
             spec, s_grid, allow_large=args.allow_large
         )
         tau = None
-    else:
-        raise SpecConfigError(
-            "variant", "no summability diagnostics for capacity specs"
-        )
+    else:  # the analysis family check refuses capacity specs
+        curve = analysis.laplace_first(spec, s_grid)
+        tau = analysis.tauberian_first(spec, k_max=args.k_max)
     lines = ["# laplace %s" % (curve.kind,), "s,diag"]
     lines += [
         "%s,%s%s" % (_fmt(s), _fmt(d), " # divergent" if bad else "")

@@ -53,8 +53,12 @@ class SpecConfigError(ValueError):
         super().__init__("key %r: %s" % (key, message))
 
 
-class UnsupportedVariant(ValueError):
-    """Raised when an operation has no path for the given family."""
+class UnsupportedVariant(SpecConfigError):
+    """Raised when an operation has no path for the given family; names the
+    key ``variant``."""
+
+    def __init__(self, message):
+        super().__init__("variant", message)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +118,14 @@ class HSequence:
     def array(self, kmax):
         """h_0 .. h_kmax as a float array."""
         return self(np.arange(kmax + 1))
+
+    def doc(self):
+        """The parameter document: the tag, the list, or {"kind": "function"}."""
+        if self.tag is not None:
+            return self.tag
+        if self._values is not None:
+            return {"kind": "list", "values": self._values.tolist()}
+        return {"kind": "function"}
 
     def is_nondecreasing(self, kmax=None):
         """Exact check for lists; dense probe up to ``kmax`` for closed forms."""
@@ -177,9 +189,15 @@ class HArray:
                 )
         return float(out) if out.ndim == 0 else out
 
-    def _rows(self):
-        """The explicit table as lists of floats, row k holding h[k][0 ..]."""
-        return [r[~np.isnan(r)].tolist() for r in self._table[:-1]]
+    def doc(self):
+        """The parameter document: the tag, the table (row k holds h[k][0 ..]),
+        or {"kind": "function"}."""
+        if self.tag is not None:
+            return self.tag
+        if self._table is not None:
+            return {"kind": "table",
+                    "values": [r[~np.isnan(r)].tolist() for r in self._table[:-1]]}
+        return {"kind": "function"}
 
     def array(self, depth):
         """Dense (depth+2) x (depth+2) array; entries with l >= k are zero."""
@@ -246,14 +264,7 @@ class FirstOrderClustering:
         return self.h(depth) if self.h_const is None else self.h_const
 
     def describe(self):
-        d = {"variant": "first", "h_const": self.h_const}
-        if self.h.tag is not None:
-            d["h"] = self.h.tag
-        elif self.h.max_age is not None:
-            d["h"] = {"kind": "list", "values": self.h.array(self.h.max_age).tolist()}
-        else:
-            d["h"] = {"kind": "function"}
-        return d
+        return {"variant": "first", "h_const": self.h_const, "h": self.h.doc()}
 
 
 @dataclass(frozen=True)
@@ -272,14 +283,7 @@ class SecondOrderClustering:
         return self.h(depth + 1, depth) if self.h_const is None else self.h_const
 
     def describe(self):
-        d = {"variant": "second", "h_const": self.h_const}
-        if self.h.tag is not None:
-            d["h"] = self.h.tag
-        elif self.h.max_ancestor_age is not None:
-            d["h"] = {"kind": "table", "values": self.h._rows()}
-        else:
-            d["h"] = {"kind": "function"}
-        return d
+        return {"variant": "second", "h_const": self.h_const, "h": self.h.doc()}
 
 
 @dataclass(frozen=True)
@@ -308,26 +312,14 @@ class CapacityClustering:
         return 0.0
 
     def describe(self):
-        d = {"variant": "capacity"}
-        if self.conductance.tag is not None:
-            d["conductance"] = self.conductance.tag
-        elif self.conductance.max_age is not None:
-            d["conductance"] = {
-                "kind": "list",
-                "values": self.conductance.array(self.conductance.max_age).tolist(),
-            }
-        else:
-            d["conductance"] = {"kind": "function"}
-        return d
+        return {"variant": "capacity", "conductance": self.conductance.doc()}
 
 
 def phi(spec, ls):
     """Clustering penalty of a leaf set under the given family."""
     if len(ls) == 0:
         return 0.0
-    if spec.variant == "zero":
-        return 0.0
-    if spec.variant == "first":
+    if spec.variant in ("zero", "first"):
         p = pattern1_of(ls)
         h = spec.h
         return sum(h(k) * p.b[k] for k in range(ls.depth + 1) if p.b[k]) \

@@ -116,11 +116,9 @@ def _profile_groups(n):
 def phi_vector(spec, n):
     """Phi for every subset bitmask at depth n, as a float array."""
     _check_depth(n)
-    if spec.variant == "zero":
-        return np.zeros(1 << (1 << n))
     if spec.variant == "capacity":
         return _capacity.cap_table(n, spec.profile(n))
-    if spec.variant == "first":
+    if spec.variant in ("zero", "first"):
         phi = profile_table(n).first @ spec.h.array(n)
     elif spec.variant == "second":
         phi = profile_table(n).second @ spec.h.array(n)[np.tril_indices(n + 2, -1)]

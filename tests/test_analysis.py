@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pwckit import analysis, dp
 from pwckit.analysis import (
     BracketError,
+    Kappa1Report,
     OmegaCurve,
     binary_entropy,
     bisect_upper,
@@ -31,6 +32,7 @@ from pwckit.clustering import (
     HSequence,
     SecondOrderClustering,
     SpecConfigError,
+    UnsupportedVariant,
     capacity_uniform,
     dgff_spec,
     first_linear,
@@ -114,6 +116,12 @@ def test_kappa1_pinned(spec, value, terms, converged):
     assert rep.terms_used == terms
     assert rep.converged is converged
     assert rep.value == pytest.approx(value, rel=1e-13)
+
+
+def test_kappa1_of_an_empty_sum_certifies_nothing():
+    # h_0 alone: no age k >= 1 to sum, so no lower bound on J*
+    rep = kappa1(FirstOrderClustering(HSequence.from_values([1.0])))
+    assert rep == Kappa1Report(math.inf, -math.inf, 0, False)
 
 
 def test_kappa2_dgff_finite():
@@ -261,6 +269,159 @@ def test_laplace_second_not_stopped_by_zero_rows():
     assert curve.diag[0] == pytest.approx(
         math.log(1 / s) - 2 * s * s * float(rows.sum()), rel=1e-9
     )
+
+
+def reference_laplace_first(spec, s_values):
+    """The block loop laplace_first ran before it shared its damped sum with
+    laplace_second, as its reference."""
+    h = spec.h
+    k_limit = math.inf if h.has_tail else h.max_age
+    s_arr = np.asarray(list(s_values), dtype=float)
+    diag = np.empty_like(s_arr)
+    divergent = []
+    for i, s in enumerate(s_arr):
+        total = 0.0
+        bad = False
+        for ks in analysis._blocks(1, k_limit):
+            g = h(ks) - LN2 * ks
+            damp = np.exp(-s * ks)
+            contrib = float((damp * np.maximum(g, 0.0)).sum())
+            total += contrib
+            if total > analysis._BLOW_UP:
+                bad = True
+                break
+            if max(contrib, damp[-1]) < analysis._LAPLACE_TOL:
+                break
+        divergent.append(bad)
+        diag[i] = -math.inf if bad else math.log(1.0 / s) - s * total
+    return diag, tuple(divergent)
+
+
+def reference_laplace_second(spec, s_values):
+    """The row loop laplace_second ran with its own copy of the block sum,
+    as its reference."""
+    h = spec.h
+    k_limit = math.inf if h.has_tail else h.max_ancestor_age
+    s_arr = np.asarray(list(s_values), dtype=float)
+    diag = np.empty_like(s_arr)
+    divergent = []
+    for i, s in enumerate(s_arr):
+        total = 0.0
+        bad = False
+        small_rows = 0
+        d = 1
+        while d <= k_limit:
+            damp = math.exp(-2.0 * s * d)
+            row = 0.0
+            for ls in analysis._blocks(0, k_limit - d):
+                g = h(ls + d, ls) - LN2 * ls
+                inner = np.exp(-s * ls)
+                contrib = float((inner * np.maximum(g, 0.0)).sum())
+                row += contrib
+                if damp * row > analysis._BLOW_UP:
+                    bad = True
+                    break
+                if damp * max(contrib, inner[-1]) < analysis._LAPLACE_TOL:
+                    break
+            total += damp * row
+            if bad or total > analysis._BLOW_UP:
+                bad = True
+                break
+            small_rows = small_rows + 1 if damp * row < analysis._LAPLACE_TOL else 0
+            if small_rows >= 3 and d > 8 and damp < analysis._LAPLACE_TOL:
+                break
+            d += 1
+        divergent.append(bad)
+        diag[i] = -math.inf if bad else math.log(1.0 / s) - 2.0 * s * s * total
+    return diag, tuple(divergent)
+
+
+#: s = 2^-1 .. 2^-8
+POW2_GRID = [2.0**-e for e in range(1, 9)]
+
+LAPLACE_FIRST_SPECS = {
+    "zero": zero_spec(),
+    "linear-ln2": first_linear(LN2),
+    "linear2": first_linear(2.0),
+    "linear3ln2": first_linear(3 * LN2),
+    "logcorrected": first_logcorrected(),
+    # runs of five ages with g+ = 0 between runs with g = 3
+    "list-zero-runs": FirstOrderClustering(HSequence.from_values(
+        [LN2 * k + (3.0 if (k // 5) % 2 else 0.0) for k in range(60)])),
+    "zero-prefix": FirstOrderClustering(
+        HSequence.from_function(lambda k: LN2 * k + np.maximum(0, k - 5000))),
+    # g = k^5 passes the blow-up bound at s = 2^-8 (g = d^8 below, at 2^-5)
+    "divergent": FirstOrderClustering(
+        HSequence.from_function(lambda k: np.asarray(k, float) ** 5)),
+}
+
+LAPLACE_SECOND_SPECS = {
+    "dgff": dgff_spec(),
+    "zero-rows": SecondOrderClustering(
+        HArray.from_function(lambda k, l: LN2 * l + np.maximum(0, k - l - 12))),
+    "table": random_second_order(12, np.random.default_rng(5), scale=20.0),
+    "divergent": SecondOrderClustering(
+        HArray.from_function(lambda k, l: LN2 * l + np.asarray(k - l, float) ** 8)),
+}
+
+
+def _hex(diag, divergent):
+    return [float(x).hex() for x in diag], tuple(divergent)
+
+
+@pytest.mark.parametrize("name", LAPLACE_FIRST_SPECS)
+def test_laplace_first_matches_reference_loop(name):
+    spec = LAPLACE_FIRST_SPECS[name]
+    curve = laplace_first(spec, POW2_GRID)
+    want = _hex(*reference_laplace_first(spec, POW2_GRID))
+    assert _hex(curve.diag, curve.divergent) == want
+    if name == "divergent":
+        assert want[1][-1] and not want[1][0]
+
+
+@pytest.mark.parametrize("name", LAPLACE_SECOND_SPECS)
+def test_laplace_second_matches_reference_loop(name):
+    spec = LAPLACE_SECOND_SPECS[name]
+    curve = laplace_second(spec, POW2_GRID)
+    want = _hex(*reference_laplace_second(spec, POW2_GRID))
+    assert _hex(curve.diag, curve.divergent) == want
+    if name == "divergent":
+        assert want[1][-1] and not want[1][0]
+
+
+#: (function, arguments after the spec, a family it does not serve)
+REFUSALS = [
+    (kappa1, (), dgff_spec()),
+    (kappa1, (), capacity_uniform()),
+    (kappa2, (), first_linear(2.0)),
+    (kappa2, (), zero_spec()),
+    (kappa2, (), capacity_uniform()),
+    (laplace_first, ([0.5],), dgff_spec()),
+    (laplace_first, ([0.5],), capacity_uniform()),
+    (laplace_second, ([0.5],), first_linear(2.0)),
+    (laplace_second, ([0.5],), capacity_uniform()),
+    (tauberian_first, (), dgff_spec()),
+    (tauberian_first, (), capacity_uniform()),
+    (tauberian_second, (lambda l: LN2 * l, lambda d: 0.0 * d), first_linear(2.0)),
+    (tauberian_second, (lambda l: LN2 * l, lambda d: 0.0 * d), capacity_uniform()),
+    (certificate_first, (Fraction(1, 2), 2), dgff_spec()),
+    (certificate_first, (Fraction(1, 2), 2), capacity_uniform()),
+    (certificate_second, (Fraction(1, 2), 2), first_linear(2.0)),
+    (certificate_second, (Fraction(1, 2), 2), capacity_uniform()),
+    (tail_bound, (4,), capacity_uniform()),
+    (estimate_jstar, ([4],), capacity_uniform()),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args,spec", REFUSALS,
+    ids=["%s-%s" % (fn.__name__, spec.variant) for fn, _, spec in REFUSALS],
+)
+def test_family_refusal_names_variant(fn, args, spec):
+    with pytest.raises(UnsupportedVariant, match=repr(spec.variant)) as info:
+        fn(spec, *args)
+    assert info.value.key == "variant"
+    assert str(info.value).startswith("key 'variant': ")
 
 
 def reference_tail_bound(spec, n):
@@ -520,8 +681,13 @@ def test_aimed_search_evaluation_budget(monkeypatch, n):
 def _verdict_or_error(fn, spec, k):
     try:
         return fn(spec, k)
-    except TypeError as exc:  # tauberian_first reads first-order weights only
+    except UnsupportedVariant as exc:  # tauberian_first serves first order only
         return type(exc)
+
+
+def two_point_verdict(spec, k_max):
+    """The verdict ``estimate_jstar`` reads: u at k_max // 2 + 1 and k_max."""
+    return analysis._trend_verdict(*analysis._first_u(spec, k_max))
 
 
 @st.composite
@@ -541,12 +707,12 @@ def test_two_point_verdict_matches_tauberian_first(k):
     full = lambda spec, k: tauberian_first(spec, k).verdict
     for spec in TWO_POINT_SPECS:
         want = _verdict_or_error(full, spec, k)
-        assert _verdict_or_error(analysis._first_verdict, spec, k) == want
+        assert _verdict_or_error(two_point_verdict, spec, k) == want
 
 
 @given(finite_list_specs(), st.sampled_from([1, 2, 3, 1000, 100000]))
 def test_two_point_verdict_matches_on_finite_lists(spec, k):
-    assert analysis._first_verdict(spec, k) == tauberian_first(spec, k).verdict
+    assert two_point_verdict(spec, k) == tauberian_first(spec, k).verdict
 
 
 def test_one_weight_list_verdict_is_inconclusive():
@@ -556,7 +722,7 @@ def test_one_weight_list_verdict_is_inconclusive():
     assert (len(rep.u), rep.verdict) == (0, "inconclusive")
     assert estimate_jstar(spec, [0]).tauberian_verdict == "inconclusive"
     with pytest.raises(SpecConfigError, match="k_max"):
-        analysis._first_verdict(spec, 0)
+        two_point_verdict(spec, 0)
 
 
 @given(random_specs(12), st.floats(-50.0, 49.0), st.floats(1.0, 100.0))

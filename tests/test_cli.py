@@ -93,6 +93,15 @@ def test_canonical_m_max_and_maxterm(capsys):
     assert float(rows[1].split(",")[1]) == pytest.approx(math.log(8.0))
 
 
+@pytest.mark.parametrize("m_max,rows", [(0, 1), (1, 2), (3, 4), (4, 5), (100, 5)])
+def test_canonical_capacity_m_max_cuts_the_table(capsys, m_max, rows):
+    argv = ["canonical", "--preset", "capacity:uniform", "--depth", "2"]
+    _, full, _ = run(capsys, argv)
+    code, out, err = run(capsys, argv + ["--m-max", str(m_max)])
+    assert (code, err) == (0, "")
+    assert data_rows(out) == data_rows(full)[:rows]
+
+
 def test_canonical_depth_guard(capsys):
     code, out, err = run(
         capsys, ["canonical", "--preset", "zero", "--depth", "13"]
@@ -470,6 +479,13 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
         (["zeta", "--spec-file", "SHORT-C", "--depth", "4", "--j-grid", "0"],
          "'conductance.values'"),
         (["canonical", "--spec-file", "SHORT-C", "--depth", "3"], "'conductance.values'"),
+        (["sample", "--preset", "capacity:uniform", "--depth", "2", "--j", "0",
+          "--seed", "1"], "'variant'"),
+        (["threshold", "--preset", "capacity:uniform", "--depths", "2"], "'variant'"),
+        (["canonical", "--preset", "capacity:uniform", "--depth", "2", "--maxterm"],
+         "'maxterm'"),
+        (["canonical", "--preset", "capacity:uniform", "--depth", "2", "--m-max", "-1"],
+         "'m_max'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -490,7 +506,8 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "verify-tol-negative", "verify-tol-nan", "spec-file-missing",
          "out-unwritable", "summary-unwritable", "capacity-zeta-depth",
          "short-conductance-capacity", "short-conductance-zeta",
-         "short-conductance-canonical"],
+         "short-conductance-canonical", "sample-capacity", "threshold-capacity",
+         "maxterm-capacity", "m-max-negative-capacity"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():
@@ -617,7 +634,9 @@ def test_python_m_pwckit(tmp_path, capsys):
 
 def test_one_weight_list_spec_runs(tmp_path, capsys):
     # A list holding only h_0 gives the Tauberian trend no age to read: the
-    # verdict is inconclusive, where it used to end in an IndexError.
+    # verdict is inconclusive, where it used to end in an IndexError. Its
+    # kappa_1 sum is empty and bounds nothing: no lower bound, and no
+    # transition verdict from it.
     spec = tmp_path / "one.json"
     spec.write_text('{"variant": "first", "h": {"kind": "list", "values": [1.0]}}')
     summary = tmp_path / "run.json"
@@ -627,3 +646,6 @@ def test_one_weight_list_spec_runs(tmp_path, capsys):
         assert (code, err) == (0, "")
         doc = json.loads(summary.read_text(), parse_constant=_reject_constant)
         assert doc["tauberian_verdict"] == "inconclusive"
+        if argv[0] == "threshold":
+            assert (doc["kappa_value"], doc["lower_bound"]) == ("inf", "-inf")
+            assert doc["verdict"] == "inconclusive"

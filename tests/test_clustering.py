@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pwckit.clustering import (
+    CapacityClustering,
     FirstOrderClustering,
     HArray,
     HSequence,
@@ -208,6 +209,52 @@ def test_describe_survives_json(tmp_path):
         doc = json.loads(json.dumps(spec.describe()))
         back = spec_from_doc(doc)
         assert back.variant == spec.variant
+
+
+DESCRIBE_PINS = [
+    (zero_spec(), {"variant": "zero"}),
+    (parse_preset("first:linear:2"), {"variant": "first", "h_const": None,
+     "h": {"kind": "preset", "name": "linear", "c": 2.0}}),
+    (parse_preset("first:linear:3ln2"), {"variant": "first", "h_const": None,
+     "h": {"kind": "preset", "name": "linear", "c": 2.0794415416798357}}),
+    (first_logcorrected(), {"variant": "first", "h_const": None,
+     "h": {"kind": "preset", "name": "logcorrected"}}),
+    (dgff_spec(), {"variant": "second", "h_const": None,
+     "h": {"kind": "preset", "name": "dgff"}}),
+    (parse_preset("capacity:uniform"), {"variant": "capacity",
+     "conductance": {"kind": "uniform", "value": 1.0}}),
+    (parse_preset("capacity:uniform:2.5"), {"variant": "capacity",
+     "conductance": {"kind": "uniform", "value": 2.5}}),
+    (FirstOrderClustering(HSequence.from_values([0.0, 1.5, 3.25]), 4.0),
+     {"variant": "first", "h_const": 4.0,
+      "h": {"kind": "list", "values": [0.0, 1.5, 3.25]}}),
+    (SecondOrderClustering(HArray.from_table([[], [0.5], [1.0, 2.0, 7.0], [3.0]])),
+     {"variant": "second", "h_const": None,
+      "h": {"kind": "table", "values": [[], [0.5], [1.0, 2.0, 7.0], [3.0]]}}),
+    (SecondOrderClustering(HArray.from_table([[], [0.5]]), 2.0),
+     {"variant": "second", "h_const": 2.0, "h": {"kind": "table", "values": [[], [0.5]]}}),
+    (CapacityClustering(HSequence.from_values([1.0, 0.5])),
+     {"variant": "capacity", "conductance": {"kind": "list", "values": [1.0, 0.5]}}),
+    (FirstOrderClustering(HSequence.from_function(lambda k: 2.0 * k), 1.0),
+     {"variant": "first", "h_const": 1.0, "h": {"kind": "function"}}),
+    (SecondOrderClustering(HArray.from_function(lambda k, l: 1.0 * k)),
+     {"variant": "second", "h_const": None, "h": {"kind": "function"}}),
+    (CapacityClustering(HSequence.from_function(lambda l: 1.0)),
+     {"variant": "capacity", "conductance": {"kind": "function"}}),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,doc", DESCRIBE_PINS,
+    ids=["zero", "linear2", "linear3ln2", "logcorrected", "dgff", "uniform",
+         "uniform2.5", "list", "ragged-table", "table-const", "capacity-list",
+         "function-first", "function-second", "function-capacity"],
+)
+def test_describe_pinned(spec, doc):
+    got = spec.describe()
+    assert got == doc
+    assert list(got) == list(doc)  # key order too
+    assert json.dumps(got) == json.dumps(doc)  # floats to the bit
 
 
 def test_monotone_holds_for_valid_first_order():
