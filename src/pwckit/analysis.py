@@ -36,6 +36,7 @@ import numpy as np
 from . import dp
 from .clustering import SpecConfigError, UnsupportedVariant
 from .dp import NEG_INF
+from .patterns import Pattern1, Pattern2, _log_comb
 
 LN2 = math.log(2.0)
 
@@ -748,8 +749,6 @@ class CertificateFirst(_Certificate):
         return _first_chain(self.t, self.j, self.n)
 
     def pattern(self):
-        from .patterns import Pattern1
-
         _, b = _first_chain(self.t, self.j, self.n)
         return Pattern1(self.n, tuple(b))
 
@@ -814,9 +813,8 @@ def certificate_first(spec, t, j, n=None):
     _check_family(spec, _FIRST, "certificate_first")
     t, n = _certificate_depth(t, j, n, j + 1)
     a, b = _first_chain(t, j, n)  # raises if integrality fails
-    for k in range(1, n + 1):
-        if not 0 <= b[k] <= a[k]:
-            raise AssertionError("inadmissible certificate chain")
+    if not Pattern1(n, b).is_admissible():
+        raise AssertionError("inadmissible certificate chain")
 
     h = spec.h
     tf = float(t)
@@ -825,12 +823,7 @@ def certificate_first(spec, t, j, n=None):
     if exact:
         total = 0.0
         for k in range(1, n + 1):
-            lnc = (
-                math.lgamma(a[k] + 1)
-                - math.lgamma(b[k] + 1)
-                - math.lgamma(a[k] - b[k] + 1)
-            )
-            total += lnc - g(k) * b[k]
+            total += _log_comb(a[k], b[k]) - g(k) * b[k]
         value = total / a[0]
     else:
         phi = binary_entropy(tf)
@@ -860,13 +853,6 @@ class CertificateSecond(_Certificate):
         return _second_entries(self.t, self.j, self.n, b)
 
     def pattern(self):
-        from .patterns import Pattern2
-
-        if self.n > 64:
-            raise ValueError(
-                "dense pattern table at depth %d refused; use entries()"
-                % (self.n,)
-            )
         return Pattern2.from_counts(self.n, self.entries())
 
 
@@ -903,30 +889,6 @@ def _second_entries(t, j, n, b):
     return entries
 
 
-def _second_validate(t, j, n, a, b):
-    """The sparse table, after exact checks of its row and column identities."""
-    entries = _second_entries(t, j, n, b)
-    rows = {}
-    cols = {}
-    for (k, l), c in entries.items():
-        if c < 0 or not 0 <= l < k <= n + 1:
-            raise AssertionError("entry out of the triangular region")
-        rows[k] = rows.get(k, 0) + c
-        cols[l] = cols.get(l, 0) + c
-    for k in range(1, n + 1):
-        if rows.get(k, 0) != 2 * b[k]:
-            raise AssertionError("row %d sums to %d, want 2 b_k = %d"
-                                 % (k, rows.get(k, 0), 2 * b[k]))
-    if rows.get(n + 1, 0) != 1:
-        raise AssertionError("top row must hold a single count")
-    for l in range(0, n + 1):
-        want = b[l] if l >= 1 else a[0]
-        if cols.get(l, 0) != want:
-            raise AssertionError("column %d sums to %d, want %d"
-                                 % (l, cols.get(l, 0), want))
-    return entries
-
-
 def certificate_second(spec, t, j, n=None):
     """Second-order certificate with exact validation and B_n evaluation.
 
@@ -938,7 +900,10 @@ def certificate_second(spec, t, j, n=None):
     _check_family(spec, _SECOND, "certificate_second")
     t, n = _certificate_depth(t, j, n, j + 2)
     a, b = _first_chain(t, j, n)
-    entries = _second_validate(t, j, n, a, b)
+    entries = _second_entries(t, j, n, b)
+    p = Pattern2.from_counts(n, entries)
+    if not (p.is_consistent() and p.level_counts() == (a[0], *b[1:])):
+        raise AssertionError("certificate table breaks its row or column identities")
 
     h = spec.h
     tf = float(t)

@@ -58,34 +58,25 @@ def cap_reduce(ls, profile):
 
     Within the subtree spanned by A and the root, a maximal unary chain of
     edges adds resistances in series and a branching vertex combines its two
-    child branches in parallel.
+    child branches in parallel. The reduction runs bottom-up, one level at a
+    time, so its cost is linear in depth times |A| and it needs no recursion.
     """
     if profile.depth != ls.depth:
         raise ValueError("profile depth %d != leaf set depth %d" % (profile.depth, ls.depth))
     if len(ls) == 0:
         return 0.0
     res = profile.resistances()
-
-    def subtree_resistance(leaves, d):
-        # Resistance from the age-d subtree root down to the given leaves.
-        if d == 0:
-            return 0.0
-        base = (leaves[0] >> d) << d
-        half = 1 << (d - 1)
-        split = 0
-        while split < len(leaves) and leaves[split] - base < half:
-            split += 1
-        left, right = leaves[:split], leaves[split:]
-        r_edge = res[d - 1]
-        if not right:
-            return r_edge + subtree_resistance(left, d - 1)
-        if not left:
-            return r_edge + subtree_resistance(right, d - 1)
-        rl = r_edge + subtree_resistance(left, d - 1)
-        rr = r_edge + subtree_resistance(right, d - 1)
-        return rl * rr / (rl + rr)
-
-    r = subtree_resistance(list(ls.leaves), ls.depth)
+    # occupied vertices of age d, by index, with their resistance down to A
+    level = dict.fromkeys(ls.leaves, 0.0)
+    for d in range(1, ls.depth + 1):
+        up = {}
+        for v, r in level.items():
+            r += res[d - 1]
+            rl = up.get(v >> 1)
+            # indices ascend, so a parent already present holds the left child
+            up[v >> 1] = r if rl is None else rl * r / (rl + r)
+        level = up
+    r = level[0]
     # At depth 0 the grounded leaf is the root itself: zero resistance, and
     # infinite capacity, as in cap_table.
     return math.inf if r == 0.0 else 1.0 / r

@@ -325,6 +325,8 @@ def _cmd_verify(args):
     for key, value in (("depth", args.depth), ("draws", args.draws)):
         if value < 1:
             raise SpecConfigError(key, "must be at least 1, got %d" % (value,))
+    if args.seed < 0:
+        raise SpecConfigError("seed", "must be nonnegative, got %d" % (args.seed,))
     if not 0 < args.tol < math.inf:
         raise SpecConfigError("tol", "must be finite and positive, got %r" % (args.tol,))
     tol = args.tol

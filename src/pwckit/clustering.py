@@ -603,15 +603,19 @@ def load_spec_file(path):
 
 
 def save_spec_file(spec, path):
+    """Write the parameter document of ``spec``, after checking that
+    ``load_spec_file`` accepts it; a refused spec leaves ``path`` untouched."""
     doc = spec.describe()
-    if doc.get("h") == {"kind": "function"} or doc.get("conductance") == {"kind": "function"}:
-        raise SpecConfigError(
-            "h", "cannot serialize an untagged closed form; use a preset or a list"
-        )
+    for key in ("h", "conductance"):
+        if doc.get(key) == {"kind": "function"}:
+            raise SpecConfigError(
+                key, "cannot serialize an untagged closed form; use a preset or a list"
+            )
     if doc.get("h_const", "missing") is None:
         doc["h_const"] = "default"
+    spec_from_doc(doc)
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        json.dump(doc, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

@@ -29,7 +29,9 @@ with b_l the first-order counts, and the subset count refines to
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 from .tree import LeafSet, joint_ages
 
@@ -149,50 +151,35 @@ def branching_identity_residual(p):
 class Pattern2:
     """Second-order branching profile.
 
-    ``table[k][l]`` counts branching points of age l with direct branching
-    ancestor of age k, for 0 <= l < k <= depth + 1 (row depth + 1 is the
-    virtual top). Stored dense; entries outside l < k must be zero.
+    ``counts`` is the sorted tuple of nonzero entries ``((k, l), c)``: c
+    branching points of age l with direct branching ancestor of age k, for
+    0 <= l < k <= depth + 1 (k = depth + 1 is the virtual top). Two profiles
+    are equal exactly when their depths and nonzero entries are.
     """
 
     depth: int
-    table: tuple
-
-    def __post_init__(self):
-        n = self.depth
-        if len(self.table) != n + 2 or any(len(r) != n + 2 for r in self.table):
-            raise ValueError("table must be (depth+2) x (depth+2)")
-        object.__setattr__(
-            self, "table", tuple(tuple(int(x) for x in r) for r in self.table)
-        )
+    counts: tuple
 
     @classmethod
     def from_counts(cls, depth, counts):
         """Build from a {(ancestor_age, age): count} mapping."""
-        n = depth
-        table = [[0] * (n + 2) for _ in range(n + 2)]
-        for (k, l), c in counts.items():
-            if not (0 <= l < k <= n + 1):
+        for k, l in counts:
+            if not (0 <= l < k <= depth + 1):
                 raise ValueError("invalid ancestor pair (%d, %d)" % (k, l))
-            table[k][l] = int(c)
-        return cls(depth, tuple(tuple(r) for r in table))
+        return cls(depth, tuple(sorted((kl, int(c)) for kl, c in counts.items() if c)))
 
     def count(self, k, l):
-        return self.table[k][l]
+        return self.nonzero().get((k, l), 0)
 
     def nonzero(self):
-        return {
-            (k, l): self.table[k][l]
-            for k in range(self.depth + 2)
-            for l in range(self.depth + 2)
-            if self.table[k][l]
-        }
+        return dict(self.counts)
 
     def level_counts(self):
         """b_l for l = 0 .. depth: branching points per age (column sums)."""
-        n = self.depth
-        return tuple(
-            sum(self.table[k][l] for k in range(l + 1, n + 2)) for l in range(n + 1)
-        )
+        b = [0] * (self.depth + 1)
+        for (_, l), c in self.counts:
+            b[l] += c
+        return tuple(b)
 
     def first_order(self):
         return Pattern1(self.depth, self.level_counts())
@@ -203,52 +190,48 @@ class Pattern2:
 
     def is_consistent(self):
         n = self.depth
-        if any(
-            self.table[k][l] and not (0 <= l < k <= n + 1)
-            for k in range(n + 2)
-            for l in range(n + 2)
-        ):
-            return False
-        if any(x < 0 for row in self.table for x in row):
-            return False
-        if sum(self.table[n + 1]) != 1:
-            return False
-        b = self.level_counts()
-        for j in range(1, n + 1):
-            if sum(self.table[j][:j]) != 2 * b[j]:
+        rows = [0] * (n + 2)
+        for (k, _), c in self.counts:
+            if c < 0:
                 return False
-        return b[0] >= 1
+            rows[k] += c
+        b = self.level_counts()
+        return (
+            rows[n + 1] == 1
+            and all(rows[j] == 2 * b[j] for j in range(1, n + 1))
+            and b[0] >= 1
+        )
 
 
 def pattern2_of(ls):
     """Second-order profile of a nonempty leaf set.
 
     The branching points form a full binary tree (leaves of the set at the
-    bottom, joints above, one top point), recovered from the sorted leaves
-    by recursive splitting at the oldest joint; within any block the oldest
-    joint is unique, so the construction is well defined.
+    bottom, joints above, one top point). In sorted order joint i sits
+    between leaves i and i + 1, and each part has a fixed direct ancestor:
+    a leaf answers to the younger of its two neighbouring joints, a joint to
+    the younger of the nearest strictly older joints on either side, and
+    the top joint to the virtual age n + 1. Two equal ages always have an
+    older joint between them, so these ancestors are well defined.
     """
     if len(ls) == 0:
         raise ValueError("profiles are defined for nonempty leaf sets")
     n = ls.depth
     ages = joint_ages(ls)
-    counts = {}
 
-    def bump(k, l):
-        counts[(k, l)] = counts.get((k, l), 0) + 1
+    def older(seq):
+        # Age of the nearest strictly older joint before each one, n + 1 if none.
+        out, stack = [], [n + 1]
+        for a in seq:
+            while stack[-1] <= a:
+                stack.pop()
+            out.append(stack[-1])
+            stack.append(a)
+        return out
 
-    def build(lo, hi):
-        # Returns the age of the top branching point over leaves lo .. hi.
-        if lo == hi:
-            return 0
-        i = max(range(lo, hi), key=lambda t: ages[t])
-        top = ages[i]
-        bump(top, build(lo, i))
-        bump(top, build(i + 1, hi))
-        return top
-
-    m = len(ls)
-    bump(n + 1, build(0, m - 1))
+    sides = [n + 1] + ages + [n + 1]  # leaf i lies between sides i and i + 1
+    counts = Counter((min(a, b), 0) for a, b in zip(sides, sides[1:]))
+    counts.update(zip(map(min, older(ages), older(ages[::-1])[::-1]), ages))
     return Pattern2.from_counts(n, counts)
 
 
@@ -261,9 +244,10 @@ def entropy2(p):
         raise ValueError("level counts are not admissible: %r" % (first,))
     a = first.populations()
     b = first.b
+    rows = {k: [c for _, c in row] for k, row in groupby(p.counts, lambda e: e[0][0])}
     count = 1
     for j in range(1, p.depth + 1):
-        count *= _multinomial(p.table[j][:j]) << (a[j] - b[j])
+        count *= _multinomial(rows.get(j, ())) << (a[j] - b[j])
     return count
 
 

@@ -828,6 +828,86 @@ def test_certificate_second_depth_default():
         certificate_second(dgff_spec(), Fraction(1, 4), 2, n=3)
 
 
+#: certificate values as float.hex, recorded before the certificates checked
+#: their profiles through ``patterns``: (spec, t, j, n, value)
+CERTIFICATE_GRID = [
+    ('first:linear:ln2', '1/2', 2, None, '0x1.105ae6e75c197p-1'),
+    ('first:linear:ln2', '1/2', 2, 40, '0x1.8a52dfed72447p-1'),
+    ('first:linear:ln2', '1/2', 2, 41, '0x1.8a52dfedd23edp-1'),
+    ('first:linear:ln2', '3/4', 2, None, '0x1.c11e676398ea2p-2'),
+    ('first:linear:ln2', '1/2', 0, 41, '0x0.0p+0'),
+    ('first:linear:ln2', '1/4', 16, None, '0x1.17cfbdd53ba1cp+1'),
+    ('first:linear:ln2', '1/8', 32, None, '0x1.78e915176febcp+1'),
+    ('first:linear:ln2', '1/16', 64, None, '0x1.d4ead7a23d340p+1'),
+    ('first:linear:ln2', '1/32', 128, None, '0x1.17403cc6822efp+2'),
+    ('first:linear:ln2', '1/64', 256, None, '0x1.43702d0ab5297p+2'),
+    ('first:linear:ln2', '1/128', 512, None, '0x1.6f51152bffdaap+2'),
+    ('first:linear:ln2', '1/256', 1024, None, '0x1.9b0945f1182f3p+2'),
+    ('first:linear:2', '1/2', 2, None, '-0x1.efc22662e2160p+0'),
+    ('first:linear:2', '1/2', 2, 40, '-0x1.48e7b79d1f712p+1'),
+    ('first:linear:2', '1/2', 2, 41, '-0x1.48e7b79d1f42ep+1'),
+    ('first:linear:2', '3/4', 2, None, '-0x1.20a7eb5aacd0dp+1'),
+    ('first:linear:2', '1/2', 0, 41, '-0x1.4e8de80820241p+1'),
+    ('first:linear:2', '1/4', 16, None, '-0x1.0f39794675c05p+2'),
+    ('first:linear:2', '1/8', 32, None, '-0x1.1364381020e83p+3'),
+    ('first:linear:2', '1/16', 64, None, '-0x1.225f433b665dep+4'),
+    ('first:linear:2', '1/32', 128, None, '-0x1.2fcab88f8edf4p+5'),
+    ('first:linear:2', '1/64', 256, None, '-0x1.3958759e13909p+6'),
+    ('first:linear:2', '1/128', 512, None, '-0x1.3f83b1e7b0403p+7'),
+    ('first:linear:2', '1/256', 1024, None, '-0x1.43498f8cb70d7p+8'),
+    ('first:logcorrected', '1/2', 2, None, '-0x1.4be800fe7a20ep-6'),
+    ('first:logcorrected', '1/2', 2, 40, '0x1.5e4bcde41163bp-6'),
+    ('first:logcorrected', '1/2', 2, 41, '0x1.5e4bcdef3d740p-6'),
+    ('first:logcorrected', '3/4', 2, None, '-0x1.01f0ec8a4fb39p-3'),
+    ('first:logcorrected', '1/2', 0, 41, '-0x1.0402ced50622fp-1'),
+    ('first:logcorrected', '1/4', 16, None, '0x1.def192f71b360p-1'),
+    ('first:logcorrected', '1/8', 32, None, '0x1.2dbee9289777dp+0'),
+    ('first:logcorrected', '1/16', 64, None, '0x1.50d7817a4d846p+0'),
+    ('first:logcorrected', '1/32', 128, None, '0x1.63b52f4d41e1bp+0'),
+    ('first:logcorrected', '1/64', 256, None, '0x1.6d01f7f392ffbp+0'),
+    ('first:logcorrected', '1/128', 512, None, '0x1.70c7c5cf42f1bp+0'),
+    ('first:logcorrected', '1/256', 1024, None, '0x1.716a4cf81de63p+0'),
+    ('dgff', '1/2', 2, None, '0x1.e696ede242952p-2'),
+    ('dgff', '1/2', 2, 40, '0x1.8a52dfed44987p-1'),
+    ('dgff', '1/2', 2, 41, '0x1.8a52dfedd23ecp-1'),
+    ('dgff', '3/4', 2, None, '0x1.b0a6150d7735bp-2'),
+    ('dgff', '1/2', 0, 41, '0x0.0p+0'),
+    ('dgff', '1/4', 16, None, '0x1.8387c9b0227bcp+0'),
+    ('dgff', '1/8', 32, None, '0x1.aa1d6658855bfp+0'),
+    ('dgff', '1/16', 64, None, '0x1.a376d1121c551p+0'),
+    ('dgff', '1/32', 128, None, '0x1.7e8911d17458ap+0'),
+    ('dgff', '1/64', 256, None, '0x1.45e77734ad3e3p+0'),
+]
+CERTIFICATE_SPECS = {
+    "first:linear:ln2": (certificate_first, first_linear(LN2)),
+    "first:linear:2": (certificate_first, first_linear(2.0)),
+    "first:logcorrected": (certificate_first, first_logcorrected()),
+    "dgff": (certificate_second, dgff_spec()),
+}
+
+
+def test_certificate_values_pinned():
+    # Both sides of the exact/Stirling crossover, t = 2^-m at j = 4 * 2^m,
+    # a non-unit numerator and j = 0, on three first-order specs and dgff.
+    for name, t, j, n, want in CERTIFICATE_GRID:
+        certify, spec = CERTIFICATE_SPECS[name]
+        assert certify(spec, Fraction(t), j, n).value.hex() == want, (name, t, j, n)
+
+
+def test_certificate_second_pattern_at_depth_100():
+    # The profile is sparse, so the pattern is built at any depth; its level
+    # counts are the chain a_0, b_1 .. b_n: b_k = 2^(n-k) past j = 2, then
+    # b_2 = 2^97 and b_1 = 3 * 2^96 from a_k = (3/2)^(j-k) 2^(n-j).
+    n = 100
+    cert = certificate_second(dgff_spec(), Fraction(1, 2), 2, n=n)
+    p = cert.pattern()
+    assert p.is_consistent()
+    b = [0, 3 << 96, 1 << 97] + [1 << (n - k) for k in range(3, n + 1)]
+    b[0] = 1 + sum(b)
+    assert p.first_order().b == tuple(b)
+    assert p.nonzero() == cert.entries()
+
+
 def test_certificate_second_stirling_route():
     spec = dgff_spec()
     lo = certificate_second(spec, Fraction(1, 2), 2, n=40)

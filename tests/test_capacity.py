@@ -76,6 +76,52 @@ def test_depth_mismatch_rejected():
         cap_reduce(LeafSet(2, (0,)), ConductanceProfile.uniform(3))
 
 
+def _cap_reduce_recursive(ls, profile):
+    # Reference: top-down series-parallel reduction, left branch first.
+    res = profile.resistances()
+
+    def resistance(leaves, d):
+        if d == 0:
+            return 0.0
+        half = ((leaves[0] >> d) << d) + (1 << (d - 1))
+        left = [x for x in leaves if x < half]
+        right = [x for x in leaves if x >= half]
+        branches = [res[d - 1] + resistance(side, d - 1) for side in (left, right) if side]
+        if len(branches) == 1:
+            return branches[0]
+        rl, rr = branches
+        return rl * rr / (rl + rr)
+
+    r = resistance(list(ls.leaves), ls.depth)
+    return math.inf if r == 0.0 else 1.0 / r
+
+
+def test_reduce_matches_recursive_reference_exactly():
+    rng = np.random.default_rng(17)
+    for _ in range(600):
+        n = int(rng.integers(0, 9))
+        profile = ConductanceProfile(tuple(np.exp(rng.normal(0, 1.0, size=n))))
+        leaves = rng.integers(0, 1 << n, size=int(rng.integers(1, (1 << n) + 1)))
+        ls = LeafSet(n, tuple(leaves.tolist()))
+        assert cap_reduce(ls, profile) == _cap_reduce_recursive(ls, profile)
+
+
+def test_reduce_deep_chains():
+    # 1500 levels, past the default recursion limit: one leaf sees 1500 unit
+    # resistors in series. In the chain {0} and every 2^i, the age-d vertex
+    # over leaf 0 joins the branch below it to the lone leaf 2^(d-1), whose
+    # branch is d unit resistors in series.
+    n = 1500
+    profile = ConductanceProfile.uniform(n)
+    assert cap_reduce(LeafSet(n, (0,)), profile) == 1.0 / 1500
+    r = 0.0
+    for d in range(1, n + 1):
+        rl, rr = r + 1.0, float(d)
+        r = rl * rr / (rl + rr)
+    chain = LeafSet(n, (0,) + tuple(1 << i for i in range(n)))
+    assert cap_reduce(chain, profile) == 1.0 / r
+
+
 def test_alpha_profile_uniform():
     assert alpha_profile(ConductanceProfile.uniform(3)) == (3.0, 2.0, 1.0, 0.0)
 

@@ -228,6 +228,13 @@ def test_capacity_depth_zero_is_infinite(capsys):
     assert (code, out, err) == (0, "leaves,cap\n,0\n0,inf\n", "")
 
 
+def test_capacity_deep_singleton(capsys):
+    # 1500 unit resistors in series: the reduction needs no recursion.
+    code, out, err = run(capsys, ["capacity", "--depth", "1500", "--subset", "0"])
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[1].split(",")[1]) == 1.0 / 1500
+
+
 def test_cost_guard_names_the_flags(capsys):
     code, out, err = run(capsys, ["canonical", "--preset", "zero", "--depth", "13"])
     assert code == 2 and out == ""
@@ -421,6 +428,7 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
         (["verify", "--depth", "0"], "'depth'"),
         (["verify", "--depth", "-3", "--draws", "1"], "'depth'"),
         (["verify", "--draws", "0"], "'draws'"),
+        (["verify", "--seed", "-1"], "'seed'"),
         (["threshold", "--preset", "first:linear:2", "--depths", "4", "--k-max", "0"],
          "'k_max'"),
         (["diagnose", "--preset", "first:linear:2", "--k-max", "0"], "'k_max'"),
@@ -493,7 +501,8 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "null-slope", "text-slope", "huge-slope", "nan-const", "null-uniform",
          "num-zero", "num-negative", "m-max-negative", "m-max-negative-maxterm",
          "verify-depth-zero", "verify-depth-negative", "verify-draws-zero",
-         "threshold-k-max-zero", "diagnose-k-max-zero", "threshold-k-max-zero-second",
+         "verify-seed-negative", "threshold-k-max-zero", "diagnose-k-max-zero",
+         "threshold-k-max-zero-second",
          "threshold-no-depths", "threshold-negative-depth", "capacity-negative-depth",
          "descending-grid", "unbounded-grid", "j-overflow", "depth-overflow",
          "threshold-delta-unreachable", "threshold-delta-negative",

@@ -195,6 +195,47 @@ def test_spec_doc_errors_name_keys():
     assert "values" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        (FirstOrderClustering(HSequence.from_values([0.0, math.inf])), "'h.values'"),
+        (FirstOrderClustering(HSequence.from_values([0.0, 1.0]), math.nan), "'h_const'"),
+        (CapacityClustering(HSequence.from_values([1.0, math.inf])),
+         "'conductance.values'"),
+        (CapacityClustering(HSequence.from_function(lambda l: 1.0)), "'conductance'"),
+        (SecondOrderClustering(HArray.from_function(lambda k, l: 0.0)), "'h'"),
+    ],
+    ids=["inf-weight", "nan-const", "inf-conductance", "untagged-conductance",
+         "untagged-second"],
+)
+def test_save_refuses_what_load_refuses(tmp_path, spec, key):
+    # The loader's own rules name the key, and the file is left as it was.
+    path = tmp_path / "spec.json"
+    path.write_text("kept\n")
+    with pytest.raises(SpecConfigError) as e:
+        save_spec_file(spec, path)
+    assert str(e.value).startswith("key %s" % (key,))
+    assert path.read_text() == "kept\n"
+
+
+def test_save_bytes_pinned(tmp_path):
+    path = tmp_path / "spec.json"
+    cases = [
+        (FirstOrderClustering(HSequence.from_values([0.0, 0.5, 2.0]), 3.0),
+         '{\n  "h": {\n    "kind": "list",\n    "values": [\n      0.0,\n      0.5,'
+         '\n      2.0\n    ]\n  },\n  "h_const": 3.0,\n  "variant": "first"\n}\n'),
+        (dgff_spec(),
+         '{\n  "h": {\n    "kind": "preset",\n    "name": "dgff"\n  },\n'
+         '  "h_const": "default",\n  "variant": "second"\n}\n'),
+        (CapacityClustering(HSequence.from_values([1.0, 2.5])),
+         '{\n  "conductance": {\n    "kind": "list",\n    "values": [\n      1.0,'
+         '\n      2.5\n    ]\n  },\n  "variant": "capacity"\n}\n'),
+    ]
+    for spec, text in cases:
+        save_spec_file(spec, path)
+        assert path.read_text() == text
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

@@ -14,7 +14,8 @@ from pwckit.patterns import (
     pattern1_of,
     pattern2_of,
 )
-from pwckit.tree import LeafSet
+from pwckit.clustering import dgff_spec, phi
+from pwckit.tree import LeafSet, joint_ages
 
 
 def test_pattern1_sibling_pair():
@@ -159,3 +160,79 @@ def test_profiles_of_real_sets_are_valid(ls):
     q = pattern2_of(ls)
     assert q.is_consistent()
     assert q.first_order() == p
+
+
+def _pattern2_recursive(ls):
+    # Reference construction: split the sorted leaves at the oldest joint,
+    # recursively; within any block that joint is unique.
+    n = ls.depth
+    ages = joint_ages(ls)
+    counts = {}
+
+    def bump(k, l):
+        counts[(k, l)] = counts.get((k, l), 0) + 1
+
+    def build(lo, hi):
+        if lo == hi:
+            return 0
+        i = max(range(lo, hi), key=lambda t: ages[t])
+        top = ages[i]
+        bump(top, build(lo, i))
+        bump(top, build(i + 1, hi))
+        return top
+
+    bump(n + 1, build(0, len(ls) - 1))
+    return Pattern2.from_counts(n, counts)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+def test_pattern2_matches_recursive_split_exhaustively(depth):
+    for mask in range(1, 1 << (1 << depth)):
+        ls = LeafSet.from_mask(depth, mask)
+        assert pattern2_of(ls) == _pattern2_recursive(ls)
+
+
+@st.composite
+def deep_leaf_sets(draw):
+    depth = draw(st.integers(min_value=0, max_value=40))
+    leaves = draw(st.sets(st.integers(0, (1 << depth) - 1), min_size=1, max_size=40))
+    return LeafSet(depth, tuple(leaves))
+
+
+@given(deep_leaf_sets())
+@settings(max_examples=300)
+def test_pattern2_matches_recursive_split_deep(ls):
+    p = pattern2_of(ls)
+    assert p == _pattern2_recursive(ls)
+    assert hash(p) == hash(_pattern2_recursive(ls))
+    assert p.is_consistent() and p.first_order() == pattern1_of(ls)
+
+
+def test_pattern2_deep_chain_needs_no_recursion():
+    # {0} and every 2^i: joint i + 1 sits over leaf 2^i and joint i, so the
+    # oldest-joint split nests 1200 deep, past the default recursion limit.
+    n = 1200
+    ls = LeafSet(n, (0,) + tuple(1 << i for i in range(n)))
+    want = {(1, 0): 2}
+    want.update({(k, 0): 1 for k in range(2, n + 1)})
+    want.update({(k + 1, k): 1 for k in range(1, n + 1)})
+    p = pattern2_of(ls)
+    assert p.nonzero() == want
+    assert p.level_counts() == (n + 1,) + (1,) * n
+    spec = dgff_spec()
+    assert phi(spec, ls) == sum(
+        spec.h(k, l) * c for (k, l), c in sorted(want.items())
+    ) + spec.h(n + 1, n)
+
+
+def test_pattern2_is_sparse_and_canonical():
+    # Zero counts are dropped, so equal nonzero entries mean equal profiles
+    # whatever mapping built them; the entries stay sorted.
+    p = Pattern2.from_counts(2, {(3, 1): 1, (1, 0): 2, (2, 0): 0})
+    q = Pattern2.from_counts(2, {(1, 0): 2, (3, 1): 1})
+    assert p == q and hash(p) == hash(q)
+    assert p.counts == (((1, 0), 2), ((3, 1), 1))
+    assert p.count(1, 0) == 2 and p.count(2, 0) == 0
+    assert p != Pattern2.from_counts(3, {(1, 0): 2, (3, 1): 1})
+    with pytest.raises(ValueError):
+        Pattern2.from_counts(2, {(4, 1): 1})
