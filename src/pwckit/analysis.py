@@ -82,20 +82,6 @@ def binary_entropy(eps):
 
 
 @dataclass(frozen=True)
-class OmegaCurve:
-    """Canonical free energy on the dyadic grid eps = a0 / 2^n."""
-
-    depth: int
-    eps: np.ndarray
-    omega: np.ndarray
-    label: str = ""
-
-    @classmethod
-    def from_table(cls, table, label=""):
-        return cls(table.depth, table.eps_grid(), table.omega_values(), label)
-
-
-@dataclass(frozen=True)
 class LegendreResult:
     zeta: float
     eps_star: float
@@ -103,20 +89,21 @@ class LegendreResult:
     ties: tuple
 
 
-def legendre(curve, j):
-    """max over the grid of J eps + omega(eps), with near-tie reporting.
+def legendre(table, j):
+    """max over the table's grid of J eps + omega_n(eps), with near-tie reporting.
 
     Grid points within ``_TIE_TOL`` of the maximum count as ties; the
     reported eps_star is the smallest of them and ``unique`` is False when
     there is more than one (the free energy is then non-differentiable at J
     to grid resolution, and no single density is meaningful).
     """
-    if len(curve.eps) == 0:
+    eps = table.eps_grid()
+    if len(eps) == 0:
         raise ValueError("empty omega grid")
-    values = j * curve.eps + curve.omega
+    values = j * eps + table.omega_values()
     best = float(np.max(values))
     tie_idx = np.nonzero(values >= best - _TIE_TOL)[0]
-    ties = tuple(float(curve.eps[i]) for i in tie_idx)
+    ties = tuple(float(eps[i]) for i in tie_idx)
     return LegendreResult(best, ties[0], len(ties) == 1, ties)
 
 
@@ -645,9 +632,10 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
     across depths, which makes the upper estimates comparable between n.
     """
     _check_family(spec, _FIRST + _SECOND, "threshold estimation")
-    if not depths or min(depths) < 0:
+    if not depths or min(depths) < 0 or max(depths) > dp.MAX_DEPTH:
         raise SpecConfigError(
-            "depths", "need one or more nonnegative depths, got %r" % (list(depths),)
+            "depths", "need one or more depths in 0 .. %d, got %r"
+            % (dp.MAX_DEPTH, list(depths))
         )
     if delta is not None and not 0.0 < delta < math.inf:
         raise SpecConfigError("delta", "must be finite and positive, got %r" % (delta,))
@@ -726,13 +714,11 @@ class _Certificate:
     j: int
     n: int
     value: float
-    a0_log2: float
     exact_evaluation: bool
 
-    @classmethod
-    def _of(cls, t, j, n, value, exact):
-        a0_log2 = j * math.log2(1 + float(t)) + (n - j)
-        return cls(t, j, n, value, a0_log2, exact)
+    @property
+    def a0_log2(self):
+        return self.j * math.log2(1 + float(self.t)) + (self.n - self.j)
 
 
 @dataclass(frozen=True)
@@ -754,28 +740,21 @@ class CertificateFirst(_Certificate):
 
 
 def _first_chain(t, j, n):
-    """a_k and b_k as exact integers, index k = 0 .. n."""
+    """a_k and b_k as exact integers, index k = 0 .. n, top down from a_n = 1
+    by a_{k-1} = a_k + b_k: b_k = a_k above age j, t a_k at and below it."""
     p, twoq = t.numerator, t.denominator
-    a = [0] * (n + 1)
     b = [0] * (n + 1)
-    for k in range(n, j, -1):
-        a[k] = 1 << (n - k)
-        b[k] = a[k]
-    for k in range(j, 0, -1):
-        num = (twoq + p) ** (j - k) << (n - j)
-        den = twoq ** (j - k)
-        if num % den:
-            raise ValueError("population a_%d not integer at n = %d" % (k, n))
-        a[k] = num // den
-        if (a[k] * p) % twoq:
-            raise ValueError("count b_%d not integer at n = %d" % (k, n))
-        b[k] = a[k] * p // twoq
-    a[0] = 1 + sum(b[1:])
-    b[0] = a[0]
-    expect = (twoq + p) ** j << (n - j) if n >= j else None
-    if n >= j and a[0] * twoq ** j != expect:
-        raise AssertionError("population chain inconsistent")
-    return a, b
+    a_k = 1
+    for k in range(n, 0, -1):
+        if k > j:
+            b[k] = a_k
+        else:
+            b[k], r = divmod(a_k * p, twoq)
+            if r:
+                raise ValueError("count b_%d not integer at n = %d" % (k, n))
+        a_k += b[k]
+    b[0] = a_k
+    return list(Pattern1(n, b).populations()), b
 
 
 def minimal_certificate_depth(t, j):
@@ -836,7 +815,7 @@ def certificate_first(spec, t, j, n=None):
             lambda ks: scale * g(ks) * _exp2(j - ks),
             j + 1, n, _TAIL_TOL, math.inf,
         )[0]
-    return CertificateFirst._of(t, j, n, value, exact)
+    return CertificateFirst(t, j, n, value, exact)
 
 
 @dataclass(frozen=True)
@@ -856,33 +835,24 @@ class CertificateSecond(_Certificate):
         return Pattern2.from_counts(self.n, self.entries())
 
 
-def _second_row_counts(t, n, k, bk):
-    """Exact row k entries {own age: count} for a spread row (k <= j+1)."""
-    p, twoq = t.numerator, t.denominator
-    row = {}
-    for d in range(1, k):
-        num = 2 * bk * p * (twoq - p) ** (d - 1)
-        den = twoq**d
-        if num % den:
-            raise ValueError(
-                "row %d entry d=%d not integer at n = %d" % (k, d, n)
-            )
-        row[k - d] = num // den
-    num = 2 * bk * (twoq - p) ** (k - 1)
-    den = twoq ** (k - 1)
-    if num % den:
-        raise ValueError("row %d entry d=%d not integer at n = %d" % (k, k, n))
-    row[0] = row.get(0, 0) + num // den
-    return row
-
-
 def _second_entries(t, j, n, b):
-    """Sparse table {(k, l): count} of the profile, from the b_k chain."""
+    """Sparse table {(k, l): count} of the profile, from the b_k chain. A
+    spread row k <= j+1 puts t of its 2 b_k children not yet placed d = 1 ..
+    k-1 generations down, 2 b_k t (1-t)^{d-1} at own age k - d, and the
+    rest at own age 0; zero counts are left out."""
+    p, twoq = t.numerator, t.denominator
     entries = {}
     for k in range(1, min(j + 1, n) + 1):
-        for l, c in _second_row_counts(t, n, k, b[k]).items():
+        rest = 2 * b[k]
+        for d in range(1, k):
+            c, r = divmod(rest * p, twoq)
+            if r:
+                raise ValueError("row %d entry d=%d not integer at n = %d" % (k, d, n))
+            rest -= c
             if c:
-                entries[(k, l)] = c
+                entries[(k, k - d)] = c
+        if rest:
+            entries[(k, 0)] = rest
     for k in range(j + 2, n + 1):
         entries[(k, k - 1)] = 2 * b[k]
     entries[(n + 1, n)] = 1
@@ -948,4 +918,4 @@ def certificate_second(spec, t, j, n=None):
             lambda ks: scale * _exp2(j + 1 - ks) * g(ks - 1, 1),
             j + 2, n, _TAIL_TOL, math.inf,
         )[0]
-    return CertificateSecond._of(t, j, n, value, exact)
+    return CertificateSecond(t, j, n, value, exact)

@@ -174,7 +174,7 @@ class HArray:
 
     def __call__(self, k, l):
         kk, ll = np.broadcast_arrays(k, l)
-        if np.any((ll < 0) | (ll >= kk)):
+        if ((ll < 0) | (ll >= kk)).any():
             raise ValueError("ancestor pairs require 0 <= l < k, got (%s, %s)" % (k, l))
         if self._fn is not None:
             out = np.full(kk.shape, self._fn(k, l), dtype=float)

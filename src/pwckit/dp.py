@@ -197,6 +197,20 @@ def _weights(spec, n):
     return H, const
 
 
+def _check_j(j, n):
+    """``j`` as a float array, refused naming ``j`` unless every J is finite
+    with |J| below ``_range_bound(n)``."""
+    j = np.atleast_1d(np.asarray(j, dtype=float))
+    bound = _range_bound(n)
+    ok = np.abs(j) < bound
+    if not ok.all():
+        raise SpecConfigError(
+            "j", "J must be finite with |J| < %g at depth %d, got %r"
+            % (bound, n, float(j[~ok][0]))
+        )
+    return j
+
+
 def _levels(H, j, n, ratio=False):
     """Yield ``(ln F_d, r_d)`` for d = 0 .. n, one column per J of ``j``.
 
@@ -209,14 +223,7 @@ def _levels(H, j, n, ratio=False):
     stays within float range. ln F_n grows like 2^n |J|, so |J| is bounded
     to keep 2 ln F finite.
     """
-    j = np.atleast_1d(np.asarray(j, dtype=float))
-    bound = _range_bound(n)
-    ok = np.abs(j) < bound
-    if not ok.all():
-        raise SpecConfigError(
-            "j", "J must be finite with |J| < %g at depth %d, got %r"
-            % (bound, n, float(j[~ok][0]))
-        )
+    j = _check_j(j, n)
     drop = min(1, len(H) - 1)  # second order leaves each split row behind
     neg = -H
     f = j - H[drop:, :1]

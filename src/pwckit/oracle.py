@@ -38,7 +38,7 @@ import numpy as np
 
 from . import capacity as _capacity
 from .clustering import SpecConfigError, UnsupportedVariant
-from .dp import NEG_INF, CanonicalTable, LogReal
+from .dp import NEG_INF, CanonicalTable, LogReal, _check_j
 from .tree import LeafSet
 
 ORACLE_MAX_DEPTH = 4
@@ -130,8 +130,11 @@ def phi_vector(spec, n):
 
 
 def _ln_terms(spec, n, j):
-    """ln of every subset's Boltzmann term J |A| - Phi(A)."""
-    return j * profile_table(n).sizes - phi_vector(spec, n)
+    """ln of every subset's Boltzmann term J |A| - Phi(A); J is checked
+    after ``phi_vector`` has checked the depth, which bounds J."""
+    phi = phi_vector(spec, n)
+    _check_j(j, n)
+    return j * profile_table(n).sizes - phi
 
 
 def _exact_sums(values, groups=None, count=1):

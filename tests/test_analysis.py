@@ -9,7 +9,6 @@ from pwckit import analysis, dp
 from pwckit.analysis import (
     BracketError,
     Kappa1Report,
-    OmegaCurve,
     binary_entropy,
     bisect_upper,
     certificate_first,
@@ -59,10 +58,9 @@ def test_legendre_zero_spec_matches_zeta():
     # recover zeta up to the stated grid gap.
     for n in (6, 9):
         table = dp.dp_W(zero_spec(), n)
-        curve = OmegaCurve.from_table(table)
         gap_bound = math.log((1 << n) + 1) / (1 << n)
         for j in (-2.0, 0.0, 1.0, 3.0):
-            res = legendre(curve, j)
+            res = legendre(table, j)
             z = dp.zeta(zero_spec(), n, j)
             assert 0.0 <= z - res.zeta <= gap_bound + 1e-9
             # The maximizer sits near the mean density.
@@ -71,8 +69,7 @@ def test_legendre_zero_spec_matches_zeta():
 
 
 def test_legendre_reports_ties():
-    curve = OmegaCurve(2, np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0, 0.0]))
-    res = legendre(curve, 0.0)
+    res = legendre(dp.CanonicalTable(1, np.zeros(3)), 0.0)
     assert not res.unique
     assert res.ties == (0.0, 0.5, 1.0)
     assert res.eps_star == 0.0

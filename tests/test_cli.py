@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,19 @@ def data_rows(out):
             continue
         rows.append(line)
     return rows
+
+
+def test_readme_examples_run(capsys):
+    # The library quickstart runs as written, and every line of the
+    # command-line block exits 0 through main.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quickstart = text.split("## Library quickstart")[1].split("```python\n")[1]
+    exec(compile(quickstart.split("```")[0], "README quickstart", "exec"), {})
+    block = text.split("## Command-line interface")[1].split("```\n")[1]
+    lines = [line.split() for line in block.splitlines()]
+    assert lines and all(line[0] == "pwckit" for line in lines)
+    for line in lines:
+        assert run(capsys, line[1:])[0] == 0, line
 
 
 def test_zeta_zero_closed_form(capsys):
@@ -494,6 +508,13 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "'maxterm'"),
         (["canonical", "--preset", "capacity:uniform", "--depth", "2", "--m-max", "-1"],
          "'m_max'"),
+        (["density", "--preset", "capacity:uniform:1", "--depth", "2",
+          "--j-grid", "1e308"], "'j'"),
+        (["zeta", "--preset", "capacity:uniform:1", "--depth", "2",
+          "--j-grid", "1e308"], "'j'"),
+        (["zeta", "--preset", "capacity:uniform:1", "--depth", "2",
+          "--j-grid", "nan"], "'j'"),
+        (["threshold", "--preset", "zero", "--depths", "2000"], "'depths'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -516,7 +537,8 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "out-unwritable", "summary-unwritable", "capacity-zeta-depth",
          "short-conductance-capacity", "short-conductance-zeta",
          "short-conductance-canonical", "sample-capacity", "threshold-capacity",
-         "maxterm-capacity", "m-max-negative-capacity"],
+         "maxterm-capacity", "m-max-negative-capacity", "capacity-density-j-overflow",
+         "capacity-zeta-j-overflow", "capacity-zeta-j-nan", "threshold-depth-overflow"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():
