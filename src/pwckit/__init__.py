@@ -8,30 +8,12 @@ top-down samplers, brute-force enumeration oracles for cross-checking,
 and diagnostics for locating the wetting threshold.
 """
 
-from .tree import (
-    LeafSet,
-    is_more_clustered,
-    joint_ages,
-    leaf_meet_age,
-)
-from .patterns import (
-    Pattern1,
-    Pattern2,
-    entropy1,
-    entropy2,
-    enumerate_patterns1,
-    log_entropy1,
-    pattern1_of,
-    pattern2_of,
-)
+from .tree import LeafSet
 from .capacity import (
     ConductanceProfile,
-    LeafMeasure,
-    alpha_profile,
     cap_quadratic,
     cap_reduce,
     cap_table,
-    flow_energy,
 )
 from .clustering import (
     CapacityClustering,
@@ -43,13 +25,11 @@ from .clustering import (
     UnsupportedVariant,
     ZeroClustering,
     capacity_uniform,
-    check_monotone,
     dgff_spec,
     first_linear,
     first_logcorrected,
     load_spec_file,
     parse_preset,
-    phi,
     random_capacity,
     random_first_order,
     random_second_order,
@@ -59,7 +39,6 @@ from .clustering import (
 )
 from .dp import CanonicalTable, LogReal, dp_W, dp_W_maxterm, dp_Z, dp_density, zeta
 from .oracle import (
-    ExactDistribution,
     enum_W,
     enum_Z,
     enum_density,
@@ -70,28 +49,19 @@ from .oracle import (
 )
 from .analysis import (
     BracketError,
-    CertificateFirst,
-    CertificateSecond,
     DiagnosticCurve,
     Kappa1Report,
     Kappa2Report,
-    LegendreResult,
     TauberianReport,
     WettingReport,
-    binary_entropy,
-    certificate_first,
-    certificate_second,
     estimate_jstar,
     kappa1,
     kappa2,
     laplace_first,
     laplace_second,
-    legendre,
-    minimal_certificate_depth,
     tauberian_first,
-    tauberian_second,
 )
-from .sampler import DensityEstimate, Sampler, empirical_density, sample
+from .sampler import Sampler, sample
 
 __version__ = "0.1.0"
 
@@ -99,23 +69,15 @@ __all__ = [
     "BracketError",
     "CanonicalTable",
     "CapacityClustering",
-    "CertificateFirst",
-    "CertificateSecond",
     "ConductanceProfile",
-    "DensityEstimate",
     "DiagnosticCurve",
-    "ExactDistribution",
     "FirstOrderClustering",
     "HArray",
     "HSequence",
     "Kappa1Report",
     "Kappa2Report",
-    "LeafMeasure",
     "LeafSet",
-    "LegendreResult",
     "LogReal",
-    "Pattern1",
-    "Pattern2",
     "Sampler",
     "SecondOrderClustering",
     "SpecConfigError",
@@ -123,49 +85,30 @@ __all__ = [
     "UnsupportedVariant",
     "WettingReport",
     "ZeroClustering",
-    "alpha_profile",
-    "binary_entropy",
     "cap_quadratic",
     "cap_reduce",
     "cap_table",
     "capacity_uniform",
-    "certificate_first",
-    "certificate_second",
-    "check_monotone",
     "dgff_spec",
     "dp_W",
     "dp_W_maxterm",
     "dp_Z",
     "dp_density",
-    "empirical_density",
-    "entropy1",
-    "entropy2",
     "enum_W",
     "enum_Z",
     "enum_density",
     "enum_maxterm",
     "enum_phi",
     "enum_zeta",
-    "enumerate_patterns1",
     "estimate_jstar",
     "first_linear",
     "first_logcorrected",
-    "flow_energy",
-    "is_more_clustered",
-    "joint_ages",
     "kappa1",
     "kappa2",
     "laplace_first",
     "laplace_second",
-    "leaf_meet_age",
-    "legendre",
     "load_spec_file",
-    "log_entropy1",
-    "minimal_certificate_depth",
     "parse_preset",
-    "pattern1_of",
-    "pattern2_of",
-    "phi",
     "phi_vector",
     "random_capacity",
     "random_first_order",
@@ -174,7 +117,6 @@ __all__ = [
     "save_spec_file",
     "spec_from_doc",
     "tauberian_first",
-    "tauberian_second",
     "zero_spec",
     "zeta",
 ]

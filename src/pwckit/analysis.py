@@ -17,26 +17,19 @@ certify a transition when finite, with analytic lower bounds on J*. The
 Laplace and Tauberian diagnostics point the other way: growth of
 ln(1/s) - s ghat+(s) (or its second-order variant) and of
 (ln2)k + ln k - h_k support the absence of a transition.
-
-Certificate patterns reproduce the explicit profiles from the
-necessary-condition proofs: t_k = t up to a cutoff generation j, then full
-branching. Their normalized entropy-energy value A_n (or B_n) lower-bounds
--J* up to an unknown additive constant, so only differences of certificate
-values are meaningful; the acceptance checks use exactly that.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import dp
 from .clustering import SpecConfigError, UnsupportedVariant
 from .dp import NEG_INF
-from .patterns import Pattern1, Pattern2, _log_comb
 
 LN2 = math.log(2.0)
 
@@ -46,65 +39,23 @@ _KAPPA_TOL = 1e-15
 _KAPPA_CAP = 200000
 _BLOW_UP = 1e15
 
-#: tail_bound and the certificate tails sum to relative tolerance _TAIL_TOL,
-#: tail_bound over at most _TAIL_CAP ages
+#: tail_bound sums to relative tolerance _TAIL_TOL over at most _TAIL_CAP
+#: ages
 _TAIL_TOL = 1e-18
 _TAIL_CAP = 20000
 
 #: a Laplace block contributing less than this ends its sum
 _LAPLACE_TOL = 1e-12
 
-#: Legendre grid values within this of the maximum count as ties
-_TIE_TOL = 1e-9
-
-#: largest mismatch tauberian_second accepts in the additive decomposition
-_DECOMPOSITION_TOL = 1e-9
+#: per order, the Laplace diagnostic refuses s below 2^-exponent without
+#: allow_large: (exponent, its cost in s)
+_COST_S = {"first-order": (20, "1/s"), "second-order": (8, "1/s^2")}
 
 #: numeric-trend thresholds for divergence verdicts: the sequence value at
 #: k_max must clear _DIVERGE_VALUE and gain at least _DIVERGE_GAIN over the
 #: value at k_max/2 (a doubling adds ln2 ~ 0.69 even for log growth)
 _DIVERGE_VALUE = 5.0
 _DIVERGE_GAIN = 0.4
-
-
-def binary_entropy(eps):
-    """-eps ln eps - (1-eps) ln(1-eps), elementwise, 0 at the endpoints."""
-    e = np.asarray(eps, dtype=float)
-    out = np.zeros_like(e)
-    inner = (e > 0) & (e < 1)
-    ei = e[inner]
-    out[inner] = -ei * np.log(ei) - (1 - ei) * np.log(1 - ei)
-    return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# Legendre transform of the canonical table
-
-
-@dataclass(frozen=True)
-class LegendreResult:
-    zeta: float
-    eps_star: float
-    unique: bool
-    ties: tuple
-
-
-def legendre(table, j):
-    """max over the table's grid of J eps + omega_n(eps), with near-tie reporting.
-
-    Grid points within ``_TIE_TOL`` of the maximum count as ties; the
-    reported eps_star is the smallest of them and ``unique`` is False when
-    there is more than one (the free energy is then non-differentiable at J
-    to grid resolution, and no single density is meaningful).
-    """
-    eps = table.eps_grid()
-    if len(eps) == 0:
-        raise ValueError("empty omega grid")
-    values = j * eps + table.omega_values()
-    best = float(np.max(values))
-    tie_idx = np.nonzero(values >= best - _TIE_TOL)[0]
-    ties = tuple(float(eps[i]) for i in tie_idx)
-    return LegendreResult(best, ties[0], len(ties) == 1, ties)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +119,20 @@ def _exp2(e):
     return np.fromiter(map(math.exp, e * LN2), float, len(e))
 
 
+def _quiet_overflow(fn):
+    """``fn`` without numpy's overflow and invalid-value warnings, for the
+    functions that read weights over a range of ages. A closed-form weight
+    past float range reads as inf, and its terms as inf or, times a damping
+    that underflowed, NaN: a sum that is not finite is divergent, a trend
+    that is not a number is inconclusive. Weights past range at a depth are
+    refused, naming their key, where the dynamic programs read them."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
+
+
 def _check_k_max(k_max):
     if k_max < 1:
         raise SpecConfigError("k_max", "must be at least 1, got %d" % (k_max,))
@@ -186,6 +151,7 @@ def _check_family(spec, families, what):
         )
 
 
+@_quiet_overflow
 def kappa1(spec):
     """kappa_1 = sum_{k>=1} 2^k e^{-h_k}, or inf when it will not converge.
 
@@ -233,6 +199,7 @@ class Kappa2Report:
     grid: tuple
 
 
+@_quiet_overflow
 def kappa2(spec, k_max=100000):
     """kappa_2 = sup_k sum_{l<k} 2^l e^{-h_{k,l}} over k <= k_max.
 
@@ -281,12 +248,20 @@ class DiagnosticCurve:
     divergent: tuple
 
 
-def _s_grid(s_values):
-    """The s grid as an array; empty grids and points outside (0, 1] name 's-grid'."""
+def _s_grid(s_values, order, allow_large):
+    """The s grid as an array. Empty grids and points outside (0, 1] name
+    's-grid', as do points below ``_COST_S[order]`` without ``allow_large``."""
     s_arr = np.asarray(list(s_values), dtype=float)
     if not s_arr.size or not np.all((s_arr > 0) & (s_arr <= 1)):
         raise SpecConfigError(
             "s-grid", "need one or more points in (0, 1], got %r" % (s_arr.tolist(),)
+        )
+    exponent, cost = _COST_S[order]
+    if np.any(s_arr < 2.0**-exponent) and not allow_large:
+        raise SpecConfigError(
+            "s-grid",
+            "the %s Laplace diagnostic below s = 2^-%d costs O(%s); "
+            "pass --allow-large (allow_large=True) to proceed" % (order, exponent, cost),
         )
     return s_arr
 
@@ -297,30 +272,32 @@ def _damped_sum(g, s, first, last, scale=1.0):
     The sum ends at a block where scale times both its contribution and its
     last damping e^{-sk} lie below ``_LAPLACE_TOL`` (a run of ages with
     g+ = 0 does not end it), and is divergent once scale times it passes
-    ``_BLOW_UP``.
+    ``_BLOW_UP`` or is not a number.
     """
     total = 0.0
     for ks in _blocks(first, last):
         damp = np.exp(-s * ks)
         contrib = float((damp * np.maximum(g(ks), 0.0)).sum())
         total += contrib
-        if scale * total > _BLOW_UP:
+        if not scale * total <= _BLOW_UP:
             return total, True
         if scale * max(contrib, damp[-1]) < _LAPLACE_TOL:
             break
     return total, False
 
 
-def laplace_first(spec, s_values):
+@_quiet_overflow
+def laplace_first(spec, s_values, allow_large=False):
     """ln(1/s) - s ghat+(s) on the grid, ghat+(s) = sum e^{-sk} g+_k.
 
     The series is a ``_damped_sum``; a divergent point reports -inf (the
-    diagnostic is then conclusively negative).
+    diagnostic is then conclusively negative). It runs to about 28/s ages;
+    grids reaching below 2^-20 are refused without ``allow_large``.
     """
     _check_family(spec, _FIRST, "laplace_first")
     h = spec.h
     k_limit = math.inf if h.has_tail else h.max_age
-    s_arr = _s_grid(s_values)
+    s_arr = _s_grid(s_values, "first-order", allow_large)
     diag = np.empty_like(s_arr)
     divergent = []
     for i, s in enumerate(s_arr):
@@ -330,6 +307,7 @@ def laplace_first(spec, s_values):
     return DiagnosticCurve("laplace-first", s_arr, diag, tuple(divergent))
 
 
+@_quiet_overflow
 def laplace_second(spec, s_values, allow_large=False):
     """ln(1/s) - 2 s^2 ghat+(s, 2s) with the double Laplace transform
     ghat+(s, u) = sum_{l>=0, d>=1} e^{-s l - u d} g+_{l,d}.
@@ -342,13 +320,7 @@ def laplace_second(spec, s_values, allow_large=False):
     _check_family(spec, _SECOND, "laplace_second")
     h = spec.h
     k_limit = math.inf if h.has_tail else h.max_ancestor_age
-    s_arr = _s_grid(s_values)
-    if np.any(s_arr < 1.0 / 256) and not allow_large:
-        raise SpecConfigError(
-            "s-grid",
-            "the second-order Laplace diagnostic below s = 2^-8 costs O(1/s^2); "
-            "pass --allow-large (allow_large=True) to proceed",
-        )
+    s_arr = _s_grid(s_values, "second-order", allow_large)
     diag = np.empty_like(s_arr)
     divergent = []
     for i, s in enumerate(s_arr):
@@ -381,6 +353,7 @@ class TauberianReport:
     verdict: str
 
 
+@_quiet_overflow
 def _trend_verdict(u, k_max):
     """The verdict from the sequence ``u`` (a callable on age arrays) at the
     ages k_max // 2 + 1 and k_max; inconclusive for k_max = 0."""
@@ -405,6 +378,7 @@ def _first_u(spec, k_max):
     return lambda ks: LN2 * ks + np.log(ks) - h(ks), k_max
 
 
+@_quiet_overflow
 def tauberian_first(spec, k_max=100000):
     """u_k = (ln2) k + ln k - h_k with a monotone-trend verdict.
 
@@ -414,33 +388,6 @@ def tauberian_first(spec, k_max=100000):
     k_max // 2 + 1; a list with no age past 0 is inconclusive.
     """
     u, k_max = _first_u(spec, k_max)
-    ks = np.arange(1, k_max + 1)
-    return TauberianReport(ks, u(ks), _trend_verdict(u, k_max))
-
-
-def tauberian_second(spec, h1, h2, k_max=100000):
-    """Additive-decomposition variant: u_k = (ln2)k + ln k - h1_k - h2_{k//2}.
-
-    The caller supplies h_{l+d, l} = h1(l) + h2(d); the decomposition is
-    spot-checked against the array on a grid of indices before use.
-    """
-    _check_k_max(k_max)
-    _check_family(spec, _SECOND, "tauberian_second")
-    h = spec.h
-    samples = (1, 2, 3, 5, 8, 13, 21, 55, 144)
-    if not h.has_tail:
-        samples = tuple(k for k in samples if k <= h.max_ancestor_age)
-    for k in samples:
-        l = np.arange(0, k, max(1, k // 4))
-        got, want = h(k, l), h1(l) + h2(k - l)
-        bad = np.flatnonzero(np.abs(got - want) > _DECOMPOSITION_TOL)
-        if bad.size:
-            i = bad[0]
-            raise ValueError(
-                "additive decomposition mismatch at (k=%d, l=%d): "
-                "array %.17g vs h1+h2 %.17g" % (k, l[i], got[i], want[i])
-            )
-    u = lambda ks: LN2 * ks + np.log(ks) - (h1(ks) + h2(ks // 2))
     ks = np.arange(1, k_max + 1)
     return TauberianReport(ks, u(ks), _trend_verdict(u, k_max))
 
@@ -467,6 +414,7 @@ _SIXTEENTHS = np.arange(1, 16) / 16
 _AIM_STEPS = np.linspace(0.0, 1.0, 16)
 
 
+@_quiet_overflow
 def tail_bound(spec, n):
     """Finite-size tail 2 sum_{k>n} gamma_k 2^{-k}.
 
@@ -531,15 +479,26 @@ def bisect_upper(spec, n, delta, tail):
     restarts the search once from its first cell, re-gridded with 65
     uniform points per round, which returns the float, or raises the
     BracketError, of a search that only ever grids uniformly. A first grid
-    that is not false then true raises BracketError at once.
+    that is not false then true raises BracketError at once, or names
+    ``depths`` when the range bound at depth n cut the bracket ends and
+    left none, or none where the condition is false.
     """
     H, const = dp._weights(spec, n)
-    grid = _BRACKET_ENDS[np.abs(_BRACKET_ENDS) < dp._range_bound(n)]
+    bound = dp._range_bound(n)
+    grid = _BRACKET_ENDS[np.abs(_BRACKET_ENDS) < bound]
     first = None  # the first cell, where a restart begins
     uniform = False
     while True:
         z = dp._ln_z(H, const, n, grid) / (1 << n) - tail
         ok = z > delta
+        cut = first is None and len(grid) < len(_BRACKET_ENDS)
+        if cut and (len(ok) < 2 or ok[0]):
+            raise SpecConfigError(
+                "depths",
+                "depth %d bounds |J| below %.17g; none of the %d start points of "
+                "the root search there has zeta_%d(J) - tail <= %g"
+                % (n, bound, len(grid), n, delta),
+            )
         if len(ok) < 2 or ok[0] or not ok[-1] or (ok[:-1] > ok[1:]).any():
             if first is None or uniform:
                 raise BracketError(
@@ -685,237 +644,3 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
         tauberian_verdict=t_verdict,
         verdict=verdict,
     )
-
-
-# ---------------------------------------------------------------------------
-# certificate patterns
-
-#: largest a0 evaluated with exact binomials; past it lgamma arguments
-#: overflow or lose all precision anyway
-_EXACT_A0_MAX = 1 << 40
-
-
-def _as_dyadic(t):
-    frac = Fraction(t)
-    if not 0 < frac <= 1:
-        raise ValueError("t must lie in (0, 1]")
-    den = frac.denominator
-    if den & (den - 1):
-        raise ValueError("t must be dyadic, got %s" % (frac,))
-    return frac
-
-
-@dataclass(frozen=True)
-class _Certificate:
-    """What both certificate orders hold: the profile parameters (t, j, n),
-    the value and log2 a0, and whether exact binomials gave the value."""
-
-    t: Fraction
-    j: int
-    n: int
-    value: float
-    exact_evaluation: bool
-
-    @property
-    def a0_log2(self):
-        return self.j * math.log2(1 + float(self.t)) + (self.n - self.j)
-
-
-@dataclass(frozen=True)
-class CertificateFirst(_Certificate):
-    """The explicit first-order profile t_k = t (k <= j), then 1.
-
-    ``value`` is A_n(b) = a0^{-1} sum_k (ln C(a_k, b_k) - g_k b_k); it
-    certifies -J* >= value - C for the unknown constant C, so only
-    differences between certificates are quantitative.
-    """
-
-    def populations(self):
-        """Exact integer (a_k, b_k) chains, top age down to 0."""
-        return _first_chain(self.t, self.j, self.n)
-
-    def pattern(self):
-        _, b = _first_chain(self.t, self.j, self.n)
-        return Pattern1(self.n, tuple(b))
-
-
-def _first_chain(t, j, n):
-    """a_k and b_k as exact integers, index k = 0 .. n, top down from a_n = 1
-    by a_{k-1} = a_k + b_k: b_k = a_k above age j, t a_k at and below it."""
-    p, twoq = t.numerator, t.denominator
-    b = [0] * (n + 1)
-    a_k = 1
-    for k in range(n, 0, -1):
-        if k > j:
-            b[k] = a_k
-        else:
-            b[k], r = divmod(a_k * p, twoq)
-            if r:
-                raise ValueError("count b_%d not integer at n = %d" % (k, n))
-        a_k += b[k]
-    b[0] = a_k
-    return list(Pattern1(n, b).populations()), b
-
-
-def minimal_certificate_depth(t, j):
-    """Smallest n making every a_k, b_k an integer."""
-    t = _as_dyadic(t)
-    q = t.denominator.bit_length() - 1
-    return j * (q + 1)
-
-
-def _certificate_depth(t, j, n, n_default):
-    """Dyadic ``t`` and the certificate depth: ``n``, or with none the larger
-    of ``n_default`` and the minimal depth with integer populations."""
-    t = _as_dyadic(t)
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    n_min = minimal_certificate_depth(t, j)
-    if n is None:
-        n = max(n_min, n_default)
-    if n < n_min:
-        raise ValueError(
-            "integrality unattainable at depth %d; minimal depth is %d"
-            % (n, n_min)
-        )
-    return t, n
-
-
-def certificate_first(spec, t, j, n=None):
-    """Build and exactly validate the profile, then evaluate A_n.
-
-    With no ``n`` the minimal depth with integer populations is used. Small
-    instances are evaluated with exact binomials; once a0 exceeds 2^40 the
-    per-level Stirling form (a_k phi(t) for ln C) takes over, whose dropped
-    corrections are O(n ln a0 / a0) and far below double precision there.
-    """
-    _check_family(spec, _FIRST, "certificate_first")
-    t, n = _certificate_depth(t, j, n, j + 1)
-    a, b = _first_chain(t, j, n)  # raises if integrality fails
-    if not Pattern1(n, b).is_admissible():
-        raise AssertionError("inadmissible certificate chain")
-
-    h = spec.h
-    tf = float(t)
-    g = lambda k: h(k) - LN2 * k
-    exact = a[0] <= _EXACT_A0_MAX
-    if exact:
-        total = 0.0
-        for k in range(1, n + 1):
-            total += _log_comb(a[k], b[k]) - g(k) * b[k]
-        value = total / a[0]
-    else:
-        phi = binary_entropy(tf)
-        value = 0.0
-        for k in range(1, j + 1):
-            value += (1 + tf) ** (-k) * (phi - tf * g(k))
-        # k > j: full branching, ln C = 0, b_k/a0 = 2^{j-k} (1+t)^{-j}
-        scale = (1 + tf) ** (-j)
-        value -= _series(
-            lambda ks: scale * g(ks) * _exp2(j - ks),
-            j + 1, n, _TAIL_TOL, math.inf,
-        )[0]
-    return CertificateFirst(t, j, n, value, exact)
-
-
-@dataclass(frozen=True)
-class CertificateSecond(_Certificate):
-    """Second-order analog: geometric spread of own ages below each row.
-
-    ``value`` is B_n(b) = a0^{-1} sum_k [ln multinomial(2b_k; row_k)
-    - sum_d g_{k-d,d} b_{k,k-d}].
-    """
-
-    def entries(self):
-        """Sparse exact table {(ancestor age, own age): count}."""
-        _, b = _first_chain(self.t, self.j, self.n)
-        return _second_entries(self.t, self.j, self.n, b)
-
-    def pattern(self):
-        return Pattern2.from_counts(self.n, self.entries())
-
-
-def _second_entries(t, j, n, b):
-    """Sparse table {(k, l): count} of the profile, from the b_k chain. A
-    spread row k <= j+1 puts t of its 2 b_k children not yet placed d = 1 ..
-    k-1 generations down, 2 b_k t (1-t)^{d-1} at own age k - d, and the
-    rest at own age 0; zero counts are left out."""
-    p, twoq = t.numerator, t.denominator
-    entries = {}
-    for k in range(1, min(j + 1, n) + 1):
-        rest = 2 * b[k]
-        for d in range(1, k):
-            c, r = divmod(rest * p, twoq)
-            if r:
-                raise ValueError("row %d entry d=%d not integer at n = %d" % (k, d, n))
-            rest -= c
-            if c:
-                entries[(k, k - d)] = c
-        if rest:
-            entries[(k, 0)] = rest
-    for k in range(j + 2, n + 1):
-        entries[(k, k - 1)] = 2 * b[k]
-    entries[(n + 1, n)] = 1
-    return entries
-
-
-def certificate_second(spec, t, j, n=None):
-    """Second-order certificate with exact validation and B_n evaluation.
-
-    The spread rows put a fraction t(1-t)^{d-1} of each row's 2 b_k
-    children d generations down (remainder at own age 0); rows past the
-    cutoff are fully concentrated one generation down. The row at j+1 is
-    spread as well, which is exactly what the column identities require.
-    """
-    _check_family(spec, _SECOND, "certificate_second")
-    t, n = _certificate_depth(t, j, n, j + 2)
-    a, b = _first_chain(t, j, n)
-    entries = _second_entries(t, j, n, b)
-    p = Pattern2.from_counts(n, entries)
-    if not (p.is_consistent() and p.level_counts() == (a[0], *b[1:])):
-        raise AssertionError("certificate table breaks its row or column identities")
-
-    h = spec.h
-    tf = float(t)
-    g = lambda l, d: h(l + d, l) - LN2 * l
-    exact = a[0] <= _EXACT_A0_MAX
-    if exact:
-        rows = {}
-        for (k, l), c in entries.items():
-            rows.setdefault(k, {})[l] = c
-        total = 0.0
-        for k in range(1, n + 1):
-            row = rows.get(k, {})
-            lnm = math.lgamma(2 * b[k] + 1)
-            for l, c in row.items():
-                lnm -= math.lgamma(c + 1)
-                total -= g(l, k - l) * c
-            total += lnm
-        value = total / a[0]
-    else:
-        value = 0.0
-        for k in range(1, min(j + 1, n) + 1):
-            # weights q_d over d = 1..k; row share 2 b_k / a0
-            share = (
-                2 * tf * (1 + tf) ** (-k)
-                if k <= j
-                else (1 + tf) ** (-j) * math.exp((j + 1 - k) * LN2)
-            )
-            entropy = 0.0
-            energy = 0.0
-            for d in range(1, k + 1):
-                qd = (
-                    tf * (1 - tf) ** (d - 1)
-                    if d < k
-                    else (1 - tf) ** (k - 1)
-                )
-                if qd > 0:
-                    entropy -= qd * math.log(qd)
-                energy += qd * g(k - d, d)
-            value += share * (entropy - energy)
-        scale = (1 + tf) ** (-j)
-        value -= _series(
-            lambda ks: scale * _exp2(j + 1 - ks) * g(ks - 1, 1),
-            j + 2, n, _TAIL_TOL, math.inf,
-        )[0]
-    return CertificateSecond(t, j, n, value, exact)

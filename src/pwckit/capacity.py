@@ -12,11 +12,6 @@ equivalently the inverse of the effective resistance from the root to A.
 Two independent evaluation routes are provided: series-parallel reduction
 along the induced subtree (``cap_reduce``) and a direct solve of the
 harmonic system on the full tree (``cap_quadratic``).
-
-The dual form used by the flow-energy bound: for a probability measure mu
-on A, E(mu) = sum_{u,v} mu(u) mu(v) alpha_{age(meet(u,v))} with
-alpha_l = sum_{j=l}^{n-1} R_j (and alpha_n = 0) satisfies
-CAP(A) = 1 / min_mu E(mu), so 1 / E(mu) <= CAP(A) for every mu.
 """
 
 from __future__ import annotations
@@ -25,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tree import leaf_meet_age
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,58 +150,3 @@ def cap_table(depth, profile):
         cap = 1.0 / r
     cap[0] = 0.0
     return cap
-
-
-def alpha_profile(profile):
-    """alpha_l = resistance from level l up to the root along one path,
-    for l = 0 .. depth (alpha_depth = 0)."""
-    res = profile.resistances()
-    n = profile.depth
-    alpha = [0.0] * (n + 1)
-    for l in range(n - 1, -1, -1):
-        alpha[l] = alpha[l + 1] + res[l]
-    return tuple(alpha)
-
-
-@dataclass(frozen=True)
-class LeafMeasure:
-    """A probability measure on a set of leaves."""
-
-    depth: int
-    weights: tuple  # ((leaf, weight), ...) sorted by leaf
-
-    def __post_init__(self):
-        items = tuple(sorted((int(x), float(w)) for x, w in self.weights))
-        if not items:
-            raise ValueError("measure needs nonempty support")
-        if any(w < 0 for _, w in items):
-            raise ValueError("weights must be nonnegative")
-        total = math.fsum(w for _, w in items)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1, got %r" % (total,))
-        object.__setattr__(self, "weights", items)
-
-    @classmethod
-    def uniform_on(cls, ls):
-        m = len(ls)
-        if m == 0:
-            raise ValueError("measure needs nonempty support")
-        return cls(ls.depth, tuple((x, 1.0 / m) for x in ls.leaves))
-
-
-def flow_energy(mu, profile):
-    """E(mu) = sum_{u,v} mu(u) mu(v) alpha_{age(meet(u,v))}.
-
-    1 / E(mu) lower-bounds the capacity of the support for any mu, with
-    equality at the harmonic measure.
-    """
-    if profile.depth != mu.depth:
-        raise ValueError("profile depth mismatch")
-    alpha = alpha_profile(profile)
-    items = mu.weights
-    total = 0.0
-    for i, (u, wu) in enumerate(items):
-        total += wu * wu * alpha[0]
-        for v, wv in items[i + 1 :]:
-            total += 2.0 * wu * wv * alpha[leaf_meet_age(u, v)]
-    return total

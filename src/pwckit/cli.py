@@ -45,6 +45,12 @@ from .clustering import (
 )
 from .tree import LeafSet
 
+#: most points a start:stop:step J grid may hold
+_GRID_MAX = 1 << 16
+
+#: pow2:a:b exponents: past 1074, 2^-e is 0
+_POW2_MAX = 1074
+
 
 def _fmt(x):
     return "%.17g" % (float(x),)
@@ -59,7 +65,8 @@ def _parse_each(parse, parts, key, text):
 
 
 def _parse_grid(text):
-    """J grids: 'start:stop:step' (inclusive) or a comma list; never empty."""
+    """J grids: 'start:stop:step' (inclusive, at most ``_GRID_MAX`` points)
+    or a comma list; never empty."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -71,6 +78,10 @@ def _parse_grid(text):
                 % (text,)
             )
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        if count > _GRID_MAX:
+            raise SpecConfigError(
+                "j-grid", "%r holds more than %d points" % (text, _GRID_MAX)
+            )
         grid = [start + i * step for i in range(max(count, 0))]
     else:
         grid = _parse_each(float, [p for p in text.split(",") if p], "j-grid", text)
@@ -80,12 +91,17 @@ def _parse_grid(text):
 
 
 def _parse_s_grid(text):
-    """s grids: 'pow2:a:b' meaning 2^-a .. 2^-b, or a comma list."""
+    """s grids: 'pow2:a:b' meaning 2^-a .. 2^-b for exponents in
+    0 .. ``_POW2_MAX``, or a comma list."""
     if text.startswith("pow2:"):
         parts = text.split(":")
         if len(parts) != 3:
             raise SpecConfigError("s-grid", "%r; expected pow2:a:b" % (text,))
         a, b = _parse_each(int, parts[1:], "s-grid", text)
+        if not (0 <= a <= _POW2_MAX and 0 <= b <= _POW2_MAX):
+            raise SpecConfigError(
+                "s-grid", "%r; exponents must lie in 0 .. %d" % (text, _POW2_MAX)
+            )
         if b < a:
             a, b = b, a
         return [2.0**-e for e in range(a, b + 1)]
@@ -275,7 +291,7 @@ def _cmd_diagnose(args):
         )
         tau = None
     else:  # the analysis family check refuses capacity specs
-        curve = analysis.laplace_first(spec, s_grid)
+        curve = analysis.laplace_first(spec, s_grid, allow_large=args.allow_large)
         tau = analysis.tauberian_first(spec, k_max=args.k_max)
     lines = ["# laplace %s" % (curve.kind,), "s,diag"]
     lines += [

@@ -15,8 +15,8 @@ Monotonicity (more clustered sets pay no more, and Phi is subadditive over
 disjoint unions) holds for first order when the weight sequence is
 nondecreasing and h >= h_n, and for second order when the weight array is
 nondecreasing in both indices and h >= h[n+1][n]; capacity is always
-monotone. ``check_monotone`` verifies both conditions exhaustively at small
-depth rather than trusting those sufficient conditions.
+monotone. The tests check both conditions exhaustively at small depth
+rather than trusting those sufficient conditions.
 """
 
 from __future__ import annotations
@@ -24,22 +24,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import capacity as cap_mod
-from .tree import LeafSet, is_more_clustered, Clustered
-from .patterns import pattern1_of, pattern2_of
 
 LN2 = math.log(2.0)
-
-#: ages probed when checking monotonicity of closed-form sequences
-_PROBE_LIMIT = 4096
-
-#: slack of the exhaustive monotonicity check, and violations it keeps
-_MONOTONE_TOL = 1e-9
-_MAX_WITNESSES = 20
 
 #: spread of ln conductance in ``random_capacity``
 _CAPACITY_SIGMA = 0.7
@@ -127,13 +118,6 @@ class HSequence:
             return {"kind": "list", "values": self._values.tolist()}
         return {"kind": "function"}
 
-    def is_nondecreasing(self, kmax=None):
-        """Exact check for lists; dense probe up to ``kmax`` for closed forms."""
-        if self._values is not None:
-            return bool(np.all(self._values[:-1] <= self._values[1:]))
-        h = self.array(_PROBE_LIMIT if kmax is None else kmax)
-        return bool(np.all(h[1:] >= h[:-1] - 1e-12))
-
 
 class HArray:
     """Ancestor-pair weights h[k][l] for 0 <= l < k.
@@ -205,24 +189,6 @@ class HArray:
         k, l = np.tril_indices(depth + 2, -1)
         out[k, l] = self(k, l)
         return out
-
-    def is_nondecreasing(self, kmax=None):
-        """Stepwise check of the two-index order on a probe grid.
-
-        Nondecreasing means h[k][l] <= h[k'][l'] whenever k <= k' and
-        l <= l'; equivalently every step in k and every step in l (within
-        the l < k region) does not decrease. Read row by row, so the probe
-        never holds the whole triangle.
-        """
-        if kmax is None:
-            kmax = _PROBE_LIMIT if self._fn is not None else self.max_ancestor_age
-        prev = np.empty(0)
-        for k in range(1, kmax + 1):
-            row = self(k, np.arange(k))
-            if np.any(row[1:] < row[:-1] - 1e-12) or np.any(row[:-1] < prev - 1e-12):
-                return False
-            prev = row
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -315,105 +281,6 @@ class CapacityClustering:
         return {"variant": "capacity", "conductance": self.conductance.doc()}
 
 
-def phi(spec, ls):
-    """Clustering penalty of a leaf set under the given family."""
-    if len(ls) == 0:
-        return 0.0
-    if spec.variant in ("zero", "first"):
-        p = pattern1_of(ls)
-        h = spec.h
-        return sum(h(k) * p.b[k] for k in range(ls.depth + 1) if p.b[k]) \
-            + spec.h_const_at(ls.depth)
-    if spec.variant == "second":
-        p = pattern2_of(ls)
-        h = spec.h
-        return sum(h(k, l) * c for (k, l), c in p.nonzero().items()) \
-            + spec.h_const_at(ls.depth)
-    if spec.variant == "capacity":
-        return cap_mod.cap_reduce(ls, spec.profile(ls.depth))
-    raise UnsupportedVariant("unknown variant %r" % (spec.variant,))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive monotonicity check
-
-
-@dataclass
-class MonotoneReport:
-    """Outcome of the exhaustive monotonicity check at small depth."""
-
-    depth: int
-    size_limit: int
-    order_pairs: int = 0
-    subadditive_pairs: int = 0
-    order_violations: list = field(default_factory=list)
-    subadditive_violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.order_violations and not self.subadditive_violations
-
-
-def check_monotone(spec, depth, size_limit=4):
-    """Exhaustively test both monotonicity conditions at the given depth.
-
-    Order condition: for every pair of equal-size sets with A at least as
-    clustered as B (decided by bijection search, never by the profile
-    filter), Phi(A) <= Phi(B). Subadditivity: for every pair of disjoint
-    nonempty sets, Phi(A union B) <= Phi(A) + Phi(B). Sizes are capped at
-    ``size_limit`` on each side. Up to ``_MAX_WITNESSES`` violations of each
-    kind are kept.
-    """
-    nleaves = 1 << depth
-    report = MonotoneReport(depth, size_limit)
-    phis = {}
-    sets_by_size = {}
-    for mask in range(1, 1 << nleaves):
-        m = mask.bit_count()
-        if m > 2 * size_limit:
-            continue
-        ls = LeafSet.from_mask(depth, mask)
-        phis[mask] = phi(spec, ls)
-        if m <= size_limit:
-            sets_by_size.setdefault(m, []).append(ls)
-
-    for m, group in sorted(sets_by_size.items()):
-        for a in group:
-            for b in group:
-                if a is b:
-                    continue
-                if is_more_clustered(a, b, size_limit=size_limit) is Clustered.YES:
-                    report.order_pairs += 1
-                    if phis[a.mask] > phis[b.mask] + _MONOTONE_TOL:
-                        if len(report.order_violations) < _MAX_WITNESSES:
-                            report.order_violations.append(
-                                (a.leaves, b.leaves, phis[a.mask], phis[b.mask])
-                            )
-
-    for mask_a in range(1, 1 << nleaves):
-        if mask_a.bit_count() > size_limit:
-            continue
-        complement = ((1 << nleaves) - 1) ^ mask_a
-        # enumerate nonempty submasks of the complement, each once per ordered pair
-        sub = complement
-        while sub:
-            if sub.bit_count() <= size_limit:
-                report.subadditive_pairs += 1
-                total = phis[mask_a | sub]
-                if total > phis[mask_a] + phis[sub] + _MONOTONE_TOL:
-                    if len(report.subadditive_violations) < _MAX_WITNESSES:
-                        report.subadditive_violations.append(
-                            (
-                                LeafSet.from_mask(depth, mask_a).leaves,
-                                LeafSet.from_mask(depth, sub).leaves,
-                                total,
-                                phis[mask_a] + phis[sub],
-                            )
-                        )
-            sub = (sub - 1) & complement
-    return report
-
-
 # ---------------------------------------------------------------------------
 # presets
 
@@ -465,11 +332,15 @@ def capacity_uniform(c=1.0):
 
 
 def _coefficient(text):
-    """Parse a slope such as ``2.5``, ``ln2``, or ``3ln2``."""
+    """Parse a finite slope such as ``2.5``, ``ln2``, or ``3ln2``."""
     if text.endswith("ln2"):
         head = text[: -len("ln2")]
-        return (float(head) if head else 1.0) * LN2
-    return float(text)
+        c = (float(head) if head else 1.0) * LN2
+    else:
+        c = float(text)
+    if not math.isfinite(c):
+        raise ValueError("slope %r is not finite" % (text,))
+    return c
 
 
 def parse_preset(text):
@@ -500,8 +371,8 @@ def parse_preset(text):
     raise SpecConfigError(
         "preset",
         "unknown preset %r; expected zero, first:linear:<c>, "
-        "first:logcorrected, dgff, or capacity:uniform[:<c>], with c a number "
-        "(positive for capacity)" % (text,),
+        "first:logcorrected, dgff, or capacity:uniform[:<c>], with c a finite "
+        "number (positive for capacity)" % (text,),
     )
 
 

@@ -177,8 +177,9 @@ def _weights(spec, n):
             "depth", "ln Z_n leaves float range past depth %d, got %d" % (MAX_DEPTH, n)
         )
     try:
-        H = spec.h.array(n)
-        const = spec.h_const_at(n)
+        with np.errstate(over="ignore"):  # an inf weight is refused below
+            H = spec.h.array(n)
+            const = spec.h_const_at(n)
     except IndexError as exc:
         raise SpecConfigError("h.values", "too short for depth %d: %s" % (n, exc))
     if spec.variant != "second":

@@ -14,7 +14,7 @@ carries the age of its top branching point (a leaf is its own top, at age
 the ancestor of both half tops; otherwise the nonempty half's top carries
 over. At the end the top point of every nonempty mask gets the virtual
 ancestor n + 1. This bottom-up merge is independent of the consecutive-meet
-walk in ``patterns``, which the tests compare it against.
+walk of the tests' branching profiles, which they compare it against.
 
 The table is cached per depth and shared across parameter choices, so
 repeated calls with different h or J only pay for a matrix product.
@@ -30,7 +30,6 @@ size in one such pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -39,7 +38,6 @@ import numpy as np
 from . import capacity as _capacity
 from .clustering import SpecConfigError, UnsupportedVariant
 from .dp import NEG_INF, CanonicalTable, LogReal, _check_j
-from .tree import LeafSet
 
 ORACLE_MAX_DEPTH = 4
 
@@ -249,45 +247,3 @@ def enum_density(spec, n, j):
     w = np.exp(ln_terms - mx)
     occupied, total = _exact_sums(np.stack((w * pop, w)), np.array([[0], [1]]), 2)
     return occupied / total / (1 << n)
-
-
-@dataclass(frozen=True)
-class ExactDistribution:
-    """The full law over subsets at small depth, for sampler validation."""
-
-    depth: int
-    j: float
-    log_probs: np.ndarray
-
-    @classmethod
-    def compute(cls, spec, n, j):
-        ln_terms = _ln_terms(spec, n, j)
-        log_probs = ln_terms - _log_sum(ln_terms)
-        total = _exact_sums(np.exp(log_probs))[0]
-        if abs(total - 1.0) > 1e-12:
-            raise AssertionError(
-                "distribution normalizes to %.17g" % (total,)
-            )
-        return cls(n, j, log_probs)
-
-    def prob(self, subset):
-        if isinstance(subset, LeafSet):
-            subset = subset.mask
-        return math.exp(self.log_probs[subset])
-
-    def probs(self):
-        return np.exp(self.log_probs)
-
-    def tv_distance(self, counts):
-        """Total variation between the law and empirical mask counts.
-
-        ``counts`` maps bitmask to a draw count (or is a dense array).
-        """
-        emp = np.zeros(1 << (1 << self.depth))
-        if isinstance(counts, dict):
-            for mask, c in counts.items():
-                emp[mask] = c
-        else:
-            emp[: len(counts)] = counts
-        emp /= emp.sum()
-        return 0.5 * float(np.abs(emp - self.probs()).sum())

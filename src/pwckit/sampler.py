@@ -23,9 +23,6 @@ entries, so the descent indexes them by the ancestor age itself.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dp
@@ -98,25 +95,3 @@ def sample(spec, n, j, seed, num_samples=1):
     """Convenience wrapper: build a Sampler and draw."""
     sampler = Sampler(spec, n, j)
     return sampler.sample_many(num_samples, seed)
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    mean: float
-    stderr: float
-    num_samples: int
-
-    def interval(self, z=3.0):
-        return (self.mean - z * self.stderr, self.mean + z * self.stderr)
-
-
-def empirical_density(spec, n, j, num_samples, seed):
-    """Monte Carlo mean of |A| / 2^n with a normal-approximation error."""
-    sampler = Sampler(spec, n, j)
-    sizes = np.array(
-        [len(s) for s in sampler.sample_many(num_samples, seed)], dtype=float
-    )
-    fractions = sizes / (1 << n)
-    mean = float(fractions.mean())
-    stderr = float(fractions.std(ddof=1) / math.sqrt(num_samples))
-    return DensityEstimate(mean, stderr, num_samples)

@@ -14,13 +14,7 @@ joints, the meets of consecutive leaves in sorted order).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-def leaf_meet_age(x, y):
-    """Age of the closest common ancestor of leaves x and y."""
-    return (x ^ y).bit_length()
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,65 +66,3 @@ class LeafSet:
 
     def __contains__(self, x):
         return x in set(self.leaves)
-
-
-def joint_ages(ls):
-    """Ages of the internal branching points of ``ls``.
-
-    These are the meets of consecutive leaves in sorted order; in a binary
-    tree those m - 1 meets are pairwise distinct vertices and exhaust the
-    internal branching points.
-    """
-    xs = ls.leaves
-    return [leaf_meet_age(xs[i], xs[i + 1]) for i in range(len(xs) - 1)]
-
-
-class Clustered(enum.Enum):
-    """Ternary outcome of the clustering comparison."""
-
-    YES = "yes"
-    NO = "no"
-    TOO_LARGE = "too-large"
-
-
-def is_more_clustered(a, b, size_limit=6):
-    """Decide whether ``a`` is at least as clustered as ``b``.
-
-    True when some bijection sigma from ``a`` to ``b`` satisfies
-    age(meet(u, v)) <= age(meet(sigma u, sigma v)) for all pairs. Decided by
-    exhaustive backtracking over bijections; sets larger than ``size_limit``
-    return ``Clustered.TOO_LARGE`` instead of an answer.
-    """
-    if len(a) != len(b):
-        return Clustered.NO
-    m = len(a)
-    if m > size_limit:
-        return Clustered.TOO_LARGE
-    if m <= 1:
-        return Clustered.YES
-    xs, ys = a.leaves, b.leaves
-    ages_a = [[leaf_meet_age(u, v) for v in xs] for u in xs]
-    ages_b = [[leaf_meet_age(u, v) for v in ys] for u in ys]
-    assigned = [-1] * m
-    used = [False] * m
-
-    def extend(i):
-        if i == m:
-            return True
-        for j in range(m):
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if ages_a[i][k] > ages_b[j][assigned[k]]:
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return Clustered.YES if extend(0) else Clustered.NO

@@ -18,7 +18,6 @@ import scipy.stats
 
 from pwckit import dp, oracle
 from pwckit.analysis import (
-    certificate_first,
     estimate_jstar,
     kappa1,
     kappa2,
@@ -36,7 +35,6 @@ from pwckit.clustering import (
     HArray,
     HSequence,
     SecondOrderClustering,
-    check_monotone,
     dgff_spec,
     first_linear,
     random_capacity,
@@ -44,15 +42,20 @@ from pwckit.clustering import (
     random_second_order,
     zero_spec,
 )
-from pwckit.patterns import (
+from pwckit.sampler import sample
+from pwckit.tree import LeafSet
+
+from paper import (
+    ExactDistribution,
     Pattern2,
+    certificate_first,
+    check_monotone,
+    empirical_density,
     entropy1,
     entropy2,
     enumerate_patterns1,
     pattern2_of,
 )
-from pwckit.sampler import empirical_density, sample
-from pwckit.tree import LeafSet
 
 LN2 = math.log(2.0)
 
@@ -306,7 +309,7 @@ def test_09_dgff_preset():
 def test_10_sampler_exactness():
     t0 = time.perf_counter()
     spec = FirstOrderClustering(HSequence.from_function(lambda k: 1.0 * k))
-    dist = oracle.ExactDistribution.compute(spec, 3, 0.5)
+    dist = ExactDistribution.compute(spec, 3, 0.5)
     draws = sample(spec, 3, 0.5, seed=2026, num_samples=100000)
     counts = Counter(s.mask for s in draws)
     tv = dist.tv_distance({m: c / 100000.0 for m, c in counts.items()})
@@ -314,7 +317,7 @@ def test_10_sampler_exactness():
 
     # Goodness of fit at the 0.001 level over 20 pinned runs; at that level
     # more than one rejection would be wildly unlikely for a correct sampler.
-    small = oracle.ExactDistribution.compute(spec, 2, 0.5)
+    small = ExactDistribution.compute(spec, 2, 0.5)
     expected = 5000.0 * np.array([small.prob(m) for m in range(16)])
     rejections = 0
     for run in range(20):

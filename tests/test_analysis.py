@@ -9,21 +9,15 @@ from pwckit import analysis, dp
 from pwckit.analysis import (
     BracketError,
     Kappa1Report,
-    binary_entropy,
     bisect_upper,
-    certificate_first,
-    certificate_second,
     estimate_jstar,
     kappa1,
     kappa2,
     laplace_first,
     laplace_second,
-    legendre,
-    minimal_certificate_depth,
     slope_estimate,
     tail_bound,
     tauberian_first,
-    tauberian_second,
 )
 from pwckit.clustering import (
     FirstOrderClustering,
@@ -40,7 +34,16 @@ from pwckit.clustering import (
     random_second_order,
     zero_spec,
 )
-from pwckit.patterns import entropy2
+
+from paper import (
+    binary_entropy,
+    certificate_first,
+    certificate_second,
+    entropy2,
+    legendre,
+    minimal_certificate_depth,
+    tauberian_second,
+)
 
 LN2 = math.log(2.0)
 

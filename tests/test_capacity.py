@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from pwckit.capacity import (
     ConductanceProfile,
-    LeafMeasure,
-    alpha_profile,
     cap_quadratic,
     cap_reduce,
     cap_table,
-    flow_energy,
 )
 from pwckit.tree import LeafSet
+
+from paper import LeafMeasure, alpha_profile, flow_energy
 
 
 def test_profile_validation():

@@ -515,6 +515,26 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
         (["zeta", "--preset", "capacity:uniform:1", "--depth", "2",
           "--j-grid", "nan"], "'j'"),
         (["threshold", "--preset", "zero", "--depths", "2000"], "'depths'"),
+        (["zeta", "--preset", "zero", "--depth", "2", "--j-grid", "0:1:1e-300"],
+         "'j-grid'"),
+        (["diagnose", "--preset", "first:linear:2", "--s-grid", "pow2:0:100000000"],
+         "'s-grid'"),
+        (["diagnose", "--preset", "first:linear:nan", "--s-grid", "pow2:2:3"],
+         "'preset'"),
+        (["diagnose", "--preset", "first:linear:inf", "--s-grid", "pow2:2:3"],
+         "'preset'"),
+        (["diagnose", "--preset", "first:logcorrected", "--s-grid", "1e-9"],
+         "'s-grid'"),
+        (["zeta", "--preset", "first:linear:1e308", "--depth", "2", "--j-grid", "0"],
+         "'h.values'"),
+        (["canonical", "--preset", "first:linear:1e308", "--depth", "2"],
+         "'h.values'"),
+        (["sample", "--preset", "first:linear:1e308", "--depth", "2", "--j", "0",
+          "--seed", "1"], "'h.values'"),
+        (["threshold", "--preset", "first:linear:1e308", "--depths", "2"],
+         "'h.values'"),
+        (["threshold", "--preset", "zero", "--depths", "1022"], "'depths'"),
+        (["threshold", "--preset", "zero", "--depths", "1021"], "'depths'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -538,7 +558,12 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "short-conductance-capacity", "short-conductance-zeta",
          "short-conductance-canonical", "sample-capacity", "threshold-capacity",
          "maxterm-capacity", "m-max-negative-capacity", "capacity-density-j-overflow",
-         "capacity-zeta-j-overflow", "capacity-zeta-j-nan", "threshold-depth-overflow"],
+         "capacity-zeta-j-overflow", "capacity-zeta-j-nan", "threshold-depth-overflow",
+         "j-grid-too-many-points", "s-grid-exponent-too-large", "preset-slope-nan",
+         "preset-slope-inf", "s-grid-first-order-cost", "zeta-slope-overflow",
+         "canonical-slope-overflow", "sample-slope-overflow",
+         "threshold-slope-overflow", "threshold-depth-no-j-range",
+         "threshold-depth-j-range-too-narrow"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():
@@ -680,3 +705,17 @@ def test_one_weight_list_spec_runs(tmp_path, capsys):
         if argv[0] == "threshold":
             assert (doc["kappa_value"], doc["lower_bound"]) == ("inf", "-inf")
             assert doc["verdict"] == "inconclusive"
+
+
+def test_overflowing_weights_diagnose_returns(tmp_path, capsys):
+    # Weights past float range make every Laplace point divergent, read
+    # without a numpy warning; the first-order NaN sum they gave ran without
+    # end, and a second-order table of 1e308 overflowed its sum.
+    table = tmp_path / "huge.json"
+    table.write_text('{"variant": "second", "h": {"kind": "table", "values": '
+                     + str([[1e308] * k for k in range(1, 12)]) + '}}')
+    for spec in (["--preset", "first:linear:1e308"], ["--spec-file", str(table)]):
+        code, out, err = run(capsys, ["diagnose", *spec, "--s-grid", "pow2:2:3"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:4] == ["0.25,-inf # divergent",
+                                         "0.125,-inf # divergent"]

@@ -12,13 +12,11 @@ from pwckit.clustering import (
     SecondOrderClustering,
     SpecConfigError,
     capacity_uniform,
-    check_monotone,
     dgff_spec,
     first_linear,
     first_logcorrected,
     load_spec_file,
     parse_preset,
-    phi,
     random_capacity,
     random_first_order,
     random_second_order,
@@ -29,6 +27,8 @@ from pwckit.clustering import (
 from pwckit.dp import zeta
 from pwckit.tree import LeafSet
 
+from paper import check_monotone, is_nondecreasing, phi
+
 LN2 = math.log(2.0)
 
 
@@ -37,7 +37,7 @@ def test_hsequence_list_backed():
     assert h(2) == 3.0
     assert h.max_age == 2
     assert not h.has_tail
-    assert h.is_nondecreasing()
+    assert is_nondecreasing(h)
     with pytest.raises(IndexError):
         h(3)
 
@@ -47,7 +47,7 @@ def test_hsequence_closed_form():
     assert h.has_tail
     assert h.max_age is None
     assert h(1000) == 500.0
-    assert h.is_nondecreasing(kmax=100)
+    assert is_nondecreasing(h, kmax=100)
 
 
 def test_harray_domain():
@@ -329,10 +329,10 @@ def test_random_specs_are_valid():
     rng = np.random.default_rng(0)
     for n in (1, 3):
         s1 = random_first_order(n, rng)
-        assert s1.h.is_nondecreasing()
+        assert is_nondecreasing(s1.h)
         assert s1.h_const >= s1.h(n)
         s2 = random_second_order(n, rng)
-        assert s2.h.is_nondecreasing()
+        assert is_nondecreasing(s2.h)
         assert s2.h_const >= s2.h(n + 1, n)
         s3 = random_capacity(n, rng)
         assert all(s3.conductance(l) > 0 for l in range(n))
@@ -408,6 +408,6 @@ def test_empty_age_array_reads():
 
 def test_harray_closed_form_monotonicity_probe():
     # the default probe reads 4096 rows of the triangle
-    assert HArray.from_function(lambda k, l: k + l).is_nondecreasing()
-    assert not HArray.from_function(lambda k, l: k - 2 * l).is_nondecreasing(kmax=5)
-    assert not HArray.from_function(lambda k, l: 10 * l - k).is_nondecreasing(kmax=5)
+    assert is_nondecreasing(HArray.from_function(lambda k, l: k + l))
+    assert not is_nondecreasing(HArray.from_function(lambda k, l: k - 2 * l), kmax=5)
+    assert not is_nondecreasing(HArray.from_function(lambda k, l: 10 * l - k), kmax=5)

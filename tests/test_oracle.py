@@ -12,7 +12,6 @@ from pwckit.clustering import (
     capacity_uniform,
     dgff_spec,
     parse_preset,
-    phi,
     random_capacity,
     random_first_order,
     random_second_order,
@@ -20,7 +19,6 @@ from pwckit.clustering import (
 )
 from pwckit.oracle import (
     ORACLE_MAX_DEPTH,
-    ExactDistribution,
     _exact_sums,
     enum_W,
     enum_Z,
@@ -31,8 +29,9 @@ from pwckit.oracle import (
     phi_vector,
     profile_table,
 )
-from pwckit.patterns import entropy1, enumerate_patterns1, pattern1_of
 from pwckit.tree import LeafSet
+
+from paper import ExactDistribution, entropy1, enumerate_patterns1, pattern1_of, phi
 
 
 def tiny_first():

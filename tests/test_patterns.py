@@ -3,19 +3,22 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pwckit.patterns import (
+from pwckit.clustering import dgff_spec
+from pwckit.tree import LeafSet
+
+from paper import (
     Pattern1,
     Pattern2,
     branching_identity_residual,
     entropy1,
     entropy2,
     enumerate_patterns1,
+    joint_ages,
     log_entropy1,
     pattern1_of,
     pattern2_of,
+    phi,
 )
-from pwckit.clustering import dgff_spec, phi
-from pwckit.tree import LeafSet, joint_ages
 
 
 def test_pattern1_sibling_pair():

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pwckit import dp, oracle
+from pwckit import dp
 from pwckit.cli import main
 from pwckit.clustering import (
     FirstOrderClustering,
@@ -15,7 +15,9 @@ from pwckit.clustering import (
     dgff_spec,
     zero_spec,
 )
-from pwckit.sampler import DensityEstimate, Sampler, empirical_density, sample
+from pwckit.sampler import Sampler, sample
+
+from paper import DensityEstimate, ExactDistribution, empirical_density
 
 
 def tiny_first():
@@ -77,7 +79,7 @@ def test_tv_against_exact_distribution(spec_name, j):
         "second": dgff_spec(),
     }[spec_name]
     n = 2
-    dist = oracle.ExactDistribution.compute(spec, n, j)
+    dist = ExactDistribution.compute(spec, n, j)
     draws = sample(spec, n, j, seed=123, num_samples=20000)
     counts = Counter(s.mask for s in draws)
     empirical = {m: c / 20000.0 for m, c in counts.items()}

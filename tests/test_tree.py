@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pwckit.patterns import pattern1_of
-from pwckit.tree import (
+from pwckit.tree import LeafSet
+
+from paper import (
     Clustered,
-    LeafSet,
     is_more_clustered,
     joint_ages,
     leaf_meet_age,
+    pattern1_of,
 )
 
 
