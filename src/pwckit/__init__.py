@@ -23,7 +23,6 @@ from .clustering import (
     SecondOrderClustering,
     SpecConfigError,
     UnsupportedVariant,
-    ZeroClustering,
     capacity_uniform,
     dgff_spec,
     first_linear,
@@ -84,7 +83,6 @@ __all__ = [
     "TauberianReport",
     "UnsupportedVariant",
     "WettingReport",
-    "ZeroClustering",
     "cap_quadratic",
     "cap_reduce",
     "cap_table",

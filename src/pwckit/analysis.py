@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .clustering import SpecConfigError, UnsupportedVariant
+from .clustering import SpecConfigError, check_family
 from .dp import NEG_INF
 
 LN2 = math.log(2.0)
@@ -85,9 +85,10 @@ def _series(terms, first, last, tol, blow_up):
     stops at the first age k from which the terms, to the end of their
     block, lie below tol * max(partial, 1) and do not grow in size, up to
     the first term past the block (``stopped``); or at the first partial
-    sum past ``blow_up``. k is the last age summed. Tiny terms that still
-    grow do not stop it. Blocks hold 64 ages and double up to 4096, so a sum
-    that stops early stays cheap.
+    sum past ``blow_up`` or not finite, as one with an infinite term is.
+    k is the last age summed. Tiny terms that still grow do not stop it.
+    Blocks hold 64 ages and double up to 4096, so a sum that stops early
+    stays cheap.
     """
     total, k, size = 0.0, first - 1, 64
     while first <= last:
@@ -104,7 +105,7 @@ def _series(terms, first, last, tol, blow_up):
             # settled from the age after the last term that is not small
             r = int(np.argmin(small[::-1]))
             settle = 0 if small[-1 - r] else len(t) - r
-        over = np.flatnonzero(partial > blow_up)
+        over = np.flatnonzero((partial > blow_up) | ~np.isfinite(partial))
         i = min(settle, int(over[0]) if over.size else len(t))
         if i < len(t):
             return float(partial[i]), int(ks[i]), i == settle
@@ -139,16 +140,8 @@ def _check_k_max(k_max):
 
 
 #: the families each criterion serves
-_FIRST = ("zero", "first")
+_FIRST = ("first",)
 _SECOND = ("second",)
-
-
-def _check_family(spec, families, what):
-    """Refuse a spec whose family is not one of ``families``."""
-    if spec.variant not in families:
-        raise UnsupportedVariant(
-            "%s serves %s specs, not %r" % (what, "/".join(families), spec.variant)
-        )
 
 
 @_quiet_overflow
@@ -169,9 +162,10 @@ def kappa1(spec):
     divergent past _BLOW_UP e^min(-c, 600), the largest threshold floats hold.
     An empty sum (a list with no age past 0) certifies nothing: divergent.
     """
-    _check_family(spec, _FIRST, "kappa1")
+    check_family(spec, _FIRST, "kappa1")
     h = spec.h
-    last = h.max_age if not h.has_tail else _KAPPA_CAP
+    closed = h.max_age == math.inf
+    last = _KAPPA_CAP if closed else h.max_age
     if last < 1:
         return Kappa1Report(math.inf, -math.inf, 0, False)
     head = np.arange(1, min(last, 64) + 1)
@@ -182,7 +176,7 @@ def kappa1(spec):
         lambda ks: np.exp(np.minimum(ks * LN2 - h(ks) - c, 700.0)),
         1, last, _KAPPA_TOL, blow_up,
     )
-    if total > blow_up or (h.has_tail and not converged):
+    if total > blow_up or (closed and not converged):
         return Kappa1Report(math.inf, -math.inf, k, False)
     ln_total = math.log(total) + c if total > 0.0 else -math.inf
     bound = 2 * LN2 + h(0) - ln_total
@@ -209,10 +203,9 @@ def kappa2(spec, k_max=100000):
     the true sup may lie beyond the cutoff.
     """
     _check_k_max(k_max)
-    _check_family(spec, _SECOND, "kappa2")
+    check_family(spec, _SECOND, "kappa2")
     h = spec.h
-    if not h.has_tail:
-        k_max = min(k_max, h.max_ancestor_age)
+    k_max = min(k_max, h.max_age)
     grid = []
     k = 1
     while k < k_max:
@@ -294,14 +287,13 @@ def laplace_first(spec, s_values, allow_large=False):
     diagnostic is then conclusively negative). It runs to about 28/s ages;
     grids reaching below 2^-20 are refused without ``allow_large``.
     """
-    _check_family(spec, _FIRST, "laplace_first")
+    check_family(spec, _FIRST, "laplace_first")
     h = spec.h
-    k_limit = math.inf if h.has_tail else h.max_age
     s_arr = _s_grid(s_values, "first-order", allow_large)
     diag = np.empty_like(s_arr)
     divergent = []
     for i, s in enumerate(s_arr):
-        total, bad = _damped_sum(lambda ks: h(ks) - LN2 * ks, s, 1, k_limit)
+        total, bad = _damped_sum(lambda ks: h(ks) - LN2 * ks, s, 1, h.max_age)
         divergent.append(bad)
         diag[i] = NEG_INF if bad else math.log(1.0 / s) - s * total
     return DiagnosticCurve("laplace-first", s_arr, diag, tuple(divergent))
@@ -317,9 +309,8 @@ def laplace_second(spec, s_values, allow_large=False):
     like (1/s)^2; grids reaching below 2^-8 are refused without
     ``allow_large``.
     """
-    _check_family(spec, _SECOND, "laplace_second")
+    check_family(spec, _SECOND, "laplace_second")
     h = spec.h
-    k_limit = math.inf if h.has_tail else h.max_ancestor_age
     s_arr = _s_grid(s_values, "second-order", allow_large)
     diag = np.empty_like(s_arr)
     divergent = []
@@ -328,10 +319,10 @@ def laplace_second(spec, s_values, allow_large=False):
         bad = False
         small_rows = 0
         d = 1
-        while d <= k_limit:
+        while d <= h.max_age:
             damp = math.exp(-2.0 * s * d)
             row, bad = _damped_sum(
-                lambda ls: h(ls + d, ls) - LN2 * ls, s, 0, k_limit - d, damp
+                lambda ls: h(ls + d, ls) - LN2 * ls, s, 0, h.max_age - d, damp
             )
             total += damp * row
             if bad or total > _BLOW_UP:
@@ -371,11 +362,9 @@ def _first_u(spec, k_max):
     """u_k = (ln2) k + ln k - h_k as a callable, and k_max cut to a finite
     list's last age."""
     _check_k_max(k_max)
-    _check_family(spec, _FIRST, "tauberian_first")
+    check_family(spec, _FIRST, "tauberian_first")
     h = spec.h
-    if not h.has_tail:
-        k_max = min(k_max, h.max_age)
-    return lambda ks: LN2 * ks + np.log(ks) - h(ks), k_max
+    return lambda ks: LN2 * ks + np.log(ks) - h(ks), min(k_max, h.max_age)
 
 
 @_quiet_overflow
@@ -418,22 +407,21 @@ _AIM_STEPS = np.linspace(0.0, 1.0, 16)
 def tail_bound(spec, n):
     """Finite-size tail 2 sum_{k>n} gamma_k 2^{-k}.
 
-    gamma_k = h_k for first-order specs and 2 h_{k+1,k} for second order;
-    the zero spec has no tail. Finite-list specs contribute only the ages
-    they define; closed forms are summed to ``_TAIL_TOL`` (see ``_series``)
-    over at most ``_TAIL_CAP`` ages.
+    gamma_k = h_k for first-order specs and 2 h_{k+1,k} for second order.
+    The terms are summed to ``_TAIL_TOL`` (see ``_series``) over the ages
+    the weights define, at most ``_TAIL_CAP`` of them; past about 1100 ages
+    2^-k is 0, so the cap only bounds the work. Weights past float range
+    give a tail that is not finite.
     """
-    _check_family(spec, _FIRST + _SECOND, "tail_bound")
+    check_family(spec, _FIRST + _SECOND, "tail_bound")
     h = spec.h
     if spec.variant == "second":
-        gamma = lambda k: 2.0 * h(k + 1, k)
-        last = _TAIL_CAP if h.has_tail else h.max_ancestor_age - 1
+        gamma, last = (lambda k: 2.0 * h(k + 1, k)), h.max_age - 1
     else:
-        gamma = h
-        last = _TAIL_CAP if h.has_tail else h.max_age
+        gamma, last = h, h.max_age
     return _series(
         lambda ks: 2.0 * gamma(ks) * _exp2(-ks),
-        n + 1, last, _TAIL_TOL, math.inf,
+        n + 1, min(last, _TAIL_CAP), _TAIL_TOL, math.inf,
     )[0]
 
 
@@ -590,7 +578,7 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
     max(1e-6, tail_n + n ln2 / 2^n) per depth; passing a number fixes delta
     across depths, which makes the upper estimates comparable between n.
     """
-    _check_family(spec, _FIRST + _SECOND, "threshold estimation")
+    check_family(spec, _FIRST + _SECOND, "threshold estimation")
     if not depths or min(depths) < 0 or max(depths) > dp.MAX_DEPTH:
         raise SpecConfigError(
             "depths", "need one or more depths in 0 .. %d, got %r"
@@ -601,6 +589,11 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
     uppers, tails, deltas, slopes, sizes = [], [], [], [], []
     for n in depths:
         tail = tail_bound(spec, n)
+        if not math.isfinite(tail):
+            raise SpecConfigError(
+                "h.values", "the tail past depth %d is %r: the weights leave "
+                "float range" % (n, tail)
+            )
         d = max(1e-6, tail + n * LN2 / (1 << n)) if delta is None else delta
         uppers.append(bisect_upper(spec, n, d, tail))
         tails.append(tail)

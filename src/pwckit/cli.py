@@ -37,6 +37,7 @@ import numpy as np
 from . import analysis, capacity as capmod, dp, oracle, sampler as sampmod
 from .clustering import (
     SpecConfigError,
+    check_family,
     load_spec_file,
     parse_preset,
     random_capacity,
@@ -250,10 +251,7 @@ def _cmd_capacity(args):
         raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
     if args.spec_file:
         spec = _load_spec(args)
-        if spec.variant != "capacity":
-            raise SpecConfigError(
-                "variant", "capacity subcommand needs a capacity spec"
-            )
+        check_family(spec, ("capacity",), "the capacity command")
         profile = spec.profile(n)
     elif 0 < args.conductance < math.inf:
         profile = capmod.ConductanceProfile.uniform(n, args.conductance)

@@ -1,15 +1,17 @@
 """Clustering energy functions on leaf sets, and their parameter families.
 
 A clustering function Phi assigns a nonnegative penalty to every leaf set,
-with Phi(empty) = 0. Four families are supported:
+with Phi(empty) = 0. Three families are supported:
 
-* zero:          Phi(A) = 0.
 * first order:   Phi(A) = sum_k h_k b_k(A) + h, with b the first-order
                  branching profile and h a constant paid by nonempty sets.
 * second order:  Phi(A) = sum_{l<k} h[k][l] b[k][l](A) + h, with b the
                  second-order profile (ancestor-resolved branching counts).
 * capacity:      Phi(A) = CAP(A), the electrical capacity between the root
                  and A for a level-indexed conductance profile.
+
+The ``zero`` preset, Phi = 0 (Bernoulli site percolation), is first order
+with h = 0.
 
 Monotonicity (more clustered sets pay no more, and Phi is subadditive over
 disjoint unions) holds for first order when the weight sequence is
@@ -52,6 +54,16 @@ class UnsupportedVariant(SpecConfigError):
         super().__init__("variant", message)
 
 
+def check_family(spec, families, what):
+    """Refuse, naming ``variant``, a spec whose family is not one of
+    ``families``; ``what`` names the operation. Every family refusal comes
+    from here."""
+    if spec.variant not in families:
+        raise UnsupportedVariant(
+            "%s serves %s specs, not %r" % (what, "/".join(families), spec.variant)
+        )
+
+
 # ---------------------------------------------------------------------------
 # weight containers
 
@@ -85,13 +97,9 @@ class HSequence:
         return cls(fn=fn, tag=tag)
 
     @property
-    def has_tail(self):
-        """Whether the sequence is defined at every age."""
-        return self._fn is not None
-
-    @property
     def max_age(self):
-        return None if self._fn is not None else len(self._values) - 1
+        """The last age with a weight: ``math.inf`` for a closed form."""
+        return math.inf if self._fn is not None else len(self._values) - 1
 
     def __call__(self, k):
         if self._fn is not None:
@@ -149,12 +157,9 @@ class HArray:
         return cls(fn=fn, tag=tag)
 
     @property
-    def has_tail(self):
-        return self._fn is not None
-
-    @property
-    def max_ancestor_age(self):
-        return None if self._fn is not None else len(self._table) - 2
+    def max_age(self):
+        """The last ancestor age k with a row: ``math.inf`` for a closed form."""
+        return math.inf if self._fn is not None else len(self._table) - 2
 
     def __call__(self, k, l):
         kk, ll = np.broadcast_arrays(k, l)
@@ -193,24 +198,6 @@ class HArray:
 
 # ---------------------------------------------------------------------------
 # clustering families
-
-
-@dataclass(frozen=True)
-class ZeroClustering:
-    """Phi identically zero; the measure is i.i.d. leaf percolation.
-
-    Its weight sequence is h = 0, which makes it the first-order family with
-    no penalty wherever a weight sequence is read.
-    """
-
-    variant = "zero"
-    h = HSequence.from_function(lambda k: 0.0)
-
-    def h_const_at(self, depth):
-        return 0.0
-
-    def describe(self):
-        return {"variant": "zero"}
 
 
 @dataclass(frozen=True)
@@ -274,9 +261,6 @@ class CapacityClustering:
             ) from None
         return cap_mod.ConductanceProfile(tuple(values))
 
-    def h_const_at(self, depth):
-        return 0.0
-
     def describe(self):
         return {"variant": "capacity", "conductance": self.conductance.doc()}
 
@@ -286,7 +270,8 @@ class CapacityClustering:
 
 
 def zero_spec():
-    return ZeroClustering()
+    """Phi = 0, i.i.d. leaf percolation: first order with h = 0."""
+    return first_linear(0.0)
 
 
 def first_linear(c):
@@ -419,7 +404,7 @@ def spec_from_doc(doc):
         raise SpecConfigError("<root>", "expected a JSON object")
     variant = doc.get("variant")
     if variant == "zero":
-        return ZeroClustering()
+        return zero_spec()
     if variant == "first":
         if "h" not in doc:
             raise SpecConfigError("h", "first-order family needs weights")

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .clustering import SpecConfigError, UnsupportedVariant
+from .clustering import SpecConfigError, check_family
 
 LN2 = math.log(2.0)
 NEG_INF = float("-inf")
@@ -72,7 +72,7 @@ NEG_INF = float("-inf")
 W_FIRST_MAX_DEPTH = 12
 W_SECOND_MAX_DEPTH = 10
 
-#: ln Z_n grows like 2^n (it is 2^n ln 2 for the zero family at J = 0), so
+#: ln Z_n grows like 2^n (it is 2^n ln 2 for the zero preset at J = 0), so
 #: past this depth the recursion leaves float range at every J
 MAX_DEPTH = 1022
 
@@ -149,11 +149,11 @@ def _weights(spec, n):
     """Branching weights ``(H, const)`` of a dp family at depth n.
 
     H[a, d] weighs a branching point of age d whose branching ancestor has
-    age a. Second order has rows a = 0 .. n+1; first order and zero have a
-    single row, because their weights do not depend on a. Every dynamic
-    program and the sampler enter here, so bad depths, weight lists that
-    stop short of the depth and weights that carry ln Z out of float range
-    are rejected here, naming their key.
+    age a. Second order has rows a = 0 .. n+1; first order has a single
+    row, because its weights do not depend on a. Every dynamic program and
+    the sampler enter here, so bad depths, weight lists that stop short of
+    the depth and weights that carry ln Z out of float range are rejected
+    here, naming their key.
 
     Negative weights raise ln F. With P_d = max(ln F_d, 0) the recursion
     gives P_d <= 2 P_{d-1} + max(0, -h_d) + 2 ln2, so h_d enters ln F_n with
@@ -165,11 +165,7 @@ def _weights(spec, n):
     half the float maximum plus (2^(n+1) + 1) ln2, and every intermediate
     stays finite from below, as ln F_d >= J - h_0 + d ln2.
     """
-    if spec.variant not in ("zero", "first", "second"):
-        raise UnsupportedVariant(
-            "variant %r has no subtree recursion; use the enumeration oracle "
-            "at small depth" % (spec.variant,)
-        )
+    check_family(spec, ("first", "second"), "the subtree recursion")
     if n < 0:
         raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
     if n > MAX_DEPTH:
@@ -419,8 +415,7 @@ def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
     a_{k-1} = a_k + b_k. The canonical table dominates this entrywise, and
     the gap is at most ln of the number of admissible profiles.
     """
-    if spec.variant == "second":
-        raise UnsupportedVariant("dp_W_maxterm is first order only")
+    check_family(spec, ("first",), "dp_W_maxterm")
     H, const = _weights(spec, n)
     h = H[0]
     _check_guard(n, m_max, W_FIRST_MAX_DEPTH, allow_large, "dp_W_maxterm")

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import capacity as _capacity
-from .clustering import SpecConfigError, UnsupportedVariant
+from .clustering import SpecConfigError, check_family
 from .dp import NEG_INF, CanonicalTable, LogReal, _check_j
 
 ORACLE_MAX_DEPTH = 4
@@ -116,12 +116,11 @@ def phi_vector(spec, n):
     _check_depth(n)
     if spec.variant == "capacity":
         return _capacity.cap_table(n, spec.profile(n))
-    if spec.variant in ("zero", "first"):
+    check_family(spec, ("first", "second"), "phi_vector")
+    if spec.variant == "first":
         phi = profile_table(n).first @ spec.h.array(n)
-    elif spec.variant == "second":
-        phi = profile_table(n).second @ spec.h.array(n)[np.tril_indices(n + 2, -1)]
     else:
-        raise UnsupportedVariant("unknown variant %r" % (spec.variant,))
+        phi = profile_table(n).second @ spec.h.array(n)[np.tril_indices(n + 2, -1)]
     phi += spec.h_const_at(n)
     phi[0] = 0.0
     return phi
@@ -227,10 +226,7 @@ def enum_maxterm(spec, n):
     quantity by grouping subsets by profile.
     """
     _check_depth(n)
-    if spec.variant not in ("zero", "first"):
-        raise UnsupportedVariant(
-            "profile maxima are defined for first-order specs only"
-        )
+    check_family(spec, ("first",), "enum_maxterm")
     rep, sizes, ln_count = _profile_groups(n)
     neg_phi = -phi_vector(spec, n)[rep]
     ln_w = np.full((1 << n) + 1, NEG_INF)

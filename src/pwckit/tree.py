@@ -1,15 +1,9 @@
-"""Rooted binary tree of depth n, with ages counted upward from the leaves.
+"""Leaf sets of the rooted binary tree of depth n.
 
 Leaves sit at age 0 and are labeled 0 .. 2^n - 1 left to right; the root
-sits at age n. A vertex at age ``a`` covers the leaf interval
-``[index * 2^a, (index+1) * 2^a)``, so meets (closest common ancestors)
-reduce to arithmetic on leaf labels: the age of the meet of two leaves is
-the bit length of the XOR of their labels.
-
-Branching points of a leaf set A are the pairwise meets {u ^ v : u, v in A}.
-Each leaf of A is its own meet, so A is contained in its branching points,
-and a set of size m has exactly 2m - 1 of them (m leaves plus m - 1 internal
-joints, the meets of consecutive leaves in sorted order).
+sits at age n, and a vertex at age ``a`` covers the leaf interval
+``[index * 2^a, (index+1) * 2^a)``. Meets and branching points, which the
+tests use, are in ``tests/paper.py``.
 """
 
 from __future__ import annotations
@@ -38,10 +32,6 @@ class LeafSet:
         object.__setattr__(self, "leaves", labels)
 
     @classmethod
-    def of(cls, depth, leaves):
-        return cls(depth, tuple(leaves))
-
-    @classmethod
     def from_mask(cls, depth, mask):
         labels = []
         x = int(mask)
@@ -63,6 +53,3 @@ class LeafSet:
 
     def __iter__(self):
         return iter(self.leaves)
-
-    def __contains__(self, x):
-        return x in set(self.leaves)

@@ -72,13 +72,12 @@ from pwckit.analysis import (
     _FIRST,
     _SECOND,
     _TAIL_TOL,
-    _check_family,
     _check_k_max,
     _exp2,
     _series,
     _trend_verdict,
 )
-from pwckit.clustering import HArray, UnsupportedVariant
+from pwckit.clustering import HArray, check_family
 from pwckit.sampler import Sampler
 from pwckit.tree import LeafSet
 
@@ -405,9 +404,10 @@ def _multinomial(parts):
 
 def phi(spec, ls):
     """Clustering penalty of a leaf set under the given family."""
+    check_family(spec, ("first", "second", "capacity"), "phi")
     if len(ls) == 0:
         return 0.0
-    if spec.variant in ("zero", "first"):
+    if spec.variant == "first":
         p = pattern1_of(ls)
         h = spec.h
         return sum(h(k) * p.b[k] for k in range(ls.depth + 1) if p.b[k]) \
@@ -417,9 +417,7 @@ def phi(spec, ls):
         h = spec.h
         return sum(h(k, l) * c for (k, l), c in p.nonzero().items()) \
             + spec.h_const_at(ls.depth)
-    if spec.variant == "capacity":
-        return cap_mod.cap_reduce(ls, spec.profile(ls.depth))
-    raise UnsupportedVariant("unknown variant %r" % (spec.variant,))
+    return cap_mod.cap_reduce(ls, spec.profile(ls.depth))
 
 
 def is_nondecreasing(h, kmax=None):
@@ -433,7 +431,7 @@ def is_nondecreasing(h, kmax=None):
     """
     if isinstance(h, HArray):
         if kmax is None:
-            kmax = _PROBE_LIMIT if h.has_tail else h.max_ancestor_age
+            kmax = _PROBE_LIMIT if h.max_age == math.inf else h.max_age
         prev = np.empty(0)
         for k in range(1, kmax + 1):
             row = h(k, np.arange(k))
@@ -441,7 +439,7 @@ def is_nondecreasing(h, kmax=None):
                 return False
             prev = row
         return True
-    if not h.has_tail:
+    if h.max_age < math.inf:
         values = h.array(h.max_age)
         return bool(np.all(values[:-1] <= values[1:]))
     values = h.array(_PROBE_LIMIT if kmax is None else kmax)
@@ -630,11 +628,10 @@ def tauberian_second(spec, h1, h2, k_max=100000):
     spot-checked against the array on a grid of indices before use.
     """
     _check_k_max(k_max)
-    _check_family(spec, _SECOND, "tauberian_second")
+    check_family(spec, _SECOND, "tauberian_second")
     h = spec.h
     samples = (1, 2, 3, 5, 8, 13, 21, 55, 144)
-    if not h.has_tail:
-        samples = tuple(k for k in samples if k <= h.max_ancestor_age)
+    samples = tuple(k for k in samples if k <= h.max_age)
     for k in samples:
         l = np.arange(0, k, max(1, k // 4))
         got, want = h(k, l), h1(l) + h2(k - l)
@@ -748,7 +745,7 @@ def certificate_first(spec, t, j, n=None):
     per-level Stirling form (a_k phi(t) for ln C) takes over, whose dropped
     corrections are O(n ln a0 / a0) and far below double precision there.
     """
-    _check_family(spec, _FIRST, "certificate_first")
+    check_family(spec, _FIRST, "certificate_first")
     t, n = _certificate_depth(t, j, n, j + 1)
     a, b = _first_chain(t, j, n)  # raises if integrality fails
     if not Pattern1(n, b).is_admissible():
@@ -826,7 +823,7 @@ def certificate_second(spec, t, j, n=None):
     cutoff are fully concentrated one generation down. The row at j+1 is
     spread as well, which is exactly what the column identities require.
     """
-    _check_family(spec, _SECOND, "certificate_second")
+    check_family(spec, _SECOND, "certificate_second")
     t, n = _certificate_depth(t, j, n, j + 2)
     a, b = _first_chain(t, j, n)
     entries = _second_entries(t, j, n, b)

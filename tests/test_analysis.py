@@ -275,7 +275,7 @@ def reference_laplace_first(spec, s_values):
     """The block loop laplace_first ran before it shared its damped sum with
     laplace_second, as its reference."""
     h = spec.h
-    k_limit = math.inf if h.has_tail else h.max_age
+    k_limit = h.max_age
     s_arr = np.asarray(list(s_values), dtype=float)
     diag = np.empty_like(s_arr)
     divergent = []
@@ -301,7 +301,7 @@ def reference_laplace_second(spec, s_values):
     """The row loop laplace_second ran with its own copy of the block sum,
     as its reference."""
     h = spec.h
-    k_limit = math.inf if h.has_tail else h.max_ancestor_age
+    k_limit = h.max_age
     s_arr = np.asarray(list(s_values), dtype=float)
     diag = np.empty_like(s_arr)
     divergent = []
@@ -394,7 +394,6 @@ REFUSALS = [
     (kappa1, (), dgff_spec()),
     (kappa1, (), capacity_uniform()),
     (kappa2, (), first_linear(2.0)),
-    (kappa2, (), zero_spec()),
     (kappa2, (), capacity_uniform()),
     (laplace_first, ([0.5],), dgff_spec()),
     (laplace_first, ([0.5],), capacity_uniform()),
@@ -432,10 +431,10 @@ def reference_tail_bound(spec, n):
     """
     if spec.variant == "second":
         gamma = lambda k: 2.0 * spec.h(k + 1, k)
-        last = 20000 if spec.h.has_tail else spec.h.max_ancestor_age - 1
+        last = 20000 if spec.h.max_age == math.inf else spec.h.max_age - 1
     else:
         gamma = spec.h
-        last = 20000 if spec.h.has_tail else spec.h.max_age
+        last = 20000 if spec.h.max_age == math.inf else spec.h.max_age
     total = 0.0
     for k in range(n + 1, last + 1):
         term = 2.0 * gamma(k) * math.exp(-k * LN2)
@@ -465,6 +464,23 @@ def test_tail_bound_sums_past_zero_terms():
         HSequence.from_function(lambda k: np.maximum(0, k - 20) + 0.0), 50.0
     )
     assert tail_bound(spec, 8) == pytest.approx(2.0**-18, rel=1e-12)
+
+
+def test_tail_bound_of_weights_past_float_range_is_not_finite():
+    # h_k = c k with c near the float maximum: the terms are infinite from
+    # the first age (or the second), and the sum stops there instead of
+    # running on to ages where 2^-k is 0 and inf * 0 is NaN.
+    assert tail_bound(first_linear(1e308), 0) == math.inf
+    assert tail_bound(first_linear(1e307), 3) == math.inf
+    assert tail_bound(first_linear(-1e308), 0) == -math.inf
+    # still finite: 2 sum_k c k 2^-k = 4c
+    assert tail_bound(first_linear(1e300), 0) == 3.9999999999999996e+300
+
+
+def test_estimate_jstar_refuses_an_infinite_tail():
+    for c in (1e308, -1e308):
+        with pytest.raises(SpecConfigError, match="'h.values'"):
+            estimate_jstar(first_linear(c), [0])
 
 
 def test_certificate_tail_sums_past_a_zero_term():

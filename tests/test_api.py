@@ -34,3 +34,28 @@ def test_every_module_serves_a_command():
             else:
                 imported.update(alias.name for alias in node.names)
     assert modules == imported
+
+
+
+def _raises_unsupported_variant(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None)) == "UnsupportedVariant"
+
+
+def test_one_family_guard_raises_unsupported_variant():
+    # Family refusals all go through clustering.check_family, so a new
+    # operation cannot hand-write its own check and message.
+    src = Path(pwckit.__file__).parent
+    raises, in_functions = 0, []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        raises += sum(map(_raises_unsupported_variant, ast.walk(tree)))
+        in_functions += [
+            (path.stem, fn.name)
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if _raises_unsupported_variant(node)
+        ]
+    assert raises == 1
+    assert in_functions == [("clustering", "check_family")]

@@ -373,6 +373,32 @@ def test_threshold_zero_no_transition(capsys):
     assert doc["verdict"] == "no-transition-supported"
 
 
+def test_zero_is_first_order_with_no_penalty(capsys):
+    # The zero preset is first:linear:0, so every command prints the same
+    # bytes for both; the threshold report differs only in its label.
+    for argv in (
+        ["zeta", "--depth", "6", "--j-grid=-1:1:0.5"],
+        ["density", "--depth", "6", "--j-grid=-1:1:0.5"],
+        ["canonical", "--depth", "4"],
+        ["canonical", "--depth", "4", "--maxterm"],
+        ["canonical", "--depth", "12", "--m-max", "256"],
+        ["sample", "--depth", "5", "--j", "0.3", "--num", "4", "--seed", "7"],
+        ["diagnose", "--s-grid", "pow2:2:6", "--k-max", "1000"],
+    ):
+        zero = run(capsys, argv + ["--preset", "zero"])
+        assert zero[0] == 0 and zero[1], argv
+        assert run(capsys, argv + ["--preset", "first:linear:0"]) == zero, argv
+    docs = []
+    for preset in ("zero", "first:linear:0"):
+        code, out, err = run(capsys, ["threshold", "--preset", preset,
+                                      "--depths", "0,1,4,8", "--k-max", "1000"])
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out.splitlines()[-1]))
+    assert docs[0].pop("label") == "preset:zero"
+    assert docs[1].pop("label") == "preset:first:linear:0"
+    assert docs[0] == docs[1]
+
+
 SPEC_FILES = {
     "SHORT": '{"variant": "first", "h": {"kind": "list", "values": [0, 1, 2]}}',
     "NULL-H": '{"variant": "first", "h": {"kind": "list", "values": [0, null, 2]}}',
@@ -535,6 +561,10 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "'h.values'"),
         (["threshold", "--preset", "zero", "--depths", "1022"], "'depths'"),
         (["threshold", "--preset", "zero", "--depths", "1021"], "'depths'"),
+        (["threshold", "--preset", "first:linear:1e308", "--depths", "0"],
+         "'h.values'"),
+        (["capacity", "--spec-file", "SHORT", "--depth", "2", "--subset", "0"],
+         "'variant'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -563,7 +593,8 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "preset-slope-inf", "s-grid-first-order-cost", "zeta-slope-overflow",
          "canonical-slope-overflow", "sample-slope-overflow",
          "threshold-slope-overflow", "threshold-depth-no-j-range",
-         "threshold-depth-j-range-too-narrow"],
+         "threshold-depth-j-range-too-narrow", "threshold-tail-overflow",
+         "capacity-first-order"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():

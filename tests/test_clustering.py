@@ -36,7 +36,6 @@ def test_hsequence_list_backed():
     h = HSequence.from_values([0.0, 1.0, 3.0])
     assert h(2) == 3.0
     assert h.max_age == 2
-    assert not h.has_tail
     assert is_nondecreasing(h)
     with pytest.raises(IndexError):
         h(3)
@@ -44,8 +43,7 @@ def test_hsequence_list_backed():
 
 def test_hsequence_closed_form():
     h = HSequence.from_function(lambda k: 0.5 * k)
-    assert h.has_tail
-    assert h.max_age is None
+    assert h.max_age == math.inf
     assert h(1000) == 500.0
     assert is_nondecreasing(h, kmax=100)
 
@@ -130,7 +128,7 @@ def test_logcorrected_values():
 @pytest.mark.parametrize(
     "text,variant",
     [
-        ("zero", "zero"),
+        ("zero", "first"),
         ("dgff", "second"),
         ("first:logcorrected", "first"),
         ("capacity:uniform", "capacity"),
@@ -253,7 +251,8 @@ def test_describe_survives_json(tmp_path):
 
 
 DESCRIBE_PINS = [
-    (zero_spec(), {"variant": "zero"}),
+    (zero_spec(), {"variant": "first", "h_const": None,
+     "h": {"kind": "preset", "name": "linear", "c": 0.0}}),
     (parse_preset("first:linear:2"), {"variant": "first", "h_const": None,
      "h": {"kind": "preset", "name": "linear", "c": 2.0}}),
     (parse_preset("first:linear:3ln2"), {"variant": "first", "h_const": None,
@@ -358,7 +357,7 @@ ARRAYS = {
 @pytest.mark.parametrize("name", sorted(SEQUENCES))
 def test_sequence_array_read_matches_scalar_reads(name):
     h = SEQUENCES[name]
-    ks = np.arange(5 if h.max_age is not None else 3000)
+    ks = np.arange(5 if h.max_age < math.inf else 3000)
     got = h(ks)
     assert isinstance(got, np.ndarray) and got.shape == ks.shape
     want = np.array([h(int(k)) for k in ks])
@@ -370,7 +369,7 @@ def test_sequence_array_read_matches_scalar_reads(name):
 @pytest.mark.parametrize("name", sorted(ARRAYS))
 def test_harray_array_read_matches_scalar_reads(name):
     h = ARRAYS[name]
-    n = 2 if h.max_ancestor_age is not None else 60
+    n = 2 if h.max_age < math.inf else 60
     k, l = np.tril_indices(n + 2, -1)
     want = np.array([h(int(a), int(b)) for a, b in zip(k, l)])
     np.testing.assert_allclose(h(k, l), want, rtol=1e-15, atol=0)

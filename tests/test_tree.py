@@ -53,7 +53,7 @@ class TreeAutomorphism:
         return out
 
     def apply(self, ls):
-        return LeafSet.of(ls.depth, (self.apply_leaf(x) for x in ls.leaves))
+        return LeafSet(ls.depth, tuple(self.apply_leaf(x) for x in ls.leaves))
 
 
 def beta(ls):
