@@ -34,9 +34,11 @@ from .dp import NEG_INF
 LN2 = math.log(2.0)
 
 #: kappa_1 sums to relative tolerance _KAPPA_TOL over at most _KAPPA_CAP
-#: ages; it, and a Laplace sum, is called divergent past _BLOW_UP
+#: ages; it, and a Laplace sum, is called divergent past _BLOW_UP. A k_max
+#: lies in 1 .. _K_MAX_CAP, as kappa_2 sums up to k_max terms in one array
 _KAPPA_TOL = 1e-15
 _KAPPA_CAP = 200000
+_K_MAX_CAP = 1 << 22
 _BLOW_UP = 1e15
 
 #: tail_bound sums to relative tolerance _TAIL_TOL over at most _TAIL_CAP
@@ -135,8 +137,8 @@ def _quiet_overflow(fn):
 
 
 def _check_k_max(k_max):
-    if k_max < 1:
-        raise SpecConfigError("k_max", "must be at least 1, got %d" % (k_max,))
+    if not 1 <= k_max <= _K_MAX_CAP:
+        raise SpecConfigError("k_max", "must lie in 1 .. %d, got %d" % (_K_MAX_CAP, k_max))
 
 
 #: the families each criterion serves
@@ -206,12 +208,7 @@ def kappa2(spec, k_max=100000):
     check_family(spec, _SECOND, "kappa2")
     h = spec.h
     k_max = min(k_max, h.max_age)
-    grid = []
-    k = 1
-    while k < k_max:
-        grid.append(k)
-        k *= 2
-    grid.append(k_max)
+    grid = [1 << i for i in range(int(k_max).bit_length()) if 1 << i < k_max] + [k_max]
     best = 0.0
     attained = grid[0]
     for k in grid:
@@ -339,6 +336,8 @@ def laplace_second(spec, s_values, allow_large=False):
 
 @dataclass(frozen=True)
 class TauberianReport:
+    """u_k at the ages k = 1, 2, 4, ... <= k_max that ``diagnose`` prints;
+    the verdict reads u at k_max // 2 + 1 and k_max."""
     k: np.ndarray
     u: np.ndarray
     verdict: str
@@ -369,15 +368,17 @@ def _first_u(spec, k_max):
 
 @_quiet_overflow
 def tauberian_first(spec, k_max=100000):
-    """u_k = (ln2) k + ln k - h_k with a monotone-trend verdict.
+    """u_k = (ln2) k + ln k - h_k at the powers of two k <= k_max, with a
+    monotone-trend verdict.
 
     u_k -> +inf is the certified no-transition regime; u_k -> -inf means
     this test says nothing (h may still be too small elsewhere), reported
     as inconclusive-for-this-test. The verdict compares u at k_max and at
-    k_max // 2 + 1; a list with no age past 0 is inconclusive.
+    k_max // 2 + 1; k_max is cut to a finite list's last age, and a list
+    with no age past 0 has no age to report and is inconclusive.
     """
     u, k_max = _first_u(spec, k_max)
-    ks = np.arange(1, k_max + 1)
+    ks = 2 ** np.arange(int(k_max).bit_length())
     return TauberianReport(ks, u(ks), _trend_verdict(u, k_max))
 
 
@@ -386,10 +387,12 @@ def tauberian_first(spec, k_max=100000):
 
 
 class BracketError(SpecConfigError):
-    """zeta_n(J) - tail > delta is not false then true along a J grid."""
+    """zeta_n(J) - tail > delta is not false then true along a J grid;
+    ``top_false`` if it is false at the top bracket end, J = 2^23."""
 
-    def __init__(self, message):
+    def __init__(self, message, top_false=False):
         super().__init__("delta", message)
+        self.top_false = top_false
 
 
 #: where the root search starts: -2^23 .. -1 and 1 .. 2^23
@@ -492,7 +495,8 @@ def bisect_upper(spec, n, delta, tail):
                 raise BracketError(
                     "zeta_%d(J) - tail > %g is not false then true on %d points "
                     "of J in [%g, %g]"
-                    % (n, delta, len(grid), grid.min(initial=0), grid.max(initial=0))
+                    % (n, delta, len(grid), grid.min(initial=0), grid.max(initial=0)),
+                    top_false=first is None and not cut and not ok[-1],
                 )
             grid, uniform = np.unique(np.linspace(*first, 65)), True
             continue
@@ -520,9 +524,9 @@ def slope_a0(spec, n):
 
 def slope_estimate(spec, n):
     """Second J* estimator: -omega_n(eps)/eps at small eps = a0/2^n, with
-    a0 from ``slope_a0``."""
+    a0 from ``slope_a0``, which the spec sets, so the size guard is lifted."""
     a0 = slope_a0(spec, n)
-    table = dp.dp_W(spec, n, m_max=a0)
+    table = dp.dp_W(spec, n, m_max=a0, allow_large=True)
     return -float(table.ln_w[a0]) / a0, a0
 
 
@@ -577,6 +581,7 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
     no-transition direction. ``delta=None`` applies the default policy
     max(1e-6, tail_n + n ln2 / 2^n) per depth; passing a number fixes delta
     across depths, which makes the upper estimates comparable between n.
+    A default delta that no J reaches comes from the weights and names ``h.values``.
     """
     check_family(spec, _FIRST + _SECOND, "threshold estimation")
     if not depths or min(depths) < 0 or max(depths) > dp.MAX_DEPTH:
@@ -586,6 +591,7 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
         )
     if delta is not None and not 0.0 < delta < math.inf:
         raise SpecConfigError("delta", "must be finite and positive, got %r" % (delta,))
+    _check_k_max(k_max)
     uppers, tails, deltas, slopes, sizes = [], [], [], [], []
     for n in depths:
         tail = tail_bound(spec, n)
@@ -595,7 +601,13 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
                 "float range" % (n, tail)
             )
         d = max(1e-6, tail + n * LN2 / (1 << n)) if delta is None else delta
-        uppers.append(bisect_upper(spec, n, d, tail))
+        try:
+            uppers.append(bisect_upper(spec, n, d, tail))
+        except BracketError as exc:
+            if delta is None and exc.top_false:  # the weights set that delta
+                raise SpecConfigError("h.values", "the tail past depth %d, %g, sets a "
+                                      "delta no J up to 2^23 reaches" % (n, tail)) from None
+            raise
         tails.append(tail)
         deltas.append(d)
         sl, a0 = slope_estimate(spec, n)

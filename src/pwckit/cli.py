@@ -185,16 +185,11 @@ def _cmd_canonical(args):
         raise SpecConfigError("maxterm", "the max-plus table is first order only")
     if spec.variant == "capacity":
         table = oracle.enum_W(spec, n)
-        if args.m_max is not None:
-            if args.m_max < 0:
-                raise SpecConfigError("m_max", "must be nonnegative, got %d" % (args.m_max,))
-            table = dp.CanonicalTable(n, table.ln_w[: args.m_max + 1], source="enum")
-    elif args.maxterm:
-        table = dp.dp_W_maxterm(
-            spec, n, m_max=args.m_max, allow_large=args.allow_large
-        )
+        size = dp._table_size(spec, n, args.m_max, args.allow_large, "canonical")
+        table = dp.CanonicalTable(n, table.ln_w[: size + 1], source="enum")
     else:
-        table = dp.dp_W(spec, n, m_max=args.m_max, allow_large=args.allow_large)
+        kernel = dp.dp_W_maxterm if args.maxterm else dp.dp_W
+        table = kernel(spec, n, m_max=args.m_max, allow_large=args.allow_large)
     lines = ["a0,ln_w,omega_n"]
     rows = zip(range(table.m_max + 1), table.ln_w.tolist(),
                table.omega_values().tolist())
@@ -283,31 +278,22 @@ def _cmd_capacity(args):
 def _cmd_diagnose(args):
     spec = _load_spec(args)
     s_grid = _parse_s_grid(args.s_grid)
-    if spec.variant == "second":
-        curve = analysis.laplace_second(
-            spec, s_grid, allow_large=args.allow_large
-        )
-        tau = None
-    else:  # the analysis family check refuses capacity specs
-        curve = analysis.laplace_first(spec, s_grid, allow_large=args.allow_large)
-        tau = analysis.tauberian_first(spec, k_max=args.k_max)
+    second = spec.variant == "second"  # the analysis family check refuses capacity
+    laplace = analysis.laplace_second if second else analysis.laplace_first
+    curve = laplace(spec, s_grid, allow_large=args.allow_large)
+    tau = None if second else analysis.tauberian_first(spec, k_max=args.k_max)
     lines = ["# laplace %s" % (curve.kind,), "s,diag"]
     lines += [
         "%s,%s%s" % (_fmt(s), _fmt(d), " # divergent" if bad else "")
         for s, d, bad in zip(curve.s, curve.diag, curve.divergent)
     ]
     doc = {
-        "command": "diagnose", "spec": _spec_label(args),
-        "laplace_kind": curve.kind,
-        "s": [float(s) for s in curve.s],
-        "diag": [float(d) for d in curve.diag],
+        "command": "diagnose", "spec": _spec_label(args), "laplace_kind": curve.kind,
+        "s": curve.s.tolist(), "diag": curve.diag.tolist(),
     }
     if tau is not None:
         lines += ["", "# tauberian verdict=%s" % (tau.verdict,), "k,diag"]
-        k = 1
-        while k <= len(tau.u):
-            lines.append("%d,%s" % (k, _fmt(tau.u[k - 1])))
-            k *= 2
+        lines += ["%d,%s" % (k, _fmt(u)) for k, u in zip(tau.k, tau.u)]
         doc["tauberian_verdict"] = tau.verdict
     return lines, doc, 0
 

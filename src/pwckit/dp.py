@@ -33,7 +33,7 @@ produce the canonical table W(a0) = sum_{|A| = a0} e^{-Phi(A)}; these are the
 inputs to free-energy curves and to exact sampling. Convolutions stay in the
 log domain with a per-entry max shift (no transform tricks, which would
 destroy relative precision across the huge dynamic range), so dp_W costs
-O(4^n) and is guarded at moderate depth. The convolution sums only the half
+O(4^n) and guards the size it holds. The convolution sums only the half
 anti-diagonal i <= j of each output size, counting the terms off the
 diagonal twice, and reads its rows as sliding windows of the input and of
 the input reversed; rows go in blocks of at most ``_BLOCK`` entries (512 KB
@@ -68,7 +68,8 @@ from .clustering import SpecConfigError, check_family
 LN2 = math.log(2.0)
 NEG_INF = float("-inf")
 
-#: default depth guards for the size-resolved tables (O(4^n) work)
+#: default guards for the size-resolved tables: sizes up to the full table
+#: at these depths (``_table_size``)
 W_FIRST_MAX_DEPTH = 12
 W_SECOND_MAX_DEPTH = 10
 
@@ -356,22 +357,27 @@ def dp_W(spec, n, m_max=None, allow_large=False):
 
     ``m_max`` truncates the table to sizes <= m_max, which is exact (sizes
     only add in the convolution) and turns the cost into O(n * m_max^2);
-    without it the full table costs O(4^n) and depth is guarded.
+    without it the full table costs O(4^n). Either way the size is guarded
+    (``_table_size``).
     """
     kernel = dp_W_second if spec.variant == "second" else dp_W_first
     return kernel(spec, n, m_max=m_max, allow_large=allow_large)
 
 
-def _check_guard(n, m_max, limit, allow_large, label):
+def _table_size(spec, n, m_max, allow_large, label):
+    """min(m_max, 2^n), the largest size a table at depth n holds (2^n for
+    m_max None). Past the full table at depth ``W_FIRST_MAX_DEPTH``
+    (``W_SECOND_MAX_DEPTH`` in second order) it needs ``allow_large``."""
     if m_max is not None and m_max < 0:
         raise SpecConfigError("m_max", "must be nonnegative, got %d" % (m_max,))
-    if m_max is None and n > limit and not allow_large:
+    size = 1 << n if m_max is None else min(int(m_max), 1 << n)
+    cap = 1 << (W_SECOND_MAX_DEPTH if spec.variant == "second" else W_FIRST_MAX_DEPTH)
+    if size > cap and not allow_large:
         raise SpecConfigError(
-            "depth",
-            "%s at depth %d exceeds the default cost guard (%d); pass "
-            "--allow-large (allow_large=True) or truncate with --m-max (m_max)"
-            % (label, n, limit),
-        )
+            "depth" if m_max is None else "m_max", "%s at depth %d holds sizes up to %d, "
+            "past the default cost guard of %d; pass --allow-large (allow_large=True) or "
+            "truncate with --m-max (m_max) at most %d" % (label, n, size, cap, cap))
+    return size
 
 
 def _dp_W(spec, n, m_max=None, allow_large=False):
@@ -382,10 +388,7 @@ def _dp_W(spec, n, m_max=None, allow_large=False):
     first row held, the split row.
     """
     H, const = _weights(spec, n)
-    limit = W_SECOND_MAX_DEPTH if spec.variant == "second" else W_FIRST_MAX_DEPTH
-    _check_guard(n, m_max, limit, allow_large, "dp_W")
-    full = 1 << n
-    cap = full if m_max is None else min(int(m_max), full)
+    cap = _table_size(spec, n, m_max, allow_large, "dp_W")
 
     drop = min(1, len(H) - 1)
     f = np.full((len(H) - drop, min(1, cap) + 1), NEG_INF)
@@ -418,9 +421,7 @@ def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
     check_family(spec, ("first",), "dp_W_maxterm")
     H, const = _weights(spec, n)
     h = H[0]
-    _check_guard(n, m_max, W_FIRST_MAX_DEPTH, allow_large, "dp_W_maxterm")
-    full = 1 << n
-    cap = full if m_max is None else min(int(m_max), full)
+    cap = _table_size(spec, n, m_max, allow_large, "dp_W_maxterm")
 
     lg = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cap + 1)))))
 

@@ -643,7 +643,7 @@ def tauberian_second(spec, h1, h2, k_max=100000):
                 "array %.17g vs h1+h2 %.17g" % (k, l[i], got[i], want[i])
             )
     u = lambda ks: LN2 * ks + np.log(ks) - (h1(ks) + h2(ks // 2))
-    ks = np.arange(1, k_max + 1)
+    ks = 2 ** np.arange(int(k_max).bit_length())
     return TauberianReport(ks, u(ks), _trend_verdict(u, k_max))
 
 

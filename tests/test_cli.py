@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -565,6 +566,15 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "'h.values'"),
         (["capacity", "--spec-file", "SHORT", "--depth", "2", "--subset", "0"],
          "'variant'"),
+        (["canonical", "--preset", "zero", "--depth", "24", "--m-max", "10000000"],
+         "'m_max'"),
+        (["threshold", "--preset", "dgff", "--depths", "4", "--k-max", "4194305"],
+         "'k_max'"),
+        (["threshold", "--preset", "first:linear:2", "--depths", "4", "--k-max",
+          "4194305"], "'k_max'"),
+        (["diagnose", "--preset", "first:linear:2", "--k-max", "4194305"], "'k_max'"),
+        (["threshold", "--preset", "first:linear:1e300", "--depths", "0"],
+         "'h.values'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -594,7 +604,9 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "canonical-slope-overflow", "sample-slope-overflow",
          "threshold-slope-overflow", "threshold-depth-no-j-range",
          "threshold-depth-j-range-too-narrow", "threshold-tail-overflow",
-         "capacity-first-order"],
+         "capacity-first-order", "m-max-past-guard", "threshold-k-max-too-large",
+         "threshold-k-max-too-large-first", "diagnose-k-max-too-large",
+         "threshold-tail-above-bracket"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():
@@ -604,6 +616,89 @@ def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     assert code == 2
     assert out == ""
     assert err.startswith("error: key %s" % (key,))
+
+
+def test_m_max_past_the_guard_needs_allow_large(capsys, monkeypatch):
+    # The guard bounds the size a table holds, whether --m-max sets it or
+    # the depth does: with both limits at 2, sizes past 4 need --allow-large.
+    monkeypatch.setattr(dp, "W_FIRST_MAX_DEPTH", 2)
+    monkeypatch.setattr(dp, "W_SECOND_MAX_DEPTH", 2)
+    for tail in (["--preset", "zero"], ["--preset", "zero", "--maxterm"],
+                 ["--preset", "dgff"]):
+        argv = ["canonical", "--depth", "3"] + tail
+        for extra, key in (([], "'depth'"), (["--m-max", "5"], "'m_max'")):
+            code, out, err = run(capsys, argv + extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: key %s" % (key,))
+            assert "--allow-large" in err and "--m-max" in err
+        code, out, err = run(capsys, argv + ["--m-max", "5", "--allow-large"])
+        assert (code, err) == (0, "")
+        assert len(data_rows(out)) == 6
+        code, out, err = run(capsys, argv + ["--m-max", "4"])
+        assert (code, err) == (0, "")
+        assert len(data_rows(out)) == 5
+
+
+@pytest.mark.parametrize(
+    "preset,k_max,digest",
+    [
+        ("zero", None, "3cb8bcfd28b29c0a7da1eb07d20bd3ff4406183a404d5ab517be2bcb68e3cc38"),
+        ("zero", 1, "9871c4be6308eaf970b16cdfe951de2347bd48a67e11523497a3fb05c6f896ba"),
+        ("zero", 2, "96d57f4ebb7a35bbb0968f4bfa8911d11f9b26a57bf3d2745278eec24f241c8d"),
+        ("zero", 3, "96d57f4ebb7a35bbb0968f4bfa8911d11f9b26a57bf3d2745278eec24f241c8d"),
+        ("zero", 1000,
+         "010d1798664d27f89080d008c35030cee2eb83424b52ee716ff9212f6af0bd3e"),
+        ("first:linear:ln2", None,
+         "c180c0ff62c791f65bb74f08a27f4c834151e9ba4da19c79ad3e394cdff8b928"),
+        ("first:linear:ln2", 1,
+         "7eb52703b5ece7bc4ef4cbf99ac28c0d45386f84612c9da5d02e31aa635a95be"),
+        ("first:linear:ln2", 2,
+         "6d381ad20efcf98d92be7bbf538969b8b983402695540efaf5283dc2f7d30e89"),
+        ("first:linear:ln2", 3,
+         "6d381ad20efcf98d92be7bbf538969b8b983402695540efaf5283dc2f7d30e89"),
+        ("first:linear:ln2", 1000,
+         "74de63f89e1853f7b623e8ab791a0f390b572e26cd5988b32f2b586aa5ebb7ce"),
+        ("first:linear:2", None,
+         "c36168a9de1da95765646c3bd4393da6d897a70ae625afa3f3a22ee36cca3435"),
+        ("first:linear:2", 1,
+         "bffa139411b5ffb4c99f0c175f397d3f6f909fd192f0030ef7c178ef5d102072"),
+        ("first:linear:2", 2,
+         "2b347d0f04dac35ceb989992ededec6202a9f237cc40c7e86033a5e71135f83a"),
+        ("first:linear:2", 3,
+         "2b347d0f04dac35ceb989992ededec6202a9f237cc40c7e86033a5e71135f83a"),
+        ("first:linear:2", 1000,
+         "a4854a715f5c7d392775a93c64f8b046ea02282d2494e75d61e83a6568b9e1bd"),
+        ("first:linear:3ln2", None,
+         "0505d6c64081154429d09ea152f81c814abb8627cb974c0b08dcd7cae785cf89"),
+        ("first:linear:3ln2", 1,
+         "9b1b0b74142e1b2ffd65afc45c1e51af4ce54228e70a2eeeca9b55bbf7e88889"),
+        ("first:linear:3ln2", 2,
+         "bf9c3493aafc17bcf403d0fc5b710200751166a2cf3ae713d4a21526aa60a37f"),
+        ("first:linear:3ln2", 3,
+         "bf9c3493aafc17bcf403d0fc5b710200751166a2cf3ae713d4a21526aa60a37f"),
+        ("first:linear:3ln2", 1000,
+         "5333839be5ad867317209ea3f26f7bc49c1275c31e2830be4e6e9b29d521e7d1"),
+        ("first:logcorrected", None,
+         "5d6f2fc6104a4dc20ad2e65f50df8e28f50db0a3ce0042cacae8a099409e1a9d"),
+        ("first:logcorrected", 1,
+         "cf57538e734fae2ce1ba70dc88937905f39181bf1bfdf02a115ef16b604caa5f"),
+        ("first:logcorrected", 2,
+         "6941e5034555acd3e93250b1765808c4a0b23c82ceb4be4916426ea9345b09c3"),
+        ("first:logcorrected", 3,
+         "6941e5034555acd3e93250b1765808c4a0b23c82ceb4be4916426ea9345b09c3"),
+        ("first:logcorrected", 1000,
+         "9b7946fc93bc002703a7d166616112a46ff3e2c502551ec6023eba5b085cdbc4"),
+    ],
+)
+def test_diagnose_output_pinned(capsys, preset, k_max, digest):
+    # Pinned stdout: the Laplace curve, the verdict and u_k at k = 1, 2, 4,
+    # ... <= k_max, each u_k formed as when u was evaluated at every age.
+    argv = ["diagnose", "--preset", preset]
+    if k_max is not None:
+        argv += ["--k-max", str(k_max)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_rejected_command_keeps_out_file(tmp_path, capsys):
