@@ -21,6 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tree import shape_table
+
+#: conductances of one profile may differ by a factor of at most 2^this, which
+#: keeps every scaled solve below (``ConductanceProfile.scaled_resistances``)
+#: inside the float range
+SPREAD_MAX_LOG2 = 256
+
 
 @dataclass(frozen=True, slots=True)
 class ConductanceProfile:
@@ -32,6 +39,9 @@ class ConductanceProfile:
         vals = tuple(float(v) for v in self.values)
         if any(v <= 0 or not math.isfinite(v) for v in vals):
             raise ValueError("conductances must be positive and finite")
+        if vals and math.log2(max(vals)) - math.log2(min(vals)) > SPREAD_MAX_LOG2:
+            raise ValueError("conductances must lie within a factor 2^%d of each other"
+                             % (SPREAD_MAX_LOG2,))
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -42,8 +52,19 @@ class ConductanceProfile:
     def depth(self):
         return len(self.values)
 
-    def resistances(self):
-        return tuple(1.0 / c for c in self.values)
+    def scaled_resistances(self):
+        """The resistances times 2^k, and k, for the power of two that brings
+        the largest conductance into [1/2, 1).
+
+        CAP is homogeneous of degree one in the conductances, so a solve on
+        the scaled resistances gives CAP times 2^-k. Its subtree resistances
+        stay within [1/2, depth 2^(SPREAD_MAX_LOG2 + 1)], far inside the
+        float range whatever the profile's scale; and where the unscaled
+        solve stays among normal floats too, scaling by a power of two
+        changes no rounding, so both give the same floats.
+        """
+        k = math.frexp(max(self.values))[1] if self.values else 0
+        return tuple(1.0 / math.ldexp(c, -k) for c in self.values), k
 
 
 def cap_reduce(ls, profile):
@@ -58,7 +79,7 @@ def cap_reduce(ls, profile):
         raise ValueError("profile depth %d != leaf set depth %d" % (profile.depth, ls.depth))
     if len(ls) == 0:
         return 0.0
-    res = profile.resistances()
+    res, k = profile.scaled_resistances()
     # occupied vertices of age d, by index, with their resistance down to A
     level = dict.fromkeys(ls.leaves, 0.0)
     for d in range(1, ls.depth + 1):
@@ -72,7 +93,12 @@ def cap_reduce(ls, profile):
     r = level[0]
     # At depth 0 the grounded leaf is the root itself: zero resistance, and
     # infinite capacity, as in cap_table.
-    return math.inf if r == 0.0 else 1.0 / r
+    if r == 0.0:
+        return math.inf
+    try:
+        return math.ldexp(1.0 / r, k)
+    except OverflowError:  # past the float range: inf, as in cap_classes
+        return math.inf
 
 
 def cap_quadratic(ls, profile):
@@ -132,21 +158,27 @@ def cap_quadratic(ls, profile):
     return float(sum(cond * (f[u] - f[v]) ** 2 for u, v, cond in edges))
 
 
-def cap_table(depth, profile):
-    """CAP for every leaf subset of the depth-``depth`` tree, as an array
-    indexed by bitmask. Level-by-level merge over subtree halves; used by the
-    enumeration oracle, cost O(4^depth) floats.
+def cap_classes(depth, profile):
+    """CAP of every shape of ``tree.shape_table(depth)``, as an array by
+    class: the series-parallel merge of each class's child pair, level by
+    level. An empty half has infinite resistance; a depth-0 leaf, zero.
     """
     if profile.depth != depth:
         raise ValueError("profile depth mismatch")
-    res = profile.resistances()
+    res, k = profile.scaled_resistances()
     r = np.array([np.inf, 0.0])
-    for d in range(1, depth + 1):
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        for d in range(1, depth + 1):
+            a, b = shape_table(d).children.T
             g = 1.0 / (res[d - 1] + r)
-            gsum = np.add.outer(g, g)  # [hi, lo]
-            r = (1.0 / gsum).reshape(-1)
-    with np.errstate(divide="ignore"):
-        cap = 1.0 / r
+            r = 1.0 / (g[a] + g[b])
+        cap = np.ldexp(1.0 / r, k)
     cap[0] = 0.0
     return cap
+
+
+def cap_table(depth, profile):
+    """CAP for every leaf subset of the depth-``depth`` tree, as an array
+    indexed by bitmask: ``cap_classes`` gathered through the shape index.
+    """
+    return cap_classes(depth, profile)[shape_table(depth).index]

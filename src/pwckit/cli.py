@@ -37,6 +37,7 @@ import numpy as np
 from . import analysis, capacity as capmod, dp, oracle, sampler as sampmod
 from .clustering import (
     SpecConfigError,
+    check_capacities,
     check_family,
     load_spec_file,
     parse_preset,
@@ -44,7 +45,7 @@ from .clustering import (
     random_first_order,
     random_second_order,
 )
-from .tree import LeafSet
+from .tree import LeafSet, shape_table
 
 #: most points a start:stop:step J grid may hold
 _GRID_MAX = 1 << 16
@@ -247,9 +248,10 @@ def _cmd_capacity(args):
     if args.spec_file:
         spec = _load_spec(args)
         check_family(spec, ("capacity",), "the capacity command")
-        profile = spec.profile(n)
+        profile, key = spec.profile(n), spec.key
     elif 0 < args.conductance < math.inf:
         profile = capmod.ConductanceProfile.uniform(n, args.conductance)
+        key = "conductance"
     else:
         raise SpecConfigError(
             "conductance", "must be finite and positive, got %r" % (args.conductance,)
@@ -263,6 +265,7 @@ def _cmd_capacity(args):
     if not subsets:
         raise SpecConfigError("subset", "give --subset leaves or --all-subsets")
     caps = [capmod.cap_reduce(ls, profile) for ls in subsets]
+    check_capacities([cap for ls, cap in zip(subsets, caps) if len(ls)], n, key)
     lines = ["leaves,cap"]
     lines += [
         "%s,%s" % (" ".join(str(x) for x in ls), _fmt(cap))
@@ -341,7 +344,8 @@ def _cmd_verify(args):
             lines.append("FAIL " + failures[-1])
 
     for n in range(1, depth_cap + 1):
-        sizes = oracle.profile_table(n).sizes
+        shapes = shape_table(n)
+        sizes = shapes.sizes[shapes.index]
         for i in range(args.draws):
             j = float(rng.uniform(-2.0, 3.0))
 

@@ -252,6 +252,12 @@ class CapacityClustering:
 
     variant = "capacity"
 
+    @property
+    def key(self):
+        """The spec document's key for the conductances, which refusals name."""
+        uniform = self.conductance.doc().get("kind") == "uniform"
+        return "conductance.value" if uniform else "conductance.values"
+
     def profile(self, depth):
         try:
             values = self.conductance(np.arange(depth))
@@ -259,10 +265,29 @@ class CapacityClustering:
             raise SpecConfigError(
                 "conductance.values", "too short for depth %d: %s" % (depth, exc)
             ) from None
-        return cap_mod.ConductanceProfile(tuple(values))
+        try:
+            return cap_mod.ConductanceProfile(tuple(values))
+        except ValueError as exc:
+            raise SpecConfigError(self.key, str(exc)) from None
 
     def describe(self):
         return {"variant": "capacity", "conductance": self.conductance.doc()}
+
+
+def check_capacities(caps, depth, key):
+    """Refuse capacities of nonempty leaf sets that left the float range.
+
+    At depth >= 1 every such capacity is positive and finite, so 0 or inf
+    is a float that underflowed or overflowed; at depth 0 the grounded leaf
+    is the root and inf is exact. ``key`` names the conductances.
+    """
+    caps = np.asarray(caps, dtype=float)
+    if depth and caps.size and not 0.0 < caps.min() <= caps.max() < math.inf:
+        bad = caps.max() if caps.max() == math.inf else caps.min()
+        raise SpecConfigError(
+            key, "a capacity at depth %d is %r, outside the float range; "
+            "scale the conductances" % (depth, float(bad))
+        )
 
 
 # ---------------------------------------------------------------------------

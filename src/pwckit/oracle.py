@@ -1,45 +1,38 @@
 """Brute-force enumeration over all leaf subsets at small depth.
 
-Everything here walks the full power set of the 2^n leaves, so depth is
+Everything here sums over the full power set of the 2^n leaves, so depth is
 hard-capped at ORACLE_MAX_DEPTH = 4 (65536 subsets). The point is to be an
-independent check on the dynamic programs: Phi is assembled from the
-per-subset branching profiles (or the electrical capacity table), never from
-the level recursions.
+independent check on the dynamic programs: Phi is assembled from each
+subset's branching profile (or electrical network), never from the level
+recursions.
 
-The profiles of all subsets come from one table per depth, built the way
-``capacity.cap_table`` builds capacities: level by level, the mask of a
-depth-d subtree is the pair [hi, lo] of its two half masks. Each mask
-carries the age of its top branching point (a leaf is its own top, at age
-0). Where both halves are nonempty the age-d root becomes a branching point,
-the ancestor of both half tops; otherwise the nonempty half's top carries
-over. At the end the top point of every nonempty mask gets the virtual
-ancestor n + 1. This bottom-up merge is independent of the consecutive-meet
-walk of the tests' branching profiles, which they compare it against.
-
-The table is cached per depth and shared across parameter choices, so
-repeated calls with different h or J only pay for a matrix product.
+Phi is invariant under the tree's automorphisms, so every sum runs over the
+subsets' shapes, ``tree.shape_table``: 231 classes at depth 4, each counted
+with its exact number of masks. The table is built level by level, as
+``capacity.cap_classes`` builds capacities, cached per depth and shared
+across parameter choices, so repeated calls with different h or J only pay
+for a matrix product over the classes.
 
 Every sum over subsets is exact up to one final rounding, as the standard
-library's fsum is, but runs in numpy: each term is an integer mantissa
-times a power of two, the mantissas are accumulated per group and
-exponent band in bins that cannot round, and the bins of a group become one
-Python int that is divided once (``_exact_sums``). ``enum_W`` sums every
-size in one such pass.
+library's fsum over all masks is, but runs in numpy: each term is an
+integer mantissa times a power of two, the mantissas times their
+multiplicities are accumulated per group and exponent band in bins that
+cannot round, and the bins of a group become one Python int that is
+divided once (``_exact_sums``). ``enum_W`` sums every size in one such pass.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from . import capacity as _capacity
-from .clustering import SpecConfigError, check_family
+from .clustering import SpecConfigError, check_capacities, check_family
 from .dp import NEG_INF, CanonicalTable, LogReal, _check_j
+from .tree import SHAPE_MAX_DEPTH, shape_table
 
-ORACLE_MAX_DEPTH = 4
+ORACLE_MAX_DEPTH = SHAPE_MAX_DEPTH
 
 
 def _check_depth(n):
@@ -52,107 +45,69 @@ def _check_depth(n):
         raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
 
 
-class ProfileTable(NamedTuple):
-    """Branching profiles of every subset of the depth-n leaves, rows by mask.
-
-    ``second`` has one column per (ancestor age k, own age l) pair, in the
-    order of ``np.tril_indices(n + 2, -1)`` (column k(k-1)/2 + l); ``first``
-    sums it over k into the first-order profile b_0 .. b_n; ``sizes`` is
-    b_0. The empty set has an all-zero row. Counts are at most 2^n <= 16.
-    """
-
-    second: np.ndarray
-    first: np.ndarray
-    sizes: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def profile_table(n):
-    """The profile table at depth n, by merging subtree halves level by level."""
-    _check_depth(n)
-    cols = (n + 2) * (n + 1) // 2
-    counts = np.zeros((2, cols), dtype=np.uint8)
-    top = np.array([-1, 0])  # age of the top branching point, -1 when empty
-    for d in range(1, n + 1):
-        m = len(top)
-        counts = counts[:, None] + counts[None, :]  # [hi, lo]
-        hi, lo = np.nonzero(np.outer(top >= 0, top >= 0))
-        counts[hi, lo, d * (d - 1) // 2 + top[hi]] += 1
-        counts[hi, lo, d * (d - 1) // 2 + top[lo]] += 1
-        top = np.maximum.outer(top, top)
-        top[hi, lo] = d
-        counts, top = counts.reshape(m * m, cols), top.reshape(-1)
-    nonempty = np.flatnonzero(top >= 0)
-    counts[nonempty, (n + 1) * n // 2 + top[nonempty]] += 1
-    first = np.zeros((len(counts), n + 1), dtype=np.uint8)
-    for col, l in enumerate(np.tril_indices(n + 2, -1)[1]):
-        first[:, l] += counts[:, col]
-    table = ProfileTable(counts, first, first[:, 0].astype(np.int64))
-    for rows in table:
-        rows.flags.writeable = False  # shared by every caller through the cache
-    return table
-
-
-@lru_cache(maxsize=None)
-def _profile_groups(n):
-    """The nonempty first-order profiles at depth n, for ``enum_maxterm``.
-
-    Returns, per profile, the smallest mask with it, its size b_0 and ln of
-    its number of masks.
-    """
-    table = profile_table(n)
-    # one key per profile: b_0 .. b_n as base-32 digits (each b_l <= 16)
-    key = table.first[1:].astype(np.int64) @ 32 ** np.arange(n + 1)
-    _, rep, count = np.unique(key, return_index=True, return_counts=True)
-    rep += 1
-    groups = (rep, table.sizes[rep], np.array([math.log(c) for c in count]))
-    for rows in groups:
-        rows.flags.writeable = False  # shared by every caller through the cache
-    return groups
-
-
-def phi_vector(spec, n):
-    """Phi for every subset bitmask at depth n, as a float array."""
+def _class_phi(spec, n):
+    """Phi of every shape at depth n, as a float array by class."""
     _check_depth(n)
     if spec.variant == "capacity":
-        return _capacity.cap_table(n, spec.profile(n))
+        caps = _capacity.cap_classes(n, spec.profile(n))
+        check_capacities(caps[1:], n, spec.key)
+        return caps
     check_family(spec, ("first", "second"), "phi_vector")
+    shapes = shape_table(n)
     if spec.variant == "first":
-        phi = profile_table(n).first @ spec.h.array(n)
+        rows, weights = shapes.first, spec.h.array(n)
     else:
-        phi = profile_table(n).second @ spec.h.array(n)[np.tril_indices(n + 2, -1)]
+        rows, weights = shapes.second, spec.h(*shapes.columns)
+    # BLAS gemv sums the rows of a matrix in blocks, and a short block at the
+    # end in another order. Zero rows up to a multiple of 16 put every class
+    # in a full block, as every mask was in a per-mask matrix of 2^(2^n)
+    # rows, so each class gets the float its masks got there.
+    padded = np.zeros((-(-len(rows) // 16) * 16, rows.shape[1]))
+    padded[:len(rows)] = rows
+    phi = (padded @ weights)[:len(rows)]
     phi += spec.h_const_at(n)
     phi[0] = 0.0
     return phi
 
 
+def phi_vector(spec, n):
+    """Phi for every subset bitmask at depth n, as a float array."""
+    return _class_phi(spec, n)[shape_table(n).index]
+
+
 def _ln_terms(spec, n, j):
-    """ln of every subset's Boltzmann term J |A| - Phi(A); J is checked
-    after ``phi_vector`` has checked the depth, which bounds J."""
-    phi = phi_vector(spec, n)
+    """ln of every shape's Boltzmann term J |A| - Phi(A); J is checked
+    after ``_class_phi`` has checked the depth, which bounds J."""
+    phi = _class_phi(spec, n)
     _check_j(j, n)
-    return j * profile_table(n).sizes - phi
+    return j * shape_table(n).sizes - phi
 
 
-def _exact_sums(values, groups=None, count=1):
+def _exact_sums(values, groups=None, count=1, mult=None):
     """Correctly rounded sums of nonnegative finite floats, one per group.
 
     ``groups`` holds the group, in range(count), of each entry of
-    ``values``, and broadcasts against it; by default all entries form one
-    group. Each sum is the float fsum returns for its group, bit for bit,
-    for up to 2^20 entries per group.
+    ``values``, and ``mult`` its integer multiplicity; both broadcast
+    against it. By default all entries form one group, each counted once.
+    Each sum is the float fsum returns for its group with every value
+    repeated its multiplicity, bit for bit, while a group's multiplicities
+    sum to at most 2^20.
 
     With ``np.frexp``, a value is f 2^e = (hi + lo) 2^(8q - 1106) for
     q = (e + 1080) >> 3 >= 0, an integer hi = floor(f 2^(26 + e % 8)) below
-    2^33 and a fraction lo, a multiple of 2^-27. ``np.bincount`` sums hi and
-    lo per (group, q) exactly, as no bin reaches 2^53 units in its last
-    place. A group's bins then add up to one integer, and int true division
-    by a power of two rounds it once, correctly.
+    2^33 and a fraction lo, a multiple of 2^-27. Times a multiplicity both
+    stay exact, and ``np.bincount`` sums them per (group, q) exactly, as no
+    bin reaches 2^53 units in its last place. A group's bins then add up to
+    one integer, and int true division by a power of two rounds it once,
+    correctly.
     """
     frac, exp = np.frexp(values)
     frac = np.ldexp(frac, (exp & 7) + 26)
     hi = np.floor(frac)
     frac -= hi
+    if mult is not None:
+        hi *= mult
+        frac *= mult
     exp += 1080
     exp >>= 3
     q_lo = min(int(exp.min()), 141)  # 8 q_lo <= 1133 keeps the divisor an int
@@ -179,20 +134,21 @@ def _exact_sums(values, groups=None, count=1):
             for g in range(count)]
 
 
-def _log_sum(ln_terms):
-    """ln sum exp over an array, with the max factored out."""
+def _log_sum(ln_terms, mult=None):
+    """ln sum exp over an array, each term repeated its multiplicity, with
+    the max factored out."""
     mx = ln_terms.max()
-    return mx + math.log(_exact_sums(np.exp(ln_terms - mx))[0])
+    return mx + math.log(_exact_sums(np.exp(ln_terms - mx), mult=mult)[0])
 
 
 def enum_phi(spec, ls):
-    """Phi of a single leaf set, via the cached per-mask table."""
-    return float(phi_vector(spec, ls.depth)[ls.mask])
+    """Phi of a single leaf set, via its shape."""
+    return float(_class_phi(spec, ls.depth)[shape_table(ls.depth).index[ls.mask]])
 
 
 def enum_Z(spec, n, j):
     """Grand partition function by direct summation over all subsets."""
-    return LogReal(_log_sum(_ln_terms(spec, n, j)))
+    return LogReal(_log_sum(_ln_terms(spec, n, j), shape_table(n).mult))
 
 
 def enum_zeta(spec, n, j):
@@ -205,13 +161,14 @@ def enum_W(spec, n):
     Each size's terms are scaled by their largest; a size whose terms are
     all zero (Phi = inf throughout) gets ln W = -inf.
     """
-    sizes = profile_table(n).sizes
-    neg_phi = -phi_vector(spec, n)
+    neg_phi = -_class_phi(spec, n)
+    shapes = shape_table(n)
+    sizes = shapes.sizes
     count = (1 << n) + 1
     mx = np.full(count, NEG_INF)
     np.maximum.at(mx, sizes, neg_phi)
     shift = np.where(mx > NEG_INF, mx, 0.0)  # -inf - -inf would be nan
-    sums = _exact_sums(np.exp(neg_phi - shift[sizes]), sizes, count)
+    sums = _exact_sums(np.exp(neg_phi - shift[sizes]), sizes, count, shapes.mult)
     ln_w = np.array([m + math.log(s) if s > 0 else NEG_INF
                      for m, s in zip(mx.tolist(), sums)])
     return CanonicalTable(n, ln_w, kind="sum", source="enum")
@@ -223,14 +180,19 @@ def enum_maxterm(spec, n):
     For first-order specs every subset with the same profile has the same
     weight, so the size-a0 maximum over subsets times its multiplicity N(b)
     is what dp_W_maxterm reports; this helper returns the profile-level
-    quantity by grouping subsets by profile.
+    quantity by grouping the shapes by first-order profile.
     """
     _check_depth(n)
     check_family(spec, ("first",), "enum_maxterm")
-    rep, sizes, ln_count = _profile_groups(n)
-    neg_phi = -phi_vector(spec, n)[rep]
+    shapes = shape_table(n)
+    neg_phi = -_class_phi(spec, n)
+    # one key per nonempty shape's profile: b_0 .. b_n as base-32 digits
+    key = shapes.first[1:] @ 32.0 ** np.arange(n + 1)
+    _, rep, group = np.unique(key, return_index=True, return_inverse=True)
+    count = np.bincount(group, shapes.mult[1:])
+    rep += 1
     ln_w = np.full((1 << n) + 1, NEG_INF)
-    np.maximum.at(ln_w, sizes, ln_count + neg_phi)
+    np.maximum.at(ln_w, shapes.sizes[rep], [math.log(c) for c in count] + neg_phi[rep])
     ln_w[0] = 0.0
     return CanonicalTable(n, ln_w, kind="max", source="enum")
 
@@ -238,8 +200,8 @@ def enum_maxterm(spec, n):
 def enum_density(spec, n, j):
     """Mean occupied fraction by direct summation."""
     ln_terms = _ln_terms(spec, n, j)
-    pop = profile_table(n).sizes
-    mx = ln_terms.max()
-    w = np.exp(ln_terms - mx)
-    occupied, total = _exact_sums(np.stack((w * pop, w)), np.array([[0], [1]]), 2)
+    shapes = shape_table(n)
+    w = np.exp(ln_terms - ln_terms.max())
+    occupied, total = _exact_sums(np.stack((w * shapes.sizes, w)),
+                                  np.array([[0], [1]]), 2, shapes.mult)
     return occupied / total / (1 << n)

@@ -79,7 +79,7 @@ from pwckit.analysis import (
 )
 from pwckit.clustering import HArray, check_family
 from pwckit.sampler import Sampler
-from pwckit.tree import LeafSet
+from pwckit.tree import LeafSet, shape_table
 
 #: ages probed when checking monotonicity of closed-form weights
 _PROBE_LIMIT = 4096
@@ -526,10 +526,15 @@ def check_monotone(spec, depth, size_limit=4):
 # the flow-energy dual of the capacity
 
 
+def resistances(profile):
+    """1 / C_l for each edge level l, as the reference solvers use them."""
+    return tuple(1.0 / c for c in profile.values)
+
+
 def alpha_profile(profile):
     """alpha_l = resistance from level l up to the root along one path,
     for l = 0 .. depth (alpha_depth = 0)."""
-    res = profile.resistances()
+    res = resistances(profile)
     n = profile.depth
     alpha = [0.0] * (n + 1)
     for l in range(n - 1, -1, -1):
@@ -903,6 +908,12 @@ def empirical_density(spec, n, j, num_samples, seed):
     return DensityEstimate(mean, stderr, num_samples)
 
 
+def ln_terms_by_mask(spec, n, j):
+    """ln of every subset's Boltzmann term J |A| - Phi(A), by bitmask: the
+    oracle's terms per shape, gathered through the shape index."""
+    return oracle._ln_terms(spec, n, j)[shape_table(n).index]
+
+
 @dataclass(frozen=True)
 class ExactDistribution:
     """The full law over subsets at small depth, for sampler validation,
@@ -914,7 +925,7 @@ class ExactDistribution:
 
     @classmethod
     def compute(cls, spec, n, j):
-        ln_terms = oracle._ln_terms(spec, n, j)
+        ln_terms = ln_terms_by_mask(spec, n, j)
         log_probs = ln_terms - oracle._log_sum(ln_terms)
         total = oracle._exact_sums(np.exp(log_probs))[0]
         if abs(total - 1.0) > 1e-12:

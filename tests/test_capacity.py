@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwckit.capacity import (
+    SPREAD_MAX_LOG2,
     ConductanceProfile,
     cap_quadratic,
     cap_reduce,
@@ -12,7 +13,7 @@ from pwckit.capacity import (
 )
 from pwckit.tree import LeafSet
 
-from paper import LeafMeasure, alpha_profile, flow_energy
+from paper import LeafMeasure, alpha_profile, flow_energy, resistances
 
 
 def test_profile_validation():
@@ -22,7 +23,41 @@ def test_profile_validation():
         ConductanceProfile((1.0, -2.0))
     p = ConductanceProfile.uniform(3, 2.0)
     assert p.values == (2.0, 2.0, 2.0)
-    assert p.resistances() == (0.5, 0.5, 0.5)
+    assert resistances(p) == (0.5, 0.5, 0.5)
+
+
+def test_profile_spread_is_bounded():
+    ConductanceProfile((1.0, 2.0**SPREAD_MAX_LOG2))
+    with pytest.raises(ValueError):
+        ConductanceProfile((1.0, 2.0 ** (SPREAD_MAX_LOG2 + 1)))
+
+
+@pytest.mark.parametrize("c", [5e-324, 1e-300, 1e300, 8e307])
+def test_solvers_agree_at_extreme_conductances(c):
+    # Two leaf edges in parallel: CAP = 2c, also where 1/c overflows or
+    # a product of two resistances leaves the float range.
+    profile = ConductanceProfile.uniform(1, c)
+    pair = LeafSet(1, (0, 1))
+    caps = [cap_reduce(pair, profile), cap_table(1, profile)[3], cap_quadratic(pair, profile)]
+    assert caps == pytest.approx([2.0 * c] * 3, rel=1e-15, abs=0)
+
+
+def test_scaling_by_a_power_of_two_keeps_the_floats():
+    # CAP is homogeneous in the conductances, and both series-parallel
+    # solvers scale the largest into [1/2, 1) first, so CAP(2^k C) is
+    # CAP(C) times 2^k, rounded once where it is subnormal. Conductances of
+    # a few bits stay exact times 2^-1070.
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        profile = ConductanceProfile(tuple(rng.choice([0.5, 0.75, 1.0, 1.25, 3.0], n)))
+        table = cap_table(n, profile)
+        for k in (-1070, -1040, -500, -1, 1, 500, 1000):
+            scaled = ConductanceProfile(tuple(math.ldexp(c, k) for c in profile.values))
+            want = np.ldexp(table, k)
+            assert cap_table(n, scaled).tobytes() == want.tobytes()
+            for mask in range(1, 1 << (1 << n)):
+                ls = LeafSet.from_mask(n, mask)
+                assert cap_reduce(ls, scaled) == math.ldexp(cap_reduce(ls, profile), k)
 
 
 def test_singleton_capacity_is_series():
@@ -77,7 +112,7 @@ def test_depth_mismatch_rejected():
 
 def _cap_reduce_recursive(ls, profile):
     # Reference: top-down series-parallel reduction, left branch first.
-    res = profile.resistances()
+    res = resistances(profile)
 
     def resistance(leaves, d):
         if d == 0:

@@ -250,6 +250,29 @@ def test_capacity_deep_singleton(capsys):
     assert float(out.splitlines()[1].split(",")[1]) == 1.0 / 1500
 
 
+@pytest.mark.parametrize(
+    ("conductance", "cap"),
+    [("5e-324", 1e-323), ("1e-300", 2e-300), ("1e300", 2e300), ("8e307", 1.6e308)],
+)
+def test_capacity_at_extreme_conductances(capsys, conductance, cap):
+    # Two leaf edges in parallel: CAP = 2c, whether c is subnormal or huge.
+    argv = ["capacity", "--depth", "1", "--conductance", conductance, "--subset", "0,1"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert float(data_rows(out)[0].split(",")[1]) == pytest.approx(cap, rel=1e-15, abs=0)
+
+
+def test_oracle_at_huge_conductance(capsys):
+    # At c = 1e308 every capacity at depth 4 is finite (the full set's is
+    # c / (1 - 2^-4)), though a sum of two leaf conductances is not.
+    for command in ("density", "zeta"):
+        argv = [command, "--preset", "capacity:uniform:1e308", "--depth", "4",
+                "--j-grid", "0"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (0, "j,%s\n0,0\n" % (
+            "rho_n" if command == "density" else "zeta_n"), "")
+
+
 def test_cost_guard_names_the_flags(capsys):
     code, out, err = run(capsys, ["canonical", "--preset", "zero", "--depth", "13"])
     assert code == 2 and out == ""
@@ -421,6 +444,10 @@ SPEC_FILES = {
               % ", ".join(["1e308"] * 11)),
     "NEG-UNIFORM": '{"variant": "capacity", "conductance": {"kind": "uniform", "value": -1}}',
     "SHORT-C": '{"variant": "capacity", "conductance": {"kind": "list", "values": [1.0, 2.0]}}',
+    "HUGE-C": ('{"variant": "capacity", "conductance": {"kind": "list",'
+               ' "values": [1.7e308, 1.7e308]}}'),
+    "WIDE-C": ('{"variant": "capacity", "conductance": {"kind": "list",'
+               ' "values": [1e-200, 1e200]}}'),
 }
 
 #: paths under tmp_path that do not exist
@@ -575,6 +602,17 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
         (["diagnose", "--preset", "first:linear:2", "--k-max", "4194305"], "'k_max'"),
         (["threshold", "--preset", "first:linear:1e300", "--depths", "0"],
          "'h.values'"),
+        (["capacity", "--depth", "1", "--conductance", "1.7e308", "--subset", "0,1"],
+         "'conductance'"),
+        (["capacity", "--depth", "4", "--conductance", "5e-324", "--subset", "0"],
+         "'conductance'"),
+        (["density", "--preset", "capacity:uniform:1.7e308", "--depth", "4",
+          "--j-grid", "0"], "'conductance.value'"),
+        (["canonical", "--spec-file", "HUGE-C", "--depth", "2"], "'conductance.values'"),
+        (["capacity", "--spec-file", "WIDE-C", "--depth", "2", "--subset", "0"],
+         "'conductance.values'"),
+        (["zeta", "--spec-file", "WIDE-C", "--depth", "2", "--j-grid", "0"],
+         "'conductance.values'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -606,7 +644,9 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "threshold-depth-j-range-too-narrow", "threshold-tail-overflow",
          "capacity-first-order", "m-max-past-guard", "threshold-k-max-too-large",
          "threshold-k-max-too-large-first", "diagnose-k-max-too-large",
-         "threshold-tail-above-bracket"],
+         "threshold-tail-above-bracket", "capacity-overflow", "capacity-underflow",
+         "density-capacity-overflow", "canonical-capacity-overflow",
+         "capacity-conductance-spread", "zeta-conductance-spread"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():

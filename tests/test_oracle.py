@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pwckit.capacity import cap_table
 from pwckit.clustering import (
     FirstOrderClustering,
     HSequence,
@@ -27,11 +29,17 @@ from pwckit.oracle import (
     enum_phi,
     enum_zeta,
     phi_vector,
-    profile_table,
 )
-from pwckit.tree import LeafSet
+from pwckit.tree import LeafSet, shape_table
 
-from paper import ExactDistribution, entropy1, enumerate_patterns1, pattern1_of, phi
+from paper import (
+    ExactDistribution,
+    entropy1,
+    enumerate_patterns1,
+    pattern1_of,
+    phi,
+    resistances,
+)
 
 
 def tiny_first():
@@ -165,7 +173,7 @@ def test_profiles_consistent_with_matrix():
         p = pattern1_of(ls)
         want = sum(2.0 * (k == 1) * p.b[k] + 5.0 * (k == 2) * p.b[k] for k in (1, 2)) + 7.0
         assert vec[mask] == pytest.approx(want, abs=1e-12)
-    sizes = profile_table(4).sizes
+    sizes = mask_sizes(4)
     assert sizes.tolist() == [mask.bit_count() for mask in range(1 << 16)]
 
 
@@ -174,8 +182,14 @@ def test_enum_w_depth_zero_capacity():
     assert enum_W(capacity_uniform(1.3), 0).ln_w.tolist() == [0.0, -math.inf]
 
 
-# The fsum versions of the oracle sums, kept as references: the numpy sums
-# must return the same floats, bit for bit.
+# The fsum versions of the oracle sums over every mask, kept as references:
+# the numpy sums over shapes must return the same floats, bit for bit.
+
+
+def mask_sizes(n):
+    """|A| for every bitmask at depth n, gathered through the shape index."""
+    shapes = shape_table(n)
+    return shapes.sizes[shapes.index]
 
 
 def ref_log_sum(ln_terms):
@@ -184,19 +198,19 @@ def ref_log_sum(ln_terms):
 
 
 def ref_enum_w(spec, n):
-    sizes = profile_table(n).sizes
+    sizes = mask_sizes(n)
     neg_phi = -phi_vector(spec, n)
     return np.array([ref_log_sum(neg_phi[sizes == a0]) for a0 in range((1 << n) + 1)])
 
 
 def ref_ln_terms(spec, n, j):
-    return j * profile_table(n).sizes - phi_vector(spec, n)
+    return j * mask_sizes(n) - phi_vector(spec, n)
 
 
 def ref_enum_density(spec, n, j):
     ln_terms = ref_ln_terms(spec, n, j)
     w = np.exp(ln_terms - ln_terms.max())
-    return math.fsum(w * profile_table(n).sizes) / math.fsum(w) / (1 << n)
+    return math.fsum(w * mask_sizes(n)) / math.fsum(w) / (1 << n)
 
 
 REF_PRESETS = ("zero", "first:linear:2", "first:linear:3ln2", "first:logcorrected",
@@ -272,14 +286,15 @@ def test_exact_sums_equal_fsum_on_lists(values):
 
 
 def ref_enum_maxterm(spec, n):
-    """enum_maxterm with the profile grouping redone on every call."""
-    table = profile_table(n)
+    """enum_maxterm by grouping every mask by its first-order profile."""
+    shapes = shape_table(n)
+    first, sizes = shapes.first[shapes.index], mask_sizes(n)
     neg_phi = -phi_vector(spec, n)
-    key = table.first[1:].astype(np.int64) @ 32 ** np.arange(n + 1)
+    key = first[1:].astype(np.int64) @ 32 ** np.arange(n + 1)
     _, rep, count = np.unique(key, return_index=True, return_counts=True)
     rep += 1
     ln_w = np.full((1 << n) + 1, -np.inf)
-    np.maximum.at(ln_w, table.sizes[rep],
+    np.maximum.at(ln_w, sizes[rep],
                   [math.log(c) for c in count] + neg_phi[rep])
     ln_w[0] = 0.0
     return ln_w
@@ -293,3 +308,128 @@ def test_enum_maxterm_grouping_cached_per_depth():
         for spec in specs:
             got = enum_maxterm(spec, n).ln_w
             assert got.tobytes() == ref_enum_maxterm(spec, n).tobytes()
+
+
+@settings(max_examples=60)
+@given(
+    size=st.integers(1, 2000),
+    count=st.integers(1, 17),
+    kind=st.sampled_from(["exp", "weighted", "wide", "ties"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=1, count=1, kind="ties", seed=1)
+@example(size=231, count=17, kind="exp", seed=0)
+@example(size=2000, count=2, kind="wide", seed=2)
+def test_exact_sums_with_multiplicities_equal_fsum(size, count, kind, seed):
+    # Each value counts its multiplicity times; a group's multiplicities
+    # sum to at most 2^16, as the shapes' do at depth 4.
+    rng = np.random.default_rng(seed)
+    values = _draw_values(kind, rng, size)
+    groups = rng.integers(0, count, size)
+    largest = np.bincount(groups).max()
+    mult = rng.integers(1, (1 << 16) // largest + 1, size)
+    want = [math.fsum(np.repeat(values[groups == g], mult[groups == g]))
+            for g in range(count)]
+    assert hexes(_exact_sums(values, groups, count, mult)) == hexes(want)
+    assert hexes(_exact_sums(values[:1], mult=[1 << 16])) == hexes(
+        [math.fsum([values[0]] * (1 << 16))])
+
+
+# The per-mask profile table and capacity table that the shape table
+# replaced, kept as references for it.
+
+
+def ref_profile_table(n):
+    """Second-order rows, first-order rows and sizes of every mask, by
+    merging the mask pair [hi, lo] of the two halves level by level."""
+    cols = (n + 2) * (n + 1) // 2
+    counts = np.zeros((2, cols), dtype=np.uint8)
+    top = np.array([-1, 0])  # age of the top branching point, -1 when empty
+    for d in range(1, n + 1):
+        m = len(top)
+        counts = counts[:, None] + counts[None, :]  # [hi, lo]
+        hi, lo = np.nonzero(np.outer(top >= 0, top >= 0))
+        counts[hi, lo, d * (d - 1) // 2 + top[hi]] += 1
+        counts[hi, lo, d * (d - 1) // 2 + top[lo]] += 1
+        top = np.maximum.outer(top, top)
+        top[hi, lo] = d
+        counts, top = counts.reshape(m * m, cols), top.reshape(-1)
+    nonempty = np.flatnonzero(top >= 0)
+    counts[nonempty, (n + 1) * n // 2 + top[nonempty]] += 1
+    first = np.zeros((len(counts), n + 1), dtype=np.uint8)
+    for col, l in enumerate(np.tril_indices(n + 2, -1)[1]):
+        first[:, l] += counts[:, col]
+    return counts, first, first[:, 0].astype(np.int64)
+
+
+def ref_cap_table(depth, profile):
+    """CAP of every mask by merging the two halves' conductances."""
+    res = resistances(profile)
+    r = np.array([np.inf, 0.0])
+    for d in range(1, depth + 1):
+        with np.errstate(divide="ignore"):
+            g = 1.0 / (res[d - 1] + r)
+            gsum = np.add.outer(g, g)  # [hi, lo]
+            r = (1.0 / gsum).reshape(-1)
+    with np.errstate(divide="ignore"):
+        cap = 1.0 / r
+    cap[0] = 0.0
+    return cap
+
+
+@pytest.mark.parametrize("n", range(ORACLE_MAX_DEPTH + 1))
+def test_shape_table_invariants(n):
+    shapes = shape_table(n)
+    assert len(shapes.sizes) == [2, 3, 6, 21, 231][n]
+    assert int(shapes.mult.sum()) == 1 << (1 << n)
+    per_size = np.bincount(shapes.sizes, shapes.mult, (1 << n) + 1)
+    assert per_size.tolist() == [math.comb(1 << n, a) for a in range((1 << n) + 1)]
+    assert np.bincount(shapes.index).tolist() == shapes.mult.tolist()
+    second, first, sizes = ref_profile_table(n)
+    assert np.array_equal(shapes.second[shapes.index], second)
+    assert np.array_equal(shapes.first[shapes.index], first)
+    assert np.array_equal(shapes.sizes[shapes.index], sizes)
+    rng = np.random.default_rng(40 + n)
+    for spec in (capacity_uniform(1.3), random_capacity(n, rng), random_capacity(n, rng)):
+        profile = spec.profile(n)
+        assert cap_table(n, profile).tobytes() == ref_cap_table(n, profile).tobytes()
+
+
+def test_phi_by_shape_is_the_per_mask_product():
+    # Each shape's Phi is, bit for bit, what its masks get from the matrix
+    # product over the per-mask profile rows.
+    rng = np.random.default_rng(12)
+    for n in range(ORACLE_MAX_DEPTH + 1):
+        second, first, _ = ref_profile_table(n)
+        for _ in range(20):
+            for spec in (random_first_order(n, rng), random_second_order(n, rng)):
+                if spec.variant == "first":
+                    want = first @ spec.h.array(n)
+                else:
+                    want = second @ spec.h.array(n)[np.tril_indices(n + 2, -1)]
+                want += spec.h_const_at(n)
+                want[0] = 0.0
+                assert phi_vector(spec, n).tobytes() == want.tobytes()
+
+
+def test_enum_sums_stay_per_shape_in_memory():
+    # No per-mask float array: a depth-4 one is 512 KB, and the uint8 to
+    # float copy of a per-mask profile matrix was 7.8 MB.
+    rng = np.random.default_rng(8)
+    specs = (random_first_order(4, rng), random_second_order(4, rng),
+             random_capacity(4, rng))
+
+    def run():
+        for spec in specs:
+            enum_Z(spec, 4, 0.3)
+            enum_W(spec, 4)
+            enum_density(spec, 4, 0.3)
+
+    run()  # builds the shape tables
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
