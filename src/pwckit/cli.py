@@ -224,13 +224,16 @@ def _cmd_sample(args):
     if args.seed < 0:
         raise SpecConfigError("seed", "must be nonnegative, got %d" % (args.seed,))
     spec = _load_spec(args)
-    draws = sampmod.sample(spec, args.depth, args.j, args.seed, args.num)
-    lines = [" ".join([str(x) for x in ls]) for ls in draws]
-    mean = sum(len(ls) for ls in draws) / (len(draws) * (1 << args.depth))
+    counts = {"nodes": 0}
+    draws = sampmod.sample(spec, args.depth, args.j, args.seed, args.num, counts)
+    lines = [" ".join(map(str, ls.leaves)) for ls in draws]
+    leaves = sum(map(len, draws))
     return lines, {
         "command": "sample", "spec": _spec_label(args), "depth": args.depth,
         "j": args.j, "seed": args.seed, "num": args.num,
-        "mean_fraction": mean,
+        "mean_fraction": leaves / (len(draws) * (1 << args.depth)),
+        "leaves": leaves, "empty_draws": sum(1 for ls in draws if not ls),
+        "nodes": counts["nodes"],
     }, 0
 
 

@@ -27,6 +27,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -191,9 +192,18 @@ class HArray:
     def array(self, depth):
         """Dense (depth+2) x (depth+2) array; entries with l >= k are zero."""
         out = np.zeros((depth + 2, depth + 2))
-        k, l = np.tril_indices(depth + 2, -1)
+        k, l = _below_diagonal(depth + 2)
         out[k, l] = self(k, l)
         return out
+
+
+@lru_cache(maxsize=16)
+def _below_diagonal(size):
+    """``np.tril_indices(size, -1)``, read-only: it is shared by every call."""
+    pairs = np.tril_indices(size, -1)
+    for rows in pairs:
+        rows.flags.writeable = False
+    return pairs
 
 
 # ---------------------------------------------------------------------------

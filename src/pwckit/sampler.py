@@ -11,9 +11,10 @@ finite-volume law, no Markov chain involved.
 
 Choices are made by Gumbel-max over log weights, so extreme J values only
 shift the logs instead of underflowing probabilities. Each sample gets its
-own child stream spawned from the seed, which makes results reproducible
-independent of batching. The iterative descent reads that stream in blocks,
-three variates per node in a fixed depth-first, left-to-right order.
+own child stream spawned from the seed just before it is drawn, which makes
+results reproducible independent of batching. The iterative descent reads
+that stream in blocks, three variates per node in a fixed depth-first,
+left-to-right order, and emits the leaves in increasing order.
 
 The level tables come from ``dp._levels``, which in second order keeps at
 level d - 1 only the ancestor ages a = d .. n+1; a node at level d answers
@@ -56,42 +57,83 @@ class Sampler:
         self._ln_occupied = -const + levels[n][-1]
         self.ln_z = float(np.logaddexp(0.0, self._ln_occupied))
 
-    def sample(self, rng):
-        """One exact draw; past the empty check ``rng`` is read in blocks."""
+    def sample(self, rng, counts=None):
+        """One exact draw; past the empty check ``rng`` is read in blocks.
+
+        With a dict ``counts``, its "nodes" entry grows by the number of
+        nodes the descent visited, a third of the variates it read.
+        """
         g = rng.gumbel(size=2)
         if g[0] + 0.0 > g[1] + self._ln_occupied:
             return LeafSet(self.depth, ())
         keep, split, last = self._keep, self._split, self._last
         leaves, stack = [], [(self.depth, last, 0)]
-        buf, i, chunk = [], 0, 48  # chunks stay multiples of the 3 per node
+        push, pop, gumbel = stack.append, stack.pop, rng.gumbel
+        # chunks stay multiples of the 3 per node; ``used`` counts the
+        # variates of the buffers read to their end
+        buf, i, end, chunk, used = [], 0, 0, 48, 0
         while stack:
-            d, a, base = stack.pop()
-            while d > 0:
-                if i == len(buf):
-                    buf, i, chunk = rng.gumbel(size=chunk).tolist(), 0, 2 * chunk
+            d, a, base = pop()
+            while d:
+                if i == end:
+                    buf, i, end, chunk, used = (gumbel(size=chunk).tolist(), 0, chunk,
+                                                2 * chunk, used + end)
                 k = keep[d][a]
                 x0, x1, x2 = buf[i] + k, buf[i + 1] + k, buf[i + 2] + split[d][a]
-                i, d = i + 3, d - 1
+                i += 3
+                d -= 1
                 if x1 > x0 or x2 > x0:  # argmax, first index on ties
                     if x1 >= x2:
                         base += 1 << d
                     else:
-                        a = min(d + 1, last)
-                        stack.append((d, a, base + (1 << d)))
+                        a = d + 1 if d < last else last
+                        push((d, a, base + (1 << d)))
             leaves.append(base)
+        if counts is not None:
+            counts["nodes"] += (used + i) // 3
         return LeafSet(self.depth, tuple(leaves))
 
-    def sample_many(self, num_samples, seed):
-        """Independent draws on per-sample child streams of ``seed``."""
+    def sample_many(self, num_samples, seed, counts=None):
+        """Independent draws on per-sample child streams of ``seed``, each
+        spawned just before its draw (the same children as spawning all
+        ``num_samples`` at once), past the output guard of ``_check_size``;
+        ``counts`` as in ``sample``."""
         if num_samples < 1:
             raise SpecConfigError(
                 "num", "need at least one draw, got %d" % (num_samples,)
             )
-        streams = np.random.SeedSequence(seed).spawn(num_samples)
-        return [self.sample(np.random.default_rng(s)) for s in streams]
+        _check_size(self, num_samples)
+        root = np.random.SeedSequence(seed)
+        return [self.sample(np.random.default_rng(root.spawn(1)[0]), counts)
+                for _ in range(num_samples)]
 
 
-def sample(spec, n, j, seed, num_samples=1):
+#: cap on the entries a batch of draws writes, one per leaf and one per draw
+SAMPLE_MAX_ENTRIES = 1 << 22
+
+
+def _check_size(sampler, num_samples):
+    """Refuse draws expected to write more than ``SAMPLE_MAX_ENTRIES``
+    entries, num (1 + 2^n rho_n(J)) on average, naming ``depth`` when one
+    draw alone is past the cap and ``num`` otherwise. rho_n is only
+    computed when num (1 + 2^n) is past the cap."""
+    n = sampler.depth
+    if num_samples * ((1 << n) + 1) <= SAMPLE_MAX_ENTRIES:
+        return
+    per_draw = 1.0 + (1 << n) * dp.dp_density(sampler.spec, n, sampler.j)
+    if per_draw > SAMPLE_MAX_ENTRIES:
+        raise SpecConfigError(
+            "depth", "one draw at depth %d writes about %.4g entries, past the "
+            "cap of %d" % (n, per_draw, SAMPLE_MAX_ENTRIES))
+    if num_samples * per_draw > SAMPLE_MAX_ENTRIES:
+        raise SpecConfigError(
+            "num", "%d draws at depth %d write about %.4g entries, past the cap "
+            "of %d; request at most %d" % (num_samples, n, num_samples * per_draw,
+                                          SAMPLE_MAX_ENTRIES,
+                                          SAMPLE_MAX_ENTRIES // per_draw))
+
+
+def sample(spec, n, j, seed, num_samples=1, counts=None):
     """Convenience wrapper: build a Sampler and draw."""
     sampler = Sampler(spec, n, j)
-    return sampler.sample_many(num_samples, seed)
+    return sampler.sample_many(num_samples, seed, counts)

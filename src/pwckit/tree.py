@@ -12,6 +12,7 @@ quantity, such as Phi, is one number per shape.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -24,14 +25,20 @@ class LeafSet:
     """An immutable set of leaves of the depth-``depth`` tree.
 
     Stored as a sorted tuple of leaf labels. Serialized externally as the
-    sorted list of integers.
+    sorted list of integers. Any iterable of integer-valued labels is
+    converted, sorted and de-duplicated; a tuple of ``int`` labels that is
+    already strictly increasing, as the sampler's descent emits, is only
+    checked, in O(n).
     """
 
     depth: int
     leaves: tuple
 
     def __post_init__(self):
-        labels = tuple(sorted(set(int(x) for x in self.leaves)))
+        labels = self.leaves
+        if not (type(labels) is tuple and {int}.issuperset(map(type, labels))
+                and all(map(operator.lt, labels, labels[1:]))):
+            labels = tuple(sorted(set(int(x) for x in labels)))
         if labels and not (0 <= labels[0] and labels[-1] < (1 << self.depth)):
             raise ValueError(
                 "leaf labels must lie in [0, 2^depth); got %r at depth %d"

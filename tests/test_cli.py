@@ -454,6 +454,26 @@ SPEC_FILES = {
 MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
 
 
+class _Limited(list):
+    """An argv that runs in a child interpreter under its own address-space
+    cap, because a missing guard would exhaust memory or run without end."""
+
+
+#: the child's address-space cap, 1.5 GiB
+_LIMIT_AS = 3 << 29
+_LIMITED_MAIN = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+                 "from pwckit.cli import main; sys.exit(main(sys.argv[1:]))"
+                 % (_LIMIT_AS, _LIMIT_AS))
+
+
+def _child_env():
+    """The environment with this checkout's ``src`` on PYTHONPATH."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(pwckit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize(
     "argv,key",
     [
@@ -613,6 +633,10 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "'conductance.values'"),
         (["zeta", "--spec-file", "WIDE-C", "--depth", "2", "--j-grid", "0"],
          "'conductance.values'"),
+        (_Limited(["sample", "--preset", "zero", "--depth", "30", "--j", "0",
+                   "--num", "1", "--seed", "1"]), "'depth'"),
+        (_Limited(["sample", "--preset", "zero", "--depth", "2", "--j", "0",
+                   "--num", "100000000", "--seed", "1"]), "'num'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -646,13 +670,22 @@ MISSING = ("MISSING.json", "NO-DIR/table.csv", "NO-DIR/run.json")
          "threshold-k-max-too-large-first", "diagnose-k-max-too-large",
          "threshold-tail-above-bracket", "capacity-overflow", "capacity-underflow",
          "density-capacity-overflow", "canonical-capacity-overflow",
-         "capacity-conductance-spread", "zeta-conductance-spread"],
+         "capacity-conductance-spread", "zeta-conductance-spread",
+         "sample-draw-past-cap", "sample-num-past-cap"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():
         (tmp_path / name).write_text(text)
+    limited = isinstance(argv, _Limited)
     argv = [str(tmp_path / a) if a in SPEC_FILES or a in MISSING else a for a in argv]
-    code, out, err = run(capsys, argv)
+    if limited:
+        child = subprocess.run([sys.executable, "-c", _LIMITED_MAIN] + argv,
+                               cwd=tmp_path, env=_child_env(), capture_output=True,
+                               text=True, timeout=120)
+        code, out, err = child.returncode, child.stdout, child.stderr
+        assert err.count("\n") == 1
+    else:
+        code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: key %s" % (key,))
@@ -839,9 +872,7 @@ def test_table_rows_keep_their_format(capsys):
 
 def test_python_m_pwckit(tmp_path, capsys):
     # The package runs as a module, with the script's exit codes.
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(pwckit.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env()
     argv = ["zeta", "--preset", "dgff", "--depth", "3", "--j-grid", "0,1"]
     ok = subprocess.run([sys.executable, "-m", "pwckit"] + argv, cwd=tmp_path,
                         env=env, capture_output=True, text=True)

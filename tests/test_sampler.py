@@ -1,11 +1,13 @@
 import hashlib
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from pwckit import dp
+from pwckit import dp, sampler as sampler_mod
 from pwckit.cli import main
 from pwckit.clustering import (
     FirstOrderClustering,
@@ -13,9 +15,11 @@ from pwckit.clustering import (
     UnsupportedVariant,
     capacity_uniform,
     dgff_spec,
+    first_linear,
     zero_spec,
 )
 from pwckit.sampler import Sampler, sample
+from pwckit.tree import LeafSet
 
 from paper import DensityEstimate, ExactDistribution, empirical_density
 
@@ -147,6 +151,10 @@ def test_draws_pinned():
          "7954b1a6cec5b0955bc13434374804f3c513261ad82d09dc0a5d74c8900e79bd"),
         ("dgff", "10", "0.5",
          "95e11b7d332df23988b06eb85cbc9adb158dabf20d22815d1970ed46593a771f"),
+        ("first:linear:3ln2", "10", "0.5",
+         "4ffca2c668d0b762a2e19d2b60339491857730ec9ef4b6987ec618436f3fcb92"),
+        ("dgff", "8", "0.5",
+         "546d6581e2cdf3df47c9e40bc21c49926fdcbcd013913d887bb02de90d623d27"),
     ],
 )
 def test_sample_output_pinned(capsys, preset, depth, j, digest):
@@ -203,3 +211,94 @@ def test_ties_follow_argmax(spec_name, n, j):
     for seed in range(40):
         draw = s.sample(_RoundedGumbel(seed)).leaves
         assert draw == _argmax_draw(s, _RoundedGumbel(seed))
+
+
+class _CountingGumbel:
+    """A generator's Gumbel variates, counting how many are read."""
+
+    def __init__(self, rng):
+        self._rng, self.read = rng, 0
+
+    def gumbel(self, size):
+        self.read += size
+        return self._rng.gumbel(size=size)
+
+
+def _reference_walk(s, child):
+    """The argmax walker's draw on one child stream, and its node count:
+    3 variates per node past the 2 of the empty check."""
+    rng = _CountingGumbel(np.random.default_rng(child))
+    leaves = _argmax_draw(s, rng)
+    return leaves, (rng.read - 2) // 3
+
+
+def test_node_counts_match_reference_walker():
+    for spec, n, j in ((zero_spec(), 6, 0.0), (dgff_spec(), 6, 0.5),
+                       (tiny_first(), 3, -1.0), (zero_spec(), 0, 1.0)):
+        s = Sampler(spec, n, j)
+        for child in np.random.SeedSequence(17).spawn(30):
+            leaves, nodes = _reference_walk(s, child)
+            counts = {"nodes": 0}
+            draw = s.sample(np.random.default_rng(child), counts)
+            assert (draw.leaves, counts["nodes"]) == (leaves, nodes)
+    # a saturated draw visits every internal node once, across buffer refills
+    counts = {"nodes": 0}
+    sample(zero_spec(), 16, 30.0, seed=3, num_samples=2, counts=counts)
+    assert counts["nodes"] == 2 * ((1 << 16) - 1)
+
+
+@pytest.mark.parametrize("preset,spec,n,j", [("dgff", dgff_spec(), 6, 0.5),
+                                             ("dgff", dgff_spec(), 6, -1.0)])
+def test_sample_summary_counts(tmp_path, capsys, preset, spec, n, j):
+    # The summary's leaves, empty draws and nodes against the reference
+    # walker on the same child streams; stdout is the draws alone. At
+    # J = -1 about half of the draws are empty.
+    path = tmp_path / "run.json"
+    code = main(["sample", "--preset", preset, "--depth", str(n), "--j", repr(j),
+                 "--num", "40", "--seed", "5", "--summary", str(path)])
+    out = capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError("not strict JSON: %s" % (name,))
+
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    s = Sampler(spec, n, j)
+    walks = [_reference_walk(s, c) for c in np.random.SeedSequence(5).spawn(40)]
+    assert code == 0
+    assert out == "".join(" ".join(map(str, w)) + "\n" for w, _ in walks)
+    assert doc["leaves"] == sum(len(w) for w, _ in walks)
+    assert doc["empty_draws"] == sum(1 for w, _ in walks if not w)
+    assert doc["nodes"] == sum(nodes for _, nodes in walks)
+    assert doc["mean_fraction"] == doc["leaves"] / (40 * (1 << n))
+
+
+def test_sample_size_rule(monkeypatch, capsys):
+    # One entry per leaf and one per draw: 9 per saturated draw at depth 3,
+    # about 1 per nearly empty one. rho_n is read only when num (2^n + 1)
+    # passes the cap, and the refusal names what to shrink.
+    monkeypatch.setattr(sampler_mod, "SAMPLE_MAX_ENTRIES", 36)
+    density = dp.dp_density
+
+    def sample_cli(n, j, num):
+        code = main(["sample", "--preset", "zero", "--depth", str(n), "--j", str(j),
+                     "--num", str(num), "--seed", "3"])
+        out, err = capsys.readouterr()
+        return code, len(out.splitlines()), err.split(":")[1].strip() if err else None
+
+    monkeypatch.setattr(dp, "dp_density", None)
+    assert sample_cli(3, 30, 4) == (0, 4, None)
+    monkeypatch.setattr(dp, "dp_density", density)
+    assert sample_cli(3, 30, 5) == (2, 0, "key 'num'")
+    assert sample_cli(3, -30, 35) == (0, 35, None)
+    assert sample_cli(3, -30, 37) == (2, 0, "key 'num'")
+    assert sample_cli(6, 30, 1) == (2, 0, "key 'depth'")
+    assert sample_cli(6, -30, 30) == (0, 30, None)
+
+
+@given(st.sampled_from(["zero", "first", "dgff"]), st.integers(0, 7),
+       st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_draws_equal_their_normalized_leafset(name, n, j, seed):
+    spec = {"zero": zero_spec(), "first": first_linear(1.0), "dgff": dgff_spec()}[name]
+    for draw in sample(spec, n, j, seed, num_samples=4):
+        assert draw == LeafSet(n, list(draw.leaves))
+        assert all(type(x) is int for x in draw.leaves)

@@ -82,6 +82,67 @@ def test_leafset_normalizes_and_validates():
         LeafSet(2, (4,))
 
 
+def _normalized(depth, leaves):
+    """The constructor's rule written out: int labels, distinct, sorted and
+    in [0, 2^depth), whatever the order, type or container of the input."""
+    labels = tuple(sorted(set(int(x) for x in leaves)))
+    if labels and not (0 <= labels[0] and labels[-1] < (1 << depth)):
+        raise ValueError(labels)
+    return labels
+
+
+@pytest.mark.parametrize(
+    "depth,leaves,want",
+    [
+        (3, (6, 2), (2, 6)),
+        (3, (1, 1, 2), (1, 2)),
+        (3, (np.int64(5), np.int64(2)), (2, 5)),
+        (3, (np.int64(2), np.int64(5)), (2, 5)),
+        (3, (False, True), (0, 1)),
+        (3, (True, 3), (1, 3)),
+        (3, [6, 4, 6], (4, 6)),
+        (3, [4, 6], (4, 6)),
+        (3, np.array([7, 0]), (0, 7)),
+        (3, (), ()),
+        (0, (0,), (0,)),
+        (3, (0, 8), ValueError),
+        (3, (8, 0), ValueError),
+        (3, (-1, 2), ValueError),
+        (3, [8], ValueError),
+        (3, (np.int64(8),), ValueError),
+        (0, (1,), ValueError),
+    ],
+    ids=["unsorted", "duplicate", "int64-unsorted", "int64-sorted", "bool",
+         "bool-and-int", "list-duplicate", "list-sorted", "array", "empty",
+         "depth-zero", "past-end-sorted", "past-end-unsorted", "negative",
+         "list-past-end", "int64-past-end", "depth-zero-past-end"],
+)
+def test_leafset_rows(depth, leaves, want):
+    # Tuples of increasing ints are only checked; every other input is
+    # converted, sorted and de-duplicated. Both give int labels.
+    if want is ValueError:
+        with pytest.raises(ValueError, match="leaf labels must lie in"):
+            LeafSet(depth, leaves)
+        return
+    ls = LeafSet(depth, leaves)
+    assert ls.leaves == want == _normalized(depth, leaves)
+    assert type(ls.leaves) is tuple
+    assert all(type(x) is int for x in ls.leaves)
+
+
+@given(st.lists(st.integers(min_value=-2, max_value=9), max_size=10),
+       st.sampled_from([tuple, list, sorted, np.array]))
+def test_leafset_matches_normalized(labels, container):
+    leaves = container(labels)
+    try:
+        want = _normalized(3, leaves)
+    except ValueError:
+        with pytest.raises(ValueError):
+            LeafSet(3, leaves)
+        return
+    assert LeafSet(3, leaves).leaves == want
+
+
 def test_joint_ages_examples():
     assert joint_ages(LeafSet(2, (0, 1))) == [1]
     assert joint_ages(LeafSet(2, (0, 3))) == [2]
