@@ -187,7 +187,7 @@ def _cmd_canonical(args):
     if spec.variant == "capacity":
         table = oracle.enum_W(spec, n)
         size = dp._table_size(spec, n, args.m_max, args.allow_large, "canonical")
-        table = dp.CanonicalTable(n, table.ln_w[: size + 1], source="enum")
+        table = dp.CanonicalTable(n, table.ln_w[: size + 1])
     else:
         kernel = dp.dp_W_maxterm if args.maxterm else dp.dp_W
         table = kernel(spec, n, m_max=args.m_max, allow_large=args.allow_large)
@@ -283,6 +283,7 @@ def _cmd_capacity(args):
 
 def _cmd_diagnose(args):
     spec = _load_spec(args)
+    analysis._check_k_max(args.k_max)
     s_grid = _parse_s_grid(args.s_grid)
     second = spec.variant == "second"  # the analysis family check refuses capacity
     laplace = analysis.laplace_second if second else analysis.laplace_first

@@ -117,7 +117,6 @@ class CanonicalTable:
     depth: int
     ln_w: np.ndarray
     kind: str = "sum"
-    source: str = "dp"
 
     @property
     def m_max(self):
@@ -403,7 +402,7 @@ def _dp_W(spec, n, m_max=None, allow_large=False):
     ln_w = np.full(cap + 1, NEG_INF)
     ln_w[0] = 0.0
     ln_w[1:] = -const + f[-1, 1:]
-    return CanonicalTable(n, ln_w, kind="sum", source="dp")
+    return CanonicalTable(n, ln_w, kind="sum")
 
 
 dp_W_first = dp_W_second = _dp_W
@@ -468,4 +467,4 @@ def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
     ln_w[0] = 0.0
     top = min(len(best) - 1, cap)
     ln_w[1 : top + 1] = best[1 : top + 1] - h[0] * np.arange(1, top + 1) - const
-    return CanonicalTable(n, ln_w, kind="max", source="dp")
+    return CanonicalTable(n, ln_w, kind="max")

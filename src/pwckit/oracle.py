@@ -13,12 +13,10 @@ with its exact number of masks. The table is built level by level, as
 across parameter choices, so repeated calls with different h or J only pay
 for a matrix product over the classes.
 
-Every sum over subsets is exact up to one final rounding, as the standard
-library's fsum over all masks is, but runs in numpy: each term is an
-integer mantissa times a power of two, the mantissas times their
-multiplicities are accumulated per group and exponent band in bins that
-cannot round, and the bins of a group become one Python int that is
-divided once (``_exact_sums``). ``enum_W`` sums every size in one such pass.
+Every sum over subsets is exact up to one final rounding, the float fsum
+returns over all masks: ``_exact_sums`` splits each shape's term into two
+parts that stay exact times its multiplicity and fsums the products.
+``enum_W`` sums every size in one such call.
 """
 
 from __future__ import annotations
@@ -90,48 +88,25 @@ def _exact_sums(values, groups=None, count=1, mult=None):
     ``values``, and ``mult`` its integer multiplicity; both broadcast
     against it. By default all entries form one group, each counted once.
     Each sum is the float fsum returns for its group with every value
-    repeated its multiplicity, bit for bit, while a group's multiplicities
-    sum to at most 2^20.
+    repeated its multiplicity, bit for bit, while each multiplicity is
+    below 2^26 and every value times its multiplicity is finite.
 
-    With ``np.frexp``, a value is f 2^e = (hi + lo) 2^(8q - 1106) for
-    q = (e + 1080) >> 3 >= 0, an integer hi = floor(f 2^(26 + e % 8)) below
-    2^33 and a fraction lo, a multiple of 2^-27. Times a multiplicity both
-    stay exact, and ``np.bincount`` sums them per (group, q) exactly, as no
-    bin reaches 2^53 units in its last place. A group's bins then add up to
-    one integer, and int true division by a power of two rounds it once,
-    correctly.
+    A value's top 26 significant bits and its remainder, 27 bits at most,
+    stay exact times such a multiplicity, so fsum over these products
+    rounds the exact sum once.
     """
     frac, exp = np.frexp(values)
-    frac = np.ldexp(frac, (exp & 7) + 26)
-    hi = np.floor(frac)
-    frac -= hi
+    hi = np.ldexp(np.trunc(np.ldexp(frac, 26)), exp - 26)
+    parts = np.stack((hi, values - hi))
     if mult is not None:
-        hi *= mult
-        frac *= mult
-    exp += 1080
-    exp >>= 3
-    q_lo = min(int(exp.min()), 141)  # 8 q_lo <= 1133 keeps the divisor an int
-    width = int(exp.max()) - q_lo + 1
-    exp -= q_lo
-    bins = (exp if groups is None else groups * width + exp).ravel()
-    lo_sums = np.bincount(bins, frac.ravel(), count * width).reshape(count, width)
-    hi_sums = np.bincount(bins, hi.ravel(), count * width).reshape(count, width)
-    # word[g, k] < 2^57 counts units 2^(8 (k + q_lo) - 1133) of group g; hi
-    # sits 27 bits above lo: 3 bytes, then a shift by 3. With 8 more bytes a
-    # row holds its group's whole integer.
-    row = width + 11
-    word = np.zeros((count, row), dtype="<i8")
-    word[:, :width] = lo_sums * 2.0**27
-    word[:, 3:width + 3] += hi_sums.astype(np.int64) << 3
-    # byte b of every word, read as one little-endian int, is shifted by 8b
-    size = count * row
-    octets = word.view(np.uint8).reshape(size, 8).T.tobytes()
-    total = sum(int.from_bytes(octets[b * size:(b + 1) * size], "little") << 8 * b
-                for b in range(8))
-    rows = total.to_bytes(size, "little")
-    unit = 1 << (1133 - 8 * q_lo)
-    return [int.from_bytes(rows[g * row:(g + 1) * row], "little") / unit
-            for g in range(count)]
+        parts *= mult
+    if groups is None:
+        return [math.fsum(parts.ravel().tolist())]
+    keys = np.broadcast_to(groups, parts.shape).ravel()
+    order = np.argsort(keys, kind="stable")
+    parts = parts.ravel()[order].tolist()
+    bounds = np.searchsorted(keys[order], np.arange(count + 1)).tolist()
+    return [math.fsum(parts[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _log_sum(ln_terms, mult=None):
@@ -171,7 +146,7 @@ def enum_W(spec, n):
     sums = _exact_sums(np.exp(neg_phi - shift[sizes]), sizes, count, shapes.mult)
     ln_w = np.array([m + math.log(s) if s > 0 else NEG_INF
                      for m, s in zip(mx.tolist(), sums)])
-    return CanonicalTable(n, ln_w, kind="sum", source="enum")
+    return CanonicalTable(n, ln_w, kind="sum")
 
 
 def enum_maxterm(spec, n):
@@ -194,7 +169,7 @@ def enum_maxterm(spec, n):
     ln_w = np.full((1 << n) + 1, NEG_INF)
     np.maximum.at(ln_w, shapes.sizes[rep], [math.log(c) for c in count] + neg_phi[rep])
     ln_w[0] = 0.0
-    return CanonicalTable(n, ln_w, kind="max", source="enum")
+    return CanonicalTable(n, ln_w, kind="max")
 
 
 def enum_density(spec, n, j):
@@ -202,6 +177,6 @@ def enum_density(spec, n, j):
     ln_terms = _ln_terms(spec, n, j)
     shapes = shape_table(n)
     w = np.exp(ln_terms - ln_terms.max())
-    occupied, total = _exact_sums(np.stack((w * shapes.sizes, w)),
-                                  np.array([[0], [1]]), 2, shapes.mult)
+    occupied = _exact_sums(w * shapes.sizes, mult=shapes.mult)[0]
+    total = _exact_sums(w, mult=shapes.mult)[0]
     return occupied / total / (1 << n)

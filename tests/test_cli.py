@@ -620,6 +620,8 @@ def _child_env():
         (["threshold", "--preset", "first:linear:2", "--depths", "4", "--k-max",
           "4194305"], "'k_max'"),
         (["diagnose", "--preset", "first:linear:2", "--k-max", "4194305"], "'k_max'"),
+        (["diagnose", "--preset", "dgff", "--k-max", "0"], "'k_max'"),
+        (["diagnose", "--preset", "dgff", "--k-max", "4194305"], "'k_max'"),
         (["threshold", "--preset", "first:linear:1e300", "--depths", "0"],
          "'h.values'"),
         (["capacity", "--depth", "1", "--conductance", "1.7e308", "--subset", "0,1"],
@@ -668,6 +670,7 @@ def _child_env():
          "threshold-depth-j-range-too-narrow", "threshold-tail-overflow",
          "capacity-first-order", "m-max-past-guard", "threshold-k-max-too-large",
          "threshold-k-max-too-large-first", "diagnose-k-max-too-large",
+         "diagnose-k-max-zero-second", "diagnose-k-max-too-large-second",
          "threshold-tail-above-bracket", "capacity-overflow", "capacity-underflow",
          "density-capacity-overflow", "canonical-capacity-overflow",
          "capacity-conductance-spread", "zeta-conductance-spread",

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,7 +101,6 @@ def test_enum_z_by_hand():
 
 def test_enum_w_by_hand():
     table = enum_W(tiny_first(), 1)
-    assert table.source == "enum"
     want = [0.0, math.log(2.0) - 1.0, -2.0]
     assert np.allclose(table.ln_w, want, atol=1e-14)
 
@@ -333,6 +333,21 @@ def test_exact_sums_with_multiplicities_equal_fsum(size, count, kind, seed):
     assert hexes(_exact_sums(values, groups, count, mult)) == hexes(want)
     assert hexes(_exact_sums(values[:1], mult=[1 << 16])) == hexes(
         [math.fsum([values[0]] * (1 << 16))])
+
+
+def test_exact_sums_with_multiplicities_below_2_26():
+    # Full-mantissa values, each counted just under 2^26 times, against
+    # their exact sum as a Fraction, which float() rounds once.
+    rng = np.random.default_rng(26)
+    full = [np.nextafter(1.0, 0.0), 5e-324, 2.0**-1022 * (2 - 2.0**-52)]
+    for _ in range(50):
+        values = np.concatenate((full, np.ldexp(rng.random(5), rng.integers(-1100, 990, 5))))
+        groups = rng.integers(0, 3, len(values))
+        mult = rng.integers((1 << 26) - 64, 1 << 26, len(values))
+        exact = [Fraction(v) * int(m) for v, m in zip(values.tolist(), mult)]
+        want = [float(sum(x for x, g in zip(exact, groups) if g == k)) for k in range(3)]
+        assert hexes(_exact_sums(values, groups, 3, mult)) == hexes(want)
+        assert hexes(_exact_sums(values, mult=mult)) == hexes([float(sum(exact))])
 
 
 # The per-mask profile table and capacity table that the shape table
