@@ -357,15 +357,6 @@ def _trend_verdict(u, k_max):
     return "inconclusive"
 
 
-def _first_u(spec, k_max):
-    """u_k = (ln2) k + ln k - h_k as a callable, and k_max cut to a finite
-    list's last age."""
-    _check_k_max(k_max)
-    check_family(spec, _FIRST, "tauberian_first")
-    h = spec.h
-    return lambda ks: LN2 * ks + np.log(ks) - h(ks), min(k_max, h.max_age)
-
-
 @_quiet_overflow
 def tauberian_first(spec, k_max=100000):
     """u_k = (ln2) k + ln k - h_k at the powers of two k <= k_max, with a
@@ -377,7 +368,11 @@ def tauberian_first(spec, k_max=100000):
     k_max // 2 + 1; k_max is cut to a finite list's last age, and a list
     with no age past 0 has no age to report and is inconclusive.
     """
-    u, k_max = _first_u(spec, k_max)
+    _check_k_max(k_max)
+    check_family(spec, _FIRST, "tauberian_first")
+    h = spec.h
+    k_max = min(k_max, h.max_age)
+    u = lambda ks: LN2 * ks + np.log(ks) - h(ks)
     ks = 2 ** np.arange(int(k_max).bit_length())
     return TauberianReport(ks, u(ks), _trend_verdict(u, k_max))
 
@@ -532,13 +527,14 @@ def slope_estimate(spec, n):
 
 @dataclass(frozen=True)
 class WettingReport:
+    """The threshold report; each field is its key in the report document."""
     label: str
     variant: str
     depths: tuple
-    upper: tuple
+    jstar_upper: tuple
     tails: tuple
     deltas: tuple
-    slopes: tuple
+    slope_estimates: tuple
     slope_sizes: tuple
     kappa_kind: str
     kappa_value: float
@@ -549,27 +545,12 @@ class WettingReport:
 
     def rows(self):
         """One row per depth: (n, upper, slope, tail, delta)."""
-        return list(
-            zip(self.depths, self.upper, self.slopes, self.tails, self.deltas)
-        )
+        return list(zip(self.depths, self.jstar_upper, self.slope_estimates,
+                        self.tails, self.deltas))
 
     def to_document(self):
-        return {
-            "label": self.label,
-            "variant": self.variant,
-            "depths": list(self.depths),
-            "jstar_upper": list(self.upper),
-            "slope_estimates": list(self.slopes),
-            "slope_sizes": list(self.slope_sizes),
-            "tails": list(self.tails),
-            "deltas": list(self.deltas),
-            "kappa_kind": self.kappa_kind,
-            "kappa_value": self.kappa_value,
-            "kappa_at_cutoff": self.kappa_at_cutoff,
-            "lower_bound": self.lower_bound,
-            "tauberian_verdict": self.tauberian_verdict,
-            "verdict": self.verdict,
-        }
+        """The report document: each field under its own name."""
+        return dict(vars(self))
 
 
 def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
@@ -616,36 +597,19 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
 
     if spec.variant == "second":
         k2 = kappa2(spec, k_max=k_max)
-        kind, k_value, at_cut, lower = (
-            "kappa2", k2.value, k2.at_cutoff, k2.lower_bound,
-        )
+        kind, value, at_cut, lower = "kappa2", k2.value, k2.at_cutoff, k2.lower_bound
         t_verdict = "not-run"
     else:
         k1 = kappa1(spec)
-        kind, k_value, at_cut, lower = (
-            "kappa1", k1.value, False, k1.lower_bound,
-        )
-        t_verdict = _trend_verdict(*_first_u(spec, min(k_max, 100000)))
+        kind, value, at_cut, lower = "kappa1", k1.value, False, k1.lower_bound
+        t_verdict = tauberian_first(spec, k_max).verdict
 
-    if math.isfinite(k_value) and all(math.isfinite(u) for u in uppers):
+    if math.isfinite(value) and all(math.isfinite(u) for u in uppers):
         verdict = "transition-supported"
     elif t_verdict == "no-transition-supported":
         verdict = "no-transition-supported"
     else:
         verdict = "inconclusive"
-    return WettingReport(
-        label=label,
-        variant=spec.variant,
-        depths=tuple(depths),
-        upper=tuple(uppers),
-        tails=tuple(tails),
-        deltas=tuple(deltas),
-        slopes=tuple(slopes),
-        slope_sizes=tuple(sizes),
-        kappa_kind=kind,
-        kappa_value=k_value,
-        kappa_at_cutoff=at_cut,
-        lower_bound=lower,
-        tauberian_verdict=t_verdict,
-        verdict=verdict,
-    )
+    return WettingReport(label, spec.variant, tuple(depths), tuple(uppers), tuple(tails),
+                         tuple(deltas), tuple(slopes), tuple(sizes), kind, value, at_cut,
+                         lower, t_verdict, verdict)

@@ -14,11 +14,12 @@ produce byte-identical output. Exit codes: 0 ok, 1 verification failure,
 read and an --out or --summary path that cannot be written.
 
 Commands only compute: each returns its output lines, its summary document
-and its exit code, and ``main`` opens --out and --summary and writes them
-only once the command has succeeded, emptying neither before both are
-open, so a rejected command or an unwritable path leaves existing output
-files as they were. ``verify`` therefore prints its FAIL lines, then
-one PASS or FAIL line per suite, when the run ends.
+(``sample`` forms it only for --summary) and its exit code, and ``main``
+opens --out and --summary and writes them only once the command has
+succeeded, emptying neither before both are open, so a rejected command
+or an unwritable path leaves existing output files as they were.
+``verify`` therefore prints its FAIL lines, then one PASS or FAIL line per
+suite, when the run ends.
 """
 
 from __future__ import annotations
@@ -220,20 +221,31 @@ def _cmd_threshold(args):
     return lines, doc, 0
 
 
+def _nodes(draw):
+    """Nodes the sampler's descent visits for ``draw``: n for the first leaf,
+    then each leaf b's ancestors below its common one with the leaf a before."""
+    x = draw.leaves
+    if not x:
+        return 0
+    return draw.depth + sum((a ^ b).bit_length() - 1 for a, b in zip(x, x[1:]))
+
+
 def _cmd_sample(args):
+    """Counting nodes reads every leaf, so the summary is formed for --summary only."""
     if args.seed < 0:
         raise SpecConfigError("seed", "must be nonnegative, got %d" % (args.seed,))
     spec = _load_spec(args)
-    counts = {"nodes": 0}
-    draws = sampmod.sample(spec, args.depth, args.j, args.seed, args.num, counts)
+    draws = sampmod.sample(spec, args.depth, args.j, args.seed, args.num)
     lines = [" ".join(map(str, ls.leaves)) for ls in draws]
+    if not args.summary:
+        return lines, None, 0
     leaves = sum(map(len, draws))
     return lines, {
         "command": "sample", "spec": _spec_label(args), "depth": args.depth,
         "j": args.j, "seed": args.seed, "num": args.num,
         "mean_fraction": leaves / (len(draws) * (1 << args.depth)),
         "leaves": leaves, "empty_draws": sum(1 for ls in draws if not ls),
-        "nodes": counts["nodes"],
+        "nodes": sum(map(_nodes, draws)),
     }, 0
 
 

@@ -77,8 +77,8 @@ W_SECOND_MAX_DEPTH = 10
 #: past this depth the recursion leaves float range at every J
 MAX_DEPTH = 1022
 
-#: entries per temporary block of the size convolution and the max-plus
-#: chain (512 KB of float64)
+#: entries per temporary block of the level tables, the size convolution
+#: and the max-plus chain (512 KB of float64)
 _BLOCK = 1 << 16
 
 #: floor of the shifted convolution terms; numpy's exp slows down sharply
@@ -217,10 +217,9 @@ def _levels(H, j, n, ratio=False):
     row held at level d - 1, and the row left after level n is the root's.
     With ``ratio`` the log derivative r_d = F_d' / F_d is carried along
     (None otherwise); it starts at 1 and at most doubles per level, so it
-    stays within float range. ln F_n grows like 2^n |J|, so |J| is bounded
-    to keep 2 ln F finite.
+    stays within float range. ln F_n grows like 2^n |J|, so |J| must lie
+    within ``_range_bound(n)`` to keep 2 ln F finite (``_check_j``).
     """
-    j = _check_j(j, n)
     drop = min(1, len(H) - 1)  # second order leaves each split row behind
     neg = -H
     f = j - H[drop:, :1]
@@ -236,11 +235,32 @@ def _levels(H, j, n, ratio=False):
         yield f, r
 
 
+def _root(H, const, n, j, ratio=False):
+    """``(ln Z_n, rho_n)`` at each J of ``j`` from prepared weights; rho_n is
+    None without ``ratio``.
+
+    ``_levels`` runs over at most ``_BLOCK // len(H)`` J values at a time, so
+    its tables stay within ``_BLOCK`` entries whatever the grid. Each J is
+    computed on its own, so the chunks change no float.
+    """
+    j = _check_j(j, n)
+    ln_z = np.empty(len(j))
+    rho = np.empty(len(j)) if ratio else None
+    step = max(1, _BLOCK // len(H))
+    for lo in range(0, len(j), step):
+        part = slice(lo, lo + step)
+        for f, r in _levels(H, j[part], n, ratio):
+            pass
+        occupied = -const + f[-1]
+        ln_z[part] = np.logaddexp(0.0, occupied)
+        if ratio:
+            rho[part] = np.exp(occupied - ln_z[part]) * r[-1] / (1 << n)
+    return ln_z, rho
+
+
 def _ln_z(H, const, n, j):
     """ln Z_n at each J of ``j`` from prepared weights."""
-    for f, _ in _levels(H, j, n):
-        pass
-    return np.logaddexp(0.0, -const + f[-1])
+    return _root(H, const, n, j)[0]
 
 
 def _per_j(j, values):
@@ -278,11 +298,7 @@ def dp_density(spec, n, j):
     analytically instead of differencing ln Z.
     """
     H, const = _weights(spec, n)
-    for f, r in _levels(H, j, n, ratio=True):
-        pass
-    occupied = -const + f[-1]
-    ln_z = np.logaddexp(0.0, occupied)
-    return _per_j(j, np.exp(occupied - ln_z) * r[-1] / (1 << n))
+    return _per_j(j, _root(H, const, n, j, ratio=True)[1])
 
 
 def _log_self_convolve(y, out_len):

@@ -39,7 +39,7 @@ class Sampler:
         self.depth = n
         self.j = j
         H, const = dp._weights(spec, n)
-        levels = [f[:, 0] for f, _ in dp._levels(H, j, n)]
+        levels = [f[:, 0] for f, _ in dp._levels(H, dp._check_j(j, n), n)]
         last = len(H) - 1
         # per level d >= 1 and ancestor row, as plain lists for the descent:
         # the log weight of keeping one child and of splitting; after a split
@@ -57,27 +57,20 @@ class Sampler:
         self._ln_occupied = -const + levels[n][-1]
         self.ln_z = float(np.logaddexp(0.0, self._ln_occupied))
 
-    def sample(self, rng, counts=None):
-        """One exact draw; past the empty check ``rng`` is read in blocks.
-
-        With a dict ``counts``, its "nodes" entry grows by the number of
-        nodes the descent visited, a third of the variates it read.
-        """
+    def sample(self, rng):
+        """One exact draw; past the empty check ``rng`` is read in blocks."""
         g = rng.gumbel(size=2)
         if g[0] + 0.0 > g[1] + self._ln_occupied:
             return LeafSet(self.depth, ())
         keep, split, last = self._keep, self._split, self._last
         leaves, stack = [], [(self.depth, last, 0)]
         push, pop, gumbel = stack.append, stack.pop, rng.gumbel
-        # chunks stay multiples of the 3 per node; ``used`` counts the
-        # variates of the buffers read to their end
-        buf, i, end, chunk, used = [], 0, 0, 48, 0
+        buf, i, end, chunk = [], 0, 0, 48  # chunks stay multiples of the 3 per node
         while stack:
             d, a, base = pop()
             while d:
                 if i == end:
-                    buf, i, end, chunk, used = (gumbel(size=chunk).tolist(), 0, chunk,
-                                                2 * chunk, used + end)
+                    buf, i, end, chunk = gumbel(size=chunk).tolist(), 0, chunk, 2 * chunk
                 k = keep[d][a]
                 x0, x1, x2 = buf[i] + k, buf[i + 1] + k, buf[i + 2] + split[d][a]
                 i += 3
@@ -89,22 +82,19 @@ class Sampler:
                         a = d + 1 if d < last else last
                         push((d, a, base + (1 << d)))
             leaves.append(base)
-        if counts is not None:
-            counts["nodes"] += (used + i) // 3
         return LeafSet(self.depth, tuple(leaves))
 
-    def sample_many(self, num_samples, seed, counts=None):
+    def sample_many(self, num_samples, seed):
         """Independent draws on per-sample child streams of ``seed``, each
         spawned just before its draw (the same children as spawning all
-        ``num_samples`` at once), past the output guard of ``_check_size``;
-        ``counts`` as in ``sample``."""
+        ``num_samples`` at once), past the output guard of ``_check_size``."""
         if num_samples < 1:
             raise SpecConfigError(
                 "num", "need at least one draw, got %d" % (num_samples,)
             )
         _check_size(self, num_samples)
         root = np.random.SeedSequence(seed)
-        return [self.sample(np.random.default_rng(root.spawn(1)[0]), counts)
+        return [self.sample(np.random.default_rng(root.spawn(1)[0]))
                 for _ in range(num_samples)]
 
 
@@ -133,7 +123,6 @@ def _check_size(sampler, num_samples):
                                           SAMPLE_MAX_ENTRIES // per_draw))
 
 
-def sample(spec, n, j, seed, num_samples=1, counts=None):
+def sample(spec, n, j, seed, num_samples=1):
     """Convenience wrapper: build a Sampler and draw."""
-    sampler = Sampler(spec, n, j)
-    return sampler.sample_many(num_samples, seed, counts)
+    return Sampler(spec, n, j).sample_many(num_samples, seed)

@@ -238,7 +238,7 @@ def test_06_wetting_transition_linear3ln2():
         and abs(rep.lower_bound - lower) < 1e-12
     )
     report = estimate_jstar(spec, [18], label="linear3ln2")
-    upper = report.upper[0]
+    upper = report.jstar_upper[0]
     ok = ok and math.isfinite(upper) and upper >= lower
     ok = ok and report.verdict == "transition-supported"
     elapsed = time.perf_counter() - t0
@@ -298,7 +298,7 @@ def test_09_dgff_preset():
     rep = kappa2(dgff_spec(), k_max=100000)
     ok = math.isfinite(rep.value) and rep.at_cutoff
     report = estimate_jstar(dgff_spec(), [16], label="dgff")
-    upper = report.upper[0]
+    upper = report.jstar_upper[0]
     ok = ok and math.isfinite(upper)
     ok = ok and report.verdict == "transition-supported"
     elapsed = time.perf_counter() - t0

@@ -504,7 +504,7 @@ def test_estimate_jstar_linear_family():
         assert math.isfinite(slope)
         assert tail > 0 and delta >= tail
     # Upper estimates tighten with depth.
-    assert report.upper[1] < report.upper[0]
+    assert report.jstar_upper[1] < report.jstar_upper[0]
     doc = report.to_document()
     assert doc["verdict"] == "transition-supported"
     assert len(doc["jstar_upper"]) == 2
@@ -694,16 +694,10 @@ def test_aimed_search_evaluation_budget(monkeypatch, n):
         assert 1 < calls[0] <= 7
 
 
-def _verdict_or_error(fn, spec, k):
-    try:
-        return fn(spec, k)
-    except UnsupportedVariant as exc:  # tauberian_first serves first order only
-        return type(exc)
-
-
 def two_point_verdict(spec, k_max):
-    """The verdict ``estimate_jstar`` reads: u at k_max // 2 + 1 and k_max."""
-    return analysis._trend_verdict(*analysis._first_u(spec, k_max))
+    """The Tauberian verdict of the threshold report at depth 0, which
+    reads u at k_max // 2 + 1 and k_max."""
+    return estimate_jstar(spec, [0], k_max=k_max).tauberian_verdict
 
 
 @st.composite
@@ -714,21 +708,27 @@ def finite_list_specs(draw):
 
 TWO_POINT_SPECS = (
     zero_spec(), first_linear(2.0), first_linear(3 * LN2), first_logcorrected(),
-    dgff_spec(), FirstOrderClustering(HSequence.from_function(lambda k: 100.0 + 0 * k)),
+    FirstOrderClustering(HSequence.from_function(lambda k: 100.0 + 0 * k)),
 )
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 1000, 100000])
 def test_two_point_verdict_matches_tauberian_first(k):
-    full = lambda spec, k: tauberian_first(spec, k).verdict
     for spec in TWO_POINT_SPECS:
-        want = _verdict_or_error(full, spec, k)
-        assert _verdict_or_error(two_point_verdict, spec, k) == want
+        assert two_point_verdict(spec, k) == tauberian_first(spec, k).verdict
+    # second order runs no Tauberian test, and tauberian_first refuses it
+    assert two_point_verdict(dgff_spec(), k) == "not-run"
+    with pytest.raises(UnsupportedVariant):
+        tauberian_first(dgff_spec(), k)
 
 
 @given(finite_list_specs(), st.sampled_from([1, 2, 3, 1000, 100000]))
 def test_two_point_verdict_matches_on_finite_lists(spec, k):
-    assert two_point_verdict(spec, k) == tauberian_first(spec, k).verdict
+    try:
+        got = two_point_verdict(spec, k)
+    except BracketError:  # a tail below -1e-6 sets no bracket at depth 0
+        return
+    assert got == tauberian_first(spec, k).verdict
 
 
 def test_one_weight_list_verdict_is_inconclusive():
@@ -739,6 +739,16 @@ def test_one_weight_list_verdict_is_inconclusive():
     assert estimate_jstar(spec, [0]).tauberian_verdict == "inconclusive"
     with pytest.raises(SpecConfigError, match="k_max"):
         two_point_verdict(spec, 0)
+
+
+def test_threshold_verdict_matches_diagnose_past_age_100000():
+    # u_k = 1e-4 max(0, k - 100000) grows past age 100000 only, so a verdict
+    # that reads no age past 100000 is inconclusive here.
+    spec = FirstOrderClustering(HSequence.from_function(
+        lambda k: k * LN2 + np.log(np.maximum(k, 1)) - 1e-4 * np.maximum(0, k - 100000)))
+    want = tauberian_first(spec, 200000).verdict
+    assert want == "no-transition-supported"
+    assert estimate_jstar(spec, [4], k_max=200000).tauberian_verdict == want
 
 
 @given(random_specs(12), st.floats(-50.0, 49.0), st.floats(1.0, 100.0))

@@ -155,6 +155,15 @@ def test_spec_file_round_trip(tmp_path, capsys):
     assert data_rows(out) == data_rows(direct_out)
 
 
+def test_zero_document_loads_as_the_zero_preset(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(SPEC_FILES["ZERO-DOC"])
+    grid = ["--depth", "5", "--j-grid", "-3:3:0.5"]
+    code, out, _ = run(capsys, ["zeta", "--spec-file", str(path)] + grid)
+    assert code == 0
+    assert out == run(capsys, ["zeta", "--preset", "zero"] + grid)[1]
+
+
 def test_out_file_and_summary(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     summary_path = tmp_path / "run.json"
@@ -312,6 +321,13 @@ def test_diagnose_first_order(capsys):
     assert float(first[1].split()[0]) == pytest.approx(math.log(4.0), abs=1e-12)
 
 
+def test_pow2_grid_reads_either_order(capsys):
+    argv = ["diagnose", "--preset", "first:linear:ln2", "--k-max", "64", "--s-grid"]
+    code, out, _ = run(capsys, argv + ["pow2:5:2"])
+    assert code == 0
+    assert out == run(capsys, argv + ["pow2:2:5"])[1]
+
+
 def test_diagnose_capacity_rejected(capsys):
     code, out, err = run(
         capsys, ["diagnose", "--preset", "capacity:uniform"]
@@ -334,6 +350,29 @@ def test_verify_passes(capsys):
         "capacity-dual", "capacity-z",
     ]
     assert any(l.startswith("# 0 failure") for l in lines)
+
+
+def test_verify_failure_exits_1(monkeypatch, tmp_path, capsys):
+    # A density kernel off by one part in 10^6 fails both density suites,
+    # and only those: exit 1, and the summary lists the FAIL lines.
+    density = dp.dp_density
+    monkeypatch.setattr(dp, "dp_density", lambda *a: density(*a) * (1 + 1e-6))
+    path = tmp_path / "run.json"
+    code, out, _ = run(capsys, ["verify", "--depth", "2", "--draws", "2", "--seed",
+                                "1", "--summary", str(path)])
+    assert code == 1
+    lines = out.splitlines()
+    fails = [l for l in lines if l.startswith("FAIL ") and " n=" in l]
+    assert [l.split()[1:4] for l in fails] == [
+        [suite, "n=%d" % n, "draw=%d:" % draw] for n in (1, 2) for draw in (0, 1)
+        for suite in ("density-first", "density-second")]
+    suites = [l for l in lines if l.startswith(("PASS ", "FAIL ")) and " n=" not in l]
+    assert suites == [
+        "PASS zeta-first", "PASS zeta-second", "PASS w-first", "PASS w-second",
+        "FAIL density-first", "FAIL density-second", "PASS maxterm",
+        "PASS capacity-dual", "PASS capacity-z",
+    ]
+    assert json.loads(path.read_text())["failures"] == [l[len("FAIL "):] for l in fails]
 
 
 def test_zeta_grid_with_bare_negative_start(capsys):
@@ -448,6 +487,18 @@ SPEC_FILES = {
                ' "values": [1.7e308, 1.7e308]}}'),
     "WIDE-C": ('{"variant": "capacity", "conductance": {"kind": "list",'
                ' "values": [1e-200, 1e200]}}'),
+    "ROOT-LIST": '[{"variant": "zero"}]',
+    "NO-KIND": '{"variant": "first", "h": {"values": [0, 1, 2]}}',
+    "NO-SLOPE": '{"variant": "first", "h": {"kind": "preset", "name": "linear"}}',
+    "BAD-NAME": '{"variant": "first", "h": {"kind": "preset", "name": "cubic"}}',
+    "BAD-KIND": '{"variant": "first", "h": {"kind": "table", "values": [[0]]}}',
+    "NO-H-SECOND": '{"variant": "second"}',
+    "ROWS-NOT-LIST": '{"variant": "second", "h": {"kind": "table", "values": 3}}',
+    "BAD-KIND-SECOND": '{"variant": "second", "h": {"kind": "list", "values": [0]}}',
+    "NO-CONDUCTANCE": '{"variant": "capacity"}',
+    "ZERO-C": '{"variant": "capacity", "conductance": {"kind": "list", "values": [1, 0]}}',
+    "BAD-C-KIND": '{"variant": "capacity", "conductance": {"kind": "table", "values": [1]}}',
+    "ZERO-DOC": '{"variant": "zero"}',
 }
 
 #: paths under tmp_path that do not exist
@@ -639,6 +690,28 @@ def _child_env():
                    "--num", "1", "--seed", "1"]), "'depth'"),
         (_Limited(["sample", "--preset", "zero", "--depth", "2", "--j", "0",
                    "--num", "100000000", "--seed", "1"]), "'num'"),
+        (["zeta", "--spec-file", "ROOT-LIST", "--depth", "2", "--j-grid", "0"],
+         "'<root>'"),
+        (["zeta", "--spec-file", "NO-KIND", "--depth", "2", "--j-grid", "0"], "'h'"),
+        (["zeta", "--spec-file", "NO-SLOPE", "--depth", "2", "--j-grid", "0"], "'h.c'"),
+        (["zeta", "--spec-file", "BAD-NAME", "--depth", "2", "--j-grid", "0"],
+         "'h.name'"),
+        (["zeta", "--spec-file", "BAD-KIND", "--depth", "2", "--j-grid", "0"],
+         "'h.kind'"),
+        (["zeta", "--spec-file", "NO-H-SECOND", "--depth", "2", "--j-grid", "0"], "'h'"),
+        (["zeta", "--spec-file", "ROWS-NOT-LIST", "--depth", "2", "--j-grid", "0"],
+         "'h.values'"),
+        (["zeta", "--spec-file", "BAD-KIND-SECOND", "--depth", "2", "--j-grid", "0"],
+         "'h.kind'"),
+        (["zeta", "--spec-file", "NO-CONDUCTANCE", "--depth", "2", "--j-grid", "0"],
+         "'conductance'"),
+        (["zeta", "--spec-file", "ZERO-C", "--depth", "2", "--j-grid", "0"],
+         "'conductance.values'"),
+        (["zeta", "--spec-file", "BAD-C-KIND", "--depth", "2", "--j-grid", "0"],
+         "'conductance.kind'"),
+        (["zeta", "--preset", "zero", "--depth", "2", "--j-grid", "1:2"], "'j-grid'"),
+        (["diagnose", "--preset", "first:linear:2", "--s-grid", "pow2:3"], "'s-grid'"),
+        (["capacity", "--depth", "2"], "'subset'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -674,7 +747,12 @@ def _child_env():
          "threshold-tail-above-bracket", "capacity-overflow", "capacity-underflow",
          "density-capacity-overflow", "canonical-capacity-overflow",
          "capacity-conductance-spread", "zeta-conductance-spread",
-         "sample-draw-past-cap", "sample-num-past-cap"],
+         "sample-draw-past-cap", "sample-num-past-cap", "spec-root-not-object",
+         "spec-h-no-kind", "spec-linear-no-slope", "spec-unknown-h-name",
+         "spec-unknown-h-kind", "spec-second-no-h", "spec-rows-not-list",
+         "spec-second-other-kind", "spec-capacity-no-conductance",
+         "spec-conductance-zero", "spec-unknown-conductance-kind",
+         "j-grid-two-parts", "s-grid-pow2-one-exponent", "capacity-no-subset"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():

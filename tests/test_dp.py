@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -535,3 +536,27 @@ def test_convolution_floor_is_bit_identical():
         for out_len in (0, 3, len(y), 2 * len(y)):
             want = ref_full_log_self_convolve(y, out_len)
             assert hexes(_log_self_convolve(y, out_len)) == hexes(want)
+
+
+def test_j_batches_keep_memory_bounded():
+    # _levels runs over chunks of J, so a long grid at depth 100 holds
+    # tables of a few _BLOCK entries, not one (102 x 4096) table per level.
+    spec, grid = dgff_spec(), np.linspace(-2.0, 6.0, 4096)
+    dp.zeta(spec, 100, grid[:2])  # weights and imports outside the trace
+    tracemalloc.start()
+    try:
+        dp.zeta(spec, 100, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+
+
+def test_j_chunks_change_no_float(monkeypatch):
+    grid = np.linspace(-3.0, 3.0, 121)
+    cases = [(spec, n) for spec in (dgff_spec(), first_linear(3 * LN2), zero_spec())
+             for n in (0, 1, 5, 16)]
+    want = [hexes(zeta(s, n, grid)) + hexes(dp_density(s, n, grid)) for s, n in cases]
+    monkeypatch.setattr(dp, "_BLOCK", 64)
+    got = [hexes(zeta(s, n, grid)) + hexes(dp_density(s, n, grid)) for s, n in cases]
+    assert got == want

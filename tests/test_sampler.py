@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pwckit import dp, sampler as sampler_mod
-from pwckit.cli import main
+from pwckit.cli import _nodes, main
 from pwckit.clustering import (
     FirstOrderClustering,
     HSequence,
@@ -16,6 +16,7 @@ from pwckit.clustering import (
     capacity_uniform,
     dgff_spec,
     first_linear,
+    save_spec_file,
     zero_spec,
 )
 from pwckit.sampler import Sampler, sample
@@ -232,19 +233,33 @@ def _reference_walk(s, child):
     return leaves, (rng.read - 2) // 3
 
 
-def test_node_counts_match_reference_walker():
-    for spec, n, j in ((zero_spec(), 6, 0.0), (dgff_spec(), 6, 0.5),
-                       (tiny_first(), 3, -1.0), (zero_spec(), 0, 1.0)):
+def _summary(tmp_path, capsys, argv):
+    """stdout and the --summary document of ``pwckit sample``."""
+    path = tmp_path / "run.json"
+    assert main(["sample", *argv, "--summary", str(path)]) == 0
+    return capsys.readouterr().out, json.loads(path.read_text())
+
+
+def test_node_counts_match_reference_walker(tmp_path, capsys):
+    # The summary's nodes, counted from the draws, against the variates the
+    # reference walker reads on the same child streams; per draw as well.
+    save_spec_file(tiny_first(), tmp_path / "tiny.json")
+    for flags, spec, n, j in ((["--preset", "zero"], zero_spec(), 6, 0.0),
+                              (["--preset", "dgff"], dgff_spec(), 6, 0.5),
+                              (["--spec-file", str(tmp_path / "tiny.json")],
+                               tiny_first(), 3, -1.0),
+                              (["--preset", "zero"], zero_spec(), 0, 1.0)):
         s = Sampler(spec, n, j)
-        for child in np.random.SeedSequence(17).spawn(30):
-            leaves, nodes = _reference_walk(s, child)
-            counts = {"nodes": 0}
-            draw = s.sample(np.random.default_rng(child), counts)
-            assert (draw.leaves, counts["nodes"]) == (leaves, nodes)
+        walks = [_reference_walk(s, c) for c in np.random.SeedSequence(17).spawn(30)]
+        out, doc = _summary(tmp_path, capsys, flags + [
+            "--depth", str(n), "--j", repr(j), "--num", "30", "--seed", "17"])
+        assert out == "".join(" ".join(map(str, w)) + "\n" for w, _ in walks)
+        assert [_nodes(LeafSet(n, w)) for w, _ in walks] == [c for _, c in walks]
+        assert doc["nodes"] == sum(c for _, c in walks)
     # a saturated draw visits every internal node once, across buffer refills
-    counts = {"nodes": 0}
-    sample(zero_spec(), 16, 30.0, seed=3, num_samples=2, counts=counts)
-    assert counts["nodes"] == 2 * ((1 << 16) - 1)
+    _, doc = _summary(tmp_path, capsys, ["--preset", "zero", "--depth", "16",
+                                         "--j", "30", "--num", "2", "--seed", "3"])
+    assert doc["nodes"] == 2 * ((1 << 16) - 1)
 
 
 @pytest.mark.parametrize("preset,spec,n,j", [("dgff", dgff_spec(), 6, 0.5),
