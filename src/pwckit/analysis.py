@@ -189,8 +189,6 @@ def kappa1(spec):
 class Kappa2Report:
     value: float
     lower_bound: float
-    k_max: int
-    attained_at: int
     at_cutoff: bool
     grid: tuple
 
@@ -217,13 +215,9 @@ def kappa2(spec, k_max=100000):
         if s > best:
             best, attained = s, k
         if best > _BLOW_UP:
-            return Kappa2Report(
-                math.inf, -math.inf, k_max, k, True, tuple(grid)
-            )
+            return Kappa2Report(math.inf, -math.inf, True, tuple(grid))
     bound = 2 * LN2 - 2 * math.exp(-1.0) * best
-    return Kappa2Report(
-        best, bound, k_max, attained, attained == grid[-1], tuple(grid)
-    )
+    return Kappa2Report(best, bound, attained == grid[-1], tuple(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -512,23 +506,24 @@ def slope_a0(spec, n):
 
     -ln W_n(a0)/a0 approaches -omega'(0) = J* only once a0 dominates the
     additive offsets (the constant h term and the ~n ln2 of positional
-    entropy), so a0 scales with them, capped by the grid.
+    entropy), so a0 scales with them, capped by the grid and by the size
+    guard (``dp._size_cap``).
     """
-    return int(min(1 << n, max(32, math.ceil(6.0 * (spec.h_const_at(n) + n * LN2)))))
+    a0 = max(32, math.ceil(6.0 * (spec.h_const_at(n) + n * LN2)))
+    return int(min(1 << n, dp._size_cap(spec), a0))
 
 
 def slope_estimate(spec, n):
     """Second J* estimator: -omega_n(eps)/eps at small eps = a0/2^n, with
-    a0 from ``slope_a0``, which the spec sets, so the size guard is lifted."""
+    a0 from ``slope_a0``."""
     a0 = slope_a0(spec, n)
-    table = dp.dp_W(spec, n, m_max=a0, allow_large=True)
+    table = dp.dp_W(spec, n, m_max=a0)
     return -float(table.ln_w[a0]) / a0, a0
 
 
 @dataclass(frozen=True)
 class WettingReport:
     """The threshold report; each field is its key in the report document."""
-    label: str
     variant: str
     depths: tuple
     jstar_upper: tuple
@@ -553,7 +548,7 @@ class WettingReport:
         return dict(vars(self))
 
 
-def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
+def estimate_jstar(spec, depths, delta=None, k_max=100000):
     """Bracket the wetting threshold from finite-depth free energies.
 
     For each depth the root search finds where zeta_n provably exceeds its
@@ -610,6 +605,6 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000, label=""):
         verdict = "no-transition-supported"
     else:
         verdict = "inconclusive"
-    return WettingReport(label, spec.variant, tuple(depths), tuple(uppers), tuple(tails),
+    return WettingReport(spec.variant, tuple(depths), tuple(uppers), tuple(tails),
                          tuple(deltas), tuple(slopes), tuple(sizes), kind, value, at_cut,
                          lower, t_verdict, verdict)

@@ -54,6 +54,9 @@ _GRID_MAX = 1 << 16
 #: pow2:a:b exponents: past 1074, 2^-e is 0
 _POW2_MAX = 1074
 
+#: deepest ``capacity`` tree: its profile holds one conductance per level
+_CAPACITY_DEPTH_MAX = 1 << 22
+
 
 def _fmt(x):
     return "%.17g" % (float(x),)
@@ -206,16 +209,13 @@ def _cmd_threshold(args):
     """The report document goes to --summary, or after the table if none."""
     spec = _load_spec(args)
     depths = _parse_depths(args.depths)
-    report = analysis.estimate_jstar(
-        spec, depths, delta=args.delta, k_max=args.k_max,
-        label=_spec_label(args),
-    )
+    report = analysis.estimate_jstar(spec, depths, delta=args.delta, k_max=args.k_max)
     lines = ["n,jstar_upper,slope_estimate,tail,delta"]
     lines += [
         ",".join([str(n), _fmt(upper), _fmt(slope), _fmt(tail), _fmt(delta)])
         for n, upper, slope, tail, delta in report.rows()
     ]
-    doc = report.to_document()
+    doc = dict(report.to_document(), label=_spec_label(args))
     if not args.summary:
         lines += ["# report", _json(doc)]
     return lines, doc, 0
@@ -258,8 +258,10 @@ def _parse_subset(text, depth):
 
 def _cmd_capacity(args):
     n = args.depth
-    if n < 0:
-        raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
+    if not 0 <= n <= _CAPACITY_DEPTH_MAX:
+        raise SpecConfigError(
+            "depth", "must lie in 0 .. %d, got %d" % (_CAPACITY_DEPTH_MAX, n)
+        )
     if args.spec_file:
         spec = _load_spec(args)
         check_family(spec, ("capacity",), "the capacity command")

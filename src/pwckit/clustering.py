@@ -72,30 +72,20 @@ def check_family(spec, families, what):
 class HSequence:
     """Age-indexed weights h_0, h_1, ... .
 
-    Backed either by an explicit finite list (usable up to its length) or by
-    a closed-form callable (usable at any age, required by the asymptotic
-    diagnostics). ``tag`` records preset provenance so parameter files can
-    round-trip closed forms.
+    A callable ``source`` is a closed form (usable at any age, required by
+    the asymptotic diagnostics); any other source is an explicit finite list
+    (usable up to its length). ``tag`` records preset provenance so
+    parameter files can round-trip closed forms.
 
     ``h(k)`` is a float for an int age and an array for an integer array of
     ages, so a closed form receives integer arrays and must broadcast (numpy,
     not ``math``); a constant such as ``lambda k: 0.0`` is expanded.
     """
 
-    def __init__(self, fn=None, values=None, tag=None):
-        if (fn is None) == (values is None):
-            raise ValueError("provide exactly one of fn or values")
-        self._fn = fn
-        self._values = None if values is None else np.array(values, dtype=float)
+    def __init__(self, source, tag=None):
+        self._fn = source if callable(source) else None
+        self._values = None if callable(source) else np.array(source, dtype=float)
         self.tag = tag
-
-    @classmethod
-    def from_values(cls, values):
-        return cls(values=values)
-
-    @classmethod
-    def from_function(cls, fn, tag=None):
-        return cls(fn=fn, tag=tag)
 
     @property
     def max_age(self):
@@ -131,31 +121,23 @@ class HSequence:
 class HArray:
     """Ancestor-pair weights h[k][l] for 0 <= l < k.
 
-    Backed by a callable or by an explicit table (row k, column l; rows may
-    be ragged). ``h(k, l)`` takes ints or broadcasting integer arrays, as
-    ``HSequence`` does, and a closed form must broadcast over them.
+    A callable ``source`` is a closed form; any other source is an explicit
+    table (row k, column l; rows may be ragged). ``h(k, l)`` takes ints or
+    broadcasting integer arrays, as ``HSequence`` does, and a closed form
+    must broadcast over them.
     """
 
-    def __init__(self, fn=None, table=None, tag=None):
-        if (fn is None) == (table is None):
-            raise ValueError("provide exactly one of fn or table")
-        self._fn, self._table, self.tag = fn, None, tag
-        if table is not None:
+    def __init__(self, source, tag=None):
+        self._fn = source if callable(source) else None
+        self._table, self.tag = None, tag
+        if self._fn is None:
             # NaN marks missing cells; an extra NaN row and column stand for
             # every cell past the end, onto which lookups clamp their indices
-            rows = [np.asarray(r, dtype=float) for r in table]
+            rows = [np.asarray(r, dtype=float) for r in source]
             width = max(map(len, rows), default=0)
             self._table = np.full((len(rows) + 1, width + 1), np.nan)
             for k, r in enumerate(rows):
                 self._table[k, : len(r)] = r
-
-    @classmethod
-    def from_table(cls, table):
-        return cls(table=table)
-
-    @classmethod
-    def from_function(cls, fn, tag=None):
-        return cls(fn=fn, tag=tag)
 
     @property
     def max_age(self):
@@ -313,7 +295,7 @@ def first_linear(c):
     """First-order weights h_k = c * k."""
     c = float(c)
     return FirstOrderClustering(
-        HSequence.from_function(
+        HSequence(
             lambda k, c=c: c * k,
             tag={"kind": "preset", "name": "linear", "c": c},
         )
@@ -323,7 +305,7 @@ def first_linear(c):
 def first_logcorrected():
     """First-order weights h_k = (ln 2) k + ln k, the boundary family."""
     return FirstOrderClustering(
-        HSequence.from_function(
+        HSequence(
             lambda k: LN2 * k + np.log(np.maximum(k, 1)),
             tag={"kind": "preset", "name": "logcorrected"},
         )
@@ -334,7 +316,7 @@ def dgff_spec():
     """Second-order weights matching branching random walk barriers:
     h[k][l] = (ln 2) l + 1.5 ln+ min(l, k - l)."""
     return SecondOrderClustering(
-        HArray.from_function(
+        HArray(
             lambda k, l: LN2 * l + 1.5 * np.log(np.maximum(np.minimum(l, k - l), 1)),
             tag={"kind": "preset", "name": "dgff"},
         )
@@ -344,7 +326,7 @@ def dgff_spec():
 def capacity_uniform(c=1.0):
     c = float(c)
     return CapacityClustering(
-        HSequence.from_function(
+        HSequence(
             lambda l, c=c: c,
             tag={"kind": "uniform", "value": c},
         )
@@ -405,7 +387,7 @@ def _h_from_doc(doc, key):
         raise SpecConfigError(key, "expected an object with a 'kind' field")
     kind = doc["kind"]
     if kind == "list":
-        return HSequence.from_values(_numbers(doc.get("values"), key + ".values"))
+        return HSequence(_numbers(doc.get("values"), key + ".values"))
     if kind == "preset":
         name = doc.get("name")
         if name == "linear":
@@ -455,7 +437,7 @@ def spec_from_doc(doc):
             table = hdoc.get("values")
             if not isinstance(table, list):
                 raise SpecConfigError("h.values", "expected a list of rows")
-            h = HArray.from_table([_numbers(r, "h.values", empty=True) for r in table])
+            h = HArray([_numbers(r, "h.values", empty=True) for r in table])
         else:
             raise SpecConfigError("h.kind", "expected 'table' or the dgff preset")
         return SecondOrderClustering(h, _const_from_doc(doc))
@@ -472,7 +454,7 @@ def spec_from_doc(doc):
             values = _numbers(cdoc.get("values"), "conductance.values")
             if any(v <= 0 for v in values):
                 raise SpecConfigError("conductance.values", "conductances must be positive")
-            return CapacityClustering(HSequence.from_values(values))
+            return CapacityClustering(HSequence(values))
         raise SpecConfigError("conductance.kind", "expected 'uniform' or 'list'")
     raise SpecConfigError(
         "variant", "expected zero, first, second, or capacity; got %r" % (variant,)
@@ -520,7 +502,7 @@ def random_first_order(depth, rng, scale=1.0):
     steps[0] = rng.uniform(0.0, scale)
     h = np.cumsum(steps)
     h_const = float(h[-1] + rng.exponential(scale))
-    return FirstOrderClustering(HSequence.from_values(h), h_const)
+    return FirstOrderClustering(HSequence(h), h_const)
 
 
 def random_second_order(depth, rng, scale=1.0):
@@ -528,7 +510,7 @@ def random_second_order(depth, rng, scale=1.0):
     n = depth
     d = rng.exponential(scale / (n + 2), size=(n + 2, n + 2))
     table = np.cumsum(np.cumsum(d, axis=0), axis=1)
-    h = HArray.from_table(table)
+    h = HArray(table)
     h_const = float(table[n + 1][n] + rng.exponential(scale))
     return SecondOrderClustering(h, h_const)
 
@@ -536,4 +518,4 @@ def random_second_order(depth, rng, scale=1.0):
 def random_capacity(depth, rng):
     """Random positive conductance profile."""
     values = np.exp(rng.normal(0.0, _CAPACITY_SIGMA, size=depth))
-    return CapacityClustering(HSequence.from_values(values))
+    return CapacityClustering(HSequence(values))

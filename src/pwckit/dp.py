@@ -379,14 +379,19 @@ def dp_W(spec, n, m_max=None, allow_large=False):
     return kernel(spec, n, m_max=m_max, allow_large=allow_large)
 
 
+def _size_cap(spec):
+    """The size of the full table at depth ``W_FIRST_MAX_DEPTH``
+    (``W_SECOND_MAX_DEPTH`` in second order): larger tables need ``allow_large``."""
+    return 1 << (W_SECOND_MAX_DEPTH if spec.variant == "second" else W_FIRST_MAX_DEPTH)
+
+
 def _table_size(spec, n, m_max, allow_large, label):
     """min(m_max, 2^n), the largest size a table at depth n holds (2^n for
-    m_max None). Past the full table at depth ``W_FIRST_MAX_DEPTH``
-    (``W_SECOND_MAX_DEPTH`` in second order) it needs ``allow_large``."""
+    m_max None). Past ``_size_cap`` it needs ``allow_large``."""
     if m_max is not None and m_max < 0:
         raise SpecConfigError("m_max", "must be nonnegative, got %d" % (m_max,))
     size = 1 << n if m_max is None else min(int(m_max), 1 << n)
-    cap = 1 << (W_SECOND_MAX_DEPTH if spec.variant == "second" else W_FIRST_MAX_DEPTH)
+    cap = _size_cap(spec)
     if size > cap and not allow_large:
         raise SpecConfigError(
             "depth" if m_max is None else "m_max", "%s at depth %d holds sizes up to %d, "

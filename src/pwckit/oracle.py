@@ -36,8 +36,8 @@ ORACLE_MAX_DEPTH = SHAPE_MAX_DEPTH
 def _check_depth(n):
     if n > ORACLE_MAX_DEPTH:
         raise SpecConfigError(
-            "depth", "enumeration over 2^%d subsets refused; depth <= %d only"
-            % (1 << n, ORACLE_MAX_DEPTH)
+            "depth", "enumeration over 2^(2^%d) subsets refused; depth <= %d only"
+            % (n, ORACLE_MAX_DEPTH)
         )
     if n < 0:
         raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))

@@ -177,7 +177,7 @@ def test_04_monotonicity_suites():
                 ok = False
     # A decreasing weight sequence must produce a witness.
     bad_spec = FirstOrderClustering(
-        HSequence.from_values([0.0, 5.0, 1.0, 1.0]), h_const=5.0
+        HSequence([0.0, 5.0, 1.0, 1.0]), h_const=5.0
     )
     rep = check_monotone(bad_spec, 3, size_limit=4)
     witnessed = (not rep.ok) and (
@@ -237,7 +237,7 @@ def test_06_wetting_transition_linear3ln2():
         abs(rep.value - 1.0 / 3.0) < 1e-12
         and abs(rep.lower_bound - lower) < 1e-12
     )
-    report = estimate_jstar(spec, [18], label="linear3ln2")
+    report = estimate_jstar(spec, [18])
     upper = report.jstar_upper[0]
     ok = ok and math.isfinite(upper) and upper >= lower
     ok = ok and report.verdict == "transition-supported"
@@ -274,12 +274,12 @@ def test_08_second_order_reduction():
     for case in range(20):
         steps = rng.exponential(0.5, size=14)
         h = np.concatenate([[0.0], np.cumsum(steps)])
-        seq = HSequence.from_values([float(x) for x in h])
+        seq = HSequence([float(x) for x in h])
         const = float(h[-1] + rng.uniform(0.0, 1.0))
         first = FirstOrderClustering(seq, h_const=const)
         # The array depends only on the branching age, not the ancestor age.
         second = SecondOrderClustering(
-            HArray.from_function(lambda k, l, s=seq: s(l)),
+            HArray(lambda k, l, s=seq: s(l)),
             h_const=const,
         )
         j = float(rng.uniform(-2.0, 3.0))
@@ -297,7 +297,7 @@ def test_09_dgff_preset():
     t0 = time.perf_counter()
     rep = kappa2(dgff_spec(), k_max=100000)
     ok = math.isfinite(rep.value) and rep.at_cutoff
-    report = estimate_jstar(dgff_spec(), [16], label="dgff")
+    report = estimate_jstar(dgff_spec(), [16])
     upper = report.jstar_upper[0]
     ok = ok and math.isfinite(upper)
     ok = ok and report.verdict == "transition-supported"
@@ -308,7 +308,7 @@ def test_09_dgff_preset():
 
 def test_10_sampler_exactness():
     t0 = time.perf_counter()
-    spec = FirstOrderClustering(HSequence.from_function(lambda k: 1.0 * k))
+    spec = FirstOrderClustering(HSequence(lambda k: 1.0 * k))
     dist = ExactDistribution.compute(spec, 3, 0.5)
     draws = sample(spec, 3, 0.5, seed=2026, num_samples=100000)
     counts = Counter(s.mask for s in draws)

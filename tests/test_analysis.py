@@ -92,7 +92,7 @@ def test_kappa1_divergent_for_slow_weights():
 
 
 def test_kappa1_finite_list():
-    h = HSequence.from_values([0.0, 3.0, 6.0])
+    h = HSequence([0.0, 3.0, 6.0])
     rep = kappa1(FirstOrderClustering(h))
     want = 2 * math.exp(-3.0) + 4 * math.exp(-6.0)
     assert rep.value == pytest.approx(want, rel=1e-12)
@@ -105,7 +105,7 @@ def test_kappa1_finite_list():
         (first_linear(3 * LN2), 0.33333333333333315, 25, True),
         (first_logcorrected(), math.inf, 200000, False),
         (zero_spec(), math.inf, 49, False),
-        (FirstOrderClustering(HSequence.from_values([0.0, 3.0, 6.0])),
+        (FirstOrderClustering(HSequence([0.0, 3.0, 6.0])),
          0.10948914544239333, 2, False),
     ],
     ids=["linear2", "linear3ln2", "logcorrected", "zero", "list"],
@@ -120,7 +120,7 @@ def test_kappa1_pinned(spec, value, terms, converged):
 
 def test_kappa1_of_an_empty_sum_certifies_nothing():
     # h_0 alone: no age k >= 1 to sum, so no lower bound on J*
-    rep = kappa1(FirstOrderClustering(HSequence.from_values([1.0])))
+    rep = kappa1(FirstOrderClustering(HSequence([1.0])))
     assert rep == Kappa1Report(math.inf, -math.inf, 0, False)
 
 
@@ -134,7 +134,7 @@ def test_kappa2_dgff_finite():
 
 
 def test_kappa2_divergent_array():
-    rep = kappa2(SecondOrderClustering(HArray.from_function(lambda k, l: 0.0)),
+    rep = kappa2(SecondOrderClustering(HArray(lambda k, l: 0.0)),
                  k_max=4096)
     assert math.isinf(rep.value)
 
@@ -187,7 +187,7 @@ def test_tauberian_second_checks_decomposition():
     h1 = lambda l: LN2 * l
     h2 = lambda d: 0.5 * d
     spec = SecondOrderClustering(
-        HArray.from_function(lambda k, l: LN2 * l + 0.5 * (k - l))
+        HArray(lambda k, l: LN2 * l + 0.5 * (k - l))
     )
     rep = tauberian_second(spec, h1, h2, k_max=2000)
     assert rep.verdict in (
@@ -219,7 +219,7 @@ def test_tail_bound_closed_form_linear():
 def test_kappa1_not_stopped_by_tiny_growing_terms():
     # h_k = 100: the terms 2^k e^-100 start tiny but grow, so kappa_1 = inf
     # and zeta(J) = ln(1 + e^(J - 200)) > 0 for every J: no transition.
-    spec = FirstOrderClustering(HSequence.from_function(lambda k: 100.0 + 0 * k))
+    spec = FirstOrderClustering(HSequence(lambda k: 100.0 + 0 * k))
     rep = kappa1(spec)
     assert math.isinf(rep.value) and not rep.converged
     report = estimate_jstar(spec, [4, 8])
@@ -230,14 +230,14 @@ def test_kappa1_not_stopped_by_tiny_growing_terms():
 def test_kappa1_underflowing_terms():
     # h_k = 1000: every term 2^k e^-1000 of the first block underflows, but
     # the terms grow, so kappa_1 = inf and there is no transition.
-    spec = FirstOrderClustering(HSequence.from_function(lambda k: 1000.0 + 0 * k))
+    spec = FirstOrderClustering(HSequence(lambda k: 1000.0 + 0 * k))
     rep = kappa1(spec)
     assert math.isinf(rep.value) and not rep.converged
     report = estimate_jstar(spec, [4, 8])
     assert math.isinf(report.kappa_value)
     assert report.verdict == "no-transition-supported"
     # Ten values 1000: kappa_1 = 1022 e^-1000 underflows, its bound must not.
-    rep = kappa1(FirstOrderClustering(HSequence.from_values([1000.0] * 10), 1000.0))
+    rep = kappa1(FirstOrderClustering(HSequence([1000.0] * 10), 1000.0))
     assert rep.lower_bound == pytest.approx(
         2000.0 + 2 * LN2 - math.log(1022.0), rel=1e-12
     )
@@ -246,7 +246,7 @@ def test_kappa1_underflowing_terms():
 def test_laplace_first_not_stopped_by_zero_prefix():
     # g_k = max(0, k - 5000) is 0 over the whole first block of ages.
     spec = FirstOrderClustering(
-        HSequence.from_function(lambda k: LN2 * k + np.maximum(0, k - 5000))
+        HSequence(lambda k: LN2 * k + np.maximum(0, k - 5000))
     )
     s = np.array([2.0**-10, 2.0**-12])
     curve = laplace_first(spec, s)
@@ -260,7 +260,7 @@ def test_laplace_first_not_stopped_by_zero_prefix():
 def test_laplace_second_not_stopped_by_zero_rows():
     # g_{l,d} = max(0, d - 12): the rows d <= 12 are 0.
     spec = SecondOrderClustering(
-        HArray.from_function(lambda k, l: LN2 * l + np.maximum(0, k - l - 12))
+        HArray(lambda k, l: LN2 * l + np.maximum(0, k - l - 12))
     )
     s = 1.0 / 16
     curve = laplace_second(spec, [s])
@@ -346,22 +346,22 @@ LAPLACE_FIRST_SPECS = {
     "linear3ln2": first_linear(3 * LN2),
     "logcorrected": first_logcorrected(),
     # runs of five ages with g+ = 0 between runs with g = 3
-    "list-zero-runs": FirstOrderClustering(HSequence.from_values(
+    "list-zero-runs": FirstOrderClustering(HSequence(
         [LN2 * k + (3.0 if (k // 5) % 2 else 0.0) for k in range(60)])),
     "zero-prefix": FirstOrderClustering(
-        HSequence.from_function(lambda k: LN2 * k + np.maximum(0, k - 5000))),
+        HSequence(lambda k: LN2 * k + np.maximum(0, k - 5000))),
     # g = k^5 passes the blow-up bound at s = 2^-8 (g = d^8 below, at 2^-5)
     "divergent": FirstOrderClustering(
-        HSequence.from_function(lambda k: np.asarray(k, float) ** 5)),
+        HSequence(lambda k: np.asarray(k, float) ** 5)),
 }
 
 LAPLACE_SECOND_SPECS = {
     "dgff": dgff_spec(),
     "zero-rows": SecondOrderClustering(
-        HArray.from_function(lambda k, l: LN2 * l + np.maximum(0, k - l - 12))),
+        HArray(lambda k, l: LN2 * l + np.maximum(0, k - l - 12))),
     "table": random_second_order(12, np.random.default_rng(5), scale=20.0),
     "divergent": SecondOrderClustering(
-        HArray.from_function(lambda k, l: LN2 * l + np.asarray(k - l, float) ** 8)),
+        HArray(lambda k, l: LN2 * l + np.asarray(k - l, float) ** 8)),
 }
 
 
@@ -461,7 +461,7 @@ def test_tail_bound_sums_past_zero_terms():
     # h_k = max(0, k - 20): the tail past n = 8 starts with twelve zero terms
     # and is 2 sum_{k>20} (k - 20) 2^-k = 2^-18.
     spec = FirstOrderClustering(
-        HSequence.from_function(lambda k: np.maximum(0, k - 20) + 0.0), 50.0
+        HSequence(lambda k: np.maximum(0, k - 20) + 0.0), 50.0
     )
     assert tail_bound(spec, 8) == pytest.approx(2.0**-18, rel=1e-12)
 
@@ -494,7 +494,7 @@ def test_certificate_tail_sums_past_a_zero_term():
 
 def test_estimate_jstar_linear_family():
     spec = first_linear(3 * LN2)
-    report = estimate_jstar(spec, [8, 12], label="linear")
+    report = estimate_jstar(spec, [8, 12])
     assert report.verdict == "transition-supported"
     assert report.kappa_kind == "kappa1"
     lower = 2 * LN2 + math.log(3.0)
@@ -524,7 +524,7 @@ def test_estimate_jstar_rejects_capacity():
 def test_bisect_bracket_failure_reported():
     # A wildly negative constant keeps zeta large even at J = -1e7.
     spec = FirstOrderClustering(
-        HSequence.from_function(lambda k: 3 * LN2 * k), h_const=-1e9
+        HSequence(lambda k: 3 * LN2 * k), h_const=-1e9
     )
     with pytest.raises(BracketError):
         estimate_jstar(spec, [4])
@@ -642,7 +642,7 @@ def test_aimed_search_matches_uniform_multisection_dgff_deep():
 #: a second-order case where rounding makes the condition flicker: it also
 #: holds 4 floats below the answer
 FLICKER_SPEC = SecondOrderClustering(
-    HArray.from_table(np.array([
+    HArray(np.array([
         [0.02123919272245002, 0.08862309935705819, 0.1632145790200054],
         [0.033353700198645655, 0.10325721742557406, 0.19154419811411483],
         [0.08964270890441561, 0.1770443042955268, 0.2742883634255285],
@@ -703,12 +703,12 @@ def two_point_verdict(spec, k_max):
 @st.composite
 def finite_list_specs(draw):
     values = draw(st.lists(st.floats(-20.0, 200.0), min_size=1, max_size=40))
-    return FirstOrderClustering(HSequence.from_values(values))
+    return FirstOrderClustering(HSequence(values))
 
 
 TWO_POINT_SPECS = (
     zero_spec(), first_linear(2.0), first_linear(3 * LN2), first_logcorrected(),
-    FirstOrderClustering(HSequence.from_function(lambda k: 100.0 + 0 * k)),
+    FirstOrderClustering(HSequence(lambda k: 100.0 + 0 * k)),
 )
 
 
@@ -733,7 +733,7 @@ def test_two_point_verdict_matches_on_finite_lists(spec, k):
 
 def test_one_weight_list_verdict_is_inconclusive():
     # a list with only h_0 has no age to read
-    spec = FirstOrderClustering(HSequence.from_values([1.0]))
+    spec = FirstOrderClustering(HSequence([1.0]))
     rep = tauberian_first(spec)
     assert (len(rep.u), rep.verdict) == (0, "inconclusive")
     assert estimate_jstar(spec, [0]).tauberian_verdict == "inconclusive"
@@ -744,7 +744,7 @@ def test_one_weight_list_verdict_is_inconclusive():
 def test_threshold_verdict_matches_diagnose_past_age_100000():
     # u_k = 1e-4 max(0, k - 100000) grows past age 100000 only, so a verdict
     # that reads no age past 100000 is inconclusive here.
-    spec = FirstOrderClustering(HSequence.from_function(
+    spec = FirstOrderClustering(HSequence(
         lambda k: k * LN2 + np.log(np.maximum(k, 1)) - 1e-4 * np.maximum(0, k - 100000)))
     want = tauberian_first(spec, 200000).verdict
     assert want == "no-transition-supported"
@@ -774,6 +774,20 @@ def test_slope_estimate_sizing():
     assert 32 <= a0 <= 1 << 10
     table = dp.dp_W(spec, 10, m_max=a0)
     assert slope == pytest.approx(-float(table.ln_w[a0]) / a0, rel=1e-12)
+
+
+def test_slope_size_stays_within_the_table_guard():
+    # a0 grows with h_const; past the size guard of dp._table_size it is
+    # capped there, as h_const = 1e5 at depth 24 asked for 600,017 sizes
+    # and threshold then ran without end.
+    first = FirstOrderClustering(first_linear(2.0).h, 1e5)
+    second = SecondOrderClustering(dgff_spec().h, 1e5)
+    assert analysis.slope_a0(first, 24) == 1 << dp.W_FIRST_MAX_DEPTH
+    assert analysis.slope_a0(second, 24) == 1 << dp.W_SECOND_MAX_DEPTH
+    assert analysis.slope_a0(first, 5) == 32
+    report = estimate_jstar(first, [24], k_max=1000)
+    assert report.slope_sizes == (1 << dp.W_FIRST_MAX_DEPTH,)
+    assert math.isfinite(report.slope_estimates[0])
 
 
 def test_minimal_certificate_depth():
@@ -945,7 +959,7 @@ def test_certificate_second_stirling_route():
 
 
 def test_estimate_jstar_dgff():
-    report = estimate_jstar(dgff_spec(), [10], label="dgff")
+    report = estimate_jstar(dgff_spec(), [10])
     assert report.kappa_kind == "kappa2"
     assert report.kappa_at_cutoff
     assert report.verdict == "transition-supported"

@@ -11,7 +11,7 @@ import pytest
 import pwckit
 from pwckit import dp
 from pwckit.cli import main
-from pwckit.clustering import dgff_spec, first_linear, save_spec_file
+from pwckit.clustering import dgff_spec, first_linear, load_spec_file, save_spec_file
 
 
 def run(capsys, argv):
@@ -44,6 +44,20 @@ def test_readme_examples_run(capsys):
     assert lines and all(line[0] == "pwckit" for line in lines)
     for line in lines:
         assert run(capsys, line[1:])[0] == 0, line
+
+
+def test_readme_parameter_files_run(tmp_path, capsys):
+    # Every JSON block under "Parameter files" loads, and zeta runs on it.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Parameter files")[1].split("\n## ")[0]
+    blocks = [b.split("```")[0] for b in section.split("```json\n")[1:]]
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / ("readme%d.json" % i)
+        path.write_text(block)
+        load_spec_file(str(path))
+        argv = ["zeta", "--spec-file", str(path), "--depth", "3", "--j-grid", "0"]
+        assert run(capsys, argv)[::2] == (0, ""), block
 
 
 def test_zeta_zero_closed_form(capsys):
@@ -712,6 +726,15 @@ def _child_env():
         (["zeta", "--preset", "zero", "--depth", "2", "--j-grid", "1:2"], "'j-grid'"),
         (["diagnose", "--preset", "first:linear:2", "--s-grid", "pow2:3"], "'s-grid'"),
         (["capacity", "--depth", "2"], "'subset'"),
+        (_Limited(["capacity", "--depth", "4194305", "--subset", "0"]), "'depth'"),
+        (_Limited(["capacity", "--depth", "2147483648", "--subset", "0"]), "'depth'"),
+        (["zeta", "--preset", "capacity:uniform", "--depth", "20000", "--j-grid", "0"],
+         "'depth'"),
+        (["zeta", "--preset", "capacity:uniform", "--depth", "2147483648",
+          "--j-grid", "0"], "'depth'"),
+        (["canonical", "--preset", "capacity:uniform", "--depth", "20000"], "'depth'"),
+        (["canonical", "--preset", "capacity:uniform", "--depth", "2147483648"],
+         "'depth'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -752,7 +775,10 @@ def _child_env():
          "spec-unknown-h-kind", "spec-second-no-h", "spec-rows-not-list",
          "spec-second-other-kind", "spec-capacity-no-conductance",
          "spec-conductance-zero", "spec-unknown-conductance-kind",
-         "j-grid-two-parts", "s-grid-pow2-one-exponent", "capacity-no-subset"],
+         "j-grid-two-parts", "s-grid-pow2-one-exponent", "capacity-no-subset",
+         "capacity-depth-past-cap", "capacity-depth-2-31", "zeta-oracle-depth-20000",
+         "zeta-oracle-depth-2-31", "canonical-oracle-depth-20000",
+         "canonical-oracle-depth-2-31"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():

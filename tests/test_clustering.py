@@ -33,7 +33,7 @@ LN2 = math.log(2.0)
 
 
 def test_hsequence_list_backed():
-    h = HSequence.from_values([0.0, 1.0, 3.0])
+    h = HSequence([0.0, 1.0, 3.0])
     assert h(2) == 3.0
     assert h.max_age == 2
     assert is_nondecreasing(h)
@@ -42,27 +42,27 @@ def test_hsequence_list_backed():
 
 
 def test_hsequence_closed_form():
-    h = HSequence.from_function(lambda k: 0.5 * k)
+    h = HSequence(lambda k: 0.5 * k)
     assert h.max_age == math.inf
     assert h(1000) == 500.0
     assert is_nondecreasing(h, kmax=100)
 
 
 def test_harray_domain():
-    h = HArray.from_function(lambda k, l: k + l)
+    h = HArray(lambda k, l: k + l)
     assert h(3, 1) == 4.0
     with pytest.raises(ValueError):
         h(2, 2)
     with pytest.raises(ValueError):
         h(1, 3)
-    table = HArray.from_table([[0, 0], [1.0, 0]])
+    table = HArray([[0, 0], [1.0, 0]])
     assert table(1, 0) == 1.0
     with pytest.raises(IndexError):
         table(2, 0)
 
 
 def test_harray_dense_array():
-    h = HArray.from_function(lambda k, l: 10 * k + l)
+    h = HArray(lambda k, l: 10 * k + l)
     arr = h.array(1)
     assert arr.shape == (3, 3)
     assert arr[2, 1] == 21.0
@@ -75,7 +75,7 @@ def test_phi_zero():
 
 
 def test_phi_first_order_by_hand():
-    spec = FirstOrderClustering(HSequence.from_values([0.0, 1.0, 10.0]), 100.0)
+    spec = FirstOrderClustering(HSequence([0.0, 1.0, 10.0]), 100.0)
     # {0,1}: one joint of age 1.
     assert phi(spec, LeafSet(2, (0, 1))) == pytest.approx(101.0)
     # {0,3}: one joint of age 2.
@@ -93,7 +93,7 @@ def test_phi_first_order_default_const():
 
 
 def test_phi_second_order_by_hand():
-    h = HArray.from_function(lambda k, l: 10.0 * k + l)
+    h = HArray(lambda k, l: 10.0 * k + l)
     spec = SecondOrderClustering(h, 1000.0)
     # {0,1,2} at depth 2: pairs (1,0) x2, (2,0), (2,1), (3,2).
     want = 2 * 10.0 + 20.0 + 21.0 + 32.0 + 1000.0
@@ -101,7 +101,7 @@ def test_phi_second_order_by_hand():
 
 
 def test_phi_second_order_default_const():
-    spec = SecondOrderClustering(HArray.from_function(lambda k, l: k + l))
+    spec = SecondOrderClustering(HArray(lambda k, l: k + l))
     # Default constant is h[n+1][n]; a singleton pays (n+1, 0) + const.
     n = 2
     assert phi(spec, LeafSet(n, (0,))) == pytest.approx((n + 1) + (2 * n + 1))
@@ -155,7 +155,7 @@ def test_parse_preset_rejects_unknown():
 
 
 def test_spec_doc_roundtrip_first(tmp_path):
-    spec = FirstOrderClustering(HSequence.from_values([0.0, 0.5, 2.0]), 3.0)
+    spec = FirstOrderClustering(HSequence([0.0, 0.5, 2.0]), 3.0)
     path = tmp_path / "spec.json"
     save_spec_file(spec, path)
     back = load_spec_file(path)
@@ -196,12 +196,12 @@ def test_spec_doc_errors_name_keys():
 @pytest.mark.parametrize(
     "spec,key",
     [
-        (FirstOrderClustering(HSequence.from_values([0.0, math.inf])), "'h.values'"),
-        (FirstOrderClustering(HSequence.from_values([0.0, 1.0]), math.nan), "'h_const'"),
-        (CapacityClustering(HSequence.from_values([1.0, math.inf])),
+        (FirstOrderClustering(HSequence([0.0, math.inf])), "'h.values'"),
+        (FirstOrderClustering(HSequence([0.0, 1.0]), math.nan), "'h_const'"),
+        (CapacityClustering(HSequence([1.0, math.inf])),
          "'conductance.values'"),
-        (CapacityClustering(HSequence.from_function(lambda l: 1.0)), "'conductance'"),
-        (SecondOrderClustering(HArray.from_function(lambda k, l: 0.0)), "'h'"),
+        (CapacityClustering(HSequence(lambda l: 1.0)), "'conductance'"),
+        (SecondOrderClustering(HArray(lambda k, l: 0.0)), "'h'"),
     ],
     ids=["inf-weight", "nan-const", "inf-conductance", "untagged-conductance",
          "untagged-second"],
@@ -219,13 +219,13 @@ def test_save_refuses_what_load_refuses(tmp_path, spec, key):
 def test_save_bytes_pinned(tmp_path):
     path = tmp_path / "spec.json"
     cases = [
-        (FirstOrderClustering(HSequence.from_values([0.0, 0.5, 2.0]), 3.0),
+        (FirstOrderClustering(HSequence([0.0, 0.5, 2.0]), 3.0),
          '{\n  "h": {\n    "kind": "list",\n    "values": [\n      0.0,\n      0.5,'
          '\n      2.0\n    ]\n  },\n  "h_const": 3.0,\n  "variant": "first"\n}\n'),
         (dgff_spec(),
          '{\n  "h": {\n    "kind": "preset",\n    "name": "dgff"\n  },\n'
          '  "h_const": "default",\n  "variant": "second"\n}\n'),
-        (CapacityClustering(HSequence.from_values([1.0, 2.5])),
+        (CapacityClustering(HSequence([1.0, 2.5])),
          '{\n  "conductance": {\n    "kind": "list",\n    "values": [\n      1.0,'
          '\n      2.5\n    ]\n  },\n  "variant": "capacity"\n}\n'),
     ]
@@ -265,21 +265,21 @@ DESCRIBE_PINS = [
      "conductance": {"kind": "uniform", "value": 1.0}}),
     (parse_preset("capacity:uniform:2.5"), {"variant": "capacity",
      "conductance": {"kind": "uniform", "value": 2.5}}),
-    (FirstOrderClustering(HSequence.from_values([0.0, 1.5, 3.25]), 4.0),
+    (FirstOrderClustering(HSequence([0.0, 1.5, 3.25]), 4.0),
      {"variant": "first", "h_const": 4.0,
       "h": {"kind": "list", "values": [0.0, 1.5, 3.25]}}),
-    (SecondOrderClustering(HArray.from_table([[], [0.5], [1.0, 2.0, 7.0], [3.0]])),
+    (SecondOrderClustering(HArray([[], [0.5], [1.0, 2.0, 7.0], [3.0]])),
      {"variant": "second", "h_const": None,
       "h": {"kind": "table", "values": [[], [0.5], [1.0, 2.0, 7.0], [3.0]]}}),
-    (SecondOrderClustering(HArray.from_table([[], [0.5]]), 2.0),
+    (SecondOrderClustering(HArray([[], [0.5]]), 2.0),
      {"variant": "second", "h_const": 2.0, "h": {"kind": "table", "values": [[], [0.5]]}}),
-    (CapacityClustering(HSequence.from_values([1.0, 0.5])),
+    (CapacityClustering(HSequence([1.0, 0.5])),
      {"variant": "capacity", "conductance": {"kind": "list", "values": [1.0, 0.5]}}),
-    (FirstOrderClustering(HSequence.from_function(lambda k: 2.0 * k), 1.0),
+    (FirstOrderClustering(HSequence(lambda k: 2.0 * k), 1.0),
      {"variant": "first", "h_const": 1.0, "h": {"kind": "function"}}),
-    (SecondOrderClustering(HArray.from_function(lambda k, l: 1.0 * k)),
+    (SecondOrderClustering(HArray(lambda k, l: 1.0 * k)),
      {"variant": "second", "h_const": None, "h": {"kind": "function"}}),
-    (CapacityClustering(HSequence.from_function(lambda l: 1.0)),
+    (CapacityClustering(HSequence(lambda l: 1.0)),
      {"variant": "capacity", "conductance": {"kind": "function"}}),
 ]
 
@@ -298,7 +298,7 @@ def test_describe_pinned(spec, doc):
 
 
 def test_monotone_holds_for_valid_first_order():
-    spec = FirstOrderClustering(HSequence.from_values([0.0, 1.0, 2.0]), 2.0)
+    spec = FirstOrderClustering(HSequence([0.0, 1.0, 2.0]), 2.0)
     report = check_monotone(spec, depth=2, size_limit=3)
     assert report.ok
     assert report.order_pairs > 0
@@ -307,14 +307,14 @@ def test_monotone_holds_for_valid_first_order():
 
 def test_monotone_violation_for_decreasing_weights():
     # h_1 > h_2 makes the sibling pair dearer than the split pair.
-    spec = FirstOrderClustering(HSequence.from_values([0.0, 5.0, 1.0]), 5.0)
+    spec = FirstOrderClustering(HSequence([0.0, 5.0, 1.0]), 5.0)
     report = check_monotone(spec, depth=2, size_limit=3)
     assert report.order_violations
 
 
 def test_subadditivity_violation_for_small_constant():
     # h_const below h_n charges a union more than its parts.
-    spec = FirstOrderClustering(HSequence.from_values([0.0, 1.0, 4.0]), 0.0)
+    spec = FirstOrderClustering(HSequence([0.0, 1.0, 4.0]), 0.0)
     report = check_monotone(spec, depth=2, size_limit=3)
     assert report.subadditive_violations
 
@@ -345,12 +345,12 @@ SEQUENCES = {
     "linear3ln2": parse_preset("first:linear:3ln2").h,
     "logcorrected": first_logcorrected().h,
     "capacity": capacity_uniform(2.5).conductance,
-    "list": HSequence.from_values([0.0, 0.5, 2.0, 2.25, 7.0]),
+    "list": HSequence([0.0, 0.5, 2.0, 2.25, 7.0]),
 }
 ARRAYS = {
     "dgff": dgff_spec().h,
     # row 3 runs past l < k, row 4 stops short at l = 1
-    "table": HArray.from_table([[], [1.0], [2.0, 3.0], [4.0, 5.0, 6.5, 9.0], [7.0, 8.0]]),
+    "table": HArray([[], [1.0], [2.0, 3.0], [4.0, 5.0, 6.5, 9.0], [7.0, 8.0]]),
 }
 
 
@@ -407,6 +407,6 @@ def test_empty_age_array_reads():
 
 def test_harray_closed_form_monotonicity_probe():
     # the default probe reads 4096 rows of the triangle
-    assert is_nondecreasing(HArray.from_function(lambda k, l: k + l))
-    assert not is_nondecreasing(HArray.from_function(lambda k, l: k - 2 * l), kmax=5)
-    assert not is_nondecreasing(HArray.from_function(lambda k, l: 10 * l - k), kmax=5)
+    assert is_nondecreasing(HArray(lambda k, l: k + l))
+    assert not is_nondecreasing(HArray(lambda k, l: k - 2 * l), kmax=5)
+    assert not is_nondecreasing(HArray(lambda k, l: 10 * l - k), kmax=5)

@@ -40,7 +40,7 @@ LN2 = math.log(2.0)
 
 
 def tiny_first():
-    return FirstOrderClustering(HSequence.from_values([0.0, 1.0, 2.0, 3.0]), 1.0)
+    return FirstOrderClustering(HSequence([0.0, 1.0, 2.0, 3.0]), 1.0)
 
 
 def test_dp_z_first_by_hand():
@@ -52,7 +52,7 @@ def test_dp_z_first_by_hand():
 
 
 def test_dp_z_second_by_hand():
-    h = HArray.from_function(lambda k, l: 10.0 * k + l)
+    h = HArray(lambda k, l: 10.0 * k + l)
     spec = SecondOrderClustering(h, 3.0)
     j = 0.4
     z = dp_Z(spec, 1, j)
@@ -157,10 +157,10 @@ def test_maxterm_below_sum():
 
 
 def test_depth_guards():
-    spec = FirstOrderClustering(HSequence.from_function(lambda k: 0.1 * k))
+    spec = FirstOrderClustering(HSequence(lambda k: 0.1 * k))
     with pytest.raises(ValueError):
         dp_W(spec, 13)
-    spec2 = SecondOrderClustering(HArray.from_function(lambda k, l: 0.1 * k))
+    spec2 = SecondOrderClustering(HArray(lambda k, l: 0.1 * k))
     with pytest.raises(ValueError):
         dp_W(spec2, 11)
     # dp_Z has no such guard; moderate depth is cheap.
@@ -176,23 +176,23 @@ def test_logreal_zero_and_one():
 
 def test_negative_weights_bounded_by_float_range():
     # h_1 enters ln F_10 with factor 2^9: -1e306 would overflow ln Z to inf.
-    spec = FirstOrderClustering(HSequence.from_values([0.0, -1e306] + [0.0] * 9))
+    spec = FirstOrderClustering(HSequence([0.0, -1e306] + [0.0] * 9))
     for fn in (zeta, dp_density):
         with pytest.raises(SpecConfigError, match="'h.values'"):
             fn(spec, 10, 0.0)
-    spec = FirstOrderClustering(HSequence.from_values([0.0] * 11), h_const=-1e308)
+    spec = FirstOrderClustering(HSequence([0.0] * 11), h_const=-1e308)
     with pytest.raises(SpecConfigError, match="'h_const'"):
         zeta(spec, 10, 0.0)
     # Just inside the bound, with J at it too, every output stays finite.
     bound = _range_bound(10)
     h = [0.0, -1.9 * bound] + [0.0] * 9
-    spec = FirstOrderClustering(HSequence.from_values(h), h_const=0.0)
+    spec = FirstOrderClustering(HSequence(h), h_const=0.0)
     j = np.array([-0.99, 0.0, 0.99]) * bound
     assert np.isfinite(zeta(spec, 10, j)).all()
     rho = dp_density(spec, 10, j)
     assert np.isfinite(rho).all() and (rho >= 0).all() and (rho <= 1).all()
     # Large positive weights are harmless and stay accepted.
-    spec = FirstOrderClustering(HSequence.from_values([1e300] * 11), h_const=1e300)
+    spec = FirstOrderClustering(HSequence([1e300] * 11), h_const=1e300)
     assert zeta(spec, 10, 0.0) == 0.0 and dp_density(spec, 10, 0.0) == 0.0
 
 
@@ -214,10 +214,10 @@ def test_canonical_table_views():
 
 def test_second_reduces_to_first_when_ancestor_free():
     # h[k][l] depending only on l collapses the ancestor state.
-    h1 = HSequence.from_function(lambda k: 0.4 * k + 0.1)
+    h1 = HSequence(lambda k: 0.4 * k + 0.1)
     first = FirstOrderClustering(h1, 2.0)
     second = SecondOrderClustering(
-        HArray.from_function(lambda k, l: 0.4 * l + 0.1), 2.0
+        HArray(lambda k, l: 0.4 * l + 0.1), 2.0
     )
     for n in (1, 3, 7):
         for j in (-1.0, 0.6):

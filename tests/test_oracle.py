@@ -44,7 +44,7 @@ from paper import (
 
 
 def tiny_first():
-    return FirstOrderClustering(HSequence.from_values([0.0, 1.0, 2.0, 3.0]), 1.0)
+    return FirstOrderClustering(HSequence([0.0, 1.0, 2.0, 3.0]), 1.0)
 
 
 def test_depth_cap_enforced():
@@ -166,7 +166,7 @@ def test_exact_distribution_tv():
 def test_profiles_consistent_with_matrix():
     # The cached profile matrix used by phi_vector must agree with the
     # per-set profile computation.
-    spec = FirstOrderClustering(HSequence.from_values([0.0, 2.0, 5.0]), 7.0)
+    spec = FirstOrderClustering(HSequence([0.0, 2.0, 5.0]), 7.0)
     vec = phi_vector(spec, 2)
     for mask in range(1, 16):
         ls = LeafSet.from_mask(2, mask)

@@ -27,7 +27,7 @@ from paper import DensityEstimate, ExactDistribution, empirical_density
 
 def tiny_first():
     return FirstOrderClustering(
-        HSequence.from_values([0.0, 1.0, 2.0, 3.0]), h_const=1.0
+        HSequence([0.0, 1.0, 2.0, 3.0]), h_const=1.0
     )
 
 
@@ -127,7 +127,7 @@ def test_draws_pinned():
     # Pinned masks: a given seed must keep giving the same leaf sets, so
     # changes to the tables or the descent cannot alter draws unnoticed.
     first = FirstOrderClustering(
-        HSequence.from_values([0.0, 0.5, 1.5, 2.0, 3.0]), h_const=3.0
+        HSequence([0.0, 0.5, 1.5, 2.0, 3.0]), h_const=3.0
     )
     pinned = {
         ("zero", 3): [243, 40, 174, 233, 93, 119, 118, 249],
