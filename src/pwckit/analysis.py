@@ -35,7 +35,8 @@ LN2 = math.log(2.0)
 
 #: kappa_1 sums to relative tolerance _KAPPA_TOL over at most _KAPPA_CAP
 #: ages; it, and a Laplace sum, is called divergent past _BLOW_UP. A k_max
-#: lies in 1 .. _K_MAX_CAP, as kappa_2 sums up to k_max terms in one array
+#: lies in 1 .. _K_MAX_CAP, as kappa_2 holds k_max floats in one buffer
+#: (32 MB at the cap)
 _KAPPA_TOL = 1e-15
 _KAPPA_CAP = 200000
 _K_MAX_CAP = 1 << 22
@@ -90,7 +91,9 @@ def _series(terms, first, last, tol, blow_up):
     sum past ``blow_up`` or not finite, as one with an infinite term is.
     k is the last age summed. Tiny terms that still grow do not stop it.
     Blocks hold 64 ages and double up to 4096, so a sum that stops early
-    stays cheap.
+    stays cheap, and a block is scanned for either stop only where its
+    last age shows one can fire: a small last term, or a last partial sum
+    past ``blow_up`` or not finite (a cumsum stays so once it is).
     """
     total, k, size = 0.0, first - 1, 64
     while first <= last:
@@ -100,15 +103,16 @@ def _series(terms, first, last, tol, blow_up):
         mag = np.abs(t)
         ks, t = ks[:size], t[:size]
         partial = np.cumsum(np.concatenate(([total], t)))[1:]
-        small = mag[: len(t)] < tol * np.maximum(partial, 1.0)
-        settle = len(t)
-        if small[-1]:
+        settle = over = len(t)
+        if mag[len(t) - 1] < tol * np.maximum(partial[-1], 1.0):
+            small = mag[: len(t)] < tol * np.maximum(partial, 1.0)
             small[: len(mag) - 1] &= mag[1:] <= mag[:-1]
             # settled from the age after the last term that is not small
             r = int(np.argmin(small[::-1]))
             settle = 0 if small[-1 - r] else len(t) - r
-        over = np.flatnonzero((partial > blow_up) | ~np.isfinite(partial))
-        i = min(settle, int(over[0]) if over.size else len(t))
+        if not np.isfinite(partial[-1]) or partial.max() > blow_up:
+            over = int(np.argmax((partial > blow_up) | ~np.isfinite(partial)))
+        i = min(settle, over)
         if i < len(t):
             return float(partial[i]), int(ks[i]), i == settle
         total, k = float(partial[-1]), int(ks[-1])
@@ -199,19 +203,26 @@ def kappa2(spec, k_max=100000):
 
     Inner sums are evaluated exactly; the sup is taken over a geometric
     grid of k (1, 2, 4, ..., k_max), which keeps the cost linear in k_max.
+    Each inner sum fills its terms over ``_blocks`` into one buffer of
+    k_max floats (32 MB at the cap) and sums them as one contiguous array.
     ``at_cutoff`` flags a sup attained at the largest evaluated k, where
-    the true sup may lie beyond the cutoff.
+    the true sup may lie beyond the cutoff. An empty sum (a table with no
+    age past 0) certifies nothing: divergent.
     """
     _check_k_max(k_max)
     check_family(spec, _SECOND, "kappa2")
     h = spec.h
     k_max = min(k_max, h.max_age)
+    if k_max < 1:
+        return Kappa2Report(math.inf, -math.inf, False, ())
     grid = [1 << i for i in range(int(k_max).bit_length()) if 1 << i < k_max] + [k_max]
+    buf = np.empty(k_max)
     best = 0.0
     attained = grid[0]
     for k in grid:
-        ell = np.arange(k)
-        s = float(np.exp(np.minimum(ell * LN2 - h(k, ell), 700.0)).sum())
+        for ls in _blocks(0, k - 1):
+            np.exp(np.minimum(ls * LN2 - h(k, ls), 700.0), out=buf[ls[0] : ls[-1] + 1])
+        s = float(buf[:k].sum())
         if s > best:
             best, attained = s, k
         if best > _BLOW_UP:
@@ -377,10 +388,11 @@ def tauberian_first(spec, k_max=100000):
 
 class BracketError(SpecConfigError):
     """zeta_n(J) - tail > delta is not false then true along a J grid;
-    ``top_false`` if it is false at the top bracket end, J = 2^23."""
+    ``top_false`` if it is false at the top bracket end, J = 2^23. It names
+    ``delta``, or ``key`` where the weights decide it."""
 
-    def __init__(self, message, top_false=False):
-        super().__init__("delta", message)
+    def __init__(self, message, top_false=False, key="delta"):
+        super().__init__(key, message)
         self.top_false = top_false
 
 
@@ -557,7 +569,8 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000):
     no-transition direction. ``delta=None`` applies the default policy
     max(1e-6, tail_n + n ln2 / 2^n) per depth; passing a number fixes delta
     across depths, which makes the upper estimates comparable between n.
-    A default delta that no J reaches comes from the weights and names ``h.values``.
+    Under the default delta a bracket failure the weights' tail decides names
+    ``h.values``: a delta no J reaches, or a tail below -delta.
     """
     check_family(spec, _FIRST + _SECOND, "threshold estimation")
     if not depths or min(depths) < 0 or max(depths) > dp.MAX_DEPTH:
@@ -580,9 +593,15 @@ def estimate_jstar(spec, depths, delta=None, k_max=100000):
         try:
             uppers.append(bisect_upper(spec, n, d, tail))
         except BracketError as exc:
-            if delta is None and exc.top_false:  # the weights set that delta
-                raise SpecConfigError("h.values", "the tail past depth %d, %g, sets a "
-                                      "delta no J up to 2^23 reaches" % (n, tail)) from None
+            # the weights set the default delta, or their tail alone makes the
+            # condition hold at every J, as zeta_n >= 0
+            if delta is None and exc.top_false:
+                raise BracketError("the tail past depth %d, %g, sets a delta no J up "
+                                   "to 2^23 reaches" % (n, tail), key="h.values") from None
+            if delta is None and tail < -d:
+                raise BracketError("the tail past depth %d, %g, lies below -delta, so "
+                                   "zeta_%d(J) - tail > %g at every J" % (n, tail, n, d),
+                                   key="h.values") from None
             raise
         tails.append(tail)
         deltas.append(d)

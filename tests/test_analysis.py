@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from pwckit import analysis, dp
 from pwckit.analysis import (
     BracketError,
     Kappa1Report,
+    Kappa2Report,
     bisect_upper,
     estimate_jstar,
     kappa1,
@@ -137,6 +139,153 @@ def test_kappa2_divergent_array():
     rep = kappa2(SecondOrderClustering(HArray(lambda k, l: 0.0)),
                  k_max=4096)
     assert math.isinf(rep.value)
+
+
+def test_kappa2_of_an_empty_sum_certifies_nothing():
+    # no row (max_age -1) or only row 0 (max_age 0): no age k >= 1 to sum
+    for rows in ([], [[]]):
+        rep = kappa2(SecondOrderClustering(HArray(rows)))
+        assert rep == Kappa2Report(math.inf, -math.inf, False, ())
+
+
+def test_kappa2_memory_stays_bounded(traced_peak):
+    # one buffer of k_max floats (0.8 MB) and blocks of 4096 ages, not a
+    # fresh array of k floats, and its temporaries, per grid point
+    spec = dgff_spec()
+    kappa2(spec, k_max=100)
+    assert traced_peak(lambda: kappa2(spec, k_max=100000)) < 1.25e6
+
+
+def reference_series(terms, first, last, tol, blow_up):
+    """The block loop _series ran before it scanned a block for its stops
+    only where they can fire, as its reference."""
+    total, k, size = 0.0, first - 1, 64
+    while first <= last:
+        ks = np.arange(first, min(first + size, last) + 1)
+        t = terms(ks)
+        mag = np.abs(t)
+        ks, t = ks[:size], t[:size]
+        partial = np.cumsum(np.concatenate(([total], t)))[1:]
+        small = mag[: len(t)] < tol * np.maximum(partial, 1.0)
+        settle = len(t)
+        if small[-1]:
+            small[: len(mag) - 1] &= mag[1:] <= mag[:-1]
+            r = int(np.argmin(small[::-1]))
+            settle = 0 if small[-1 - r] else len(t) - r
+        over = np.flatnonzero((partial > blow_up) | ~np.isfinite(partial))
+        i = min(settle, int(over[0]) if over.size else len(t))
+        if i < len(t):
+            return float(partial[i]), int(ks[i]), i == settle
+        total, k = float(partial[-1]), int(ks[-1])
+        first, size = k + 1, min(2 * size, 4096)
+    return total, k, False
+
+
+def reference_kappa2(spec, k_max):
+    """kappa2 as it was before it filled one buffer by blocks: a fresh
+    array of k terms per grid point, summed whole, as its reference."""
+    h = spec.h
+    k_max = min(k_max, h.max_age)
+    grid = [1 << i for i in range(int(k_max).bit_length()) if 1 << i < k_max] + [k_max]
+    best, attained = 0.0, grid[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in grid:
+            ell = np.arange(k)
+            s = float(np.exp(np.minimum(ell * LN2 - h(k, ell), 700.0)).sum())
+            if s > best:
+                best, attained = s, k
+            if best > analysis._BLOW_UP:
+                return Kappa2Report(math.inf, -math.inf, True, tuple(grid))
+    bound = 2 * LN2 - 2 * math.exp(-1.0) * best
+    return Kappa2Report(best, bound, attained == grid[-1], tuple(grid))
+
+
+def _hexes(report):
+    """A report, or a tuple, with each float as its hex string."""
+    fields = dataclasses.astuple(report) if dataclasses.is_dataclass(report) else report
+    return tuple(x.hex() if isinstance(x, float) else x for x in fields)
+
+
+#: k_max values around the block size and the bench's default
+K_MAX_EDGES = (1, 2, 3, 4095, 4096, 4097, 65536, 100000)
+
+
+def _nan_past(k, age, value):
+    """``value`` up to ``age``, NaN past it."""
+    return np.where(k > age, np.nan, value)
+
+
+def test_series_matches_reference_on_random_terms():
+    # terms that settle, grow, alternate in sign, overflow or turn NaN,
+    # over ranges ending on either side of the 64 .. 4096 block sizes
+    rng = np.random.default_rng(26)
+    families = [
+        lambda ks, r: np.exp(-r * ks),
+        lambda ks, r: np.exp(r * 1e-3 * ks) * 1e-30,
+        lambda ks, r: (-1.0) ** ks / ks ** (1.0 + r),
+        lambda ks, r: 1.0 / ks,
+        lambda ks, r: np.exp(r * 800.0 * ks / ks[-1]),
+        lambda ks, r: _nan_past(ks, 50 + r * 5000, 1.0 / ks),
+        lambda ks, r: np.where(ks > 3000, np.inf, -r),
+        lambda ks, r: 0.0 * ks,
+    ]
+    for last in K_MAX_EDGES:
+        for fam in families:
+            r = float(rng.uniform(0.1, 2.0))
+            for tol, blow_up in ((1e-15, 1e15), (1e-18, math.inf), (1e-3, 1e3)):
+                args = (lambda ks: fam(ks, r), 1, last, tol, blow_up)
+                with np.errstate(all="ignore"):
+                    assert _hexes(analysis._series(*args)) == _hexes(reference_series(*args))
+
+
+def test_kappa1_and_tail_bound_match_reference_series(monkeypatch):
+    rng = np.random.default_rng(27)
+    firsts = [zero_spec(), first_linear(2.0), first_linear(3 * LN2),
+              first_logcorrected(), first_linear(0.5), first_linear(1e308),
+              first_linear(1e307), first_linear(-1e308),
+              FirstOrderClustering(HSequence(lambda k: 1000.0 + 0 * k)),
+              FirstOrderClustering(HSequence(lambda k: _nan_past(k, 100, 0.5 * k))),
+              FirstOrderClustering(HSequence(lambda k: _nan_past(k, 50, 1.0 + 0 * k)))]
+    seconds = [dgff_spec(), SecondOrderClustering(HArray(lambda k, l: 0.0))]
+    for n in range(1, 14):
+        scale = float(10 ** rng.uniform(-2, 3))
+        firsts.append(random_first_order(n, rng, scale))
+        seconds.append(random_second_order(n, rng, scale))
+    for length in K_MAX_EDGES:  # finite lists, with negative weights
+        ks = np.arange(length)
+        firsts.append(FirstOrderClustering(HSequence(
+            np.cumsum(rng.normal(1.0, 2.0, size=length)))))
+        firsts.append(FirstOrderClustering(HSequence(-rng.exponential(3.0, size=length))))
+        # terms like k^-1.1, summed to the list's end
+        firsts.append(FirstOrderClustering(HSequence(LN2 * ks + 1.1 * np.log1p(ks))))
+
+    def run():
+        got = [_hexes(kappa1(spec)) for spec in firsts]
+        for spec in firsts + seconds:
+            got += [tail_bound(spec, n).hex() for n in (0, 1, 5, 16, 40)]
+        return got
+
+    want = run()
+    monkeypatch.setattr(analysis, "_series", reference_series)
+    assert want == run()
+
+
+def test_kappa2_matches_reference_whole_array_sums():
+    rng = np.random.default_rng(28)
+    specs = [dgff_spec(), SecondOrderClustering(HArray(lambda k, l: 0.0)),
+             SecondOrderClustering(HArray(lambda k, l: -1e308 * (l + 1.0))),
+             SecondOrderClustering(HArray(lambda k, l: 1e308 * (l + 1.0))),
+             SecondOrderClustering(HArray(lambda k, l: _nan_past(l, 3000, LN2 * l + 2.0)))]
+    for _ in range(4):  # closed forms, negative weights among them
+        c, b, a = rng.uniform(LN2 - 0.05, 2.0), rng.uniform(0.0, 2.0), rng.normal(0.0, 5.0)
+        specs.append(SecondOrderClustering(HArray(
+            lambda k, l, c=c, b=b, a=a: c * l + b * np.log1p(np.minimum(l, k - l)) + a)))
+    for n in range(1, 14):
+        specs.append(random_second_order(n, rng, float(10 ** rng.uniform(-2, 3))))
+    for spec in specs:
+        for k_max in K_MAX_EDGES:
+            got = _hexes(kappa2(spec, k_max=k_max))
+            assert got == _hexes(reference_kappa2(spec, k_max)), k_max
 
 
 def test_laplace_first_pure_log_for_boundary_family():

@@ -491,6 +491,7 @@ SPEC_FILES = {
     "NULL-UNIFORM": '{"variant": "capacity", "conductance": {"kind": "uniform", "value": null}}',
     "NEG-CONST": ('{"variant": "first", "h": {"kind": "preset", "name": "linear", "c": 2},'
                   ' "h_const": -1e9}'),
+    "NEG-TAIL": '{"variant": "first", "h": {"kind": "list", "values": [0, -5, -5]}}',
     "NEG-H": ('{"variant": "first", "h": {"kind": "list",'
               ' "values": [0, -1e306, 0, 0, 0, 0, 0, 0, 0, 0, 0]}}'),
     "POS-H": ('{"variant": "first", "h": {"kind": "list", "values": [%s]}}'
@@ -735,6 +736,7 @@ def _child_env():
         (["canonical", "--preset", "capacity:uniform", "--depth", "20000"], "'depth'"),
         (["canonical", "--preset", "capacity:uniform", "--depth", "2147483648"],
          "'depth'"),
+        (["threshold", "--spec-file", "NEG-TAIL", "--depths", "0"], "'h.values'"),
     ],
     ids=["depth-first", "depth-zero", "short-list-zeta", "short-list-canonical",
          "short-list-sample", "density-nan", "density-inf", "sample-inf",
@@ -778,7 +780,7 @@ def _child_env():
          "j-grid-two-parts", "s-grid-pow2-one-exponent", "capacity-no-subset",
          "capacity-depth-past-cap", "capacity-depth-2-31", "zeta-oracle-depth-20000",
          "zeta-oracle-depth-2-31", "canonical-oracle-depth-20000",
-         "canonical-oracle-depth-2-31"],
+         "canonical-oracle-depth-2-31", "threshold-tail-below-bracket"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, argv, key):
     for name, text in SPEC_FILES.items():

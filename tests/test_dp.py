@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -538,18 +537,12 @@ def test_convolution_floor_is_bit_identical():
             assert hexes(_log_self_convolve(y, out_len)) == hexes(want)
 
 
-def test_j_batches_keep_memory_bounded():
+def test_j_batches_keep_memory_bounded(traced_peak):
     # _levels runs over chunks of J, so a long grid at depth 100 holds
     # tables of a few _BLOCK entries, not one (102 x 4096) table per level.
     spec, grid = dgff_spec(), np.linspace(-2.0, 6.0, 4096)
     dp.zeta(spec, 100, grid[:2])  # weights and imports outside the trace
-    tracemalloc.start()
-    try:
-        dp.zeta(spec, 100, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 << 20
+    assert traced_peak(lambda: dp.zeta(spec, 100, grid)) < 6 << 20
 
 
 def test_j_chunks_change_no_float(monkeypatch):

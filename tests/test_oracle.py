@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -427,7 +426,7 @@ def test_phi_by_shape_is_the_per_mask_product():
                 assert phi_vector(spec, n).tobytes() == want.tobytes()
 
 
-def test_enum_sums_stay_per_shape_in_memory():
+def test_enum_sums_stay_per_shape_in_memory(traced_peak):
     # No per-mask float array: a depth-4 one is 512 KB, and the uint8 to
     # float copy of a per-mask profile matrix was 7.8 MB.
     rng = np.random.default_rng(8)
@@ -441,10 +440,4 @@ def test_enum_sums_stay_per_shape_in_memory():
             enum_density(spec, 4, 0.3)
 
     run()  # builds the shape tables
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert traced_peak(run) < 1 << 20
