@@ -84,8 +84,9 @@ def _blocks(first, last):
 def _series(terms, first, last, tol, blow_up):
     """Sum ``terms(ks)`` over the ages first .. last in order: ``(total, k, stopped)``.
 
-    The running sum is a cumsum, so it adds the terms as a loop would. It
-    stops at the first age k from which the terms, to the end of their
+    ``terms`` returns a new array. The running sum of the blocks before is
+    added into its first term, and a cumsum adds the rest as a loop would.
+    It stops at the first age k from which the terms, to the end of their
     block, lie below tol * max(partial, 1) and do not grow in size, up to
     the first term past the block (``stopped``); or at the first partial
     sum past ``blow_up`` or not finite, as one with an infinite term is.
@@ -102,7 +103,8 @@ def _series(terms, first, last, tol, blow_up):
         t = terms(ks)
         mag = np.abs(t)
         ks, t = ks[:size], t[:size]
-        partial = np.cumsum(np.concatenate(([total], t)))[1:]
+        t[0] += total
+        partial = np.cumsum(t)
         settle = over = len(t)
         if mag[len(t) - 1] < tol * np.maximum(partial[-1], 1.0):
             small = mag[: len(t)] < tol * np.maximum(partial, 1.0)
@@ -203,8 +205,9 @@ def kappa2(spec, k_max=100000):
 
     Inner sums are evaluated exactly; the sup is taken over a geometric
     grid of k (1, 2, 4, ..., k_max), which keeps the cost linear in k_max.
-    Each inner sum fills its terms over ``_blocks`` into one buffer of
-    k_max floats (32 MB at the cap) and sums them as one contiguous array.
+    Each inner sum forms its terms over ``_blocks`` in place in one buffer
+    of k_max floats (32 MB at the cap) and sums them as one contiguous
+    array.
     ``at_cutoff`` flags a sup attained at the largest evaluated k, where
     the true sup may lie beyond the cutoff. An empty sum (a table with no
     age past 0) certifies nothing: divergent.
@@ -221,7 +224,12 @@ def kappa2(spec, k_max=100000):
     attained = grid[0]
     for k in grid:
         for ls in _blocks(0, k - 1):
-            np.exp(np.minimum(ls * LN2 - h(k, ls), 700.0), out=buf[ls[0] : ls[-1] + 1])
+            # ls * LN2 - h(k, ls), capped at 700, exponentiated, in place
+            t = buf[ls[0] : ls[-1] + 1]
+            np.multiply(ls, LN2, out=t)
+            np.subtract(t, h(k, ls), out=t)
+            np.minimum(t, 700.0, out=t)
+            np.exp(t, out=t)
         s = float(buf[:k].sum())
         if s > best:
             best, attained = s, k
@@ -442,7 +450,7 @@ def _aimed_grid(a, b, ga, gb):
     off = w * (ulp / w) ** _AIM_STEPS
     inner = a + (b - a) * _SIXTEENTHS
     points = np.concatenate(((a, b, x), inner, x - off, x + off))
-    return np.unique(np.clip(points, a, b))
+    return np.unique(np.clip(points, a, b, out=points))
 
 
 def bisect_upper(spec, n, delta, tail):

@@ -79,7 +79,12 @@ class HSequence:
 
     ``h(k)`` is a float for an int age and an array for an integer array of
     ages, so a closed form receives integer arrays and must broadcast (numpy,
-    not ``math``); a constant such as ``lambda k: 0.0`` is expanded.
+    not ``math``); a constant such as ``lambda k: 0.0`` is expanded. A list
+    refuses an age below 0 or past its end with ``IndexError``.
+
+    Reads share arrays: a closed form's float64 array of the ages' shape is
+    returned as the form made it, not copied, and no reader writes into an
+    array a weight container returned.
     """
 
     def __init__(self, source, tag=None):
@@ -94,9 +99,12 @@ class HSequence:
 
     def __call__(self, k):
         if self._fn is not None:
-            out = np.full(np.shape(k), self._fn(k), dtype=float)
+            out = _filled(self._fn(k), np.shape(k))
         else:
             k = np.asarray(k)
+            if k.size and k.min() < 0:
+                raise IndexError("weight sequence has no age %d: ages start at 0"
+                                 % (k.min(),))
             if k.size and k.max() >= len(self._values):
                 raise IndexError(
                     "weight sequence has %d entries, age %d requested; use a closed"
@@ -124,7 +132,9 @@ class HArray:
     A callable ``source`` is a closed form; any other source is an explicit
     table (row k, column l; rows may be ragged). ``h(k, l)`` takes ints or
     broadcasting integer arrays, as ``HSequence`` does, and a closed form
-    must broadcast over them.
+    must broadcast over them. Reads share arrays as ``HSequence`` reads do:
+    a closed form's float64 array of the ages' shape is returned as made,
+    and no reader writes into it.
     """
 
     def __init__(self, source, tag=None):
@@ -145,11 +155,12 @@ class HArray:
         return math.inf if self._fn is not None else len(self._table) - 2
 
     def __call__(self, k, l):
-        kk, ll = np.broadcast_arrays(k, l)
-        if ((ll < 0) | (ll >= kk)).any():
+        kk, ll = np.asarray(k), np.asarray(l)
+        outside = (ll < 0) | (ll >= kk)
+        if outside.any():
             raise ValueError("ancestor pairs require 0 <= l < k, got (%s, %s)" % (k, l))
         if self._fn is not None:
-            out = np.full(kk.shape, self._fn(k, l), dtype=float)
+            out = _filled(self._fn(k, l), outside.shape)
         else:
             rows, cols = self._table.shape
             out = self._table[np.minimum(kk, rows - 1), np.minimum(ll, cols - 1)]
@@ -157,7 +168,9 @@ class HArray:
             if missing.any():
                 raise IndexError(
                     "weight table has no entry (%d, %d); use a closed form for "
-                    "unbounded ages" % (kk[missing][0], ll[missing][0])
+                    "unbounded ages"
+                    % (np.broadcast_to(kk, out.shape)[missing][0],
+                       np.broadcast_to(ll, out.shape)[missing][0])
                 )
         return float(out) if out.ndim == 0 else out
 
@@ -177,6 +190,15 @@ class HArray:
         k, l = _below_diagonal(depth + 2)
         out[k, l] = self(k, l)
         return out
+
+
+def _filled(values, shape):
+    """A closed form's ``values`` at ages of ``shape``: its float64 array of
+    that shape as returned, anything else (a constant, a scalar, another
+    dtype) expanded to a new float array."""
+    if type(values) is np.ndarray and values.dtype == np.float64 and values.shape == shape:
+        return values
+    return np.full(shape, values, dtype=float)
 
 
 @lru_cache(maxsize=16)

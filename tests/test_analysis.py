@@ -788,6 +788,45 @@ def test_aimed_search_matches_uniform_multisection_dgff_deep():
     assert bisect_upper(spec, n, 1e-100, tail).hex() == want.hex()
 
 
+def aimed_cells():
+    """(a, b, ga, gb) for ``_aimed_grid``: random cells, cells 2 and 3 ulps
+    wide, cells that end at +-2^23, and line roots at or past an end."""
+    rng = np.random.default_rng(27)
+    cells = []
+    for _ in range(200):
+        a = rng.uniform(-2.0**23, 2.0**23) * 2.0 ** -rng.integers(0, 60)
+        b = a + abs(a) * 2.0 ** -rng.integers(1, 52) + 2.0 ** -rng.integers(0, 40)
+        cells.append((a, b, -rng.exponential(), rng.exponential()))
+    for a in (1.0, -3.5, 0.1, -2.0**23, 2.0**22, 1e-300, -5e-324, 0.0):
+        for ulps in (2, 3):
+            b = a
+            for _ in range(ulps):
+                b = np.nextafter(b, math.inf)
+            cells += [(a, b, -1.0, 1.0), (a, b, -1e-20, 3.0)]
+    top = 2.0**23
+    cells += [(top / 2, top, -0.5, 0.25), (-top, -top / 2, -0.25, 0.5),
+              (top - 1, top, -1.0, 1.0), (-top, -top + 1, -1.0, 1.0)]
+    # the line root at an end, offset past it and clipped back: ga = 0, an
+    # infinite gb, a root so close to b that its offsets cross b
+    cells += [(0.25, 0.5, 0.0, 1.0), (-1.0, 1.0, -2.0, math.inf),
+              (3.0, 4.0, -1.0, 1e-300), (-1.0, 1.0, -1.0, 1.0), (-0.0, 1.0, -1.0, 1.0)]
+    return cells
+
+
+def test_aimed_grid_is_np_unique_of_its_points(monkeypatch):
+    # the grid is its points clipped to [a, b] in place, sorted and without
+    # repeats, whether or not the clip meets ties or signed zeros
+    seen = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda p: seen.append(p.copy()) or unique(p))
+    for a, b, ga, gb in aimed_cells():
+        grid = analysis._aimed_grid(a, b, ga, gb)
+        points = seen[-1]
+        assert ((a <= points) & (points <= b)).all()
+        assert grid.tobytes() == unique(points).tobytes()
+        assert grid[0] == a and grid[-1] == b and (np.diff(grid) > 0).all()
+
+
 #: a second-order case where rounding makes the condition flicker: it also
 #: holds 4 floats below the answer
 FLICKER_SPEC = SecondOrderClustering(

@@ -883,6 +883,31 @@ def test_diagnose_output_pinned(capsys, preset, k_max, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "preset,k_max,digest",
+    [
+        ("first:linear:2", None,
+         "f687e4bccd9af4ab247427fcf130eaed15353a32de2917834cd784641fe33bf3"),
+        ("first:linear:3ln2", None,
+         "a8979f885de12a3deed118c8eb0c86a9f6991efea3605f25f743ad0029d77d79"),
+        ("first:logcorrected", None,
+         "e0347658a5c77b5020dc05a19654ff87aba74da6be6653bac9888919ce5a1805"),
+        ("dgff", None, "25eae10b856d6bfbd24db06c8bba7cc31a1ebe755519744414e37a01ee526601"),
+        ("zero", None, "196fe330dfa784745aa2cc5ba8a9cb9dbef9e012f65af7529bf213a8063b22b3"),
+        ("dgff", 1000, "b8a129fdce8f3f30e3cabe49272626af583b1de3337697b2b35daab4db945183"),
+    ],
+)
+def test_threshold_output_pinned(capsys, preset, k_max, digest):
+    # Pinned stdout: the root search's upper estimates, the slope estimates,
+    # tails, deltas and the report with its kappa value and bound.
+    argv = ["threshold", "--preset", preset, "--depths", "8,12,16"]
+    if k_max is not None:
+        argv += ["--k-max", str(k_max)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_rejected_command_keeps_out_file(tmp_path, capsys):
     # The default s grid is refused for second order; the rejected run must
     # leave an existing --out file as it was.

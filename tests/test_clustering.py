@@ -24,7 +24,9 @@ from pwckit.clustering import (
     spec_from_doc,
     zero_spec,
 )
+from pwckit import analysis, dp, oracle
 from pwckit.dp import zeta
+from pwckit.sampler import Sampler
 from pwckit.tree import LeafSet
 
 from paper import check_monotone, is_nondecreasing, phi
@@ -410,3 +412,129 @@ def test_harray_closed_form_monotonicity_probe():
     assert is_nondecreasing(HArray(lambda k, l: k + l))
     assert not is_nondecreasing(HArray(lambda k, l: k - 2 * l), kmax=5)
     assert not is_nondecreasing(HArray(lambda k, l: 10 * l - k), kmax=5)
+
+
+# ---------------------------------------------------------------------------
+# closed-form reads: the form's float64 array is used as returned
+
+BENCH_PRESETS = ("first:linear:2", "first:linear:3ln2", "first:logcorrected",
+                 "dgff", "zero")
+
+
+@pytest.mark.parametrize("name", BENCH_PRESETS)
+def test_closed_form_reads_match_a_filled_copy(name):
+    h = parse_preset(name).h
+    form = h._fn
+    if isinstance(h, HSequence):
+        reads = [(5,), (np.arange(4097),), (np.array([7, 0, 3]),)]
+    else:
+        ls = np.arange(4096)
+        k, l = np.tril_indices(40, -1)
+        reads = [(9, 4), (5000, ls), (4096, ls[::-1]), (k, l), (ls + 3, ls),
+                 (np.array([[9], [12]]), np.array([0, 4, 8]))]
+    for ages in reads:
+        got = h(*ages)
+        want = np.full(np.broadcast_shapes(*map(np.shape, ages)), form(*ages), dtype=float)
+        if want.ndim == 0:
+            assert type(got) is float and got == float(want)
+        else:
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def test_closed_forms_of_other_types_are_expanded():
+    ks = np.arange(6)
+    for form in (lambda k: 0.0, lambda k: np.float32(1.5) * np.asarray(k, dtype=np.float32),
+                 lambda k: 3 * k, lambda k: np.float64(2.0)):
+        got = HSequence(form)(ks)
+        assert got.dtype == np.float64 and got.shape == ks.shape
+        np.testing.assert_array_equal(got, np.asarray(form(ks), dtype=float) + 0 * ks)
+        assert type(HSequence(form)(4)) is float
+    for form in (lambda k, l: 0.0, lambda k, l: np.asarray(k + l, dtype=np.float32),
+                 lambda k, l: k * l):
+        got = HArray(form)(10, ks)
+        assert got.dtype == np.float64 and got.shape == ks.shape
+        np.testing.assert_array_equal(got, np.asarray(form(10, ks), dtype=float) + 0 * ks)
+        assert type(HArray(form)(10, 2)) is float
+
+
+@pytest.mark.parametrize("source", [dgff_spec().h._fn, [[], [1.0], [2.0, 3.0]]])
+def test_row_reads_check_every_column(source):
+    h = HArray(source)
+    for k, l in [(2, np.array([1, 0, -1])), (2, np.array([0, 2, 1])),
+                 (2, [1, 2, 0]), (0, np.array([0]))]:
+        with pytest.raises(ValueError) as row:
+            h(k, l)
+        with pytest.raises(ValueError) as broadcast:
+            h(np.full(len(l), k), l)
+        assert str(row.value) == "ancestor pairs require 0 <= l < k, got (%s, %s)" % (k, l)
+        assert "ancestor pairs require 0 <= l < k" in str(broadcast.value)
+    assert h(2, np.arange(0)).shape == (0,)
+
+
+def test_list_refuses_negative_ages():
+    h = HSequence([1.0, 2.0, 3.0])
+    for ages in (-1, np.array([-1, 0]), np.array([2, 0, -3])):
+        with pytest.raises(IndexError, match="no age -"):
+            h(ages)
+    assert h(np.array([2, 0])).tolist() == [3.0, 1.0]
+    conductance = CapacityClustering(HSequence([1.0, 2.0])).conductance
+    with pytest.raises(IndexError):
+        conductance(-1)
+
+
+def read_only(form):
+    """``form``, returning its arrays read-only."""
+    def frozen(*ages):
+        out = form(*ages)
+        if isinstance(out, np.ndarray):
+            out.flags.writeable = False
+        return out
+    return frozen
+
+
+def exact(x):
+    """``x`` with its arrays as bytes and its floats as hex, for comparing
+    results bit for bit."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [exact(v) for v in x]
+    if isinstance(x, dict):
+        return {k: exact(v) for k, v in x.items()}
+    if hasattr(x, "__dataclass_fields__"):
+        return exact(vars(x))
+    return x
+
+
+def test_no_reader_writes_into_a_weight_array():
+    # every reader runs on closed forms whose arrays are read-only, and gives
+    # the floats it gives on the presets themselves
+    first, second = first_logcorrected(), dgff_spec()
+    frozen_first = FirstOrderClustering(HSequence(read_only(first.h._fn)))
+    frozen_second = SecondOrderClustering(HArray(read_only(second.h._fn)))
+    for spec, frozen in ((first, frozen_first), (second, frozen_second)):
+        reads = [
+            lambda s: dp._weights(s, 8),
+            lambda s: dp.dp_W(s, 6).ln_w,
+            lambda s: [Sampler(s, 6, 0.5).sample(np.random.default_rng(3)).leaves
+                       for _ in range(5)],
+            lambda s: oracle.enum_Z(s, 3, 0.5).ln,
+            lambda s: analysis.tail_bound(s, 8),
+            lambda s: analysis.estimate_jstar(s, [8, 12], k_max=5000).to_document(),
+        ]
+        if spec.variant == "first":
+            reads += [
+                lambda s: dp.dp_W_maxterm(s, 6).ln_w,
+                lambda s: analysis.kappa1(s),
+                lambda s: analysis.tauberian_first(s).u,
+                lambda s: analysis.laplace_first(s, [0.5, 0.01]).diag,
+            ]
+        else:
+            reads += [
+                lambda s: analysis.kappa2(s),
+                lambda s: analysis.laplace_second(s, [0.5, 0.1]).diag,
+            ]
+        for read in reads:
+            assert exact(read(frozen)) == exact(read(spec))
