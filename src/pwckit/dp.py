@@ -28,6 +28,20 @@ n(n+1)/2 rows in all, where updating every row would take n(n+2), and
 each row kept is formed by the same floating-point operations either way.
 First order keeps its single row at every level.
 
+Rows that equal the root's are shared. F_d(a) depends on a only through
+h[a][0 .. d], so a row whose weights on columns 0 .. d have the same bits
+as the root row's goes through the same operations on equal-bit operands
+up to level d, and its ln F_d has the same bits as the root's. A row plan
+(``_row_plan``) gives each level d the smallest held row s_d from which
+every row agrees so; level d then holds rows d+1 .. s_d, and row s_d
+stands for all rows above it. When s_d grows, the shared row is copied
+into the rows that split off, which then take their own weights. So every
+float is the one the full rows give. In the dgff triangle every row
+a >= 2d agrees with the root on columns 0 .. d, and at depth 60 the plan
+updates 931 rows instead of 1891. The plan costs a pass over H and a copy
+per level, so a level pass takes it only past a work rule
+(``_level_ends``); a one-point J grid never does.
+
 Size-resolved variants replace the scalar square by a size convolution and
 produce the canonical table W(a0) = sum_{|A| = a0} e^{-Phi(A)}; these are the
 inputs to free-energy curves and to exact sampling. Convolutions stay in the
@@ -58,6 +72,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +95,11 @@ MAX_DEPTH = 1022
 #: entries per temporary block of the level tables, the size convolution
 #: and the max-plus chain (512 KB of float64)
 _BLOCK = 1 << 16
+
+#: work rule of the shared-row level pass (``_level_ends``): a pass over w J
+#: values at depth n looks for shared rows only when w n >= _SHARE_WORK, and
+#: takes them only when they save at least 4 _SHARE_WORK row entries
+_SHARE_WORK = 1 << 10
 
 #: floor of the shifted convolution terms; numpy's exp slows down sharply
 #: below about -708, where its results turn subnormal
@@ -110,8 +130,8 @@ class CanonicalTable:
     """Size-indexed log table ln W(a0), a0 = 0 .. m_max.
 
     ``kind`` is "sum" for the canonical partition function and "max" for the
-    dominant-profile table. ``omega`` rescales to the canonical free energy
-    omega_n(eps) = 2^-n ln W(eps 2^n) on the dyadic grid.
+    dominant-profile table. ``omega_values`` rescales to the canonical free
+    energy omega_n(eps) = 2^-n ln W(eps 2^n) at eps = a0 / 2^n.
     """
 
     depth: int
@@ -121,16 +141,6 @@ class CanonicalTable:
     @property
     def m_max(self):
         return len(self.ln_w) - 1
-
-    @property
-    def is_full(self):
-        return self.m_max == 1 << self.depth
-
-    def omega(self, a0):
-        return self.ln_w[a0] / (1 << self.depth)
-
-    def eps_grid(self):
-        return np.arange(self.m_max + 1) / (1 << self.depth)
 
     def omega_values(self):
         return self.ln_w / (1 << self.depth)
@@ -194,6 +204,60 @@ def _weights(spec, n):
     return H, const
 
 
+#: (weak reference to the weights array, depth, plan) of the last plan built
+_last_plan = (lambda: None, -1, None)
+
+
+def _row_plan(H, n):
+    """The shared-row plan ``(ends, saved)`` of second-order weights H at
+    depth n (see the module docstring).
+
+    Row a agrees with the root row n + 1 on columns 0 .. d when its entries
+    there have the same bits, compared as int64, so that -0.0 never stands
+    for 0.0. With c_a the first column where row a differs from the root's
+    (n + 1 if none) and m_a = min(c_a, c_{a+1}, ..., c_{n+1}), s_d is the
+    larger of d + 1 and the first a with m_a > d. Level d holds H rows
+    d+1 .. s_d, so ``ends[d]`` = s_d + 1, and ``saved`` counts the row
+    updates of levels 0 .. n that the plan skips.
+
+    Weights arrays are never written, so the plan of the last array asked
+    for is kept, by a weak reference to the array: a J grid run in chunks,
+    or a root search that evaluates one weights array round after round,
+    builds it once, while ``_levels`` keeps its one signature (H, j, n,
+    ratio) for every caller and for the full-row kernels that stand in for
+    it in tests.
+    """
+    global _last_plan
+    held, depth, plan = _last_plan
+    if held() is H and depth == n:
+        return plan
+    bits = H[1:, : n + 1].view(np.int64)
+    differ = bits != bits[-1]
+    first = np.where(differ.any(axis=1), differ.argmax(axis=1), n + 1)
+    agree = np.minimum.accumulate(first[::-1])[::-1]
+    d = np.arange(n + 1)
+    top = np.maximum(d + 1, np.searchsorted(agree, d, side="right") + 1)
+    plan = (top + 1).tolist(), (n + 1) * (n + 2) // 2 - int((top - d).sum())
+    _last_plan = (weakref.ref(H), n, plan)
+    return plan
+
+
+def _level_ends(H, n, width):
+    """End row in H of each level of a pass over ``width`` J values.
+
+    Every row (``len(H)``) unless second order shares rows where it pays:
+    only a pass with width * n >= ``_SHARE_WORK`` builds the plan, and it
+    takes the plan only when that saves width * saved >= 4 ``_SHARE_WORK``
+    row entries. As n <= ``MAX_DEPTH`` < ``_SHARE_WORK``, a one-point grid
+    keeps every row, as the sampler's tables need.
+    """
+    if len(H) > 1 and width * n >= _SHARE_WORK:
+        ends, saved = _row_plan(H, n)
+        if width * saved >= 4 * _SHARE_WORK:
+            return ends
+    return [len(H)] * (n + 1)
+
+
 def _check_j(j, n):
     """``j`` as a float array, refused naming ``j`` unless every J is finite
     with |J| below ``_range_bound(n)``."""
@@ -215,19 +279,30 @@ def _levels(H, j, n, ratio=False):
     docstring): ancestor ages a = d+1 .. n+1 in second order, first order's
     single row throughout. So the square term at level d reads the first
     row held at level d - 1, and the row left after level n is the root's.
+    Past the work rule of ``_level_ends`` a second-order pass follows the
+    row plan instead, holding ages d+1 .. s_d, the last standing for the
+    root's; each level first copies the shared row into the rows that split
+    off it. Below the rule, as on every one-point grid, the rows are full.
     With ``ratio`` the log derivative r_d = F_d' / F_d is carried along
     (None otherwise); it starts at 1 and at most doubles per level, so it
     stays within float range. ln F_n grows like 2^n |J|, so |J| must lie
     within ``_range_bound(n)`` to keep 2 ln F finite (``_check_j``).
     """
     drop = min(1, len(H) - 1)  # second order leaves each split row behind
+    ends = _level_ends(H, n, len(j))
     neg = -H
-    f = j - H[drop:, :1]
+    f = j - H[drop : ends[0], :1]
     r = np.ones_like(f) if ratio else None
     yield f, r
     for d in range(1, n + 1):
+        end = ends[d]
+        split = end - ends[d - 1]  # rows that leave the shared row
+        if split:
+            f = np.concatenate((f, np.repeat(f[-1:], split, axis=0)))
+            if ratio:
+                r = np.concatenate((r, np.repeat(r[-1:], split, axis=0)))
         u = LN2 + f[drop:]
-        v = neg[(d + 1) * drop :, d : d + 1] + 2.0 * f[:1]
+        v = neg[(d + 1) * drop : end, d : d + 1] + 2.0 * f[:1]
         new = np.logaddexp(u, v)
         if ratio:
             r = np.exp(u - new) * r[drop:] + 2.0 * np.exp(v - new) * r[:1]
@@ -241,7 +316,12 @@ def _root(H, const, n, j, ratio=False):
 
     ``_levels`` runs over at most ``_BLOCK // len(H)`` J values at a time, so
     its tables stay within ``_BLOCK`` entries whatever the grid. Each J is
-    computed on its own, so the chunks change no float.
+    computed on its own, so the chunks change no float. A chunk's pass
+    takes the row plan where the work rule of ``_level_ends`` says it pays;
+    the plan is built once per weights array, for the first chunk that
+    takes it, and kept for the other chunks and for the next call on the
+    same array (the rounds of ``analysis.bisect_upper``). Either way the
+    last row held is the root's, and every float is the same.
     """
     j = _check_j(j, n)
     ln_z = np.empty(len(j))

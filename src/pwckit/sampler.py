@@ -16,9 +16,11 @@ results reproducible independent of batching. The iterative descent reads
 that stream in blocks, three variates per node in a fixed depth-first,
 left-to-right order, and emits the leaves in increasing order.
 
-The level tables come from ``dp._levels``, which in second order keeps at
-level d - 1 only the ancestor ages a = d .. n+1; a node at level d answers
-to an age a > d. The lists of level d are padded at the front with d unused
+The level tables come from ``dp._levels`` at one J, where it reads full
+rows: it shares rows that equal the root's only on wider J grids, and a
+node may answer to any ancestor age. In second order it keeps at level
+d - 1 the ancestor ages a = d .. n+1; a node at level d answers to an age
+a > d. The lists of level d are padded at the front with d unused
 entries, so the descent indexes them by the ancestor age itself.
 """
 

@@ -616,7 +616,7 @@ def legendre(table, j):
     there is more than one (the free energy is then non-differentiable at J
     to grid resolution, and no single density is meaningful).
     """
-    eps = table.eps_grid()
+    eps = np.arange(table.m_max + 1) / (1 << table.depth)
     if len(eps) == 0:
         raise ValueError("empty omega grid")
     values = j * eps + table.omega_values()

@@ -989,7 +989,7 @@ def test_table_rows_keep_their_format(capsys):
         code, out, _ = run(capsys, argv)
         want = ["a0,ln_w,omega_n"] + [
             "%d,%s,%s" % (a0, "%.17g" % float(table.ln_w[a0]),
-                          "%.17g" % float(table.omega(a0)))
+                          "%.17g" % float(table.omega_values()[a0]))
             for a0 in range(table.m_max + 1)
         ]
         assert (code, out) == (0, "".join(line + "\n" for line in want))

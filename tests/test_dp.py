@@ -77,7 +77,7 @@ def test_zero_spec_closed_forms(n, j):
 
 def test_dp_w_first_by_hand():
     table = dp_W(tiny_first(), 1)
-    assert table.is_full and table.kind == "sum"
+    assert table.m_max == 1 << 1 and table.kind == "sum"
     want = [0.0, math.log(2.0) - 1.0, -2.0]
     assert np.allclose(table.ln_w, want, atol=1e-14)
 
@@ -103,7 +103,7 @@ def test_dp_w_truncation_matches_prefix():
     full = dp_W(spec, 5)
     part = dp_W(spec, 5, m_max=7)
     assert part.m_max == 7
-    assert not part.is_full
+    assert part.m_max < 1 << 5
     assert np.allclose(part.ln_w, full.ln_w[:8], rtol=1e-12)
     spec2 = random_second_order(4, rng)
     full2 = dp_W(spec2, 4)
@@ -205,9 +205,8 @@ def test_capacity_has_no_dp():
 def test_canonical_table_views():
     table = CanonicalTable(2, np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
     assert table.m_max == 4
-    assert table.is_full
-    assert table.omega(2) == pytest.approx(0.5)
-    assert np.allclose(table.eps_grid(), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert table.m_max == 1 << table.depth
+    assert table.omega_values()[2] == pytest.approx(0.5)
     assert np.allclose(table.omega_values(), table.ln_w / 4.0)
 
 
@@ -516,6 +515,100 @@ def test_triangular_level_shapes():
         H, _ = dp._weights(spec, n)
         shapes = [f.shape for f, _ in dp._levels(H, [0.0, 1.0], n)]
         assert shapes == [(rows(d), 2) for d in range(n + 1)]
+
+
+def shared_second_order(n, rng, kind):
+    """Random second-order weights at depth n whose rows a = 1 .. n repeat
+    the root row's weights on a prefix of their columns 0 .. a-1.
+
+    ``kind`` sets the prefix of each row: "random" (any length, so the rows
+    that agree need not be all rows from some age on), "all" (every column),
+    "none" (no column), or "zeros" (random, with zeros in the root row that
+    some rows hold as -0.0, which does not agree).
+    """
+    table = np.cumsum(rng.exponential(1.0 / (n + 2), size=(n + 2, n + 2)), axis=1)
+    root = table[n + 1]
+    if kind == "zeros":
+        root[rng.random(n + 2) < 0.3] = 0.0
+    for a in range(1, n + 1):
+        p = {"all": a, "none": 0}.get(kind, int(rng.integers(0, a + 1)))
+        row = table[a, :p]
+        row[:] = root[:p]
+        if kind == "zeros":
+            row[(row == 0.0) & (rng.random(p) < 0.5)] = -0.0
+    return SecondOrderClustering(HArray(table), float(rng.exponential(1.0)))
+
+
+_SHARE_KINDS = ("random", "all", "none", "zeros")
+
+
+def test_shared_rows_are_bit_identical(monkeypatch):
+    lattice = np.linspace(-3.0, 3.0, 121)
+    rng = np.random.default_rng(29)
+    cases = [(shared_second_order(n, rng, _SHARE_KINDS[n % 4]), n) for n in range(65)]
+    cases.append((dgff_spec(), 200))
+    grids = ([0.5], np.concatenate(([-0.0, 0.0], rng.choice(lattice, 11))), lattice)
+    shared = set()
+    for spec, n in cases:
+        H, _ = dp._weights(spec, n)
+        if dp._level_ends(H, n, len(lattice)) != [len(H)] * (n + 1):
+            shared.add("dgff" if n == 200 else _SHARE_KINDS[n % 4])
+    assert shared == {"random", "all", "zeros", "dgff"}
+
+    def outputs():
+        out = []
+        for spec, n in cases:
+            for grid in grids:
+                out.append(hexes(zeta(spec, n, grid)) + hexes(dp_density(spec, n, grid)))
+            out.append(hexes(dp_Z(spec, n, 0.5).ln))
+            out.append(hexes(bisect_upper(spec, n, 0.5, 0.0)))
+            with monkeypatch.context() as m:
+                m.setattr(dp, "_BLOCK", 2048)  # 31 points per chunk at depth 64
+                out.append(hexes(zeta(spec, n, lattice)) + hexes(dp_density(spec, n, lattice)))
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outputs()
+        monkeypatch.setattr(dp, "_levels", ref_levels)
+        want = outputs()
+    assert got == want
+
+
+def test_shared_row_work_counts():
+    # Row updates of a level pass over 121 J values, levels 0 .. n: a change
+    # that switches sharing off for dgff, or on where no row agrees, fails.
+    grid = np.linspace(-3.0, 3.0, 121)
+
+    def rows(spec, n, width):
+        H, _ = dp._weights(spec, n)
+        return sum(len(f) for f, _ in dp._levels(H, grid[:width], n))
+
+    assert rows(dgff_spec(), 60, 1) == 1891
+    assert rows(dgff_spec(), 60, 121) <= 931
+    rng = np.random.default_rng(31)
+    for n in (8, 16, 60):
+        for spec in [random_second_order(n, rng) for _ in range(20)]:
+            assert rows(spec, n, 121) == (n + 1) * (n + 2) // 2
+        assert rows(shared_second_order(n, rng, "none"), n, 121) == (n + 1) * (n + 2) // 2
+    # Rows agree bit for bit: -0.0 does not stand for 0.0.
+    n = 60
+    zeros = np.zeros((n + 2, n + 2))
+    assert dp._row_plan(zeros, n)[1] == (n + 1) * (n + 2) // 2 - (n + 1)
+    signed = zeros.copy()
+    signed[1 : n + 1, 0] = -0.0
+    assert dp._row_plan(signed, n)[1] == 0
+    # Rows 59 .. 61 agree: 119 rows saved pay from 35 J values on.
+    few = zeros.copy()
+    few[1:59, 0] = 1.0
+    assert dp._row_plan(few, n)[1] == 119
+    assert dp._level_ends(few, n, 34) == [n + 2] * (n + 1)
+    assert dp._level_ends(few, n, 35) != [n + 2] * (n + 1)
+    # Every row agrees, yet a one-point grid keeps every row at any depth.
+    for n in (1, 60, 1000, dp.MAX_DEPTH):
+        zeros = np.zeros((n + 2, n + 2))
+        assert dp._level_ends(zeros, n, 1) == [n + 2] * (n + 1)
+    assert dp._level_ends(zeros, n, 2) == list(range(2, n + 3))
 
 
 def test_convolution_floor_is_bit_identical():
