@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import math
 import sys
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +95,8 @@ MAX_DEPTH = 1022
 #: and the max-plus chain (512 KB of float64)
 _BLOCK = 1 << 16
 
-#: work rule of the shared-row level pass (``_level_ends``): a pass over w J
-#: values at depth n looks for shared rows only when w n >= _SHARE_WORK, and
-#: takes them only when they save at least 4 _SHARE_WORK row entries
+#: work rule of the shared-row level pass (``_level_ends``): a pass over w > 1
+#: J values at depth n shares rows only when w n >= _SHARE_WORK
 _SHARE_WORK = 1 << 10
 
 #: floor of the shifted convolution terms; numpy's exp slows down sharply
@@ -204,57 +202,36 @@ def _weights(spec, n):
     return H, const
 
 
-#: (weak reference to the weights array, depth, plan) of the last plan built
-_last_plan = (lambda: None, -1, None)
-
-
 def _row_plan(H, n):
-    """The shared-row plan ``(ends, saved)`` of second-order weights H at
-    depth n (see the module docstring).
+    """The shared-row plan of second-order weights H at depth n (see the
+    module docstring): the end row in H of each level.
 
     Row a agrees with the root row n + 1 on columns 0 .. d when its entries
     there have the same bits, compared as int64, so that -0.0 never stands
     for 0.0. With c_a the first column where row a differs from the root's
     (n + 1 if none) and m_a = min(c_a, c_{a+1}, ..., c_{n+1}), s_d is the
     larger of d + 1 and the first a with m_a > d. Level d holds H rows
-    d+1 .. s_d, so ``ends[d]`` = s_d + 1, and ``saved`` counts the row
-    updates of levels 0 .. n that the plan skips.
-
-    Weights arrays are never written, so the plan of the last array asked
-    for is kept, by a weak reference to the array: a J grid run in chunks,
-    or a root search that evaluates one weights array round after round,
-    builds it once, while ``_levels`` keeps its one signature (H, j, n,
-    ratio) for every caller and for the full-row kernels that stand in for
-    it in tests.
+    d+1 .. s_d, and its end is s_d + 1.
     """
-    global _last_plan
-    held, depth, plan = _last_plan
-    if held() is H and depth == n:
-        return plan
     bits = H[1:, : n + 1].view(np.int64)
     differ = bits != bits[-1]
     first = np.where(differ.any(axis=1), differ.argmax(axis=1), n + 1)
     agree = np.minimum.accumulate(first[::-1])[::-1]
     d = np.arange(n + 1)
     top = np.maximum(d + 1, np.searchsorted(agree, d, side="right") + 1)
-    plan = (top + 1).tolist(), (n + 1) * (n + 2) // 2 - int((top - d).sum())
-    _last_plan = (weakref.ref(H), n, plan)
-    return plan
+    return (top + 1).tolist()
 
 
 def _level_ends(H, n, width):
     """End row in H of each level of a pass over ``width`` J values.
 
-    Every row (``len(H)``) unless second order shares rows where it pays:
-    only a pass with width * n >= ``_SHARE_WORK`` builds the plan, and it
-    takes the plan only when that saves width * saved >= 4 ``_SHARE_WORK``
-    row entries. As n <= ``MAX_DEPTH`` < ``_SHARE_WORK``, a one-point grid
-    keeps every row, as the sampler's tables need.
+    Every row (``len(H)``) unless a second-order pass over more than one J
+    value has width * n >= ``_SHARE_WORK``; then the row plan's ends. A
+    one-point grid keeps every row at any depth, as the sampler's tables
+    need.
     """
-    if len(H) > 1 and width * n >= _SHARE_WORK:
-        ends, saved = _row_plan(H, n)
-        if width * saved >= 4 * _SHARE_WORK:
-            return ends
+    if len(H) > 1 and width > 1 and width * n >= _SHARE_WORK:
+        return _row_plan(H, n)
     return [len(H)] * (n + 1)
 
 
@@ -317,11 +294,9 @@ def _root(H, const, n, j, ratio=False):
     ``_levels`` runs over at most ``_BLOCK // len(H)`` J values at a time, so
     its tables stay within ``_BLOCK`` entries whatever the grid. Each J is
     computed on its own, so the chunks change no float. A chunk's pass
-    takes the row plan where the work rule of ``_level_ends`` says it pays;
-    the plan is built once per weights array, for the first chunk that
-    takes it, and kept for the other chunks and for the next call on the
-    same array (the rounds of ``analysis.bisect_upper``). Either way the
-    last row held is the root's, and every float is the same.
+    takes the row plan where the work rule of ``_level_ends`` says it pays,
+    and builds it for itself. Either way the last row held is the root's,
+    and every float is the same.
     """
     j = _check_j(j, n)
     ln_z = np.empty(len(j))

@@ -575,7 +575,7 @@ def test_shared_rows_are_bit_identical(monkeypatch):
     assert got == want
 
 
-def test_shared_row_work_counts():
+def test_shared_row_work_counts(monkeypatch):
     # Row updates of a level pass over 121 J values, levels 0 .. n: a change
     # that switches sharing off for dgff, or on where no row agrees, fails.
     grid = np.linspace(-3.0, 3.0, 121)
@@ -583,6 +583,9 @@ def test_shared_row_work_counts():
     def rows(spec, n, width):
         H, _ = dp._weights(spec, n)
         return sum(len(f) for f, _ in dp._levels(H, grid[:width], n))
+
+    def saved(H, n):
+        return sum(len(H) - end for end in dp._row_plan(H, n))
 
     assert rows(dgff_spec(), 60, 1) == 1891
     assert rows(dgff_spec(), 60, 121) <= 931
@@ -594,17 +597,16 @@ def test_shared_row_work_counts():
     # Rows agree bit for bit: -0.0 does not stand for 0.0.
     n = 60
     zeros = np.zeros((n + 2, n + 2))
-    assert dp._row_plan(zeros, n)[1] == (n + 1) * (n + 2) // 2 - (n + 1)
+    assert saved(zeros, n) == (n + 1) * (n + 2) // 2 - (n + 1)
     signed = zeros.copy()
     signed[1 : n + 1, 0] = -0.0
-    assert dp._row_plan(signed, n)[1] == 0
-    # Rows 59 .. 61 agree: 119 rows saved pay from 35 J values on.
+    assert saved(signed, n) == 0
     few = zeros.copy()
     few[1:59, 0] = 1.0
-    assert dp._row_plan(few, n)[1] == 119
-    assert dp._level_ends(few, n, 34) == [n + 2] * (n + 1)
-    assert dp._level_ends(few, n, 35) != [n + 2] * (n + 1)
-    # Every row agrees, yet a one-point grid keeps every row at any depth.
+    assert saved(few, n) == 119  # rows 59 .. 61 agree
+    # Every row agrees, yet a one-point grid keeps every row at any depth,
+    # whatever the work rule: the sampler reads every ancestor age.
+    monkeypatch.setattr(dp, "_SHARE_WORK", 1)
     for n in (1, 60, 1000, dp.MAX_DEPTH):
         zeros = np.zeros((n + 2, n + 2))
         assert dp._level_ends(zeros, n, 1) == [n + 2] * (n + 1)
