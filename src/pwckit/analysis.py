@@ -36,10 +36,12 @@ LN2 = math.log(2.0)
 #: kappa_1 sums to relative tolerance _KAPPA_TOL over at most _KAPPA_CAP
 #: ages; it, and a Laplace sum, is called divergent past _BLOW_UP. A k_max
 #: lies in 1 .. _K_MAX_CAP, as kappa_2 holds k_max floats in one buffer
-#: (32 MB at the cap)
+#: (32 MB at the cap); K_MAX_DEFAULT is the default of every k_max, the
+#: command-line flags' included
 _KAPPA_TOL = 1e-15
 _KAPPA_CAP = 200000
 _K_MAX_CAP = 1 << 22
+K_MAX_DEFAULT = 100000
 _BLOW_UP = 1e15
 
 #: tail_bound sums to relative tolerance _TAIL_TOL over at most _TAIL_CAP
@@ -200,7 +202,7 @@ class Kappa2Report:
 
 
 @_quiet_overflow
-def kappa2(spec, k_max=100000):
+def kappa2(spec, k_max=K_MAX_DEFAULT):
     """kappa_2 = sup_k sum_{l<k} 2^l e^{-h_{k,l}} over k <= k_max.
 
     Inner sums are evaluated exactly; the sup is taken over a geometric
@@ -371,7 +373,7 @@ def _trend_verdict(u, k_max):
 
 
 @_quiet_overflow
-def tauberian_first(spec, k_max=100000):
+def tauberian_first(spec, k_max=K_MAX_DEFAULT):
     """u_k = (ln2) k + ln k - h_k at the powers of two k <= k_max, with a
     monotone-trend verdict.
 
@@ -568,7 +570,7 @@ class WettingReport:
         return dict(vars(self))
 
 
-def estimate_jstar(spec, depths, delta=None, k_max=100000):
+def estimate_jstar(spec, depths, delta=None, k_max=K_MAX_DEFAULT):
     """Bracket the wetting threshold from finite-depth free energies.
 
     For each depth the root search finds where zeta_n provably exceeds its

@@ -161,17 +161,17 @@ def _spec_label(args):
 
 
 def _cmd_grid(args):
-    """``zeta`` and ``density`` over the J grid: the dynamic program, or the
-    enumeration oracle per point for capacity specs."""
+    """``zeta`` and ``density`` over the J grid: the dynamic program, or for
+    capacity specs the enumeration oracle, in one call over the grid."""
     spec = _load_spec(args)
     grid = _parse_grid(args.j_grid)
     n = args.depth
     density = args.command == "density"
     if spec.variant == "capacity":
-        enum = oracle.enum_density if density else oracle.enum_zeta
-        values = [enum(spec, n, j) for j in grid]
+        kernel = oracle.enum_density if density else oracle.enum_zeta
     else:
-        values = (dp.dp_density if density else dp.zeta)(spec, n, grid).tolist()
+        kernel = dp.dp_density if density else dp.zeta
+    values = kernel(spec, n, grid).tolist()
     column = "rho_n" if density else "zeta_n"
     lines = ["j," + column]
     lines += ["%.17g,%.17g" % row for row in zip(grid, values)]
@@ -469,7 +469,7 @@ def build_parser():
     p.add_argument("--depths", required=True, help="comma list, e.g. 8,12,16")
     p.add_argument("--delta", type=float,
                    help="fixed excess, finite and > 0; default is the per-depth policy")
-    p.add_argument("--k-max", type=int, default=100000)
+    p.add_argument("--k-max", type=int, default=analysis.K_MAX_DEFAULT)
 
     p = add("sample", _cmd_sample, "exact draws, one leaf set per line")
     p.add_argument("--depth", type=int, required=True)
@@ -496,7 +496,7 @@ def build_parser():
     p = add("diagnose", _cmd_diagnose, "Laplace and Tauberian curves")
     p.add_argument("--s-grid", default="pow2:2:10",
                    help="pow2:a:b for 2^-a..2^-b, or a comma list")
-    p.add_argument("--k-max", type=int, default=100000)
+    p.add_argument("--k-max", type=int, default=analysis.K_MAX_DEFAULT)
     p.add_argument("--allow-large", action="store_true")
 
     for p in sub.choices.values():

@@ -323,12 +323,24 @@ def _per_j(j, values):
     return float(values[0]) if np.ndim(j) == 0 else values
 
 
+def _one_j(j):
+    """``j`` itself if it is a single J; an array, even of one, is refused
+    naming ``j``."""
+    if np.ndim(j) != 0:
+        raise SpecConfigError(
+            "j", "takes one J, got an array of shape %s; zeta and the density "
+            "take a grid" % (np.shape(j),)
+        )
+    return j
+
+
 def dp_Z(spec, n, j):
     """Grand partition function at one J as a LogReal; dispatches on the family."""
     return (dp_Z_second if spec.variant == "second" else dp_Z_first)(spec, n, j)
 
 
 def _dp_Z(spec, n, j):
+    j = _one_j(j)
     H, const = _weights(spec, n)
     return LogReal(float(_ln_z(H, const, n, j)[0]))
 

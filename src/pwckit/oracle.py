@@ -10,8 +10,9 @@ Phi is invariant under the tree's automorphisms, so every sum runs over the
 subsets' shapes, ``tree.shape_table``: 231 classes at depth 4, each counted
 with its exact number of masks. The table is built level by level, as
 ``capacity.cap_classes`` builds capacities, cached per depth and shared
-across parameter choices, so repeated calls with different h or J only pay
-for a matrix product over the classes.
+across parameter choices: a call pays for one matrix product over the classes.
+``_root`` forms Phi once for ``enum_Z``, ``enum_zeta`` and ``enum_density``;
+the last two take a number (float out) or an array of J (array out).
 
 Every sum over subsets is exact up to one final rounding, the float fsum
 returns over all masks: ``_exact_sums`` splits each shape's term into two
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import capacity as _capacity
 from .clustering import SpecConfigError, check_capacities, check_family
-from .dp import NEG_INF, CanonicalTable, LogReal, _check_j
+from .dp import NEG_INF, CanonicalTable, LogReal, _check_j, _one_j, _per_j
 from .tree import SHAPE_MAX_DEPTH, shape_table
 
 ORACLE_MAX_DEPTH = SHAPE_MAX_DEPTH
@@ -52,10 +53,13 @@ def _class_phi(spec, n):
         return caps
     check_family(spec, ("first", "second"), "phi_vector")
     shapes = shape_table(n)
-    if spec.variant == "first":
-        rows, weights = shapes.first, spec.h.array(n)
-    else:
-        rows, weights = shapes.second, spec.h(*shapes.columns)
+    try:
+        if spec.variant == "first":
+            rows, weights = shapes.first, spec.h.array(n)
+        else:
+            rows, weights = shapes.second, spec.h(*shapes.columns)
+    except IndexError as exc:
+        raise SpecConfigError("h.values", "too short for depth %d: %s" % (n, exc))
     # BLAS gemv sums the rows of a matrix in blocks, and a short block at the
     # end in another order. Zero rows up to a multiple of 16 put every class
     # in a full block, as every mask was in a per-mask matrix of 2^(2^n)
@@ -71,14 +75,6 @@ def _class_phi(spec, n):
 def phi_vector(spec, n):
     """Phi for every subset bitmask at depth n, as a float array."""
     return _class_phi(spec, n)[shape_table(n).index]
-
-
-def _ln_terms(spec, n, j):
-    """ln of every shape's Boltzmann term J |A| - Phi(A); J is checked
-    after ``_class_phi`` has checked the depth, which bounds J."""
-    phi = _class_phi(spec, n)
-    _check_j(j, n)
-    return j * shape_table(n).sizes - phi
 
 
 def _exact_sums(values, groups=None, count=1, mult=None):
@@ -109,11 +105,21 @@ def _exact_sums(values, groups=None, count=1, mult=None):
     return [math.fsum(parts[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _log_sum(ln_terms, mult=None):
-    """ln sum exp over an array, each term repeated its multiplicity, with
-    the max factored out."""
-    mx = ln_terms.max()
-    return mx + math.log(_exact_sums(np.exp(ln_terms - mx), mult=mult)[0])
+def _root(spec, n, j, ratio=False):
+    """``(ln Z_n, rho_n)`` at each J of ``j`` (rho_n None without ``ratio``)
+    from one Phi, whose depth check comes before J's, which it bounds."""
+    phi = _class_phi(spec, n)
+    sizes, mult = shape_table(n).sizes, shape_table(n).mult
+    ln_z, rho = [], []
+    for x in _check_j(j, n).tolist():
+        ln_terms = x * sizes - phi
+        mx = ln_terms.max()
+        w = np.exp(ln_terms - mx)
+        total = _exact_sums(w, mult=mult)[0]
+        ln_z.append(mx + math.log(total))
+        if ratio:
+            rho.append(_exact_sums(w * sizes, mult=mult)[0] / total / (1 << n))
+    return np.array(ln_z), np.array(rho) if ratio else None
 
 
 def enum_phi(spec, ls):
@@ -123,11 +129,12 @@ def enum_phi(spec, ls):
 
 def enum_Z(spec, n, j):
     """Grand partition function by direct summation over all subsets."""
-    return LogReal(_log_sum(_ln_terms(spec, n, j), shape_table(n).mult))
+    return LogReal(float(_root(spec, n, _one_j(j))[0][0]))
 
 
 def enum_zeta(spec, n, j):
-    return enum_Z(spec, n, j).ln / (1 << n)
+    """zeta_n(J) by direct summation; a float for a number, an array for an array."""
+    return _per_j(j, _root(spec, n, j)[0] / (1 << n))
 
 
 def enum_W(spec, n):
@@ -173,10 +180,5 @@ def enum_maxterm(spec, n):
 
 
 def enum_density(spec, n, j):
-    """Mean occupied fraction by direct summation."""
-    ln_terms = _ln_terms(spec, n, j)
-    shapes = shape_table(n)
-    w = np.exp(ln_terms - ln_terms.max())
-    occupied = _exact_sums(w * shapes.sizes, mult=shapes.mult)[0]
-    total = _exact_sums(w, mult=shapes.mult)[0]
-    return occupied / total / (1 << n)
+    """Mean occupied fraction by direct summation; J as in ``enum_zeta``."""
+    return _per_j(j, _root(spec, n, j, ratio=True)[1])

@@ -909,9 +909,10 @@ def empirical_density(spec, n, j, num_samples, seed):
 
 
 def ln_terms_by_mask(spec, n, j):
-    """ln of every subset's Boltzmann term J |A| - Phi(A), by bitmask: the
-    oracle's terms per shape, gathered through the shape index."""
-    return oracle._ln_terms(spec, n, j)[shape_table(n).index]
+    """ln of every subset's Boltzmann term J |A| - Phi(A), by bitmask, from
+    the oracle's Phi by bitmask."""
+    shapes = shape_table(n)
+    return j * shapes.sizes[shapes.index] - oracle.phi_vector(spec, n)
 
 
 @dataclass(frozen=True)
@@ -926,7 +927,7 @@ class ExactDistribution:
     @classmethod
     def compute(cls, spec, n, j):
         ln_terms = ln_terms_by_mask(spec, n, j)
-        log_probs = ln_terms - oracle._log_sum(ln_terms)
+        log_probs = ln_terms - oracle.enum_Z(spec, n, j).ln
         total = oracle._exact_sums(np.exp(log_probs))[0]
         if abs(total - 1.0) > 1e-12:
             raise AssertionError(

@@ -908,6 +908,85 @@ def test_threshold_output_pinned(capsys, preset, k_max, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "command,spec,digests",
+    [
+        ("zeta", "capacity:uniform", [
+            "e9f56a03ee76d51fbbfb363a767c947779fcd008a764af2f74de6174d0efef5f",
+            "8742d0e4d38533989575e18f0a246bbf5c28bf35307fd1ad04b052b84c39d15a",
+            "da17c41993fb32fcf06afcec7d9a3ce5058eeca9c75c68f0c2e9b285b0ddab74",
+            "76840b4212c487d773fcd8b003d1f40771824f8a89b87eb5cfa4ca56444bfbe9",
+            "f0d0462ccc82901b8702c5a7fbd8abc6f771551ed5a11750e6d659a8f51a1748",
+        ]),
+        ("density", "capacity:uniform", [
+            "6472f3702cbdbf40a816700a42ce6f1750fe4d0da3440b866bf60e29dddf1f29",
+            "bae578bae85642779823fb93c511e298b3d4cdf8346c2ca94aab20a6ca531714",
+            "ef0edf8a8dfbd33bbb4f019d5c425622f17e289af5a68568afe781827fc7625d",
+            "7fbfafadc07b4872b73df64e2ed431ecaa948adb00bf529e55db2f2be24edcc9",
+            "6966046b8be1977259107995d2ec8ce66f6b4eeffb1e7fe6ef0c4e5fb712e887",
+        ]),
+        ("zeta", "capacity:uniform:0.5", [
+            "e9f56a03ee76d51fbbfb363a767c947779fcd008a764af2f74de6174d0efef5f",
+            "50577d36e4a9e86ee5e37465fe98386d9d6b2ce4f86e4fc8079cd84012a77f25",
+            "0da9d542bbb9081785c50bfcd73dde5fd60dc65166bfc76dded4575f05c85e20",
+            "030e268d4729408ae79f4c10a64309aed8bf56ecfc6896c39f57a8aebe3b071a",
+            "2858081897da9decb19c288197ba8122bdc666372dad340bb9816a75334cb54a",
+        ]),
+        ("density", "capacity:uniform:0.5", [
+            "6472f3702cbdbf40a816700a42ce6f1750fe4d0da3440b866bf60e29dddf1f29",
+            "c62c2a4c7b5fb209833b53a90a3f11e511017f8c182a672081e71ed64ed02918",
+            "1880533d73996c3169dd3ec7b1ea205205b9207222e8ab0644c74574141c07aa",
+            "f0886cede8af3426b0d394675a1689e67842b5b84483ad69693b72add9c33811",
+            "365d75d9103479b173bbe026555f9238348e7bdf279e71690dcaea536a46d531",
+        ]),
+        ("zeta", "LIST-PROFILE", [
+            "e9f56a03ee76d51fbbfb363a767c947779fcd008a764af2f74de6174d0efef5f",
+            "4e8a4230b74db5a502cad5045a618b6dc8ff3d7fcac82873fea6dcf9aa331a10",
+            "aed18de41c5f06cdf4a23b2b9c9fe51190c6c1a4038e03b0421480492e3a44b4",
+            "65001c3e97c60b07b6078cdff44cb2ab4498221ecc76bf2f4b94d471566c01a1",
+            "1eb67bd4938649442c786993ed014e83f9073a7f608efee7ec49ced8c7cdaa01",
+        ]),
+        ("density", "LIST-PROFILE", [
+            "6472f3702cbdbf40a816700a42ce6f1750fe4d0da3440b866bf60e29dddf1f29",
+            "c9876b22567a644a7283a469ff5e74091915150ada9d94aee18dc2314a13b402",
+            "9b5690865d8cea77d88665d310ace1dc95c617fa04ae2347bbbb8644f9fc4593",
+            "a69526e9788d8c472ec2d76e84c38a0c2ede86c66ef50429b06b81f80fd99fe7",
+            "47677ae84633c5b5272fdf2a2c8361bef83d0d9d3a6665e99fb4932785ec1830",
+        ]),
+    ],
+)
+def test_capacity_grid_output_pinned(tmp_path, capsys, command, spec, digests):
+    # Pinned stdout at depths 0 .. 4 of the oracle's grid, one call over
+    # all 121 points: the same floats as a call per point.
+    if spec == "LIST-PROFILE":
+        path = tmp_path / "profile.json"
+        path.write_text('{"variant": "capacity", "conductance": '
+                        '{"kind": "list", "values": [1.5, 0.5, 2.0, 0.75]}}')
+        spec_args = ["--spec-file", str(path)]
+    else:
+        spec_args = ["--preset", spec]
+    got = []
+    for n in range(5):
+        code, out, err = run(capsys, [command, *spec_args, "--depth", str(n),
+                                      "--j-grid=-3:3:0.05"])
+        assert (code, err) == (0, "")
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert got == digests
+
+
+@pytest.mark.parametrize(
+    "seed,digest",
+    [(0, "1ce12d24a91fcf3a5cd01bbc4e3faed7ae8885721507892dece4f80ac1f67cb5"),
+     (7, "e4936c7a8719cd5a72cf1238a2ebff7170333c10f72fc96a83d17fa1ced7006f")],
+)
+def test_verify_output_pinned(capsys, seed, digest):
+    # Pinned stdout of the oracle checks at depth 4.
+    code, out, err = run(capsys, ["verify", "--depth", "4", "--draws", "2",
+                                  "--seed", str(seed)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_rejected_command_keeps_out_file(tmp_path, capsys):
     # The default s grid is refused for second order; the rejected run must
     # leave an existing --out file as it was.

@@ -195,6 +195,16 @@ def test_negative_weights_bounded_by_float_range():
     assert zeta(spec, 10, 0.0) == 0.0 and dp_density(spec, 10, 0.0) == 0.0
 
 
+def test_dp_z_refuses_j_array():
+    # dp_Z takes one J; a list, even of one, is refused naming j instead of
+    # being read at its first entry.
+    for j in ([0.5, 3.0], [0.5], np.array([0.5])):
+        with pytest.raises(SpecConfigError, match="'j'"):
+            dp_Z(dgff_spec(), 8, j)
+        with pytest.raises(SpecConfigError, match="'j'"):
+            dp_Z(first_linear(1.0), 3, j)
+
+
 def test_capacity_has_no_dp():
     with pytest.raises(UnsupportedVariant):
         dp_Z(capacity_uniform(), 3, 0.0)

@@ -6,10 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pwckit import oracle
 from pwckit.capacity import cap_table
+from pwckit.cli import main
 from pwckit.clustering import (
     FirstOrderClustering,
+    HArray,
     HSequence,
+    SecondOrderClustering,
+    SpecConfigError,
     UnsupportedVariant,
     capacity_uniform,
     dgff_spec,
@@ -441,3 +446,51 @@ def test_enum_sums_stay_per_shape_in_memory(traced_peak):
 
     run()  # builds the shape tables
     assert traced_peak(run) < 1 << 20
+
+
+def test_grid_calls_equal_per_j_calls():
+    # One call over a J list returns, bit for bit, what a call per J does.
+    rng = np.random.default_rng(21)
+    js = [-3.0, -0.25, 0.0, 0.7, 2.5]
+    for n in range(ORACLE_MAX_DEPTH + 1):
+        for spec in (random_first_order(n, rng), random_second_order(n, rng),
+                     random_capacity(n, rng), capacity_uniform(0.5)):
+            for fn in (enum_zeta, enum_density):
+                grid = fn(spec, n, js)
+                assert isinstance(grid, np.ndarray)
+                assert hexes(grid) == hexes([fn(spec, n, j) for j in js])
+                assert type(fn(spec, n, 0.7)) is float
+
+
+@pytest.mark.parametrize("command", ["zeta", "density"])
+def test_grid_call_forms_phi_once(monkeypatch, capsys, command):
+    # Phi is formed once per grid, by the library call and by the command.
+    calls = []
+    real = oracle._class_phi
+    monkeypatch.setattr(oracle, "_class_phi", lambda *a: calls.append(a) or real(*a))
+    fn = enum_zeta if command == "zeta" else enum_density
+    fn(capacity_uniform(), 3, np.linspace(-3.0, 3.0, 121))
+    assert len(calls) == 1
+    argv = [command, "--preset", "capacity:uniform", "--depth", "3", "--j-grid=-3:3:0.05"]
+    assert main(argv) == 0 and len(calls) == 2
+    capsys.readouterr()
+
+
+def test_enum_z_refuses_j_array():
+    # One J only: a list, even of one, is refused naming j.
+    for j in ([0.5, 3.0], [0.5], np.array([0.5])):
+        with pytest.raises(SpecConfigError, match="'j'"):
+            enum_Z(tiny_first(), 3, j)
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    [(FirstOrderClustering(HSequence([0.0, 1.0]), 2.0), 3),
+     (SecondOrderClustering(HArray([[], [0.0], [0.5, 1.0]])), 2)],
+    ids=["first", "second"],
+)
+def test_short_weights_name_h_values(spec, n):
+    for call in (lambda: enum_Z(spec, n, 0.5), lambda: enum_W(spec, n),
+                 lambda: enum_density(spec, n, 0.5), lambda: phi_vector(spec, n)):
+        with pytest.raises(SpecConfigError, match="'h.values'.*too short for depth %d" % n):
+            call()
