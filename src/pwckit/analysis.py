@@ -398,12 +398,14 @@ def tauberian_first(spec, k_max=K_MAX_DEFAULT):
 
 class BracketError(SpecConfigError):
     """zeta_n(J) - tail > delta is not false then true along a J grid;
-    ``top_false`` if it is false at the top bracket end, J = 2^23. It names
-    ``delta``, or ``key`` where the weights decide it."""
+    ``top_false`` if it is false at the top bracket end, J = 2^23, and
+    ``bottom_true`` if it holds at the bottom one. It names ``delta``, or
+    ``key`` where the weights decide it."""
 
-    def __init__(self, message, top_false=False, key="delta"):
+    def __init__(self, message, top_false=False, key="delta", bottom_true=False):
         super().__init__(key, message)
         self.top_false = top_false
+        self.bottom_true = bottom_true
 
 
 #: where the root search starts: -2^23 .. -1 and 1 .. 2^23
@@ -508,6 +510,7 @@ def bisect_upper(spec, n, delta, tail):
                     "of J in [%g, %g]"
                     % (n, delta, len(grid), grid.min(initial=0), grid.max(initial=0)),
                     top_false=first is None and not cut and not ok[-1],
+                    bottom_true=first is None and bool(ok[0]),
                 )
             grid, uniform = np.unique(np.linspace(*first, 65)), True
             continue
@@ -579,8 +582,10 @@ def estimate_jstar(spec, depths, delta=None, k_max=K_MAX_DEFAULT):
     no-transition direction. ``delta=None`` applies the default policy
     max(1e-6, tail_n + n ln2 / 2^n) per depth; passing a number fixes delta
     across depths, which makes the upper estimates comparable between n.
-    Under the default delta a bracket failure the weights' tail decides names
-    ``h.values``: a delta no J reaches, or a tail below -delta.
+    Under the default delta a bracket failure the weights decide names
+    ``h.values``: a delta no J reaches, or a tail below -delta. One where
+    the condition already holds at the bottom bracket end names ``h_const``
+    when the spec sets the constant, and ``h.values`` otherwise.
     """
     check_family(spec, _FIRST + _SECOND, "threshold estimation")
     if not depths or min(depths) < 0 or max(depths) > dp.MAX_DEPTH:
@@ -604,7 +609,8 @@ def estimate_jstar(spec, depths, delta=None, k_max=K_MAX_DEFAULT):
             uppers.append(bisect_upper(spec, n, d, tail))
         except BracketError as exc:
             # the weights set the default delta, or their tail alone makes the
-            # condition hold at every J, as zeta_n >= 0
+            # condition hold at every J, as zeta_n >= 0, or it holds already
+            # at the bottom end, where the constant dominates ln Z_n
             if delta is None and exc.top_false:
                 raise BracketError("the tail past depth %d, %g, sets a delta no J up "
                                    "to 2^23 reaches" % (n, tail), key="h.values") from None
@@ -612,6 +618,10 @@ def estimate_jstar(spec, depths, delta=None, k_max=K_MAX_DEFAULT):
                 raise BracketError("the tail past depth %d, %g, lies below -delta, so "
                                    "zeta_%d(J) - tail > %g at every J" % (n, tail, n, d),
                                    key="h.values") from None
+            if delta is None and exc.bottom_true:
+                key = "h.values" if spec.h_const is None else "h_const"
+                raise BracketError("zeta_%d(J) - tail > %g holds already at the bottom "
+                                   "end of the root search" % (n, d), key=key) from None
             raise
         tails.append(tail)
         deltas.append(d)

@@ -182,19 +182,16 @@ def _cmd_grid(args):
 
 
 def _cmd_canonical(args):
-    """The dynamic program's table, or for capacity specs the enumerated
-    one cut to sizes <= --m-max."""
+    """The dynamic program's table, or for capacity specs the enumerated one."""
     spec = _load_spec(args)
     n = args.depth
     if args.maxterm and spec.variant in ("second", "capacity"):
         raise SpecConfigError("maxterm", "the max-plus table is first order only")
     if spec.variant == "capacity":
-        table = oracle.enum_W(spec, n)
-        size = dp._table_size(spec, n, args.m_max, args.allow_large, "canonical")
-        table = dp.CanonicalTable(n, table.ln_w[: size + 1])
+        kernel = oracle.enum_W
     else:
         kernel = dp.dp_W_maxterm if args.maxterm else dp.dp_W
-        table = kernel(spec, n, m_max=args.m_max, allow_large=args.allow_large)
+    table = kernel(spec, n, m_max=args.m_max, allow_large=args.allow_large)
     lines = ["a0,ln_w,omega_n"]
     rows = zip(range(table.m_max + 1), table.ln_w.tolist(),
                table.omega_values().tolist())
@@ -232,8 +229,6 @@ def _nodes(draw):
 
 def _cmd_sample(args):
     """Counting nodes reads every leaf, so the summary is formed for --summary only."""
-    if args.seed < 0:
-        raise SpecConfigError("seed", "must be nonnegative, got %d" % (args.seed,))
     spec = _load_spec(args)
     draws = sampmod.sample(spec, args.depth, args.j, args.seed, args.num)
     lines = [" ".join(map(str, ls.leaves)) for ls in draws]

@@ -4,7 +4,10 @@ Everything here sums over the full power set of the 2^n leaves, so depth is
 hard-capped at ORACLE_MAX_DEPTH = 4 (65536 subsets). The point is to be an
 independent check on the dynamic programs: Phi is assembled from each
 subset's branching profile (or electrical network), never from the level
-recursions.
+recursions. First- and second-order weights and the constant are read by
+``dp._weights``, as the dynamic programs read them, so both routes accept
+the same specs and refuse the rest naming the same key; ``enum_W`` sizes
+its table with ``dp._table_size``, as ``dp_W`` does.
 
 Phi is invariant under the tree's automorphisms, so every sum runs over the
 subsets' shapes, ``tree.shape_table``: 231 classes at depth 4, each counted
@@ -28,7 +31,8 @@ import numpy as np
 
 from . import capacity as _capacity
 from .clustering import SpecConfigError, check_capacities, check_family
-from .dp import NEG_INF, CanonicalTable, LogReal, _check_j, _one_j, _per_j
+from .dp import (NEG_INF, CanonicalTable, LogReal, _check_j, _one_j, _per_j,
+                 _table_size, _weights)
 from .tree import SHAPE_MAX_DEPTH, shape_table
 
 ORACLE_MAX_DEPTH = SHAPE_MAX_DEPTH
@@ -51,15 +55,12 @@ def _class_phi(spec, n):
         caps = _capacity.cap_classes(n, spec.profile(n))
         check_capacities(caps[1:], n, spec.key)
         return caps
-    check_family(spec, ("first", "second"), "phi_vector")
+    H, const = _weights(spec, n)
     shapes = shape_table(n)
-    try:
-        if spec.variant == "first":
-            rows, weights = shapes.first, spec.h.array(n)
-        else:
-            rows, weights = shapes.second, spec.h(*shapes.columns)
-    except IndexError as exc:
-        raise SpecConfigError("h.values", "too short for depth %d: %s" % (n, exc))
+    if spec.variant == "first":
+        rows, weights = shapes.first, H[0]
+    else:
+        rows, weights = shapes.second, H[shapes.columns]
     # BLAS gemv sums the rows of a matrix in blocks, and a short block at the
     # end in another order. Zero rows up to a multiple of 16 put every class
     # in a full block, as every mask was in a per-mask matrix of 2^(2^n)
@@ -67,7 +68,7 @@ def _class_phi(spec, n):
     padded = np.zeros((-(-len(rows) // 16) * 16, rows.shape[1]))
     padded[:len(rows)] = rows
     phi = (padded @ weights)[:len(rows)]
-    phi += spec.h_const_at(n)
+    phi += const
     phi[0] = 0.0
     return phi
 
@@ -137,13 +138,15 @@ def enum_zeta(spec, n, j):
     return _per_j(j, _root(spec, n, j)[0] / (1 << n))
 
 
-def enum_W(spec, n):
-    """Canonical table by summing subsets grouped by size, in one pass.
+def enum_W(spec, n, m_max=None, allow_large=False):
+    """Canonical table by summing subsets grouped by size, in one pass, cut
+    to sizes <= m_max; ``dp._table_size`` sizes it, as it sizes ``dp_W``'s.
 
     Each size's terms are scaled by their largest; a size whose terms are
     all zero (Phi = inf throughout) gets ln W = -inf.
     """
     neg_phi = -_class_phi(spec, n)
+    size = _table_size(spec, n, m_max, allow_large, "enum_W")
     shapes = shape_table(n)
     sizes = shapes.sizes
     count = (1 << n) + 1
@@ -153,7 +156,7 @@ def enum_W(spec, n):
     sums = _exact_sums(np.exp(neg_phi - shift[sizes]), sizes, count, shapes.mult)
     ln_w = np.array([m + math.log(s) if s > 0 else NEG_INF
                      for m, s in zip(mx.tolist(), sums)])
-    return CanonicalTable(n, ln_w, kind="sum")
+    return CanonicalTable(n, ln_w[: size + 1], kind="sum")
 
 
 def enum_maxterm(spec, n):

@@ -34,14 +34,17 @@ from .tree import LeafSet
 
 
 class Sampler:
-    """Prepared tables for repeated draws at fixed spec, depth, and J."""
+    """Prepared tables for repeated draws at fixed spec, depth, and J.
+
+    ``j`` is one J: an array, even of one entry, is refused naming ``j``,
+    as ``dp_Z`` refuses it."""
 
     def __init__(self, spec, n, j):
         self.spec = spec
         self.depth = n
         self.j = j
         H, const = dp._weights(spec, n)
-        levels = [f[:, 0] for f, _ in dp._levels(H, dp._check_j(j, n), n)]
+        levels = [f[:, 0] for f, _ in dp._levels(H, dp._check_j(dp._one_j(j), n), n)]
         last = len(H) - 1
         # per level d >= 1 and ancestor row, as plain lists for the descent:
         # the log weight of keeping one child and of splitting; after a split
@@ -89,7 +92,10 @@ class Sampler:
     def sample_many(self, num_samples, seed):
         """Independent draws on per-sample child streams of ``seed``, each
         spawned just before its draw (the same children as spawning all
-        ``num_samples`` at once), past the output guard of ``_check_size``."""
+        ``num_samples`` at once), past the output guard of ``_check_size``.
+        A negative seed is refused first, naming ``seed``."""
+        if seed < 0:
+            raise SpecConfigError("seed", "must be nonnegative, got %d" % (seed,))
         if num_samples < 1:
             raise SpecConfigError(
                 "num", "need at least one draw, got %d" % (num_samples,)

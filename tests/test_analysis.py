@@ -679,6 +679,21 @@ def test_bisect_bracket_failure_reported():
         estimate_jstar(spec, [4])
 
 
+def test_bracket_failure_at_the_bottom_names_the_constant():
+    # Under the default delta a condition that holds at the bottom bracket
+    # end names h_const when the spec sets it, and h.values when the
+    # constant is the weights' own h_n; a fixed delta still names delta.
+    set_const = FirstOrderClustering(first_linear(2.0).h, h_const=-1e9)
+    with pytest.raises(BracketError, match="'h_const'"):
+        estimate_jstar(set_const, [4])
+    with pytest.raises(BracketError, match="'delta'"):
+        estimate_jstar(set_const, [4], delta=1.0)
+    own_const = FirstOrderClustering(
+        HSequence(lambda k: np.where(k == 4, -1e9, 2.0 * k)))
+    with pytest.raises(BracketError, match="'h.values'"):
+        estimate_jstar(own_const, [4])
+
+
 def reference_bisect_upper(spec, n, delta, tail, iters=80):
     """The scalar bisection that bisect_upper replaced, as its reference.
 

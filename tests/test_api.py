@@ -59,3 +59,16 @@ def test_one_family_guard_raises_unsupported_variant():
         ]
     assert raises == 1
     assert in_functions == [("clustering", "check_family")]
+
+
+def test_oracle_reads_weights_through_dp():
+    # The oracle takes first- and second-order weights from dp._weights, so
+    # both routes accept and refuse the same specs: no weight container or
+    # constant is read in oracle.py itself.
+    src = Path(pwckit.__file__).parent
+    tree = ast.parse((src / "oracle.py").read_text())
+    reads = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("h", "h_const_at")
+    ]
+    assert reads == []

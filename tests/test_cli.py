@@ -598,7 +598,7 @@ def _child_env():
          "'delta'"),
         (["threshold", "--preset", "first:linear:2", "--depths", "4", "--delta", "-5"],
          "'delta'"),
-        (["threshold", "--spec-file", "NEG-CONST", "--depths", "4"], "'delta'"),
+        (["threshold", "--spec-file", "NEG-CONST", "--depths", "4"], "'h_const'"),
         (["zeta", "--spec-file", "NEG-H", "--depth", "10", "--j-grid", "0"], "'h.values'"),
         (["density", "--spec-file", "NEG-H", "--depth", "10", "--j-grid", "0"],
          "'h.values'"),
@@ -985,6 +985,29 @@ def test_verify_output_pinned(capsys, seed, digest):
                                   "--seed", str(seed)])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "preset,digest",
+    [("capacity:uniform",
+      "94a71b54062a6206f81fcd3b7c61af5a45567da83f2c6e1fb807215a8f52168d"),
+     ("capacity:uniform:0.5",
+      "411acc4d08ca7c8c8c93195fc99dd1d34f7dac9968c3f767f74ba0a4ecb02fdc"),
+     ("capacity:uniform:3",
+      "5132d2b3bc02d5e76a4a314aaba6e5eff00cc3158e89adb89e060278596c3294")],
+)
+def test_capacity_canonical_output_pinned(capsys, preset, digest):
+    # Pinned stdout, stderr and exit code at depths 0 .. 5 for each --m-max,
+    # the refusals of a negative --m-max and of depth 5 among them.
+    h = hashlib.sha256()
+    for n in range(6):
+        for m_max in (None, 0, 1, 3, 7, 100, -1):
+            argv = ["canonical", "--preset", preset, "--depth", str(n)]
+            if m_max is not None:
+                argv += ["--m-max=%d" % (m_max,)]
+            code, out, err = run(capsys, argv)
+            h.update(("%d\n%s\n%s\n" % (code, out, err)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_rejected_command_keeps_out_file(tmp_path, capsys):

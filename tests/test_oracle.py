@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from pwckit import oracle
 from pwckit.capacity import cap_table
 from pwckit.cli import main
+from pwckit.dp import dp_W
 from pwckit.clustering import (
     FirstOrderClustering,
     HArray,
@@ -494,3 +496,53 @@ def test_short_weights_name_h_values(spec, n):
                  lambda: enum_density(spec, n, 0.5), lambda: phi_vector(spec, n)):
         with pytest.raises(SpecConfigError, match="'h.values'.*too short for depth %d" % n):
             call()
+
+
+PIN_PRESETS = ("zero", "first:linear:3ln2", "first:logcorrected", "dgff",
+               "capacity:uniform", "capacity:uniform:0.5", "capacity:uniform:3")
+
+
+def pin_specs(n):
+    """68 specs at depth n: seven presets, 30 random first-order, 30 random
+    second-order and one random capacity spec."""
+    rng = np.random.default_rng(300 + n)
+    specs = [parse_preset(p) for p in PIN_PRESETS]
+    specs += [random_first_order(n, rng) for _ in range(30)]
+    specs += [random_second_order(n, rng) for _ in range(30)]
+    return specs + [random_capacity(n, rng)]
+
+
+def test_oracle_floats_pinned():
+    # Phi by class, ln Z at two J and the full canonical table of 340 specs
+    # at depths 0 .. 4, hashed as bytes.
+    digest = hashlib.sha256()
+    for n in range(ORACLE_MAX_DEPTH + 1):
+        for spec in pin_specs(n):
+            digest.update(oracle._class_phi(spec, n).tobytes())
+            digest.update(np.array([enum_Z(spec, n, j).ln for j in (-2.5, 0.7)]).tobytes())
+            digest.update(enum_W(spec, n).ln_w.tobytes())
+    assert digest.hexdigest() == (
+        "12188d91141e4aea816529cd64c07d6d538d250ef453b3a30929b7cb96e97a0b")
+
+
+def test_weights_past_the_range_rule_name_h_values():
+    # The oracle refuses what the dynamic programs refuse, with their key,
+    # instead of summing overflowed weights into NaN.
+    spec = FirstOrderClustering(HSequence([-9e307, 0.0, 0.0, 0.0, 0.0]), 0.0)
+    for call in (lambda: enum_zeta(spec, 4, 0.0), lambda: enum_W(spec, 4),
+                 lambda: phi_vector(spec, 4)):
+        with pytest.raises(SpecConfigError, match="'h.values'.*float range"):
+            call()
+
+
+def test_enum_w_is_sized_as_dp_w():
+    # enum_W takes dp_W's m_max and allow_large and cuts its table to the
+    # same size; a negative m_max is refused naming m_max.
+    spec = tiny_first()
+    full = enum_W(spec, 3).ln_w
+    for m_max in (0, 1, 5, 8, 100):
+        table = enum_W(spec, 3, m_max=m_max, allow_large=False)
+        assert table.m_max == dp_W(spec, 3, m_max=m_max).m_max
+        assert hexes(table.ln_w) == hexes(full[: table.m_max + 1])
+    with pytest.raises(SpecConfigError, match="'m_max'"):
+        enum_W(spec, 3, m_max=-1)

@@ -12,6 +12,7 @@ from pwckit.cli import _nodes, main
 from pwckit.clustering import (
     FirstOrderClustering,
     HSequence,
+    SpecConfigError,
     UnsupportedVariant,
     capacity_uniform,
     dgff_spec,
@@ -317,3 +318,26 @@ def test_draws_equal_their_normalized_leafset(name, n, j, seed):
     for draw in sample(spec, n, j, seed, num_samples=4):
         assert draw == LeafSet(n, list(draw.leaves))
         assert all(type(x) is int for x in draw.leaves)
+
+
+@pytest.mark.parametrize(
+    "spec,j",
+    [(first_linear(1.0), [0.5, 3.0]), (first_linear(1.0), [0.5]),
+     (dgff_spec(), np.full(200, 0.5))],
+    ids=["first-two", "first-one", "dgff-200"],
+)
+def test_sampler_refuses_j_array(spec, j):
+    # One J only: an array, even of one, is refused naming j, by the
+    # Sampler and by sample, as by dp_Z and enum_Z.
+    with pytest.raises(SpecConfigError, match="'j'"):
+        Sampler(spec, 10, j)
+    with pytest.raises(SpecConfigError, match="'j'"):
+        sample(spec, 10, j, seed=0)
+
+
+def test_negative_seed_names_seed():
+    # The seed is checked before the draw count and the output guard.
+    with pytest.raises(SpecConfigError, match="'seed'"):
+        sample(zero_spec(), 3, 0.5, seed=-1)
+    with pytest.raises(SpecConfigError, match="'seed'"):
+        Sampler(zero_spec(), 3, 0.5).sample_many(0, -1)
