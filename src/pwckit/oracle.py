@@ -31,14 +31,17 @@ import numpy as np
 
 from . import capacity as _capacity
 from .clustering import SpecConfigError, check_capacities, check_family
-from .dp import (NEG_INF, CanonicalTable, LogReal, _check_j, _one_j, _per_j,
-                 _table_size, _weights)
+from .dp import (NEG_INF, CanonicalTable, LogReal, _check_j, _integer, _one_j,
+                 _per_j, _table_size, _weights)
 from .tree import SHAPE_MAX_DEPTH, shape_table
 
 ORACLE_MAX_DEPTH = SHAPE_MAX_DEPTH
 
 
 def _check_depth(n):
+    """The depth ``n`` as an int (``dp._integer``), refused naming ``depth``
+    unless 0 <= n <= ORACLE_MAX_DEPTH."""
+    n = _integer(n, "depth")
     if n > ORACLE_MAX_DEPTH:
         raise SpecConfigError(
             "depth", "enumeration over 2^(2^%d) subsets refused; depth <= %d only"
@@ -46,11 +49,12 @@ def _check_depth(n):
         )
     if n < 0:
         raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
+    return n
 
 
 def _class_phi(spec, n):
     """Phi of every shape at depth n, as a float array by class."""
-    _check_depth(n)
+    n = _check_depth(n)
     if spec.variant == "capacity":
         caps = _capacity.cap_classes(n, spec.profile(n))
         check_capacities(caps[1:], n, spec.key)
@@ -109,6 +113,7 @@ def _exact_sums(values, groups=None, count=1, mult=None):
 def _root(spec, n, j, ratio=False):
     """``(ln Z_n, rho_n)`` at each J of ``j`` (rho_n None without ``ratio``)
     from one Phi, whose depth check comes before J's, which it bounds."""
+    n = _check_depth(n)
     phi = _class_phi(spec, n)
     sizes, mult = shape_table(n).sizes, shape_table(n).mult
     ln_z, rho = [], []
@@ -167,7 +172,7 @@ def enum_maxterm(spec, n):
     is what dp_W_maxterm reports; this helper returns the profile-level
     quantity by grouping the shapes by first-order profile.
     """
-    _check_depth(n)
+    n = _check_depth(n)
     check_family(spec, ("first",), "enum_maxterm")
     shapes = shape_table(n)
     neg_phi = -_class_phi(spec, n)

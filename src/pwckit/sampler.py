@@ -41,7 +41,7 @@ class Sampler:
 
     def __init__(self, spec, n, j):
         self.spec = spec
-        self.depth = n
+        self.depth = n = dp._depth(n)
         self.j = j
         H, const = dp._weights(spec, n)
         levels = [f[:, 0] for f, _ in dp._levels(H, dp._check_j(dp._one_j(j), n), n)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pwckit import dp, oracle
+from pwckit import dp, oracle, parse_preset
 from pwckit.analysis import bisect_upper
 from pwckit.clustering import (
     FirstOrderClustering,
@@ -658,3 +658,147 @@ def test_j_chunks_change_no_float(monkeypatch):
     monkeypatch.setattr(dp, "_BLOCK", 64)
     got = [hexes(zeta(s, n, grid)) + hexes(dp_density(s, n, grid)) for s, n in cases]
     assert got == want
+
+
+# One-point first-order passes run as a float chain (dp._chain); these pin
+# its floats to the root row of a _levels pass at the same J.
+
+_BENCH_PRESETS = ("zero", "first:linear:2", "first:linear:3ln2",
+                  "first:logcorrected", "dgff")
+_CHAIN_DEPTHS = (0, 1, 2, 16, 60, 200, dp.MAX_DEPTH)
+_LATTICE = [-3.0 + 0.05 * i for i in range(121)]
+
+
+def levels_root(spec, n, j):
+    """(ln Z_n, rho_n) at one J from the root row of a _levels pass."""
+    H, const = dp._weights(spec, n)
+    for f, r in dp._levels(H, np.array([j]), n, ratio=True):
+        pass
+    occupied = -const + f[-1]
+    ln_z = np.logaddexp(0.0, occupied)
+    return ln_z, np.exp(occupied - ln_z) * r[-1] / (1 << n)
+
+
+def assert_chain_matches_levels(spec, n, j):
+    ln_z, rho = levels_root(spec, n, j)
+    assert hexes(dp_Z(spec, n, j).ln) == hexes(ln_z)
+    assert hexes(zeta(spec, n, j)) == hexes(ln_z / (1 << n))
+    assert hexes(dp_density(spec, n, j)) == hexes(rho)
+
+
+def test_one_point_chain_is_bit_identical():
+    rng = np.random.default_rng(37)
+    specs = [parse_preset(name) for name in _BENCH_PRESETS]
+    specs += [random_first_order(dp.MAX_DEPTH, rng) for _ in range(30)]
+    specs.append(random_first_order(dp.MAX_DEPTH, rng, scale=2.0**-12))
+    cases = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for spec in specs:
+            for n in _CHAIN_DEPTHS:
+                try:
+                    dp._weights(spec, n)
+                except SpecConfigError:
+                    continue  # the weights carry ln Z out of float range
+                inside = float(np.nextafter(_range_bound(n), 0.0))
+                js = [-0.0, 0.0, inside, -inside] + rng.choice(_LATTICE, 6).tolist()
+                for j in js:
+                    if abs(j) < _range_bound(n):
+                        assert_chain_matches_levels(spec, n, j)
+                        cases += 1
+    # every depth is reached, MAX_DEPTH by zero and the small random weights
+    assert cases >= 1500
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 80),
+       st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([0.01, 1.0, 30.0]))
+@settings(max_examples=200, deadline=None)
+def test_one_point_chain_matches_levels_on_random_weights(seed, n, j, scale):
+    spec = random_first_order(n, np.random.default_rng(seed), scale=scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_chain_matches_levels(spec, n, j)
+
+
+def test_only_one_point_first_order_passes_take_the_chain(monkeypatch):
+    calls = []
+    levels = dp._levels
+    monkeypatch.setattr(dp, "_levels", lambda *a, **k: calls.append(a[2]) or levels(*a, **k))
+    for fn in (zeta, dp_density):
+        for spec, n, j, want in ((first_linear(3 * LN2), 60, 0.5, 0),
+                                 (first_linear(3 * LN2), 60, [0.5], 0),
+                                 (zero_spec(), 16, np.array([-1.0]), 0),
+                                 (first_linear(3 * LN2), 60, [0.5, 1.0], 1),
+                                 (dgff_spec(), 60, 0.5, 1)):
+            calls.clear()
+            fn(spec, n, j)
+            assert len(calls) == want, (fn.__name__, spec, j)
+    calls.clear()
+    dp_Z(first_linear(2.0), 16, 0.5)
+    assert calls == []
+
+
+def test_float_logaddexp_is_numpys():
+    # The chain's floats rest on this identity: numpy's float64 logaddexp
+    # is x == y ? x + ln2 : max + log1p(exp(-|x - y|)) on libm's exp and
+    # log1p, which dp._logaddexp computes through math.
+    rng = np.random.default_rng(41)
+    x = rng.normal(0.0, 1.0, 20000) * rng.choice([1e-3, 1.0, 30.0, 1e6, 1e300], 20000)
+    gap = rng.normal(0.0, 1.0, 20000) * rng.choice([0.0, 1e-12, 1.0, 45.0, 800.0], 20000)
+    y = x + gap
+    assert (x == y).sum() >= 3000 and (np.abs(x - y) > 40.0).sum() >= 3000
+    inf = np.inf
+    x = np.concatenate((x, [0.0, -0.0, 0.0, inf, -inf, inf, -inf, 5.0, 5.0, 1e308]))
+    y = np.concatenate((y, [0.0, 0.0, -0.0, inf, -inf, -inf, 7.0, -inf, 50.0, -1e308]))
+    with np.errstate(over="ignore"):  # 1e308 - -1e308 is inf
+        want = np.logaddexp(x, y)
+    got = np.array([dp._logaddexp(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, (
+        "np.logaddexp no longer equals max + log1p(exp(-|x - y|)) on libm, "
+        "so dp._chain's floats differ from _levels's: first at x=%r, y=%r"
+        % (x[bad[0]], y[bad[0]]))
+
+
+def test_two_dimensional_j_is_refused():
+    grid = [[0.0, 1.0], [2.0, 3.0]]
+    for j in (grid, np.array(grid), np.zeros((1, 1)), np.zeros((1, 1, 1))):
+        for fn, spec, n in ((zeta, first_linear(2.0), 8), (dp_density, dgff_spec(), 8),
+                            (zeta, dgff_spec(), 8), (dp_density, zero_spec(), 3),
+                            (oracle.enum_zeta, first_linear(2.0), 2),
+                            (oracle.enum_density, dgff_spec(), 2)):
+            with pytest.raises(SpecConfigError, match="'j'"):
+                fn(spec, n, j)
+
+
+def test_numpy_integer_depths_compute_at_their_value():
+    spec = first_linear(3 * LN2)
+    for n in (np.int64(8), np.int32(3), np.uint8(2), np.int64(100)):
+        m = int(n)
+        assert zeta(spec, n, 0.5) == zeta(spec, m, 0.5)
+        assert dp_density(spec, n, [0.5, 1.0]).tolist() == dp_density(spec, m, [0.5, 1.0]).tolist()
+        assert dp_Z(dgff_spec(), n, 0.5) == dp_Z(dgff_spec(), m, 0.5)
+        assert Sampler(spec, n, 0.5).ln_z == Sampler(spec, m, 0.5).ln_z
+        assert type(Sampler(spec, n, 0.5).depth) is int
+    for n in (np.int64(3), np.int32(2)):
+        m = int(n)
+        assert hexes(dp_W(dgff_spec(), n).ln_w) == hexes(dp_W(dgff_spec(), m).ln_w)
+        assert hexes(dp_W_maxterm(spec, n).ln_w) == hexes(dp_W_maxterm(spec, m).ln_w)
+        assert oracle.enum_zeta(spec, n, 0.5) == oracle.enum_zeta(spec, m, 0.5)
+        assert hexes(oracle.enum_W(dgff_spec(), n).ln_w) == hexes(oracle.enum_W(dgff_spec(), m).ln_w)
+    assert hexes(dp_W(spec, 8, m_max=np.int64(3)).ln_w) == hexes(dp_W(spec, 8, m_max=3).ln_w)
+
+
+def test_non_integer_depths_and_sizes_are_refused():
+    spec = first_linear(3 * LN2)
+    for n in (True, False, np.bool_(True), 8.0, 3.7, "8", None):
+        for fn in (lambda: zeta(spec, n, 0.5), lambda: dp_density(spec, n, 0.5),
+                   lambda: dp_Z(spec, n, 0.5), lambda: dp_W(spec, n),
+                   lambda: dp_W_maxterm(spec, n), lambda: Sampler(spec, n, 0.5),
+                   lambda: oracle.enum_zeta(spec, n, 0.5), lambda: dp._weights(spec, n)):
+            with pytest.raises(SpecConfigError, match="'depth'"):
+                fn()
+    for m_max in (3.7, 3.0, True, "3"):
+        for fn in (dp_W, dp_W_maxterm, oracle.enum_W):
+            with pytest.raises(SpecConfigError, match="'m_max'"):
+                fn(spec, 3, m_max=m_max)
