@@ -145,8 +145,12 @@ def _quiet_overflow(fn):
 
 
 def _check_k_max(k_max):
+    """``k_max`` as an int (``dp._integer``), refused naming ``k_max`` unless
+    it lies in 1 .. ``_K_MAX_CAP``."""
+    k_max = dp._integer(k_max, "k_max")
     if not 1 <= k_max <= _K_MAX_CAP:
         raise SpecConfigError("k_max", "must lie in 1 .. %d, got %d" % (_K_MAX_CAP, k_max))
+    return k_max
 
 
 #: the families each criterion serves
@@ -214,7 +218,7 @@ def kappa2(spec, k_max=K_MAX_DEFAULT):
     the true sup may lie beyond the cutoff. An empty sum (a table with no
     age past 0) certifies nothing: divergent.
     """
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
     check_family(spec, _SECOND, "kappa2")
     h = spec.h
     k_max = min(k_max, h.max_age)
@@ -383,7 +387,7 @@ def tauberian_first(spec, k_max=K_MAX_DEFAULT):
     k_max // 2 + 1; k_max is cut to a finite list's last age, and a list
     with no age past 0 has no age to report and is inconclusive.
     """
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
     check_family(spec, _FIRST, "tauberian_first")
     h = spec.h
     k_max = min(k_max, h.max_age)
@@ -487,6 +491,7 @@ def bisect_upper(spec, n, delta, tail):
     ``depths`` when the range bound at depth n cut the bracket ends and
     left none, or none where the condition is false.
     """
+    n = dp._depth(n)
     H, const = dp._weights(spec, n)
     bound = dp._range_bound(n)
     grid = _BRACKET_ENDS[np.abs(_BRACKET_ENDS) < bound]
@@ -588,14 +593,18 @@ def estimate_jstar(spec, depths, delta=None, k_max=K_MAX_DEFAULT):
     when the spec sets the constant, and ``h.values`` otherwise.
     """
     check_family(spec, _FIRST + _SECOND, "threshold estimation")
+    try:
+        depths = [dp._integer(n, "depths") for n in depths]
+    except TypeError:  # not a sequence
+        raise SpecConfigError("depths", "takes a list of depths, got %r" % (depths,)) from None
     if not depths or min(depths) < 0 or max(depths) > dp.MAX_DEPTH:
         raise SpecConfigError(
             "depths", "need one or more depths in 0 .. %d, got %r"
-            % (dp.MAX_DEPTH, list(depths))
+            % (dp.MAX_DEPTH, depths)
         )
     if delta is not None and not 0.0 < delta < math.inf:
         raise SpecConfigError("delta", "must be finite and positive, got %r" % (delta,))
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
     uppers, tails, deltas, slopes, sizes = [], [], [], [], []
     for n in depths:
         tail = tail_bound(spec, n)

@@ -541,13 +541,34 @@ def _write(outputs):
                     fh.close()
 
 
+def _parse(argv):
+    """The namespace of ``argv``, parsed once.
+
+    An argv that starts with a command word goes straight to that command's
+    parser, the one ``build_parser()`` hands the rest of the argv to. Any
+    other argv, and one that leaves tokens that parser does not take, goes
+    through the full parser, so the top-level usage, help and error text are
+    always the full parser's.
+    """
+    parser = build_parser()
+    if argv:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        command = sub.choices.get(argv[0])
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:])
+            if not rest:
+                args.command = argv[0]
+                return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_grid_values(list(argv)))
+    args = _parse(_join_grid_values(list(argv)))
     try:
         lines, summary, code = args.fn(args)
-        outputs = [("out", args.out, "".join(line + "\n" for line in lines))]
+        outputs = [("out", args.out, "\n".join(lines) + "\n" if lines else "")]
         if args.summary:
             outputs.append(("summary", args.summary, _json(summary, indent=2) + "\n"))
         _write(outputs)

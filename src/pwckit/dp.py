@@ -108,6 +108,10 @@ W_SECOND_MAX_DEPTH = 10
 #: past this depth the recursion leaves float range at every J
 MAX_DEPTH = 1022
 
+#: 2^-(d+2) for d = 0 .. ``MAX_DEPTH``: the weight of |h_d| in ``_weights``'s
+#: range rule
+_AGE_SCALE = np.ldexp(1.0, -np.arange(MAX_DEPTH + 1) - 2)
+
 #: entries per temporary block of the level tables, the size convolution
 #: and the max-plus chain (512 KB of float64)
 _BLOCK = 1 << 16
@@ -229,7 +233,7 @@ def _weights(spec, n):
     # both sides scaled by 1/4, so that the sums cannot overflow
     limit = _range_bound(n + 2)
     size = np.abs(H[:, : n + 1]).max(axis=0)
-    weights = np.ldexp(size, -np.arange(n + 1) - 2).sum()
+    weights = (size * _AGE_SCALE[: n + 1]).sum()
     if not weights + math.ldexp(abs(const), -(n + 2)) < limit:
         raise SpecConfigError(
             "h.values" if not weights < limit else "h_const",
@@ -274,10 +278,15 @@ def _level_ends(H, n, width):
 
 
 def _check_j(j, n):
-    """``j`` as a one-dimensional float array, refused naming ``j`` if it has
-    more dimensions or unless every J is finite with |J| below
-    ``_range_bound(n)``."""
-    j = np.atleast_1d(np.asarray(j, dtype=float))
+    """``j`` as a one-dimensional float array, refused naming ``j`` if it is
+    not an array of numbers, has more dimensions, or unless every J is finite
+    with |J| below ``_range_bound(n)``."""
+    try:
+        j = np.atleast_1d(np.asarray(j, dtype=float))
+    except (TypeError, ValueError):
+        raise SpecConfigError(
+            "j", "takes a number or a grid of numbers, got %r" % (j,)
+        ) from None
     if j.ndim > 1:
         raise SpecConfigError(
             "j", "takes a number or a one-dimensional grid, got an array of shape %s"
@@ -422,10 +431,14 @@ def _per_j(j, values):
 def _one_j(j):
     """``j`` itself if it is a single J; an array, even of one, is refused
     naming ``j``."""
-    if np.ndim(j) != 0:
+    try:
+        shape = np.shape(j)
+    except ValueError:  # nested lists of unequal lengths
+        shape = "(ragged)"
+    if shape != ():
         raise SpecConfigError(
             "j", "takes one J, got an array of shape %s; zeta and the density "
-            "take a grid" % (np.shape(j),)
+            "take a grid" % (shape,)
         )
     return j
 

@@ -944,6 +944,35 @@ def test_one_weight_list_verdict_is_inconclusive():
         two_point_verdict(spec, 0)
 
 
+def test_numpy_integer_depths_and_k_max_give_the_same_floats():
+    spec = first_linear(2.0)
+    assert bisect_upper(spec, np.int64(8), 0.5, 0.0) == bisect_upper(spec, 8, 0.5, 0.0)
+    report = estimate_jstar(spec, [np.int64(8), np.int32(4)], k_max=np.int64(1000))
+    assert report == estimate_jstar(spec, [8, 4], k_max=1000)
+    assert all(type(n) is int for n in report.depths)
+    assert _hexes(kappa2(dgff_spec(), k_max=np.int64(1000))) == _hexes(
+        kappa2(dgff_spec(), k_max=1000))
+    assert tauberian_first(spec, np.int32(100)).verdict == tauberian_first(spec, 100).verdict
+
+
+def test_non_integer_depths_and_k_max_are_refused():
+    spec = first_linear(2.0)
+    for bad in (8.5, 8.0, True, "8"):
+        with pytest.raises(SpecConfigError, match="'depths'"):
+            estimate_jstar(spec, [bad])
+        with pytest.raises(SpecConfigError, match="'depths'"):
+            estimate_jstar(spec, bad)
+        with pytest.raises(SpecConfigError, match="'depth'"):
+            bisect_upper(spec, bad, 0.5, 0.0)
+    for bad in (1000.5, 1000.0, True, "1000"):
+        with pytest.raises(SpecConfigError, match="'k_max'"):
+            kappa2(dgff_spec(), k_max=bad)
+        with pytest.raises(SpecConfigError, match="'k_max'"):
+            tauberian_first(spec, bad)
+        with pytest.raises(SpecConfigError, match="'k_max'"):
+            estimate_jstar(spec, [4], k_max=bad)
+
+
 def test_threshold_verdict_matches_diagnose_past_age_100000():
     # u_k = 1e-4 max(0, k - 100000) grows past age 100000 only, so a verdict
     # that reads no age past 100000 is inconclusive here.

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import pwckit
-from pwckit import dp
+from pwckit import cli, dp
 from pwckit.cli import main
 from pwckit.clustering import dgff_spec, first_linear, load_spec_file, save_spec_file
+
+from test_cli_grammar import SUBCOMMANDS
 
 
 def run(capsys, argv):
@@ -1152,3 +1154,60 @@ def test_overflowing_weights_diagnose_returns(tmp_path, capsys):
         assert (code, err) == (0, "")
         assert out.splitlines()[2:4] == ["0.25,-inf # divergent",
                                          "0.125,-inf # divergent"]
+
+
+#: one valid argv per subcommand, every flag kind among them
+DISPATCH_ARGVS = {
+    "zeta": ["zeta", "--preset", "zero", "--depth", "3", "--j-grid=-1:1:0.5"],
+    "density": ["density", "--spec-file", "x.json", "--depth", "5", "--j-grid", "0,2",
+                "--out", "o.csv", "--summary", "s.json"],
+    "canonical": ["canonical", "--preset", "dgff", "--dep", "4", "--m-max", "7",
+                  "--maxterm", "--allow-large"],
+    "threshold": ["threshold", "--preset", "zero", "--depths", "8,12", "--delta", "0.5",
+                  "--k-max", "1000"],
+    "sample": ["sample", "--preset", "zero", "--depth", "4", "--j", "0.5", "--num", "3",
+               "--seed", "7"],
+    "capacity": ["capacity", "--depth", "2", "--subset", "0,1", "--subset", "3",
+                 "--conductance", "2"],
+    "verify": ["verify"],
+    "diagnose": ["diagnose", "--preset", "first:linear:3ln2", "--s-grid", "pow2:2:5"],
+}
+
+
+def test_dispatch_namespace_matches_the_full_parser():
+    # The command word's own parser gives the namespace the full parser gives.
+    assert sorted(DISPATCH_ARGVS) == sorted(SUBCOMMANDS)
+    for argv in DISPATCH_ARGVS.values():
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv)), argv
+
+
+def test_dispatch_parses_a_command_once(monkeypatch):
+    # A valid command never reaches the full parser.
+    def full(*args, **kwargs):
+        raise AssertionError("the full parser parsed %r" % (args,))
+
+    monkeypatch.setattr(cli.build_parser(), "parse_known_args", full)
+    for argv in DISPATCH_ARGVS.values():
+        assert cli._parse(argv).command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nope"], ["zet", "--preset", "zero"], ["zeta", "-h"], ["sample", "--help"],
+    ["zeta", "--preset", "zero", "--depth", "3", "--j-grid", "0", "--bogus"],
+    ["zeta", "--preset", "zero", "--depth", "3", "--j-grid", "0", "extra"],
+    ["zeta", "--preset", "zero", "--j-grid", "0"],
+    ["zeta", "--preset", "zero", "--depth", "x", "--j-grid", "0"],
+    ["canonical", "--preset", "zero", "--dep"],
+    ["-h", "zeta"], ["zeta", "--", "x"],
+])
+def test_dispatch_help_and_errors_match_the_full_parser(argv, capsys):
+    # Help and usage errors exit with the full parser's code and text.
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    got = outcome(main)
+    assert got == outcome(cli.build_parser().parse_args)
+    assert got[1] or got[2]

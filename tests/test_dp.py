@@ -197,8 +197,8 @@ def test_negative_weights_bounded_by_float_range():
 
 def test_dp_z_refuses_j_array():
     # dp_Z takes one J; a list, even of one, is refused naming j instead of
-    # being read at its first entry.
-    for j in ([0.5, 3.0], [0.5], np.array([0.5])):
+    # being read at its first entry, and so are a ragged list and text.
+    for j in ([0.5, 3.0], [0.5], np.array([0.5]), [[0.5], [1.0, 2.0]], "abc"):
         with pytest.raises(SpecConfigError, match="'j'"):
             dp_Z(dgff_spec(), 8, j)
         with pytest.raises(SpecConfigError, match="'j'"):
@@ -761,8 +761,10 @@ def test_float_logaddexp_is_numpys():
 
 
 def test_two_dimensional_j_is_refused():
+    # so are a ragged list and text, which numpy cannot read as floats
     grid = [[0.0, 1.0], [2.0, 3.0]]
-    for j in (grid, np.array(grid), np.zeros((1, 1)), np.zeros((1, 1, 1))):
+    for j in (grid, np.array(grid), np.zeros((1, 1)), np.zeros((1, 1, 1)),
+              [[0, 1], [2]], "abc"):
         for fn, spec, n in ((zeta, first_linear(2.0), 8), (dp_density, dgff_spec(), 8),
                             (zeta, dgff_spec(), 8), (dp_density, zero_spec(), 3),
                             (oracle.enum_zeta, first_linear(2.0), 2),

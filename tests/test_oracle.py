@@ -479,8 +479,9 @@ def test_grid_call_forms_phi_once(monkeypatch, capsys, command):
 
 
 def test_enum_z_refuses_j_array():
-    # One J only: a list, even of one, is refused naming j.
-    for j in ([0.5, 3.0], [0.5], np.array([0.5])):
+    # One J only: a list, even of one, is refused naming j, and so are a
+    # ragged list and text.
+    for j in ([0.5, 3.0], [0.5], np.array([0.5]), [[0.5], [1.0, 2.0]], "abc"):
         with pytest.raises(SpecConfigError, match="'j'"):
             enum_Z(tiny_first(), 3, j)
 

@@ -323,8 +323,9 @@ def test_draws_equal_their_normalized_leafset(name, n, j, seed):
 @pytest.mark.parametrize(
     "spec,j",
     [(first_linear(1.0), [0.5, 3.0]), (first_linear(1.0), [0.5]),
-     (dgff_spec(), np.full(200, 0.5))],
-    ids=["first-two", "first-one", "dgff-200"],
+     (dgff_spec(), np.full(200, 0.5)), (first_linear(1.0), [[0.5], [1.0, 2.0]]),
+     (first_linear(1.0), "abc")],
+    ids=["first-two", "first-one", "dgff-200", "first-ragged", "first-text"],
 )
 def test_sampler_refuses_j_array(spec, j):
     # One J only: an array, even of one, is refused naming j, by the
