@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .clustering import SpecConfigError, check_family
+from .clustering import SpecConfigError, _flag, _integer, _real, _reals, check_family
 from .dp import NEG_INF
 
 LN2 = math.log(2.0)
@@ -144,15 +144,6 @@ def _quiet_overflow(fn):
     return quiet
 
 
-def _check_k_max(k_max):
-    """``k_max`` as an int (``dp._integer``), refused naming ``k_max`` unless
-    it lies in 1 .. ``_K_MAX_CAP``."""
-    k_max = dp._integer(k_max, "k_max")
-    if not 1 <= k_max <= _K_MAX_CAP:
-        raise SpecConfigError("k_max", "must lie in 1 .. %d, got %d" % (_K_MAX_CAP, k_max))
-    return k_max
-
-
 #: the families each criterion serves
 _FIRST = ("first",)
 _SECOND = ("second",)
@@ -218,7 +209,7 @@ def kappa2(spec, k_max=K_MAX_DEFAULT):
     the true sup may lie beyond the cutoff. An empty sum (a table with no
     age past 0) certifies nothing: divergent.
     """
-    k_max = _check_k_max(k_max)
+    k_max = _integer(k_max, "k_max", 1, _K_MAX_CAP)
     check_family(spec, _SECOND, "kappa2")
     h = spec.h
     k_max = min(k_max, h.max_age)
@@ -260,7 +251,7 @@ class DiagnosticCurve:
 def _s_grid(s_values, order, allow_large):
     """The s grid as an array. Empty grids and points outside (0, 1] name
     's-grid', as do points below ``_COST_S[order]`` without ``allow_large``."""
-    s_arr = np.asarray(list(s_values), dtype=float)
+    s_arr, allow_large = _reals(s_values, "s-grid"), _flag(allow_large, "allow_large")
     if not s_arr.size or not np.all((s_arr > 0) & (s_arr <= 1)):
         raise SpecConfigError(
             "s-grid", "need one or more points in (0, 1], got %r" % (s_arr.tolist(),)
@@ -387,7 +378,7 @@ def tauberian_first(spec, k_max=K_MAX_DEFAULT):
     k_max // 2 + 1; k_max is cut to a finite list's last age, and a list
     with no age past 0 has no age to report and is inconclusive.
     """
-    k_max = _check_k_max(k_max)
+    k_max = _integer(k_max, "k_max", 1, _K_MAX_CAP)
     check_family(spec, _FIRST, "tauberian_first")
     h = spec.h
     k_max = min(k_max, h.max_age)
@@ -594,17 +585,13 @@ def estimate_jstar(spec, depths, delta=None, k_max=K_MAX_DEFAULT):
     """
     check_family(spec, _FIRST + _SECOND, "threshold estimation")
     try:
-        depths = [dp._integer(n, "depths") for n in depths]
+        depths = [_integer(n, "depths", 0, dp.MAX_DEPTH) for n in depths]
     except TypeError:  # not a sequence
-        raise SpecConfigError("depths", "takes a list of depths, got %r" % (depths,)) from None
-    if not depths or min(depths) < 0 or max(depths) > dp.MAX_DEPTH:
-        raise SpecConfigError(
-            "depths", "need one or more depths in 0 .. %d, got %r"
-            % (dp.MAX_DEPTH, depths)
-        )
-    if delta is not None and not 0.0 < delta < math.inf:
-        raise SpecConfigError("delta", "must be finite and positive, got %r" % (delta,))
-    k_max = _check_k_max(k_max)
+        depths = []
+    if not depths:
+        raise SpecConfigError("depths", "takes a list of one or more depths")
+    delta = None if delta is None else _real(delta, "delta", positive=True)
+    k_max = _integer(k_max, "k_max", 1, _K_MAX_CAP)
     uppers, tails, deltas, slopes, sizes = [], [], [], [], []
     for n in depths:
         tail = tail_bound(spec, n)

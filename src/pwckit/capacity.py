@@ -21,12 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import shape_table
+from .clustering import SpecConfigError, _depth, _instance, _real, _reals
+from .tree import LeafSet, _shape_depth, shape_table
 
 #: conductances of one profile may differ by a factor of at most 2^this, which
 #: keeps every scaled solve below (``ConductanceProfile.scaled_resistances``)
 #: inside the float range
 SPREAD_MAX_LOG2 = 256
+
+#: deepest profile: it holds one conductance per level
+DEPTH_MAX = 1 << 22
+
+
+def _check_profile(profile, depth):
+    """Refuse, naming ``profile``, anything but a ConductanceProfile of depth ``depth``."""
+    if _instance(profile, (ConductanceProfile,), "profile").depth != depth:
+        raise SpecConfigError("profile", "has depth %d, not %d" % (profile.depth, depth))
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,17 +46,18 @@ class ConductanceProfile:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(v <= 0 or not math.isfinite(v) for v in vals):
-            raise ValueError("conductances must be positive and finite")
+        vals = tuple(_reals(self.values, "values").tolist())
+        if not all(0 < v < math.inf for v in vals):
+            raise SpecConfigError("values", "conductances must be positive and finite")
         if vals and math.log2(max(vals)) - math.log2(min(vals)) > SPREAD_MAX_LOG2:
-            raise ValueError("conductances must lie within a factor 2^%d of each other"
-                             % (SPREAD_MAX_LOG2,))
+            raise SpecConfigError("values", "conductances must lie within a factor 2^%d "
+                                  "of each other" % (SPREAD_MAX_LOG2,))
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def uniform(cls, depth, c=1.0):
-        return cls((c,) * depth)
+    def uniform(cls, depth, conductance=1.0):
+        depth = _depth(depth, DEPTH_MAX)
+        return cls((_real(conductance, "conductance", positive=True),) * depth)
 
     @property
     def depth(self):
@@ -75,8 +86,7 @@ def cap_reduce(ls, profile):
     child branches in parallel. The reduction runs bottom-up, one level at a
     time, so its cost is linear in depth times |A| and it needs no recursion.
     """
-    if profile.depth != ls.depth:
-        raise ValueError("profile depth %d != leaf set depth %d" % (profile.depth, ls.depth))
+    _check_profile(profile, _instance(ls, (LeafSet,), "ls").depth)
     if len(ls) == 0:
         return 0.0
     res, k = profile.scaled_resistances()
@@ -108,9 +118,8 @@ def cap_quadratic(ls, profile):
     equations for the potential at every free vertex (everything except the
     root and the grounded leaves) and evaluates the Dirichlet energy.
     """
-    n = ls.depth
-    if profile.depth != n:
-        raise ValueError("profile depth %d != leaf set depth %d" % (profile.depth, n))
+    n = _instance(ls, (LeafSet,), "ls").depth
+    _check_profile(profile, n)
     if len(ls) == 0:
         return 0.0
     if n == 0:
@@ -163,8 +172,7 @@ def cap_classes(depth, profile):
     class: the series-parallel merge of each class's child pair, level by
     level. An empty half has infinite resistance; a depth-0 leaf, zero.
     """
-    if profile.depth != depth:
-        raise ValueError("profile depth mismatch")
+    _check_profile(profile, depth)
     res, k = profile.scaled_resistances()
     r = np.array([np.inf, 0.0])
     with np.errstate(divide="ignore", over="ignore"):
@@ -181,4 +189,5 @@ def cap_table(depth, profile):
     """CAP for every leaf subset of the depth-``depth`` tree, as an array
     indexed by bitmask: ``cap_classes`` gathered through the shape index.
     """
+    depth = _shape_depth(depth)
     return cap_classes(depth, profile)[shape_table(depth).index]

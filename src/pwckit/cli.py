@@ -38,6 +38,8 @@ import numpy as np
 from . import analysis, capacity as capmod, dp, oracle, sampler as sampmod
 from .clustering import (
     SpecConfigError,
+    _integer,
+    _real,
     check_capacities,
     check_family,
     load_spec_file,
@@ -46,16 +48,13 @@ from .clustering import (
     random_first_order,
     random_second_order,
 )
-from .tree import LeafSet, shape_table
+from .tree import LeafSet, _shape_depth, shape_table
 
 #: most points a start:stop:step J grid may hold
 _GRID_MAX = 1 << 16
 
 #: pow2:a:b exponents: past 1074, 2^-e is 0
 _POW2_MAX = 1074
-
-#: deepest ``capacity`` tree: its profile holds one conductance per level
-_CAPACITY_DEPTH_MAX = 1 << 22
 
 
 def _fmt(x):
@@ -103,19 +102,12 @@ def _parse_s_grid(text):
         parts = text.split(":")
         if len(parts) != 3:
             raise SpecConfigError("s-grid", "%r; expected pow2:a:b" % (text,))
-        a, b = _parse_each(int, parts[1:], "s-grid", text)
-        if not (0 <= a <= _POW2_MAX and 0 <= b <= _POW2_MAX):
-            raise SpecConfigError(
-                "s-grid", "%r; exponents must lie in 0 .. %d" % (text, _POW2_MAX)
-            )
+        a, b = (_integer(e, "s-grid", 0, _POW2_MAX)
+                for e in _parse_each(int, parts[1:], "s-grid", text))
         if b < a:
             a, b = b, a
         return [2.0**-e for e in range(a, b + 1)]
     return _parse_each(float, [p for p in text.split(",") if p], "s-grid", text)
-
-
-def _parse_depths(text):
-    return _parse_each(int, [p for p in text.split(",") if p], "depths", text)
 
 
 @contextlib.contextmanager
@@ -205,7 +197,7 @@ def _cmd_canonical(args):
 def _cmd_threshold(args):
     """The report document goes to --summary, or after the table if none."""
     spec = _load_spec(args)
-    depths = _parse_depths(args.depths)
+    depths = _parse_each(int, [p for p in args.depths.split(",") if p], "depths", args.depths)
     report = analysis.estimate_jstar(spec, depths, delta=args.delta, k_max=args.k_max)
     lines = ["n,jstar_upper,slope_estimate,tail,delta"]
     lines += [
@@ -253,27 +245,16 @@ def _parse_subset(text, depth):
 
 def _cmd_capacity(args):
     n = args.depth
-    if not 0 <= n <= _CAPACITY_DEPTH_MAX:
-        raise SpecConfigError(
-            "depth", "must lie in 0 .. %d, got %d" % (_CAPACITY_DEPTH_MAX, n)
-        )
     if args.spec_file:
         spec = _load_spec(args)
         check_family(spec, ("capacity",), "the capacity command")
         profile, key = spec.profile(n), spec.key
-    elif 0 < args.conductance < math.inf:
+    else:
         profile = capmod.ConductanceProfile.uniform(n, args.conductance)
         key = "conductance"
-    else:
-        raise SpecConfigError(
-            "conductance", "must be finite and positive, got %r" % (args.conductance,)
-        )
     subsets = [_parse_subset(s, n) for s in args.subset or []]
     if args.all_subsets:
-        oracle._check_depth(n)
-        subsets = [
-            LeafSet.from_mask(n, mask) for mask in range(1 << (1 << n))
-        ]
+        subsets = [LeafSet.from_mask(n, mask) for mask in range(1 << (1 << _shape_depth(n)))]
     if not subsets:
         raise SpecConfigError("subset", "give --subset leaves or --all-subsets")
     caps = [capmod.cap_reduce(ls, profile) for ls in subsets]
@@ -292,7 +273,7 @@ def _cmd_capacity(args):
 
 def _cmd_diagnose(args):
     spec = _load_spec(args)
-    analysis._check_k_max(args.k_max)
+    _integer(args.k_max, "k_max", 1, analysis._K_MAX_CAP)
     s_grid = _parse_s_grid(args.s_grid)
     second = spec.variant == "second"  # the analysis family check refuses capacity
     laplace = analysis.laplace_second if second else analysis.laplace_first
@@ -338,14 +319,9 @@ def _cmd_verify(args):
     """Every suite at every depth up to the oracle's and every draw: one FAIL
     line per failed check, in check order, then one PASS or FAIL line per
     suite, family by family (zeta-first, zeta-second, w-first, ...)."""
-    for key, value in (("depth", args.depth), ("draws", args.draws)):
-        if value < 1:
-            raise SpecConfigError(key, "must be at least 1, got %d" % (value,))
-    if args.seed < 0:
-        raise SpecConfigError("seed", "must be nonnegative, got %d" % (args.seed,))
-    if not 0 < args.tol < math.inf:
-        raise SpecConfigError("tol", "must be finite and positive, got %r" % (args.tol,))
-    tol = args.tol
+    for key, lo in (("depth", 1), ("draws", 1), ("seed", 0)):
+        _integer(getattr(args, key), key, lo)
+    tol = _real(args.tol, "tol", positive=True)
     depth_cap = min(args.depth, oracle.ORACLE_MAX_DEPTH)
     rng = np.random.default_rng(args.seed)
     lines, failures, failed = [], [], {}  # failed: suite -> bool, first-checked order
@@ -500,20 +476,39 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _commands():
+    """Each command word's parser, as ``build_parser()`` holds it."""
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@functools.lru_cache(maxsize=None)
+def _valued_flags():
+    """Every flag of every command that takes a value."""
+    return {flag for p in _commands().values() for action in p._actions
+            if action.nargs != 0 for flag in action.option_strings}
+
+
+def _dash_value(text):
+    """Whether argparse would take ``text`` for a flag, though it is a value: a
+    dash-leading grid ("-3:3:0.5", "-1,2") or number ("-1e-3")."""
+    try:
+        float(text)
+    except ValueError:
+        return text.startswith("-") and (":" in text or "," in text)
+    return text.startswith("-")
+
+
 def _join_grid_values(argv):
-    """Glue grid flags to dash-leading values ("--j-grid -3:3:0.5")."""
+    """Glue each flag that takes a value to a dash-leading value
+    ("--j-grid -3:3:0.5", "--j -1e-3"), which argparse would refuse."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--j-grid", "--s-grid") and i + 1 < len(argv):
-            nxt = argv[i + 1]
-            if nxt.startswith("-") and (":" in nxt or "," in nxt):
-                out.append("%s=%s" % (tok, nxt))
-                i += 2
-                continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] in _valued_flags() and _dash_value(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
@@ -550,16 +545,14 @@ def _parse(argv):
     through the full parser, so the top-level usage, help and error text are
     always the full parser's.
     """
-    parser = build_parser()
     if argv:
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        command = sub.choices.get(argv[0])
+        command = _commands().get(argv[0])
         if command is not None:
             args, rest = command.parse_known_args(argv[1:])
             if not rest:
                 args.command = argv[0]
                 return args
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):

@@ -25,15 +25,19 @@ from __future__ import annotations
 
 import json
 import math
-import sys
+import numbers
+import operator
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import capacity as cap_mod
-
 LN2 = math.log(2.0)
+
+#: ln Z_n grows like 2^n (it is 2^n ln 2 for the zero preset at J = 0), so
+#: past this depth the recursion leaves float range at every J
+MAX_DEPTH = 1022
 
 #: spread of ln conductance in ``random_capacity``
 _CAPACITY_SIGMA = 0.7
@@ -57,12 +61,87 @@ class UnsupportedVariant(SpecConfigError):
 
 def check_family(spec, families, what):
     """Refuse, naming ``variant``, a spec whose family is not one of
-    ``families``; ``what`` names the operation. Every family refusal comes
-    from here."""
+    ``families``, and naming ``spec`` anything that is not a spec; ``what``
+    names the operation. Every family refusal comes from here."""
+    _instance(spec, (FirstOrderClustering, SecondOrderClustering, CapacityClustering),
+              "spec")
     if spec.variant not in families:
         raise UnsupportedVariant(
             "%s serves %s specs, not %r" % (what, "/".join(families), spec.variant)
         )
+
+
+# ---------------------------------------------------------------------------
+# argument readers: each returns its argument as the type the code computes
+# with, or refuses it naming ``key``; the public callables read through them
+
+
+def _integer(value, key, lo=0, hi=None, past="must lie in %(lo)d .. %(hi)d, got %(n)d"):
+    """``value`` as an int (``operator.index``: a bool or 8.0 is refused), refused
+    naming ``key`` below ``lo`` and, with ``past``'s message, above ``hi``."""
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if n < lo:
+                raise SpecConfigError(key, "must be %s, got %d" % (
+                    "at least %d" % lo if lo else "nonnegative", n))
+            if hi is not None and n > hi:
+                raise SpecConfigError(key, past % {"lo": lo, "hi": hi, "n": n})
+            return n
+    raise SpecConfigError(key, "must be an integer, got %r" % (value,))
+
+
+def _depth(n, hi=MAX_DEPTH, past="must lie in 0 .. %(hi)d, got %(n)d"):
+    """The depth ``n`` as an int in 0 .. ``hi``, the deepest tree of a route
+    (``MAX_DEPTH`` for the recursions), refused naming ``depth``."""
+    return _integer(n, "depth", 0, hi, past)
+
+
+def _real(value, key, positive=False, finite=True):
+    """``value`` as a float: a real number (not a bool or text), finite unless
+    not ``finite``, positive with ``positive``; else refused naming ``key``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int or a fraction past the float range
+            x = None
+        if x is not None and (not finite or math.isfinite(x)) and (x > 0 or not positive):
+            return x
+    kind = ("finite " if finite else "") + ("positive " if positive else "")
+    raise SpecConfigError(key, "must be a %snumber, got %r" % (kind, value))
+
+
+def _flag(value, key):
+    """``value`` as a bool, from a bool or a numpy bool; else refused naming ``key``."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise SpecConfigError(key, "must be True or False, got %r" % (value,))
+
+
+def _reals(values, key, scalar=False):
+    """``values`` as a one-dimensional float array of numbers (not bools or text),
+    else refused naming ``key``; with ``scalar`` a number is a grid of one."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # nested sequences of unequal lengths
+        a = np.asarray(None)
+    if scalar and a.ndim == 0:
+        a = a.reshape(1)
+    if a.ndim != 1 or a.dtype.kind not in "iuf":
+        raise SpecConfigError(key, "takes a %sone-dimensional grid of numbers, got %r"
+                              % ("number or a " if scalar else "", values))
+    return a.astype(float, copy=False)
+
+
+def _instance(value, kinds, key):
+    """``value`` if it is an instance of one of the classes ``kinds``, else refused."""
+    if not isinstance(value, kinds):
+        raise SpecConfigError(key, "takes a %s, got %r" % (
+            " or ".join(k.__name__ for k in kinds), value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +168,8 @@ class HSequence:
 
     def __init__(self, source, tag=None):
         self._fn = source if callable(source) else None
-        self._values = None if callable(source) else np.array(source, dtype=float)
-        self.tag = tag
+        self._values = None if callable(source) else _reals(source, "source").copy()
+        self.tag = _instance(tag, (dict, type(None)), "tag")
 
     @property
     def max_age(self):
@@ -139,11 +218,12 @@ class HArray:
 
     def __init__(self, source, tag=None):
         self._fn = source if callable(source) else None
-        self._table, self.tag = None, tag
+        self._table, self.tag = None, _instance(tag, (dict, type(None)), "tag")
         if self._fn is None:
             # NaN marks missing cells; an extra NaN row and column stand for
             # every cell past the end, onto which lookups clamp their indices
-            rows = [np.asarray(r, dtype=float) for r in source]
+            rows = [_reals(r, "source")
+                    for r in _instance(source, (list, tuple, np.ndarray), "source")]
             width = max(map(len, rows), default=0)
             self._table = np.full((len(rows) + 1, width + 1), np.nan)
             for k, r in enumerate(rows):
@@ -227,6 +307,9 @@ class FirstOrderClustering:
 
     variant = "first"
 
+    def __post_init__(self):  # h_const is read with the weights (dp._weights)
+        _instance(self.h, (HSequence,), "h")
+
     def h_const_at(self, depth):
         return self.h(depth) if self.h_const is None else self.h_const
 
@@ -245,6 +328,9 @@ class SecondOrderClustering:
     h_const: float | None = None
 
     variant = "second"
+
+    def __post_init__(self):
+        _instance(self.h, (HArray,), "h")
 
     def h_const_at(self, depth):
         return self.h(depth + 1, depth) if self.h_const is None else self.h_const
@@ -266,6 +352,9 @@ class CapacityClustering:
 
     variant = "capacity"
 
+    def __post_init__(self):
+        _instance(self.conductance, (HSequence,), "conductance")
+
     @property
     def key(self):
         """The spec document's key for the conductances, which refusals name."""
@@ -273,6 +362,8 @@ class CapacityClustering:
         return "conductance.value" if uniform else "conductance.values"
 
     def profile(self, depth):
+        from . import capacity  # which imports this module
+        depth = _depth(depth, capacity.DEPTH_MAX)
         try:
             values = self.conductance(np.arange(depth))
         except IndexError as exc:
@@ -280,7 +371,7 @@ class CapacityClustering:
                 "conductance.values", "too short for depth %d: %s" % (depth, exc)
             ) from None
         try:
-            return cap_mod.ConductanceProfile(tuple(values))
+            return capacity.ConductanceProfile(tuple(values))
         except ValueError as exc:
             raise SpecConfigError(self.key, str(exc)) from None
 
@@ -314,8 +405,8 @@ def zero_spec():
 
 
 def first_linear(c):
-    """First-order weights h_k = c * k."""
-    c = float(c)
+    """First-order weights h_k = c * k, for a finite c."""
+    c = _real(c, "c")
     return FirstOrderClustering(
         HSequence(
             lambda k, c=c: c * k,
@@ -346,7 +437,8 @@ def dgff_spec():
 
 
 def capacity_uniform(c=1.0):
-    c = float(c)
+    """Conductance c on every edge, for a finite positive c."""
+    c = _real(c, "c", positive=True)
     return CapacityClustering(
         HSequence(
             lambda l, c=c: c,
@@ -356,15 +448,11 @@ def capacity_uniform(c=1.0):
 
 
 def _coefficient(text):
-    """Parse a finite slope such as ``2.5``, ``ln2``, or ``3ln2``."""
+    """Parse a slope such as ``2.5``, ``ln2``, or ``3ln2``."""
     if text.endswith("ln2"):
         head = text[: -len("ln2")]
-        c = (float(head) if head else 1.0) * LN2
-    else:
-        c = float(text)
-    if not math.isfinite(c):
-        raise ValueError("slope %r is not finite" % (text,))
-    return c
+        return (float(head) if head else 1.0) * LN2
+    return float(text)
 
 
 def parse_preset(text):
@@ -373,7 +461,7 @@ def parse_preset(text):
     Linear slopes accept an ``ln2`` suffix (``first:linear:3ln2``), and the
     compact form ``first:linear3ln2`` is tolerated.
     """
-    parts = text.split(":")
+    parts = _instance(text, (str,), "preset").split(":")
     try:
         if parts == ["zero"]:
             return zero_spec()
@@ -387,10 +475,8 @@ def parse_preset(text):
             if len(parts) == 2 and parts[1] == "logcorrected":
                 return first_logcorrected()
         if parts[0] == "capacity" and len(parts) >= 2 and parts[1] == "uniform":
-            c = float(parts[2]) if len(parts) == 3 else 1.0
-            if 0 < c < math.inf:
-                return capacity_uniform(c)
-    except ValueError:  # a slope or conductance that is not a number
+            return capacity_uniform(float(parts[2]) if len(parts) == 3 else 1.0)
+    except ValueError:  # a slope or conductance that is not a finite number
         pass
     raise SpecConfigError(
         "preset",
@@ -415,67 +501,45 @@ def _h_from_doc(doc, key):
         if name == "linear":
             if "c" not in doc:
                 raise SpecConfigError(key + ".c", "linear preset needs a slope")
-            return first_linear(_number(doc["c"], key + ".c")).h
+            return first_linear(_real(doc["c"], key + ".c")).h
         if name == "logcorrected":
             return first_logcorrected().h
         raise SpecConfigError(key + ".name", "unknown sequence preset %r" % (name,))
     raise SpecConfigError(key + ".kind", "unknown kind %r" % (kind,))
 
 
-def _number(v, key):
-    """A JSON number as a finite float; anything else names ``key``."""
-    # type() excludes bool; the comparison rejects nan, inf and too large ints
-    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
-        raise SpecConfigError(key, "expected a finite number, got %r" % (v,))
-    return float(v)
-
-
-def _numbers(values, key, empty=False):
-    """A JSON list of finite numbers as floats; anything else names ``key``."""
+def _numbers(values, key, empty=False, positive=False):
+    """A JSON list of finite (positive) numbers as floats (``_real``);
+    anything else names ``key``."""
     if not isinstance(values, list) or not (values or empty):
         raise SpecConfigError(key, "expected a %slist" % ("" if empty else "nonempty "))
-    return [_number(v, key) for v in values]
+    return [_real(v, key, positive) for v in values]
 
 
 def spec_from_doc(doc):
     """Build a clustering family from a parsed parameter document."""
-    if not isinstance(doc, dict):
-        raise SpecConfigError("<root>", "expected a JSON object")
-    variant = doc.get("variant")
+    variant = _instance(doc, (dict,), "<root>").get("variant")
     if variant == "zero":
         return zero_spec()
     if variant == "first":
-        if "h" not in doc:
-            raise SpecConfigError("h", "first-order family needs weights")
-        h = _h_from_doc(doc["h"], "h")
-        return FirstOrderClustering(h, _const_from_doc(doc))
+        return FirstOrderClustering(_h_from_doc(doc.get("h"), "h"), _const_from_doc(doc))
     if variant == "second":
-        hdoc = doc.get("h")
-        if not isinstance(hdoc, dict):
-            raise SpecConfigError("h", "second-order family needs weights")
+        hdoc = _instance(doc.get("h"), (dict,), "h")
         if hdoc.get("kind") == "preset" and hdoc.get("name") == "dgff":
             h = dgff_spec().h
         elif hdoc.get("kind") == "table":
-            table = hdoc.get("values")
-            if not isinstance(table, list):
-                raise SpecConfigError("h.values", "expected a list of rows")
+            table = _instance(hdoc.get("values"), (list,), "h.values")
             h = HArray([_numbers(r, "h.values", empty=True) for r in table])
         else:
             raise SpecConfigError("h.kind", "expected 'table' or the dgff preset")
         return SecondOrderClustering(h, _const_from_doc(doc))
     if variant == "capacity":
-        cdoc = doc.get("conductance")
-        if not isinstance(cdoc, dict):
-            raise SpecConfigError("conductance", "capacity family needs a profile")
+        cdoc = _instance(doc.get("conductance"), (dict,), "conductance")
         if cdoc.get("kind") == "uniform":
-            value = _number(cdoc.get("value", 1.0), "conductance.value")
-            if not value > 0:
-                raise SpecConfigError("conductance.value", "conductance must be positive")
-            return capacity_uniform(value)
+            value = cdoc.get("value", 1.0)
+            return capacity_uniform(_real(value, "conductance.value", positive=True))
         if cdoc.get("kind") == "list":
-            values = _numbers(cdoc.get("values"), "conductance.values")
-            if any(v <= 0 for v in values):
-                raise SpecConfigError("conductance.values", "conductances must be positive")
+            values = _numbers(cdoc.get("values"), "conductance.values", positive=True)
             return CapacityClustering(HSequence(values))
         raise SpecConfigError("conductance.kind", "expected 'uniform' or 'list'")
     raise SpecConfigError(
@@ -485,11 +549,11 @@ def spec_from_doc(doc):
 
 def _const_from_doc(doc):
     v = doc.get("h_const")
-    return None if v is None or v == "default" else _number(v, "h_const")
+    return None if v is None or v == "default" else _real(v, "h_const")
 
 
 def load_spec_file(path):
-    with open(path) as f:
+    with open(_instance(path, (str, os.PathLike), "path")) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
@@ -500,6 +564,8 @@ def load_spec_file(path):
 def save_spec_file(spec, path):
     """Write the parameter document of ``spec``, after checking that
     ``load_spec_file`` accepts it; a refused spec leaves ``path`` untouched."""
+    check_family(spec, ("first", "second", "capacity"), "save_spec_file")
+    _instance(path, (str, os.PathLike), "path")
     doc = spec.describe()
     for key in ("h", "conductance"):
         if doc.get(key) == {"kind": "function"}:
@@ -518,8 +584,15 @@ def save_spec_file(spec, path):
 # random families for cross-validation harnesses
 
 
+def _random_args(depth, rng, scale=1.0):
+    """A depth in 0 .. ``MAX_DEPTH``, a numpy Generator and a positive scale."""
+    return (_depth(depth), _instance(rng, (np.random.Generator,), "rng"),
+            _real(scale, "scale", positive=True))
+
+
 def random_first_order(depth, rng, scale=1.0):
     """Random nondecreasing weights with a valid constant, for testing."""
+    depth, rng, scale = _random_args(depth, rng, scale)
     steps = rng.exponential(scale, size=depth + 1)
     steps[0] = rng.uniform(0.0, scale)
     h = np.cumsum(steps)
@@ -529,7 +602,7 @@ def random_first_order(depth, rng, scale=1.0):
 
 def random_second_order(depth, rng, scale=1.0):
     """Random array nondecreasing in both indices, with a valid constant."""
-    n = depth
+    n, rng, scale = _random_args(depth, rng, scale)
     d = rng.exponential(scale / (n + 2), size=(n + 2, n + 2))
     table = np.cumsum(np.cumsum(d, axis=0), axis=1)
     h = HArray(table)
@@ -539,5 +612,6 @@ def random_second_order(depth, rng, scale=1.0):
 
 def random_capacity(depth, rng):
     """Random positive conductance profile."""
+    depth, rng, _ = _random_args(depth, rng)
     values = np.exp(rng.normal(0.0, _CAPACITY_SIGMA, size=depth))
     return CapacityClustering(HSequence(values))

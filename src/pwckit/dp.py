@@ -87,14 +87,14 @@ polynomial-state exact recursion is known to us.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .clustering import SpecConfigError, check_family
+from .clustering import (MAX_DEPTH, SpecConfigError, _depth, _flag, _integer, _real,
+                         _reals, check_family)
 
 LN2 = math.log(2.0)
 NEG_INF = float("-inf")
@@ -103,10 +103,6 @@ NEG_INF = float("-inf")
 #: at these depths (``_table_size``)
 W_FIRST_MAX_DEPTH = 12
 W_SECOND_MAX_DEPTH = 10
-
-#: ln Z_n grows like 2^n (it is 2^n ln 2 for the zero preset at J = 0), so
-#: past this depth the recursion leaves float range at every J
-MAX_DEPTH = 1022
 
 #: 2^-(d+2) for d = 0 .. ``MAX_DEPTH``: the weight of |h_d| in ``_weights``'s
 #: range rule
@@ -174,32 +170,6 @@ def _range_bound(n):
     return math.ldexp(sys.float_info.max, -(n + 2))
 
 
-def _integer(value, key):
-    """``value`` as an int, read through ``operator.index``; a bool, a float
-    (8.0 too) or anything else that is not an integer is refused naming
-    ``key``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise SpecConfigError(key, "must be an integer, got %r" % (value,))
-
-
-def _depth(n):
-    """The depth ``n`` as an int (``_integer``), refused naming ``depth``
-    unless 0 <= n <= ``MAX_DEPTH``. The dynamic programs and the sampler
-    read their depth here, so a numpy integer computes at its value."""
-    n = _integer(n, "depth")
-    if n < 0:
-        raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
-    if n > MAX_DEPTH:
-        raise SpecConfigError(
-            "depth", "ln Z_n leaves float range past depth %d, got %d" % (MAX_DEPTH, n)
-        )
-    return n
-
-
 def _weights(spec, n):
     """Branching weights ``(H, const)`` of a dp family at depth n.
 
@@ -208,7 +178,8 @@ def _weights(spec, n):
     row, because its weights do not depend on a. Every dynamic program and
     the sampler enter here, so bad depths, weight lists that stop short of
     the depth and weights that carry ln Z out of float range are rejected
-    here, naming their key.
+    here, naming their key. A constant left to its default is read from the
+    weights, as h_n (h[n+1][n] in second order), the float ``h_const_at`` returns.
 
     Negative weights raise ln F. With P_d = max(ln F_d, 0) the recursion
     gives P_d <= 2 P_{d-1} + max(0, -h_d) + 2 ln2, so h_d enters ln F_n with
@@ -225,14 +196,16 @@ def _weights(spec, n):
     try:
         with np.errstate(over="ignore"):  # an inf weight is refused below
             H = spec.h.array(n)
-            const = spec.h_const_at(n)
     except IndexError as exc:
         raise SpecConfigError("h.values", "too short for depth %d: %s" % (n, exc))
-    if spec.variant != "second":
-        H = H[None, :]
+    if spec.variant == "second":
+        size, const = np.abs(H[:, : n + 1]).max(axis=0), H[n + 1, n]
+    else:  # first order's row is h_0 .. h_n
+        size, const, H = np.abs(H), H[n], H[None, :]
+    const = float(const) if spec.h_const is None else _real(spec.h_const, "h_const",
+                                                                  finite=False)
     # both sides scaled by 1/4, so that the sums cannot overflow
     limit = _range_bound(n + 2)
-    size = np.abs(H[:, : n + 1]).max(axis=0)
     weights = (size * _AGE_SCALE[: n + 1]).sum()
     if not weights + math.ldexp(abs(const), -(n + 2)) < limit:
         raise SpecConfigError(
@@ -278,20 +251,9 @@ def _level_ends(H, n, width):
 
 
 def _check_j(j, n):
-    """``j`` as a one-dimensional float array, refused naming ``j`` if it is
-    not an array of numbers, has more dimensions, or unless every J is finite
-    with |J| below ``_range_bound(n)``."""
-    try:
-        j = np.atleast_1d(np.asarray(j, dtype=float))
-    except (TypeError, ValueError):
-        raise SpecConfigError(
-            "j", "takes a number or a grid of numbers, got %r" % (j,)
-        ) from None
-    if j.ndim > 1:
-        raise SpecConfigError(
-            "j", "takes a number or a one-dimensional grid, got an array of shape %s"
-            % (j.shape,)
-        )
+    """``j`` as a one-dimensional float array (``clustering._reals``), refused
+    naming ``j`` unless every J is finite with |J| below ``_range_bound(n)``."""
+    j = _reals(j, "j", scalar=True)
     bound = _range_bound(n)
     ok = np.abs(j) < bound
     if not ok.all():
@@ -428,28 +390,14 @@ def _per_j(j, values):
     return float(values[0]) if np.ndim(j) == 0 else values
 
 
-def _one_j(j):
-    """``j`` itself if it is a single J; an array, even of one, is refused
-    naming ``j``."""
-    try:
-        shape = np.shape(j)
-    except ValueError:  # nested lists of unequal lengths
-        shape = "(ragged)"
-    if shape != ():
-        raise SpecConfigError(
-            "j", "takes one J, got an array of shape %s; zeta and the density "
-            "take a grid" % (shape,)
-        )
-    return j
-
-
 def dp_Z(spec, n, j):
     """Grand partition function at one J as a LogReal; dispatches on the family."""
-    return (dp_Z_second if spec.variant == "second" else dp_Z_first)(spec, n, j)
+    kernel = dp_Z_second if getattr(spec, "variant", None) == "second" else dp_Z_first
+    return kernel(spec, n, j)
 
 
 def _dp_Z(spec, n, j):
-    j = _one_j(j)
+    j = _real(j, "j", finite=False)  # one J; zeta and dp_density take a grid
     n = _depth(n)
     H, const = _weights(spec, n)
     return LogReal(float(_ln_z(H, const, n, j)[0]))
@@ -554,7 +502,7 @@ def dp_W(spec, n, m_max=None, allow_large=False):
     without it the full table costs O(4^n). Either way the size is guarded
     (``_table_size``).
     """
-    kernel = dp_W_second if spec.variant == "second" else dp_W_first
+    kernel = dp_W_second if getattr(spec, "variant", None) == "second" else dp_W_first
     return kernel(spec, n, m_max=m_max, allow_large=allow_large)
 
 
@@ -567,11 +515,8 @@ def _size_cap(spec):
 def _table_size(spec, n, m_max, allow_large, label):
     """min(m_max, 2^n), the largest size a table at depth n holds (2^n for
     m_max None). Past ``_size_cap`` it needs ``allow_large``."""
-    if m_max is not None:
-        m_max = _integer(m_max, "m_max")
-        if m_max < 0:
-            raise SpecConfigError("m_max", "must be nonnegative, got %d" % (m_max,))
-    size = 1 << n if m_max is None else min(m_max, 1 << n)
+    allow_large = _flag(allow_large, "allow_large")
+    size = 1 << n if m_max is None else min(_integer(m_max, "m_max"), 1 << n)
     cap = _size_cap(spec)
     if size > cap and not allow_large:
         raise SpecConfigError(

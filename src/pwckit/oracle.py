@@ -30,32 +30,17 @@ import math
 import numpy as np
 
 from . import capacity as _capacity
-from .clustering import SpecConfigError, check_capacities, check_family
-from .dp import (NEG_INF, CanonicalTable, LogReal, _check_j, _integer, _one_j,
-                 _per_j, _table_size, _weights)
-from .tree import SHAPE_MAX_DEPTH, shape_table
+from .clustering import _instance, _real, check_capacities, check_family
+from .dp import NEG_INF, CanonicalTable, LogReal, _check_j, _per_j, _table_size, _weights
+from .tree import SHAPE_MAX_DEPTH, LeafSet, _shape_depth, shape_table
 
 ORACLE_MAX_DEPTH = SHAPE_MAX_DEPTH
 
 
-def _check_depth(n):
-    """The depth ``n`` as an int (``dp._integer``), refused naming ``depth``
-    unless 0 <= n <= ORACLE_MAX_DEPTH."""
-    n = _integer(n, "depth")
-    if n > ORACLE_MAX_DEPTH:
-        raise SpecConfigError(
-            "depth", "enumeration over 2^(2^%d) subsets refused; depth <= %d only"
-            % (n, ORACLE_MAX_DEPTH)
-        )
-    if n < 0:
-        raise SpecConfigError("depth", "must be nonnegative, got %d" % (n,))
-    return n
-
-
 def _class_phi(spec, n):
     """Phi of every shape at depth n, as a float array by class."""
-    n = _check_depth(n)
-    if spec.variant == "capacity":
+    n = _shape_depth(n)
+    if getattr(spec, "variant", None) == "capacity":  # _weights checks the rest
         caps = _capacity.cap_classes(n, spec.profile(n))
         check_capacities(caps[1:], n, spec.key)
         return caps
@@ -113,7 +98,7 @@ def _exact_sums(values, groups=None, count=1, mult=None):
 def _root(spec, n, j, ratio=False):
     """``(ln Z_n, rho_n)`` at each J of ``j`` (rho_n None without ``ratio``)
     from one Phi, whose depth check comes before J's, which it bounds."""
-    n = _check_depth(n)
+    n = _shape_depth(n)
     phi = _class_phi(spec, n)
     sizes, mult = shape_table(n).sizes, shape_table(n).mult
     ln_z, rho = [], []
@@ -130,12 +115,13 @@ def _root(spec, n, j, ratio=False):
 
 def enum_phi(spec, ls):
     """Phi of a single leaf set, via its shape."""
-    return float(_class_phi(spec, ls.depth)[shape_table(ls.depth).index[ls.mask]])
+    n = _instance(ls, (LeafSet,), "ls").depth
+    return float(_class_phi(spec, n)[shape_table(n).index[ls.mask]])
 
 
 def enum_Z(spec, n, j):
     """Grand partition function by direct summation over all subsets."""
-    return LogReal(float(_root(spec, n, _one_j(j))[0][0]))
+    return LogReal(float(_root(spec, n, _real(j, "j", finite=False))[0][0]))
 
 
 def enum_zeta(spec, n, j):
@@ -172,7 +158,7 @@ def enum_maxterm(spec, n):
     is what dp_W_maxterm reports; this helper returns the profile-level
     quantity by grouping the shapes by first-order profile.
     """
-    n = _check_depth(n)
+    n = _shape_depth(n)
     check_family(spec, ("first",), "enum_maxterm")
     shapes = shape_table(n)
     neg_phi = -_class_phi(spec, n)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dp
-from .clustering import SpecConfigError
+from .clustering import SpecConfigError, _integer, _real
 from .tree import LeafSet
 
 
@@ -44,7 +44,8 @@ class Sampler:
         self.depth = n = dp._depth(n)
         self.j = j
         H, const = dp._weights(spec, n)
-        levels = [f[:, 0] for f, _ in dp._levels(H, dp._check_j(dp._one_j(j), n), n)]
+        one = dp._check_j(_real(j, "j", finite=False), n)  # one J, as dp_Z reads it
+        levels = [f[:, 0] for f, _ in dp._levels(H, one, n)]
         last = len(H) - 1
         # per level d >= 1 and ancestor row, as plain lists for the descent:
         # the log weight of keeping one child and of splitting; after a split
@@ -93,13 +94,8 @@ class Sampler:
         """Independent draws on per-sample child streams of ``seed``, each
         spawned just before its draw (the same children as spawning all
         ``num_samples`` at once), past the output guard of ``_check_size``.
-        A negative seed is refused first, naming ``seed``."""
-        if seed < 0:
-            raise SpecConfigError("seed", "must be nonnegative, got %d" % (seed,))
-        if num_samples < 1:
-            raise SpecConfigError(
-                "num", "need at least one draw, got %d" % (num_samples,)
-            )
+        ``seed`` (from 0) is read first, then ``num_samples`` (from 1) naming ``num``."""
+        seed, num_samples = _integer(seed, "seed"), _integer(num_samples, "num", 1)
         _check_size(self, num_samples)
         root = np.random.SeedSequence(seed)
         return [self.sample(np.random.default_rng(root.spawn(1)[0]))

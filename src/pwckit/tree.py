@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .clustering import SpecConfigError, _depth, _integer
+
 
 @dataclass(frozen=True, slots=True)
 class LeafSet:
@@ -28,28 +30,30 @@ class LeafSet:
     sorted list of integers. Any iterable of integer-valued labels is
     converted, sorted and de-duplicated; a tuple of ``int`` labels that is
     already strictly increasing, as the sampler's descent emits, is only
-    checked, in O(n).
+    checked, in O(n). Labels outside [0, 2^depth), or not integers, name ``leaves``.
     """
 
     depth: int
     leaves: tuple
 
     def __post_init__(self):
-        labels = self.leaves
+        depth, labels = _integer(self.depth, "depth"), self.leaves
         if not (type(labels) is tuple and {int}.issuperset(map(type, labels))
                 and all(map(operator.lt, labels, labels[1:]))):
-            labels = tuple(sorted(set(int(x) for x in labels)))
-        if labels and not (0 <= labels[0] and labels[-1] < (1 << self.depth)):
-            raise ValueError(
-                "leaf labels must lie in [0, 2^depth); got %r at depth %d"
-                % (labels, self.depth)
-            )
+            try:
+                labels = tuple(sorted(set(map(operator.index, labels))))
+            except TypeError:
+                labels = None
+        if labels is None or labels and not (0 <= labels[0] and labels[-1] >> depth == 0):
+            raise SpecConfigError("leaves", "leaf labels must lie in [0, 2^depth); got %r "
+                                  "at depth %d" % (self.leaves, depth))
+        object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "leaves", labels)
 
     @classmethod
     def from_mask(cls, depth, mask):
         labels = []
-        x = int(mask)
+        x = _integer(mask, "mask")
         while x:
             low = x & -x
             labels.append(low.bit_length() - 1)
@@ -134,6 +138,12 @@ def _merged(d):
 SHAPE_MAX_DEPTH = 4
 
 
+def _shape_depth(n):
+    """The depth ``n`` (``clustering._depth``) of a tree whose subsets are run through."""
+    return _depth(n, SHAPE_MAX_DEPTH, "enumeration over 2^(2^%(n)d) subsets refused; "
+                  "depth <= %(hi)d only")
+
+
 @lru_cache(maxsize=None)
 def shape_table(n):
     """The shape table at depth n, by merging class pairs level by level.
@@ -143,9 +153,7 @@ def shape_table(n):
     consecutive-meet walk of the tests' branching profiles, which they
     compare it against.
     """
-    if not 0 <= n <= SHAPE_MAX_DEPTH:
-        raise ValueError("shape tables exist for depths 0 .. %d, not %d"
-                         % (SHAPE_MAX_DEPTH, n))
+    n = _shape_depth(n)
     counts, top, children, mult, index = _merged(n)
     second = np.zeros((len(top), (n + 2) * (n + 1) // 2))
     second[:, :counts.shape[1]] = counts

@@ -71,13 +71,13 @@ from pwckit.analysis import (
     TauberianReport,
     _FIRST,
     _SECOND,
+    _K_MAX_CAP,
     _TAIL_TOL,
-    _check_k_max,
     _exp2,
     _series,
     _trend_verdict,
 )
-from pwckit.clustering import HArray, check_family
+from pwckit.clustering import HArray, _integer, check_family
 from pwckit.sampler import Sampler
 from pwckit.tree import LeafSet, shape_table
 
@@ -632,7 +632,7 @@ def tauberian_second(spec, h1, h2, k_max=100000):
     The caller supplies h_{l+d, l} = h1(l) + h2(d); the decomposition is
     spot-checked against the array on a grid of indices before use.
     """
-    _check_k_max(k_max)
+    _integer(k_max, "k_max", 1, _K_MAX_CAP)
     check_family(spec, _SECOND, "tauberian_second")
     h = spec.h
     samples = (1, 2, 3, 5, 8, 13, 21, 55, 144)
