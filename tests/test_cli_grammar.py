@@ -7,7 +7,9 @@ each example draws a command whose values should all be accepted, then
 runs it, and once more for every bad value of every flag of the
 subcommand, in place of that flag's value (or added, if it was left out).
 
-Every run must exit 0 or 2 (1 only for ``verify``). An exit 2 from ``main``
+Every run must exit 0 or 2 (1 only for ``verify``), and the command with
+its good values is never an argparse usage error, so a good value that
+argparse would take for a flag (``--j -1e-3``) fails. An exit 2 from ``main``
 prints exactly one ``error: key '<k>': ...`` line; argparse's own usage
 errors name the flag instead. No output may hold a traceback or a printed
 NaN, and every ``--summary`` document must parse as strict JSON.
@@ -62,14 +64,14 @@ POOLS = {
     "--delta": ([0.05, 1e-6, 1e-300, 1], [0, -1, "nan", "inf", "x"]),
     "--k-max": ([1, 2, 1000, 100000], [0, -1, 4194305, BIG, "x"]),
     "--m-max": ([0, 1, 5, 256, 10000000], [-1, BIG, "x"]),
-    "--j-grid": (["0", "-3:3:0.5", "0,1,2", "-1", "1,,2", "-40:40:10"],
+    "--j-grid": (["0", "-3:3:0.5", "0,1,2", "-1", "1,,2", "-40:40:10", "-3e-1"],
                  ["1:2", "0:1:0", "2:1:1", "0:1:1e-300", "0:inf:1", ",", "", "nan",
                   "inf", "-inf", "1e308", "x", "pow2:2:3"]),
     # the last bad grid is refused only for its cost
     "--s-grid": (["1", "0.5,0.25", "pow2:1:2", "pow2:2:1", "pow2:2:10"],
                  ["2", "0", "-1", "nan", "pow2:3", ",", "", "pow2:0:100000000",
                   "pow2:a:b", "1e-9"]),
-    "--j": ([0, 0.5, 2, -1, -30, BIG], [1e308, "nan", "inf", "-inf", "", "x"]),
+    "--j": ([0, 0.5, 2, -1, -30, BIG, "-1e-3"], [1e308, "nan", "inf", "-inf", "", "x"]),
     "--num": ([1, 2, 3], [0, -1, "", "x"]),
     "--draws": ([1, 2, 3], [0, -1, ""]),
     "--seed": ([0, 1, 7, BIG, 2**64], [-1, "", "x"]),
@@ -236,8 +238,9 @@ def _reject_constant(name):
 NAN = re.compile(r"(?<![A-Za-z_])nan(?![A-Za-z_])", re.IGNORECASE)
 
 
-def _check(argv, tmp):
-    """Run ``argv`` in the run directory ``tmp`` and check its outcome."""
+def _check(argv, tmp, good=False):
+    """Run ``argv`` in the run directory ``tmp`` and check its outcome; the
+    command with its ``good`` values is no argparse usage error."""
     argv = [a.replace("@TMP@", tmp) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -258,6 +261,7 @@ def _check(argv, tmp):
 
     assert not any("Traceback" in t for t in texts), (argv, err)
     if usage:
+        assert not good, (argv, err)
         assert code == 2 and re.search(r"error: .*--[a-z]", err), (argv, err)
         return
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), (argv, err)
@@ -279,5 +283,5 @@ def test_cli_grammar(command, data):
         for name, text in files.items():
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(text)
-        for line in _variants(argv, flags):
-            _check(line, tmp)
+        for k, line in enumerate(_variants(argv, flags)):
+            _check(line, tmp, good=k == 0)
