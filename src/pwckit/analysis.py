@@ -251,7 +251,7 @@ class DiagnosticCurve:
 def _s_grid(s_values, order, allow_large):
     """The s grid as an array. Empty grids and points outside (0, 1] name
     's-grid', as do points below ``_COST_S[order]`` without ``allow_large``."""
-    s_arr, allow_large = _reals(s_values, "s-grid"), _flag(allow_large, "allow_large")
+    s_arr, allow_large = _reals(s_values, "s-grid").copy(), _flag(allow_large, "allow_large")
     if not s_arr.size or not np.all((s_arr > 0) & (s_arr <= 1)):
         raise SpecConfigError(
             "s-grid", "need one or more points in (0, 1], got %r" % (s_arr.tolist(),)
