@@ -60,7 +60,8 @@ from pwckit import (CapacityClustering, ConductanceProfile, FirstOrderClustering
                     HArray, HSequence, LeafSet, Sampler, SecondOrderClustering,
                     SpecConfigError, capacity_uniform, dgff_spec, first_linear,
                     first_logcorrected, random_second_order, zero_spec)
-from pwckit.analysis import K_MAX_DEFAULT
+from pwckit.analysis import _K_MAX_CAP, K_MAX_DEFAULT
+from pwckit.capacity import DEPTH_MAX
 
 LEFT_OUT = {"BracketError", "SpecConfigError", "UnsupportedVariant",
             "CanonicalTable", "DiagnosticCurve", "Kappa1Report", "Kappa2Report",
@@ -69,10 +70,6 @@ LEFT_OUT = {"BracketError", "SpecConfigError", "UnsupportedVariant",
 #: the key a parameter's refusal names, where it is not the parameter's name
 KEYS = {"n": "depth", "num_samples": "num", "s_values": "s-grid", "text": "preset",
         "doc": "<root>"}
-
-#: cap of ``analysis.kappa2`` and the other k_max readers
-K_MAX_CAP = 1 << 22
-
 
 class Bad(NamedTuple):
     """A bad value whose refusal names ``key`` rather than its parameter's."""
@@ -115,7 +112,7 @@ GRID_J = (ONE_J[0] + [[0.5], [-1.0, 0.0, 2.5], np.linspace(-2, 2, 5), (1, 2), []
            [0.5, "a"], [0.5, math.inf], [True, False]])
 M_MAX = ([None, 0, 1, 5, np.int64(300)], [-1] + NOT_INTS[:-2] + [[1]])
 FLAGS = ([False, True, np.True_], NOT_FLAGS)
-K_MAX = ([1, 2, 1000, K_MAX_DEFAULT], [0, -1, K_MAX_CAP + 1, BIG] + NOT_INTS)
+K_MAX = ([1, 2, 1000, K_MAX_DEFAULT], [0, -1, _K_MAX_CAP + 1, BIG] + NOT_INTS)
 S_GRID = ([[1.0], [0.5, 0.25], np.array([0.125]), (0.5,)],
           [0.5, "a", [], [0], [2], [-1], [math.nan], [[0.5]], [0.5, "a"], None, [True]])
 SEEDS = ([0, 1, 2**64, np.int64(7)], [-1, 1.5, True, "x", None])
@@ -182,7 +179,7 @@ GRAMMAR = {
                    [(1.0, 0.0), (-1,), ("x",), "x", None, 5, [[1.0]], (1.0, 2.0**300),
                     (True,), (math.inf,), (math.nan,)])},
     "ConductanceProfile.uniform": {"depth": ([0, 3, np.int64(20)],
-                                             [-1, (1 << 22) + 1] + NOT_INTS),
+                                             [-1, DEPTH_MAX + 1] + NOT_INTS),
                                    "conductance": CONDUCTANCES},
     "cap_reduce": {"ls": LEAF_SETS2, "profile": PROFILE2},
     "cap_quadratic": {"ls": LEAF_SETS2, "profile": PROFILE2},
