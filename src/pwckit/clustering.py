@@ -136,6 +136,20 @@ def _reals(values, key, scalar=False):
     return a.astype(float, copy=False)
 
 
+def _ages(value, key):
+    """``value`` as an integer array of ages: an int, a numpy integer or an
+    integer array; a bool, a float (even 2.0) or text is refused naming
+    ``key``. The range is the container's to check."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # nested sequences of unequal lengths
+        a = np.asarray(None)
+    if a.dtype.kind not in "iu":
+        raise SpecConfigError(key, "takes an integer age or an integer array of ages,"
+                              " got %r" % (value,))
+    return a
+
+
 def _instance(value, kinds, key):
     """``value`` if it is an instance of one of the classes ``kinds``, else refused."""
     if not isinstance(value, kinds):
@@ -158,8 +172,9 @@ class HSequence:
 
     ``h(k)`` is a float for an int age and an array for an integer array of
     ages, so a closed form receives integer arrays and must broadcast (numpy,
-    not ``math``); a constant such as ``lambda k: 0.0`` is expanded. A list
-    refuses an age below 0 or past its end with ``IndexError``.
+    not ``math``); a constant such as ``lambda k: 0.0`` is expanded. An age
+    that is no integer (a bool, a float, text) is refused naming ``k``; a
+    list refuses an age below 0 or past its end with ``IndexError``.
 
     Reads share arrays: a closed form's float64 array of the ages' shape is
     returned as the form made it, not copied, and no reader writes into an
@@ -177,10 +192,11 @@ class HSequence:
         return math.inf if self._fn is not None else len(self._values) - 1
 
     def __call__(self, k):
+        ages = _ages(k, "k")
         if self._fn is not None:
-            out = _filled(self._fn(k), np.shape(k))
+            out = _filled(self._fn(k if ages.ndim == 0 else ages), ages.shape)
         else:
-            k = np.asarray(k)
+            k = ages
             if k.size and k.min() < 0:
                 raise IndexError("weight sequence has no age %d: ages start at 0"
                                  % (k.min(),))
@@ -211,9 +227,11 @@ class HArray:
     A callable ``source`` is a closed form; any other source is an explicit
     table (row k, column l; rows may be ragged). ``h(k, l)`` takes ints or
     broadcasting integer arrays, as ``HSequence`` does, and a closed form
-    must broadcast over them. Reads share arrays as ``HSequence`` reads do:
-    a closed form's float64 array of the ages' shape is returned as made,
-    and no reader writes into it.
+    must broadcast over them; an age that is no integer is refused naming
+    ``k`` or ``l``, and a table refuses a missing entry with ``IndexError``.
+    Reads share arrays as ``HSequence`` reads do: a closed form's float64
+    array of the ages' shape is returned as made, and no reader writes into
+    it.
     """
 
     def __init__(self, source, tag=None):
@@ -235,12 +253,13 @@ class HArray:
         return math.inf if self._fn is not None else len(self._table) - 2
 
     def __call__(self, k, l):
-        kk, ll = np.asarray(k), np.asarray(l)
+        kk, ll = _ages(k, "k"), _ages(l, "l")
         outside = (ll < 0) | (ll >= kk)
         if outside.any():
             raise ValueError("ancestor pairs require 0 <= l < k, got (%s, %s)" % (k, l))
         if self._fn is not None:
-            out = _filled(self._fn(k, l), outside.shape)
+            out = _filled(self._fn(k if kk.ndim == 0 else kk, l if ll.ndim == 0 else ll),
+                          outside.shape)
         else:
             rows, cols = self._table.shape
             out = self._table[np.minimum(kk, rows - 1), np.minimum(ll, cols - 1)]

@@ -3,12 +3,15 @@
 Every callable in ``pwckit.__all__`` has an entry in ``GRAMMAR`` below
 naming each of its parameters with a pool of good values and one of bad
 values, and so do the public methods that take arguments
-(``ConductanceProfile.uniform``, ``LeafSet.from_mask`` and
-``Sampler.sample_many``). A new callable, or a new parameter, fails
-``test_grammar_covers_the_api`` until it is given pools. For each callable,
-each example draws a good value for every parameter and calls it, then
-once more for every bad value of every parameter, in place of that
-parameter's value.
+(``ConductanceProfile.uniform``, ``LeafSet.from_mask``,
+``Sampler.sample_many`` and the weight containers' reads
+``HSequence.__call__`` and ``HArray.__call__``; an age past a list's or a
+table's end is no bad value there, as it keeps its ``IndexError``, which
+``dp._weights`` reports naming ``h.values``). A new callable, or a new
+parameter, fails ``test_grammar_covers_the_api`` until it is given pools.
+For each callable, each example draws a good value for every parameter and
+calls it, then once more for every bad value of every parameter, in place
+of that parameter's value.
 
 A call with good values must return a result; one with a bad value must
 raise a ``SpecConfigError`` naming the parameter: its own name, or the key
@@ -217,6 +220,12 @@ GRAMMAR = {
     "LeafSet.from_mask": {"depth": ([2, 3], [-1] + NOT_INTS),
                           "mask": ([0, 1, 5, np.int64(3)],
                                    [-1, 1.5, "x", True, None, Bad(1 << 16, "leaves")])},
+    "HSequence.__call__": {
+        "k": ([0, 2, np.int64(1), [0, 2], np.arange(3)],
+              [1.5, 2.0, True, "x", None, [0.5], [True], np.array([1.0]), [[0], [1, 2]]])},
+    "HArray.__call__": {
+        "k": ([1, 2, np.int64(2), np.array([2, 2])], [1.5, 2.0, True, "x", None, [1.0]]),
+        "l": (lambda a: [0, a["k"] - 1], [0.5, 0.0, False, "x", None, [0.0], [[0], [0, 0]]])},
     "first_linear": {"c": SLOPES},
     "first_logcorrected": {},
     "dgff_spec": {},
@@ -255,14 +264,20 @@ USE = {
 PER_J = {"zeta", "dp_density", "enum_zeta", "enum_density"}
 
 
+#: the small prepared instances whose methods the grammar calls
+INSTANCES = {"Sampler": lambda: Sampler(first_linear(2.0), 3, 0.5),
+             "HSequence": lambda: HSequence([0.0, 1.0, 2.0]),
+             "HArray": lambda: HArray([[], [0.5], [1.0, 1.5]])}
+
+
 def _callable(name):
     """The callable of a grammar entry: an exported name, or a method of a
     class bound to a class or to a small prepared instance."""
     owner, _, method = name.partition(".")
     if not method:
         return getattr(pwckit, owner)
-    if owner == "Sampler":
-        return Sampler(first_linear(2.0), 3, 0.5).sample_many
+    if owner in INSTANCES:
+        return getattr(INSTANCES[owner](), method)
     return getattr(getattr(pwckit, owner), method)
 
 

@@ -538,3 +538,28 @@ def test_no_reader_writes_into_a_weight_array():
             ]
         for read in reads:
             assert exact(read(frozen)) == exact(read(spec))
+
+
+def test_ages_that_are_no_integers_are_refused_naming_the_age():
+    # a list, a table and the closed forms alike; a float age is no age even
+    # when it is whole, and an age past the end keeps its IndexError
+    sequences = [HSequence([0.0, 1.0, 2.0]), first_linear(2.0).h, first_logcorrected().h]
+    arrays = [HArray([[], [1.0], [1.0, 2.0]]), dgff_spec().h]
+    for age in (1.5, 2.0, True, np.bool_(False), "x", None, [0.5], np.array([1.0]),
+                [[0], [1, 2]]):
+        for h in sequences:
+            with pytest.raises(SpecConfigError) as refused:
+                h(age)
+            assert refused.value.key == "k"
+        for h in arrays:
+            for args, key in (((age, 0), "k"), ((2, age), "l")):
+                with pytest.raises(SpecConfigError) as refused:
+                    h(*args)
+                assert refused.value.key == key
+    assert [h(2) for h in sequences[:2]] == [2.0, 4.0]
+    assert first_linear(2.0).h([1, 2]).tolist() == [2.0, 4.0]
+    assert HArray([[], [1.0], [1.0, 2.0]])(np.int64(2), 1) == 2.0
+    with pytest.raises(IndexError):
+        sequences[0](3)
+    with pytest.raises(IndexError):
+        arrays[0](3, 0)

@@ -360,15 +360,38 @@ def test_blocked_convolution_spans_blocks():
     assert_conv_close(_log_self_convolve(y, 8192), ref_log_self_convolve(y, 8192))
 
 
-def test_maxterm_is_bit_identical_to_reference():
+def test_maxterm_is_bit_identical_to_reference(monkeypatch):
+    # Past depth 8 a level larger than one block fills its rows by monotone
+    # argmax where its float certificate holds, and forms every entry where
+    # it fails; either way every table has the reference's bits.
+    bracketed = []
+    rows = dp._bracketed_rows
+    monkeypatch.setattr(dp, "_bracketed_rows",
+                        lambda gains, new, reach, top_a: bracketed.append(reach)
+                        or rows(gains, new, reach, top_a))
+
+    def check(spec, n, m_max=None):
+        got = dp_W_maxterm(spec, n, m_max=m_max).ln_w
+        assert got.tobytes() == ref_maxterm(spec, n, m_max).tobytes(), (n, m_max)
+
     rng = np.random.default_rng(8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for n in range(10):
+        for n in list(range(13)) + [9, 10, 11, 12] * 2:
             spec = random_first_order(n, rng)
             for m_max in (None, int(rng.integers(0, (1 << n) + 3))):
-                got = dp_W_maxterm(spec, n, m_max=m_max).ln_w
-                assert got.tobytes() == ref_maxterm(spec, n, m_max).tobytes()
+                check(spec, n, m_max)
+        assert bracketed
+        # a huge h_1 fails the certificate on the last level only (sizes up
+        # to 4096), a scale of 1e9 on all four levels past one block
+        h = random_first_order(12, rng).h.array(12)
+        h[1] = 1e9
+        bracketed.clear()
+        check(FirstOrderClustering(HSequence(h), 50.0), 12)
+        assert bracketed == [512, 1024, 2048]
+        bracketed.clear()
+        check(random_first_order(12, rng, scale=1e9), 12)
+        assert bracketed == []
 
 
 # The full-row kernels that the triangular ones replace: every level updates
