@@ -228,7 +228,8 @@ class HArray:
     table (row k, column l; rows may be ragged). ``h(k, l)`` takes ints or
     broadcasting integer arrays, as ``HSequence`` does, and a closed form
     must broadcast over them; an age that is no integer is refused naming
-    ``k`` or ``l``, and a table refuses a missing entry with ``IndexError``.
+    ``k`` or ``l``, a pair outside 0 <= l < k naming ``l``, and a table
+    refuses a missing entry with ``IndexError``.
     Reads share arrays as ``HSequence`` reads do: a closed form's float64
     array of the ages' shape is returned as made, and no reader writes into
     it.
@@ -256,7 +257,8 @@ class HArray:
         kk, ll = _ages(k, "k"), _ages(l, "l")
         outside = (ll < 0) | (ll >= kk)
         if outside.any():
-            raise ValueError("ancestor pairs require 0 <= l < k, got (%s, %s)" % (k, l))
+            raise SpecConfigError("l", "ancestor pairs require 0 <= l < k, got (%s, %s)"
+                                  % (k, l))
         if self._fn is not None:
             out = _filled(self._fn(k if kk.ndim == 0 else kk, l if ll.ndim == 0 else ll),
                           outside.shape)

@@ -9,19 +9,41 @@ After a split both children answer to the new branching point. Descending the
 tree and resolving each three-way choice therefore draws A from the exact
 finite-volume law, no Markov chain involved.
 
-Choices are made by Gumbel-max over log weights, so extreme J values only
-shift the logs instead of underflowing probabilities. Each sample gets its
-own child stream spawned from the seed just before it is drawn, which makes
-results reproducible independent of batching. The iterative descent reads
-that stream in blocks, three variates per node in a fixed depth-first,
-left-to-right order, and emits the leaves in increasing order.
+Every node's choice reads one uniform from the node's own 64-bit key, so a
+draw does not depend on the order in which its nodes are visited:
 
-The level tables come from ``dp._levels`` at one J, where it reads full
-rows: it shares rows that equal the root's only on wider J grids, and a
-node may answer to any ancestor age. In second order it keeps at level
-d - 1 the ancestor ages a = d .. n+1; a node at level d answers to an age
-a > d. The lists of level d are padded at the front with d unused
-entries, so the descent indexes them by the ancestor age itself.
+- a draw's key comes from (seed, draw index): ``np.random.SeedSequence``
+  makes a 64-bit state of the seed, and draw i takes the finaliser of that
+  state plus (i + 1) times the golden gamma, splitmix64's i-th output;
+- the draw's key decides the empty check: the virtual top ancestor (age
+  n + 1) is occupied with probability 1 - 1/Z, and the root is its child 0;
+- child b (0 left, 1 right) of a node keyed k is keyed by the finaliser of
+  k + (b + 1) gamma mod 2^64;
+- a key's uniform is its top 53 bits over 2^53; a node keeps its left child
+  if u < P(left), its right child if u < P(left or right), and splits
+  otherwise.
+
+The draws of a batch therefore descend together, one numpy step per level
+over every live node. The nodes are the columns of one int64 block, with a
+row each for a node's key, its ancestor age, its draw and its label words.
+Splits widen the block with ``np.repeat``, so the columns stay ordered by
+(draw, label) and each draw's leaves come out sorted. Labels are built from
+the choice bits in 63-bit words and joined into Python ints once per leaf,
+so depths up to 1022 take the same descent. A block wider than ``_WIDTH``
+is cut and its tail put on a stack, and draws are keyed ``_WIDTH`` at a
+time, so live arrays stay small at any batch size. Wider blocks run a
+little faster but fragment the heap more: the peak memory of a process
+that samples over and over grows with the block width. Draws are
+independent of batching: the first k draws do not depend on how many were
+requested.
+
+The tables come from ``dp._levels`` at one J, where it reads full rows: it
+shares rows that equal the root's only on wider J grids, and a node may
+answer to any ancestor age. In second order level d - 1 keeps the ancestor
+ages a = d .. n+1, and a node at level d answers to an age a > d. The
+tables hold, per level d and ancestor age a, 2^53 P(left) and
+2^53 P(left or right), so that a key's top 53 bits compare against them
+exactly; entries a < d are unused.
 """
 
 from __future__ import annotations
@@ -31,6 +53,40 @@ import numpy as np
 from . import dp
 from .clustering import SpecConfigError, _integer, _real
 from .tree import LeafSet
+
+#: splitmix64's golden gamma, and what child 0 and child 1 add to their
+#: parent's key before the finaliser: gamma and 2 gamma mod 2^64
+_GAMMA = 0x9E3779B97F4A7C15
+_GAMMAS = np.uint64([_GAMMA, 2 * _GAMMA % (1 << 64)])
+_G = _GAMMAS[0]
+#: splitmix64's finaliser constants and shifts, and the shift to 53 bits
+_M1, _M2 = np.uint64([0xBF58476D1CE4E5B9, 0x94D049BB133111EB])
+_S11, _S27, _S30, _S31 = np.uint64([11, 27, 30, 31])
+
+#: bits of a label word: a choice per bit, and int64 holds 63 of them
+_WORD = 63
+
+#: nodes a block of the descent steps at once; a wider block is cut
+_WIDTH = 1 << 10
+
+
+def _mix(z, t):
+    """Apply the splitmix64 finaliser to the uint64 array ``z`` in place, with
+    ``t`` as scratch of the same length, and return ``z``."""
+    for shift, mul in ((_S30, _M1), (_S27, _M2), (_S31, None)):
+        z ^= np.right_shift(z, shift, out=t)
+        if mul is not None:
+            z *= mul
+    return z
+
+
+def _draw_keys(seed, start, stop):
+    """Keys of draws ``start`` .. ``stop - 1`` of ``seed``, as a uint64 array:
+    splitmix64's outputs from the state ``np.random.SeedSequence`` makes of
+    the seed, so that any nonnegative int seeds it."""
+    state = np.random.SeedSequence(seed).generate_state(1, np.uint64)
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64) * _G + state
+    return _mix(z, np.empty_like(z))
 
 
 class Sampler:
@@ -47,59 +103,110 @@ class Sampler:
         one = dp._check_j(_real(j, "j", finite=False), n)  # one J, as dp_Z reads it
         levels = [f[:, 0] for f, _ in dp._levels(H, one, n)]
         last = len(H) - 1
-        # per level d >= 1 and ancestor row, as plain lists for the descent:
-        # the log weight of keeping one child and of splitting; after a split
-        # both children answer to row min(d, last). Level d - 1 holds rows
-        # min(d, last) .. last only, padded at the front to index by age.
-        self._keep = [None]
-        self._split = [None]
+        # log weights per level d >= 1 and ancestor age: keep one child, the
+        # previous level's row; split, after which both children answer to
+        # age min(d, last). Level d - 1 holds ages min(d, last) .. last.
+        keep, split = np.zeros((2, n + 1, last + 1))
         for d in range(1, n + 1):
-            prev = levels[d - 1]
-            lo = min(d, last)
-            pad = [None] * lo
-            self._keep.append(pad + prev.tolist())
-            self._split.append(pad + (-H[lo:, d] + 2.0 * prev[0]).tolist())
-        self._last = last
-        self._ln_occupied = -const + levels[n][-1]
-        self.ln_z = float(np.logaddexp(0.0, self._ln_occupied))
+            prev, lo = levels[d - 1], min(d, last)
+            keep[d, lo:] = prev
+            split[d, lo:] = -H[lo:, d] + 2.0 * prev[0]
+        self._set_tables(keep, split, -const + levels[n][-1])
+
+    def _set_tables(self, keep, split, ln_occupied):
+        """The choice tables from the log weights of keeping one child and of
+        splitting, per (level, ancestor age), and ln(Z - 1)."""
+        self._last = keep.shape[1] - 1
+        self.ln_z = float(np.logaddexp(0.0, ln_occupied))
+        scale = np.ldexp(1.0, 53)
+        self._left = scale * np.exp(keep - np.logaddexp(keep + dp.LN2, split))
+        self._either = 2.0 * self._left  # left and right weigh the same
+        self._nonempty = scale * float(np.exp(ln_occupied - self.ln_z))
 
     def sample(self, rng):
-        """One exact draw; past the empty check ``rng`` is read in blocks."""
-        g = rng.gumbel(size=2)
-        if g[0] + 0.0 > g[1] + self._ln_occupied:
-            return LeafSet(self.depth, ())
-        keep, split, last = self._keep, self._split, self._last
-        leaves, stack = [], [(self.depth, last, 0)]
-        push, pop, gumbel = stack.append, stack.pop, rng.gumbel
-        buf, i, end, chunk = [], 0, 0, 48  # chunks stay multiples of the 3 per node
-        while stack:
-            d, a, base = pop()
-            while d:
-                if i == end:
-                    buf, i, end, chunk = gumbel(size=chunk).tolist(), 0, chunk, 2 * chunk
-                k = keep[d][a]
-                x0, x1, x2 = buf[i] + k, buf[i + 1] + k, buf[i + 2] + split[d][a]
-                i += 3
-                d -= 1
-                if x1 > x0 or x2 > x0:  # argmax, first index on ties
-                    if x1 >= x2:
-                        base += 1 << d
-                    else:
-                        a = d + 1 if d < last else last
-                        push((d, a, base + (1 << d)))
-            leaves.append(base)
-        return LeafSet(self.depth, tuple(leaves))
+        """One exact draw: a batch of one on a 64-bit key read from ``rng``."""
+        key = rng.integers(1 << 64, dtype=np.uint64, size=1)
+        return self._draw(key)[0]
 
     def sample_many(self, num_samples, seed):
-        """Independent draws on per-sample child streams of ``seed``, each
-        spawned just before its draw (the same children as spawning all
-        ``num_samples`` at once), past the output guard of ``_check_size``.
-        ``seed`` (from 0) is read first, then ``num_samples`` (from 1) naming ``num``."""
+        """Independent draws ``0 .. num_samples - 1`` of ``seed``, past the
+        output guard of ``_check_size``. ``seed`` (from 0) is read first, then
+        ``num_samples`` (from 1) naming ``num``."""
         seed, num_samples = _integer(seed, "seed"), _integer(num_samples, "num", 1)
         _check_size(self, num_samples)
-        root = np.random.SeedSequence(seed)
-        return [self.sample(np.random.default_rng(root.spawn(1)[0]))
-                for _ in range(num_samples)]
+        draws = []
+        for start in range(0, num_samples, _WIDTH):
+            draws += self._draw(_draw_keys(seed, start, min(start + _WIDTH, num_samples)))
+        return draws
+
+    def _draw(self, keys):
+        """The draws keyed by ``keys``, as LeafSets."""
+        n, last, left, either = self.depth, self._last, self._left, self._either
+        found = [()] * len(keys)
+        live = np.flatnonzero((keys >> _S11) < self._nonempty)
+        # one row per field, one column per live node: its key, its ancestor
+        # age, its draw, and its label so far in 63-bit words
+        block = np.zeros((3 + max(1, -(-n // _WORD)), len(live)), dtype=np.int64)
+        root = np.add(keys[live], _G, out=block[0].view(np.uint64))  # child 0 of the top
+        _mix(root, np.empty_like(root))
+        block[1], block[2] = last, live
+        stack = [(n, block)] if len(live) else []
+        current, run = None, []  # the draw whose leaves the last block ended in
+        # scratch of a block step: uniforms, added gammas, the finaliser's
+        # shifts, repeat counts and then child bits, probabilities read by
+        # age, and the two choices
+        u, gamma, shifted = np.empty((3, 2 * _WIDTH), dtype=np.uint64)
+        bit = np.empty(2 * _WIDTH, dtype=np.int64)
+        p = np.empty(2 * _WIDTH)
+        cut = np.empty((2, 2 * _WIDTH), dtype=bool)
+        while stack:
+            d, block = stack.pop()
+            while True:
+                if block.shape[1] > _WIDTH:
+                    stack.append((d, block[:, _WIDTH:]))
+                    block = block[:, :_WIDTH]
+                if not d:
+                    break
+                r, row = block.shape[1], 3 + (n - d) // _WORD  # the word of this choice
+                key, age, word = block[0].view(np.uint64), block[1], block[row]
+                top = np.right_shift(key, _S11, out=u[:r])
+                right = np.greater_equal(top, left[d].take(age, out=p[:r], mode="clip"),
+                                         out=cut[0, :r])  # right, or both
+                both = np.greater_equal(top, either[d].take(age, out=p[:r], mode="clip"),
+                                        out=cut[1, :r])
+                word <<= 1
+                word |= right
+                first = np.flatnonzero(both)
+                if len(first):  # both children answer to age min(d, last)
+                    np.copyto(age, min(d, last), where=both)
+                    block = block.repeat(np.add(both, 1, out=bit[:r]), axis=1)
+                    first += np.arange(len(first))
+                    block[row, first] ^= 1  # the left child
+                    r = block.shape[1]
+                    key, word = block[0].view(np.uint64), block[row]
+                key += _GAMMAS.take(np.bitwise_and(word, 1, out=bit[:r]), out=gamma[:r],
+                                    mode="clip")
+                _mix(key, shifted[:r])
+                d -= 1
+            draw, words = block[2], block[3:]
+            labels = words[0].tolist()
+            for i in range(1, len(words)):  # word i holds choices 63 i .. 63 i + 62
+                bits = min(_WORD, n - _WORD * i)
+                labels = [x << bits | y for x, y in zip(labels, words[i].tolist())]
+            # columns run by draw; a draw's leaves may go on in the next block
+            starts = np.flatnonzero(np.not_equal(draw[1:], draw[:-1],
+                                                 out=cut[0, :len(draw) - 1]))
+            starts += 1
+            ends = starts.tolist() + [len(draw)]
+            for i, a, b in zip(draw[[0] + ends[:-1]].tolist(), [0] + ends[:-1], ends):
+                if i != current:
+                    if run:
+                        found[current] = tuple(run)
+                    current, run = i, []
+                run += labels[a:b]
+        if run:
+            found[current] = tuple(run)
+        return [LeafSet._unchecked(n, leaves) for leaves in found]
 
 
 #: cap on the entries a batch of draws writes, one per leaf and one per draw

@@ -22,6 +22,13 @@ import numpy as np
 from .clustering import SpecConfigError, _depth, _integer
 
 
+def _label(x):
+    """``x`` as an int leaf label; a bool, as any non-integer, is refused."""
+    if isinstance(x, bool):
+        raise TypeError("a bool is no leaf label")
+    return operator.index(x)
+
+
 @dataclass(frozen=True, slots=True)
 class LeafSet:
     """An immutable set of leaves of the depth-``depth`` tree.
@@ -29,8 +36,8 @@ class LeafSet:
     Stored as a sorted tuple of leaf labels. Serialized externally as the
     sorted list of integers. Any iterable of integer-valued labels is
     converted, sorted and de-duplicated; a tuple of ``int`` labels that is
-    already strictly increasing, as the sampler's descent emits, is only
-    checked, in O(n). Labels outside [0, 2^depth), or not integers, name ``leaves``.
+    already strictly increasing is only checked, in O(n). Labels outside
+    [0, 2^depth), or not integers (bools included), name ``leaves``.
     """
 
     depth: int
@@ -41,7 +48,7 @@ class LeafSet:
         if not (type(labels) is tuple and {int}.issuperset(map(type, labels))
                 and all(map(operator.lt, labels, labels[1:]))):
             try:
-                labels = tuple(sorted(set(map(operator.index, labels))))
+                labels = tuple(sorted(set(map(_label, labels))))
             except TypeError:
                 labels = None
         if labels is None or labels and not (0 <= labels[0] and labels[-1] >> depth == 0):
@@ -49,6 +56,16 @@ class LeafSet:
                                   "at depth %d" % (self.leaves, depth))
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "leaves", labels)
+
+    @classmethod
+    def _unchecked(cls, depth, leaves):
+        """A LeafSet of labels known to be valid, as the sampler's descent
+        emits them: an int ``depth`` and a strictly increasing tuple of ints
+        in [0, 2^depth). Nothing is checked."""
+        ls = object.__new__(cls)
+        object.__setattr__(ls, "depth", depth)
+        object.__setattr__(ls, "leaves", leaves)
+        return ls
 
     @classmethod
     def from_mask(cls, depth, mask):

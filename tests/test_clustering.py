@@ -462,11 +462,12 @@ def test_row_reads_check_every_column(source):
     h = HArray(source)
     for k, l in [(2, np.array([1, 0, -1])), (2, np.array([0, 2, 1])),
                  (2, [1, 2, 0]), (0, np.array([0]))]:
-        with pytest.raises(ValueError) as row:
+        with pytest.raises(SpecConfigError) as row:
             h(k, l)
-        with pytest.raises(ValueError) as broadcast:
+        with pytest.raises(SpecConfigError) as broadcast:
             h(np.full(len(l), k), l)
-        assert str(row.value) == "ancestor pairs require 0 <= l < k, got (%s, %s)" % (k, l)
+        assert str(row.value) == ("key 'l': ancestor pairs require 0 <= l < k, got (%s, %s)"
+                                  % (k, l))
         assert "ancestor pairs require 0 <= l < k" in str(broadcast.value)
     assert h(2, np.arange(0)).shape == (0,)
 

@@ -481,14 +481,12 @@ def ref_sampler(spec, n, j):
     sampler.spec, sampler.depth, sampler.j = spec, n, j
     H, const = dp._weights(spec, n)
     levels = [f[:, 0] for f, _ in ref_levels(H, j, n)]
-    last = sampler._last = len(H) - 1
-    sampler._keep = [None] + [levels[d - 1].tolist() for d in range(1, n + 1)]
-    sampler._split = [None] + [
-        (-H[:, d] + 2.0 * levels[d - 1][min(d, last)]).tolist()
-        for d in range(1, n + 1)
-    ]
-    sampler._ln_occupied = -const + levels[n][last]
-    sampler.ln_z = float(np.logaddexp(0.0, sampler._ln_occupied))
+    last = len(H) - 1
+    keep, split = np.zeros((2, n + 1, last + 1))
+    for d in range(1, n + 1):
+        keep[d] = levels[d - 1]
+        split[d] = -H[:, d] + 2.0 * levels[d - 1][min(d, last)]
+    sampler._set_tables(keep, split, -const + levels[n][last])
     return sampler
 
 

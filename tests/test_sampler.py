@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -131,12 +132,12 @@ def test_draws_pinned():
         HSequence([0.0, 0.5, 1.5, 2.0, 3.0]), h_const=3.0
     )
     pinned = {
-        ("zero", 3): [243, 40, 174, 233, 93, 119, 118, 249],
-        ("zero", 4): [27551, 30608, 45711, 58850, 45907, 22237, 52701, 62582],
-        ("first", 3): [19, 0, 174, 9, 93, 0, 118, 0],
-        ("first", 4): [33285, 4160, 8364, 226, 13139, 0, 59252, 16946],
-        ("dgff", 3): [19, 40, 174, 1, 93, 0, 118, 0],
-        ("dgff", 4): [33285, 4160, 37548, 8674, 13139, 0, 59252, 16946],
+        ("zero", 3): [87, 231, 20, 254, 247, 173, 244, 188],
+        ("zero", 4): [34853, 40334, 24775, 58983, 47419, 63384, 64791, 64156],
+        ("first", 3): [0, 231, 16, 170, 244, 160, 0, 0],
+        ("first", 4): [32, 38958, 260, 50244, 47408, 50176, 43268, 2],
+        ("dgff", 3): [3, 231, 16, 170, 244, 96, 0, 1],
+        ("dgff", 4): [32, 38958, 260, 50244, 47392, 50321, 43268, 51712],
     }
     specs = {"zero": zero_spec(), "first": first, "dgff": dgff_spec()}
     for (name, n), masks in pinned.items():
@@ -148,20 +149,20 @@ def test_draws_pinned():
     "preset,depth,j,digest",
     [
         ("zero", "10", "0.0",
-         "5632065a40d4e9dd1080de2b03ccfd720009ae58b78ce7683cd95aef99dfadeb"),
+         "4faf387f2db3f0596f227630f1a35f0149a23cc1677a8b582857f7eabc3cfa06"),
         ("first:logcorrected", "8", "1.0",
-         "7954b1a6cec5b0955bc13434374804f3c513261ad82d09dc0a5d74c8900e79bd"),
+         "3eecd9134f153b681ba1e0ae0d908b733cbd1482ec5c4a0da0a8a8838b8d9524"),
         ("dgff", "10", "0.5",
-         "95e11b7d332df23988b06eb85cbc9adb158dabf20d22815d1970ed46593a771f"),
+         "deb720cd90893f65a97a8b50df3a7d648cce8f0da48554f4f135d36e8a22760e"),
         ("first:linear:3ln2", "10", "0.5",
          "4ffca2c668d0b762a2e19d2b60339491857730ec9ef4b6987ec618436f3fcb92"),
         ("dgff", "8", "0.5",
-         "546d6581e2cdf3df47c9e40bc21c49926fdcbcd013913d887bb02de90d623d27"),
+         "85dbc4f2e213adf1c1c03ec2786a63de9a33aaa3fb52bcfb60a6a81493936da8"),
     ],
 )
 def test_sample_output_pinned(capsys, preset, depth, j, digest):
-    # Pinned stdout at sizes where the descent refills its variate buffer,
-    # splits deep in the tree and (dgff) reads second-order rows.
+    # Pinned stdout of dense, medium, all-empty and second-order draws, with
+    # splits deep in the tree and (dgff) second-order rows read.
     code = main(["sample", "--preset", preset, "--depth", depth, "--j", j,
                  "--num", "20", "--seed", "2024"])
     out = capsys.readouterr().out
@@ -175,63 +176,140 @@ def test_saturated_deep_draw():
         assert s.leaves == tuple(range(1 << 16))
 
 
-class _RoundedGumbel:
-    """Gumbel variates rounded to integers, so that choices often tie."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def gumbel(self, size):
-        return np.round(self._rng.gumbel(size=size))
+MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 
-def _argmax_draw(s, rng):
-    # reference descent: one gumbel(3) read and one np.argmax per node
-    g = rng.gumbel(size=2)
-    if g[0] + 0.0 > g[1] + s._ln_occupied:
-        return ()
-    out = []
-
-    def descend(d, a, base):
-        while d > 0:
-            keep = s._keep[d][a]
-            pick = int(np.argmax(rng.gumbel(size=3) + (keep, keep, s._split[d][a])))
-            if pick == 2:
-                a = min(d, s._last)
-                descend(d - 1, a, base)
-            base += (1 << (d - 1)) * (pick > 0)
-            d -= 1
-        out.append(base)
-
-    descend(s.depth, s._last, 0)
-    return tuple(out)
+def splitmix(z):
+    """The splitmix64 finaliser on Python ints mod 2^64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK
+    return z ^ (z >> 31)
 
 
-@pytest.mark.parametrize("spec_name,n,j", [("zero", 6, 0.0), ("dgff", 6, 0.5)])
-def test_ties_follow_argmax(spec_name, n, j):
-    s = Sampler({"zero": zero_spec(), "dgff": dgff_spec()}[spec_name], n, j)
-    for seed in range(40):
-        draw = s.sample(_RoundedGumbel(seed)).leaves
-        assert draw == _argmax_draw(s, _RoundedGumbel(seed))
+def child_key(key, bit):
+    return splitmix((key + (bit + 1) * GAMMA) & MASK)
 
 
-class _CountingGumbel:
-    """A generator's Gumbel variates, counting how many are read."""
-
-    def __init__(self, rng):
-        self._rng, self.read = rng, 0
-
-    def gumbel(self, size):
-        self.read += size
-        return self._rng.gumbel(size=size)
+def uniform(key):
+    return (key >> 11) / 2.0 ** 53
 
 
-def _reference_walk(s, child):
-    """The argmax walker's draw on one child stream, and its node count:
-    3 variates per node past the 2 of the empty check."""
-    rng = _CountingGumbel(np.random.default_rng(child))
-    leaves = _argmax_draw(s, rng)
-    return leaves, (rng.read - 2) // 3
+def seed_keys(seed, num):
+    """Draw keys 0 .. num - 1 of ``seed``: splitmix64's outputs from the
+    SeedSequence state of the seed."""
+    state = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    return [splitmix((state + (i + 1) * GAMMA) & MASK) for i in range(num)]
+
+
+def walk(s, key):
+    """Reference walker: the draw keyed ``key`` and its visited nodes, one
+    node at a time, recursively, on the sampler's probability tables."""
+    leaves, nodes = [], [0]
+    scale = 2.0 ** 53
+
+    def visit(d, a, key, label):
+        if d == 0:
+            leaves.append(label)
+            return
+        nodes[0] += 1
+        u = uniform(key)
+        if u < s._left[d][a] / scale:
+            visit(d - 1, a, child_key(key, 0), 2 * label)
+        elif u < s._either[d][a] / scale:
+            visit(d - 1, a, child_key(key, 1), 2 * label + 1)
+        else:
+            a = min(d, s._last)
+            visit(d - 1, a, child_key(key, 0), 2 * label)
+            visit(d - 1, a, child_key(key, 1), 2 * label + 1)
+
+    if uniform(key) < s._nonempty / scale:  # the virtual top ancestor; root is child 0
+        visit(s.depth, s._last, child_key(key, 0), 0)
+    return tuple(leaves), nodes[0]
+
+
+def _j_for_leaves(spec, n, leaves):
+    """A J whose draws hold about ``leaves`` leaves on average (bisection)."""
+    lo, hi = -1000.0, 10.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if dp.dp_density(spec, n, mid) * (1 << n) < leaves else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("name", ["zero", "first", "dgff"])
+def test_draws_match_reference_walker(name):
+    # Draw for draw, at every depth 0 .. 12 and one past the 63 bits of a
+    # label word, and through Sampler.sample on a key read from a generator.
+    spec = {"zero": zero_spec(), "first": first_linear(1.0), "dgff": dgff_spec()}[name]
+    for n in list(range(13)) + [70]:
+        j = 0.5 if n <= 12 else _j_for_leaves(spec, n, 16.0)
+        s = Sampler(spec, n, j)
+        got = [d.leaves for d in s.sample_many(6, seed=n)]
+        assert got == [walk(s, k)[0] for k in seed_keys(n, 6)], n
+        key = int(np.random.default_rng(n).integers(1 << 64, dtype=np.uint64))
+        assert s.sample(np.random.default_rng(n)).leaves == walk(s, key)[0]
+
+
+def test_deep_labels_join_their_words():
+    # Labels past the 63 bits of one word: two words at depth 80 against the
+    # walker, and about 11k leaves per draw near 2^100 at depth 100.
+    s = Sampler(zero_spec(), 80, _j_for_leaves(zero_spec(), 80, 200.0))
+    got = [d.leaves for d in s.sample_many(4, seed=80)]
+    assert got == [walk(s, k)[0] for k in seed_keys(80, 4)]
+    assert all(max(d) >> 63 for d in got)
+    draws = sample(zero_spec(), 100, -60.0, seed=3, num_samples=5)
+    assert all(5000 < len(d) < 20000 and max(d.leaves) >> 90 for d in draws)
+
+
+def test_uniform_on_a_threshold_goes_past_it():
+    # u < P(left) keeps the left child, u < P(left or right) the right one,
+    # and a u exactly on either threshold goes to the next choice; the empty
+    # check reads u < P(nonempty) alike.
+    key = seed_keys(5, 1)[0]
+    root = child_key(key, 0)
+    s = Sampler(zero_spec(), 1, 0.0)
+    top = float(root >> 11)
+    for left, either, want in ((top, 2.0 ** 53, (1,)), (np.nextafter(top, 0), top, (0, 1)),
+                               (np.nextafter(top, np.inf), 2.0 ** 53, (0,)),
+                               (0.0, np.nextafter(top, np.inf), (1,))):
+        s._left[1, 0], s._either[1, 0] = left, either
+        assert s.sample_many(1, seed=5)[0].leaves == walk(s, key)[0] == want
+    s._nonempty = float(key >> 11)
+    assert s.sample_many(1, seed=5)[0].leaves == walk(s, key)[0] == ()
+    s._nonempty = np.nextafter(s._nonempty, np.inf)
+    assert s.sample_many(1, seed=5)[0].leaves == walk(s, key)[0] == (1,)
+
+
+@pytest.mark.parametrize("width", [1, 5, 64])
+def test_cut_blocks_give_the_same_draws(monkeypatch, width):
+    # Blocks of nodes cut onto the stack, and draws keyed a few at a time,
+    # change no draw and no order.
+    for spec, n, j in ((zero_spec(), 7, 0.0), (dgff_spec(), 6, 0.5)):
+        want = [d.leaves for d in sample(spec, n, j, seed=11, num_samples=20)]
+        monkeypatch.setattr(sampler_mod, "_WIDTH", width)
+        assert [d.leaves for d in sample(spec, n, j, seed=11, num_samples=20)] == want
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("spec,n,j,num", [(zero_spec(), 16, 30.0, 2),
+                                          (first_linear(3.0 * math.log(2.0)), 10, 0.5,
+                                           100000)],
+                         ids=["saturated", "sparse-many"])
+def test_descent_memory_stays_bounded(spec, n, j, num):
+    # Near the output cap (131072 leaves) and over many empty draws, the
+    # traced peak exceeds what the returned draws hold by under 3 MB: the
+    # live nodes are cut into blocks of _WIDTH.
+    s = Sampler(spec, n, j)
+    s.sample_many(1, seed=0)
+    tracemalloc.start()
+    try:
+        draws = s.sample_many(num, seed=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(draws) == num
+    assert peak - held < 3e6, (held, peak)
 
 
 def _summary(tmp_path, capsys, argv):
@@ -242,8 +320,8 @@ def _summary(tmp_path, capsys, argv):
 
 
 def test_node_counts_match_reference_walker(tmp_path, capsys):
-    # The summary's nodes, counted from the draws, against the variates the
-    # reference walker reads on the same child streams; per draw as well.
+    # The summary's nodes, counted from the draws, against the nodes the
+    # reference walker visits on the same keys; per draw as well.
     save_spec_file(tiny_first(), tmp_path / "tiny.json")
     for flags, spec, n, j in ((["--preset", "zero"], zero_spec(), 6, 0.0),
                               (["--preset", "dgff"], dgff_spec(), 6, 0.5),
@@ -251,13 +329,13 @@ def test_node_counts_match_reference_walker(tmp_path, capsys):
                                tiny_first(), 3, -1.0),
                               (["--preset", "zero"], zero_spec(), 0, 1.0)):
         s = Sampler(spec, n, j)
-        walks = [_reference_walk(s, c) for c in np.random.SeedSequence(17).spawn(30)]
+        walks = [walk(s, k) for k in seed_keys(17, 30)]
         out, doc = _summary(tmp_path, capsys, flags + [
             "--depth", str(n), "--j", repr(j), "--num", "30", "--seed", "17"])
         assert out == "".join(" ".join(map(str, w)) + "\n" for w, _ in walks)
         assert [_nodes(LeafSet(n, w)) for w, _ in walks] == [c for _, c in walks]
         assert doc["nodes"] == sum(c for _, c in walks)
-    # a saturated draw visits every internal node once, across buffer refills
+    # a saturated draw visits every internal node once, across cut blocks
     _, doc = _summary(tmp_path, capsys, ["--preset", "zero", "--depth", "16",
                                          "--j", "30", "--num", "2", "--seed", "3"])
     assert doc["nodes"] == 2 * ((1 << 16) - 1)
@@ -267,8 +345,8 @@ def test_node_counts_match_reference_walker(tmp_path, capsys):
                                              ("dgff", dgff_spec(), 6, -1.0)])
 def test_sample_summary_counts(tmp_path, capsys, preset, spec, n, j):
     # The summary's leaves, empty draws and nodes against the reference
-    # walker on the same child streams; stdout is the draws alone. At
-    # J = -1 about half of the draws are empty.
+    # walker on the same keys; stdout is the draws alone. At J = -1 about
+    # half of the draws are empty.
     path = tmp_path / "run.json"
     code = main(["sample", "--preset", preset, "--depth", str(n), "--j", repr(j),
                  "--num", "40", "--seed", "5", "--summary", str(path)])
@@ -279,7 +357,7 @@ def test_sample_summary_counts(tmp_path, capsys, preset, spec, n, j):
 
     doc = json.loads(path.read_text(), parse_constant=reject)
     s = Sampler(spec, n, j)
-    walks = [_reference_walk(s, c) for c in np.random.SeedSequence(5).spawn(40)]
+    walks = [walk(s, k) for k in seed_keys(5, 40)]
     assert code == 0
     assert out == "".join(" ".join(map(str, w)) + "\n" for w, _ in walks)
     assert doc["leaves"] == sum(len(w) for w, _ in walks)

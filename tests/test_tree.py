@@ -98,8 +98,8 @@ def _normalized(depth, leaves):
         (3, (1, 1, 2), (1, 2)),
         (3, (np.int64(5), np.int64(2)), (2, 5)),
         (3, (np.int64(2), np.int64(5)), (2, 5)),
-        (3, (False, True), (0, 1)),
-        (3, (True, 3), (1, 3)),
+        (3, (False, True), ValueError),
+        (3, (True, 3), ValueError),
         (3, [6, 4, 6], (4, 6)),
         (3, [4, 6], (4, 6)),
         (3, np.array([7, 0]), (0, 7)),
