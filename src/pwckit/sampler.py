@@ -80,15 +80,6 @@ def _mix(z, t):
     return z
 
 
-def _draw_keys(seed, start, stop):
-    """Keys of draws ``start`` .. ``stop - 1`` of ``seed``, as a uint64 array:
-    splitmix64's outputs from the state ``np.random.SeedSequence`` makes of
-    the seed, so that any nonnegative int seeds it."""
-    state = np.random.SeedSequence(seed).generate_state(1, np.uint64)
-    z = np.arange(start + 1, stop + 1, dtype=np.uint64) * _G + state
-    return _mix(z, np.empty_like(z))
-
-
 class Sampler:
     """Prepared tables for repeated draws at fixed spec, depth, and J.
 
@@ -131,12 +122,17 @@ class Sampler:
     def sample_many(self, num_samples, seed):
         """Independent draws ``0 .. num_samples - 1`` of ``seed``, past the
         output guard of ``_check_size``. ``seed`` (from 0) is read first, then
-        ``num_samples`` (from 1) naming ``num``."""
+        ``num_samples`` (from 1) naming ``num``. Draw i is keyed by
+        splitmix64's i-th output from the state ``np.random.SeedSequence``
+        makes of the seed, so that any nonnegative int seeds it."""
         seed, num_samples = _integer(seed, "seed"), _integer(num_samples, "num", 1)
         _check_size(self, num_samples)
+        state = np.random.SeedSequence(seed).generate_state(1, np.uint64)
         draws = []
         for start in range(0, num_samples, _WIDTH):
-            draws += self._draw(_draw_keys(seed, start, min(start + _WIDTH, num_samples)))
+            keys = np.arange(start + 1, min(start + _WIDTH, num_samples) + 1,
+                             dtype=np.uint64) * _G + state
+            draws += self._draw(_mix(keys, np.empty_like(keys)))
         return draws
 
     def _draw(self, keys):
