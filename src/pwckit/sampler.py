@@ -114,10 +114,13 @@ class Sampler:
         self._either = 2.0 * self._left  # left and right weigh the same
         self._nonempty = scale * float(np.exp(ln_occupied - self.ln_z))
 
-    def sample(self, rng):
-        """One exact draw: a batch of one on a 64-bit key read from ``rng``."""
-        key = rng.integers(1 << 64, dtype=np.uint64, size=1)
-        return self._draw(key)[0]
+    def sample(self, rng, _leaves=None):
+        """One exact draw: a batch of one on a 64-bit key read from ``rng``.
+        ``sample_many`` hands each draw of a batch, already descended, in as
+        ``_leaves``, so that every draw leaves through this method once."""
+        if _leaves is None:
+            _leaves = self._draw(rng.integers(1 << 64, dtype=np.uint64, size=1))[0]
+        return LeafSet._unchecked(self.depth, _leaves)
 
     def sample_many(self, num_samples, seed):
         """Independent draws ``0 .. num_samples - 1`` of ``seed``, past the
@@ -132,11 +135,12 @@ class Sampler:
         for start in range(0, num_samples, _WIDTH):
             keys = np.arange(start + 1, min(start + _WIDTH, num_samples) + 1,
                              dtype=np.uint64) * _G + state
-            draws += self._draw(_mix(keys, np.empty_like(keys)))
+            draws += [self.sample(None, leaves)
+                      for leaves in self._draw(_mix(keys, np.empty_like(keys)))]
         return draws
 
     def _draw(self, keys):
-        """The draws keyed by ``keys``, as LeafSets."""
+        """The leaves of the draws keyed by ``keys``, a sorted tuple each."""
         n, last, left, either = self.depth, self._last, self._left, self._either
         found = [()] * len(keys)
         live = np.flatnonzero((keys >> _S11) < self._nonempty)
@@ -202,7 +206,7 @@ class Sampler:
                 run += labels[a:b]
         if run:
             found[current] = tuple(run)
-        return [LeafSet._unchecked(n, leaves) for leaves in found]
+        return found
 
 
 #: cap on the entries a batch of draws writes, one per leaf and one per draw

@@ -202,9 +202,10 @@ def seed_keys(seed, num):
     return [splitmix((state + (i + 1) * GAMMA) & MASK) for i in range(num)]
 
 
-def walk(s, key):
+def walk(s, key, seen=None):
     """Reference walker: the draw keyed ``key`` and its visited nodes, one
-    node at a time, recursively, on the sampler's probability tables."""
+    node at a time, recursively, on the sampler's probability tables. Each
+    visited node's (level, ancestor age, top 53 key bits) goes on ``seen``."""
     leaves, nodes = [], [0]
     scale = 2.0 ** 53
 
@@ -213,6 +214,8 @@ def walk(s, key):
             leaves.append(label)
             return
         nodes[0] += 1
+        if seen is not None:
+            seen.append((d, a, key >> 11))
         u = uniform(key)
         if u < s._left[d][a] / scale:
             visit(d - 1, a, child_key(key, 0), 2 * label)
@@ -279,6 +282,29 @@ def test_uniform_on_a_threshold_goes_past_it():
     assert s.sample_many(1, seed=5)[0].leaves == walk(s, key)[0] == ()
     s._nonempty = np.nextafter(s._nonempty, np.inf)
     assert s.sample_many(1, seed=5)[0].leaves == walk(s, key)[0] == (1,)
+
+
+@pytest.mark.parametrize("spec_name,n,j", [("zero", 6, 0.0), ("dgff", 6, 0.5)])
+def test_ties_follow_argmax(spec_name, n, j):
+    # Ties on every table entry a draw visits: each (level, age) entry of
+    # P(left), or of P(left or right), set to the top key bits of a node that
+    # reads it, keeping P(left) <= P(left or right). Sampler.sample on a
+    # generator breaks every tie as the walker does.
+    spec = {"zero": zero_spec(), "dgff": dgff_spec()}[spec_name]
+    ties = 0
+    for seed in range(40):
+        s = Sampler(spec, n, j)
+        key = int(np.random.default_rng(seed).integers(1 << 64, dtype=np.uint64))
+        seen = []
+        walk(s, key, seen)
+        for d, a, top in seen:
+            on_left = top < s._either[d, a] and (seed % 2 or top < s._left[d, a])
+            (s._left if on_left else s._either)[d, a] = top
+        seen = []
+        want = walk(s, key, seen)[0]
+        assert s.sample(np.random.default_rng(seed)).leaves == want
+        ties += sum(top in (s._left[d, a], s._either[d, a]) for d, a, top in seen)
+    assert ties >= 80
 
 
 @pytest.mark.parametrize("width", [1, 5, 64])
