@@ -220,13 +220,21 @@ def _nodes(draw):
 
 
 def _cmd_sample(args):
-    """Counting nodes reads every leaf, so the summary is formed for --summary only."""
+    """Leaves print through a table of the names of 0 .. 2^n - 1 when the
+    draws hold at least four leaves per leaf of the tree, and through one
+    ``str`` per leaf otherwise. A table costs one ``str`` per tree leaf, so it
+    pays only when each entry is read several times; the rule keeps deep or
+    sparse draws off a 2^n-entry table, and the table lives for this job.
+    Counting nodes reads every leaf, so the summary is formed for --summary only."""
     spec = _load_spec(args)
     draws = sampmod.sample(spec, args.depth, args.j, args.seed, args.num)
-    lines = [" ".join(map(str, ls.leaves)) for ls in draws]
+    leaves = sum(map(len, draws))
+    name = str
+    if leaves >= 4 << args.depth:
+        name = list(map(str, range(1 << args.depth))).__getitem__
+    lines = [" ".join(map(name, ls.leaves)) for ls in draws]
     if not args.summary:
         return lines, None, 0
-    leaves = sum(map(len, draws))
     return lines, {
         "command": "sample", "spec": _spec_label(args), "depth": args.depth,
         "j": args.j, "seed": args.seed, "num": args.num,

@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dp
-from .clustering import SpecConfigError, _integer, _real
+from .clustering import SpecConfigError, _instance, _integer, _real
 from .tree import LeafSet
 
 #: splitmix64's golden gamma, and what child 0 and child 1 add to their
@@ -115,10 +115,13 @@ class Sampler:
         self._nonempty = scale * float(np.exp(ln_occupied - self.ln_z))
 
     def sample(self, rng, _leaves=None):
-        """One exact draw: a batch of one on a 64-bit key read from ``rng``.
+        """One exact draw: a batch of one on a 64-bit key read from ``rng``, a
+        ``np.random.Generator`` (anything else is refused naming ``rng``).
         ``sample_many`` hands each draw of a batch, already descended, in as
-        ``_leaves``, so that every draw leaves through this method once."""
+        ``_leaves``, so that every draw leaves through this method once and
+        ``rng`` is not read."""
         if _leaves is None:
+            rng = _instance(rng, (np.random.Generator,), "rng")
             _leaves = self._draw(rng.integers(1 << 64, dtype=np.uint64, size=1))[0]
         return LeafSet._unchecked(self.depth, _leaves)
 

@@ -4,7 +4,7 @@ Every callable in ``pwckit.__all__`` has an entry in ``GRAMMAR`` below
 naming each of its parameters with a pool of good values and one of bad
 values, and so do the public methods that take arguments
 (``ConductanceProfile.uniform``, ``LeafSet.from_mask``,
-``Sampler.sample_many`` and the weight containers' reads
+``Sampler.sample``, ``Sampler.sample_many`` and the weight containers' reads
 ``HSequence.__call__`` and ``HArray.__call__``; an age past a list's or a
 table's end is no bad value there, as it keeps its ``IndexError``, which
 ``dp._weights`` reports naming ``h.values``). A new callable, or a new
@@ -50,6 +50,7 @@ import inspect
 import json
 import math
 import os
+import random
 import tempfile
 import warnings
 from typing import NamedTuple
@@ -174,6 +175,9 @@ GRAMMAR = {
                                        Bad(1e9, "delta")]),
         "k_max": ([1, 1000, K_MAX_DEFAULT], K_MAX[1])},
     "Sampler": {"spec": specs("first", "second"), "n": SAMPLE_DEPTHS, "j": ONE_J},
+    "Sampler.sample": {"rng": ([np.random.default_rng(k) for k in (0, 1, 2)],
+                               [None, 5, random.Random(1)]),
+                       "_leaves": ([None], [])},
     "Sampler.sample_many": {"num_samples": NUMS, "seed": SEEDS},
     "sample": {"spec": specs("first", "second"), "n": SAMPLE_DEPTHS, "j": ONE_J,
                "seed": SEEDS, "num_samples": NUMS},

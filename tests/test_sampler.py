@@ -18,6 +18,7 @@ from pwckit.clustering import (
     capacity_uniform,
     dgff_spec,
     first_linear,
+    parse_preset,
     save_spec_file,
     zero_spec,
 )
@@ -168,6 +169,34 @@ def test_sample_output_pinned(capsys, preset, depth, j, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "preset,depth,j,num,table",
+    [
+        ("zero", 0, 0.0, 12, True),  # 4 leaves, 8 empty draws
+        ("zero", 2, 50.0, 4, True),  # exactly 16 = 4 * 2^2 leaves
+        ("zero", 2, 50.0, 3, False),  # 12 leaves
+        ("zero", 3, 0.0, 2000, True),  # two batches of keys
+        ("zero", 10, 0.0, 10, True),
+        ("first:logcorrected", 8, 1.0, 10, False),
+        ("first:linear:3ln2", 10, 0.5, 20, False),  # every draw empty
+        ("dgff", 6, -1.0, 40, False),  # empty draws among the others
+        ("zero", 64, -44.0, 3, False),  # labels of two words
+        ("zero", 100, -60.0, 2, False),
+    ],
+)
+def test_sample_text_matches_per_leaf_rendering(capsys, preset, depth, j, num, table):
+    # Printed through the table of leaf names (at least 4 leaves per tree
+    # leaf) or through str per leaf, each line is the draw's leaves as str
+    # renders them.
+    draws = sample(parse_preset(preset), depth, j, seed=7, num_samples=num)
+    assert (sum(map(len, draws)) >= 4 << depth) == table
+    code = main(["sample", "--preset", preset, "--depth", str(depth), "--j", repr(j),
+                 "--num", str(num), "--seed", "7"])
+    assert code == 0
+    assert capsys.readouterr().out == "".join(
+        " ".join(map(str, d.leaves)) + "\n" for d in draws)
 
 
 def test_saturated_deep_draw():
