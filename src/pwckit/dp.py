@@ -61,14 +61,24 @@ order's 61, in one numpy pass of 240 us.
 Size-resolved variants replace the scalar square by a size convolution and
 produce the canonical table W(a0) = sum_{|A| = a0} e^{-Phi(A)}; these are the
 inputs to free-energy curves and to exact sampling. Convolutions stay in the
-log domain with a per-entry max shift (no transform tricks, which would
-destroy relative precision across the huge dynamic range), so dp_W costs
-O(4^n) and guards the size it holds. The convolution sums only the half
-anti-diagonal i <= j of each output size, counting the terms off the
-diagonal twice, and reads its rows as sliding windows of the input and of
-the input reversed; rows go in blocks of at most ``_BLOCK`` entries (512 KB
-of float64), so no (size, size) matrix is ever built. Its sums run in another
-order than a term-by-term loop, so results agree with one to a few ulps.
+log domain, so dp_W costs O(4^n) and guards the size it holds. The
+convolution sums only the half anti-diagonal i <= j of each output size,
+counting the terms off the diagonal twice, and reads its rows as sliding
+windows of the input and of the input reversed, so no (size, size) matrix is
+ever built. An input that fits in one block of ``_BLOCK`` entries (512 KB of
+float64) takes the exact formula: a max shift per row, then an add, a shift
+and an exp per term. That covers every table up to depth 8, the slope
+tables of ``threshold`` and every ``--m-max 256`` table, whose bits do not
+depend on the tilted blocks below. A larger input runs in tilted blocks of
+``_TILT_ROWS`` rows: each block exponentiates its window of the input once,
+relative to one line through the block's centre, and forms each row as a
+sum of products, one multiply-add per term and no FFT. A per-row rounding
+certificate (``_log_self_convolve``) keeps a row's value only when its
+error is provably within half of 1e-14 max(1, |c|); the few rows that fail,
+where the input is steep against the line or the row is small against its
+offsets, take the exact formula. Either way results agree with a
+term-by-term loop to a few ulps of max(1, |c|). The last level of a depth-12
+table takes about 0.9 ms instead of 11, on one core of a shared 2-core host.
 
 The max-plus table (``dp_W_maxterm``) computes ln max over admissible
 first-order profiles of N(b) e^{-Phi(b)} by a max-plus pass over the
@@ -89,9 +99,10 @@ argmaxes, O(m^1.5) pairs at size m instead of O(m^2). A float certificate,
 checked per level, shows that rounding cannot carry a row's maximum out of
 its bracket; a level that fails it (weights of huge magnitude, or sizes
 near 2^22) forms every pair. Either way every row takes the max the full
-scan takes, over the same entries, so no bit changes. A full table takes
-about 5 ms at depth 12 (15 ms forming every pair) and 19 ms at depth 14
-(190 ms), on one core of a shared 2-core host. No second-order analogue is
+scan takes, over the same entries, so no bit changes. The rows between two
+sampled rows go in gathered blocks of many brackets at once. A full table
+takes about 4.3 ms at depth 12 (15 ms forming every pair) and 16 ms at depth
+14 (190 ms), on one core of a shared 2-core host. No second-order analogue is
 provided: the per-level multinomials couple every ancestor-descendant pair,
 and no polynomial-state exact recursion is known to us.
 """
@@ -134,6 +145,24 @@ _EXP_FLOOR = -700.0
 
 #: the unit roundoff of float64, 2^-53
 _UNIT = np.finfo(float).eps / 2
+
+#: output rows per block of the tilted size convolution (``_tilted_rows``)
+_TILT_ROWS = 256
+
+#: a tilted row keeps its value when its rounding bound is at most this
+#: fraction of max(1, |c|): half of the 1e-14 that a term-by-term sum is held
+#: to, the other half left to that sum's own rounding
+_TILT_TOL = 5e-15
+
+#: smallest scaled sum that a tilted row keeps, e^-600
+_TILT_MIN_SUM = math.exp(-600.0)
+
+#: largest |tilt| and |shift| of a tilted block
+_TILT_MAX_SHIFT = 2.0 ** 40
+
+#: sizes past this take the exact convolution; below it lam j is exact for
+#: every |j| < 2^29 (``_log_self_convolve``)
+_TILT_MAX_TOP = 1 << 27
 
 
 @dataclass(frozen=True, slots=True)
@@ -457,12 +486,57 @@ def _log_self_convolve(y, out_len):
     Each term off the diagonal stands for two, so a row sums to 2S minus its
     diagonal term (k = 0, e = 0), which is at most S: no cancellation.
 
-    Rows are taken in blocks of at most ``_BLOCK`` entries, each with a
-    per-row max shift; a row with no finite term is shifted by 0 and gives
-    -inf without forming -inf - -inf. Shifted terms are floored at
-    ``_EXP_FLOOR`` before ``exp``: a row's largest term is 1, so its sum is
-    at least 1, and its floored terms, each below 1e-304, move it by far less
-    than half an ulp. A row with no finite term has its sum reset to 0.
+    The exact formula (``_exact_rows``) takes rows in blocks of at most
+    ``_BLOCK`` entries, each with a per-row max shift; a row with no finite
+    term is shifted by 0 and gives -inf without forming -inf - -inf. Shifted
+    terms are floored at ``_EXP_FLOOR`` before ``exp``: a row's largest term
+    is 1, so its sum is at least 1, and its floored terms, each below
+    1e-304, move it by far less than half an ulp. A row with no finite term
+    has its sum reset to 0.
+
+    Tilted blocks. An input that the exact formula takes in more than one
+    block (rows * 2 * width > ``_BLOCK``) runs instead in blocks of
+    ``_TILT_ROWS`` rows (``_tilted_rows``). With
+    Y_i = y[lo + i], a block with centre row q takes a tilt lam, the central
+    difference of Y at q rounded to 24 significant bits, so that lam j is
+    exact for every integer |j| < 2^29. It forms v_i = Y_i - lam (i - q)
+    over the sizes its rows read, mu = max v_i and x_i = v_i - mu, both
+    rounded, and E_i = exp(x_i) <= 1, set to 0 where x_i < ``_EXP_FLOOR``.
+    Row p pairs sizes with i + j = 2p + e, so exp(Y_i + Y_j) =
+    exp(B + X_i + X_j) with B = 2 mu + lam (2(p - q) + e) and
+    X_i = Y_i - lam (i - q) - mu exactly, and the row is c = B + ln S, with
+    S = 2 sum_{k>=1} E_{p-k} E_{p+k} + E_p^2 (e = 0) or
+    2 sum_{k>=0} E_{p-k} E_{p+1+k} (e = 1): a dot product per row.
+
+    The certificate. Take u = 2^-53, n the row's number of pairs, and
+    numpy's exp and log within 4 ulps (8u relative; they measure within one
+    ulp of libm's). A block with |mu| > ``_TILT_MAX_SHIFT`` = 2^40 is left
+    to the exact formula. Otherwise, on a row with S >= e^-600:
+    (a) The rounding of v and x gives x_i = X_i + d_i with
+        |d_i| <= u (|mu| + 2 |x_i|)(1 + 5u). Weighted by the terms
+        t = exp(x_i + x_j), the mean of s = |x_i| + |x_j| is at most
+        sigma (1 + e^-41), sigma = 41 + ln 2n - ln S: the terms with
+        s <= sigma give at most sigma S, and the 2n others (counted with
+        their weight) at most 2n sigma e^-sigma = e^-41 sigma S, since
+        s e^-s falls past s = 1. So the d move S by at most
+        2u (|mu| + sigma (1 + e^-41))(1 + 5u) of itself.
+    (b) The exponentials add 16u per term. A dot product in any order, with
+        or without fused multiply-adds, passes each term through at most n
+        roundings, and the diagonal square and the last add are two more:
+        (n + 1) u.
+    (c) A factor set to 0 has X_i < -699.99 (u |mu| < 2e-4) and the other
+        factor exp(X_j) < e^2e-4, so each dropped term, and each product
+        that underflows, is below e^-699.9; the 2n of them are below
+        1e-43 n S.
+    (d) ln S rounds within 8u |ln S|. 2 mu and lam (2(p - q) + e) are exact
+        (|p - q| < 2^27), so B rounds within u |B| and B + ln S within u |c|.
+    Summed, with a factor 1.01 for the products of these errors, the row's
+    error is at most 1.01 u (|c| + |B| + 8 |ln S| + 2 |mu| + 2 sigma + n + 17)
+    + 1e-43 n. The row keeps c when that is at most ``_TILT_TOL`` (half of
+    1e-14) of max(1, |c|); otherwise it takes the exact formula at its
+    block's width. The certificate holds for the dot products whatever
+    order numpy's matmul sums in, and the tilted rows' bits depend on the
+    blocking, so they are not the exact formula's.
     """
     c = np.full(out_len + 1, NEG_INF)
     live = np.flatnonzero(y[1:] > NEG_INF) + 1
@@ -485,28 +559,110 @@ def _log_self_convolve(y, out_len):
     fwd = np.ndarray((top + 1, width + 1), float, buf, 0, stride)
     back = np.ndarray((top + 1, width), float, buf, buf.strides[0], stride)
     out = c[2 * lo : 2 * lo + last + 1]
+    if rows > step and top < _TILT_MAX_TOP:
+        out[:] = _tilted_rows(buf[0, : top + 1], last, fwd, back)
+        return c
     for p0 in range(0, rows, step):
         p1 = min(p0 + step, rows)
         k = min(p1 - 1, top - p0) + 1
         b = back[top - p1 + 1 : top - p0 + 1, :k][::-1]
-        t = np.empty((p1 - p0, 2, k))
-        np.add(fwd[p0:p1, :k], b, out=t[:, 0])
-        np.add(fwd[p0:p1, 1 : k + 1], b, out=t[:, 1])
-        mx = t.max(axis=2)
-        live = mx > NEG_INF
-        shift = np.where(live, mx, 0.0)
-        t -= shift[:, :, None]
-        np.maximum(t, _EXP_FLOOR, out=t)
-        np.exp(t, out=t)
-        s = t.sum(axis=2)
-        s *= 2.0
-        s[:, 0] -= t[:, 0, 0]
-        s[~live] = 0.0
-        with np.errstate(divide="ignore"):
-            vals = (shift + np.log(s)).reshape(-1)
+        vals = _exact_rows(fwd[p0:p1, : k + 1], b).reshape(-1)
         seg = out[2 * p0 : 2 * p1]
         seg[:] = vals[: len(seg)]
     return c
+
+
+def _exact_rows(f, b):
+    """Rows (p, e) of ``_log_self_convolve`` from the forward windows ``f``
+    (k + 1 wide) and the backward windows ``b`` (k wide), by a per-row max
+    shift: every term is added, shifted and exponentiated."""
+    k = b.shape[1]
+    t = np.empty((len(b), 2, k))
+    np.add(f[:, :k], b, out=t[:, 0])
+    np.add(f[:, 1 : k + 1], b, out=t[:, 1])
+    mx = t.max(axis=2)
+    live = mx > NEG_INF
+    shift = np.where(live, mx, 0.0)
+    t -= shift[:, :, None]
+    np.maximum(t, _EXP_FLOOR, out=t)
+    np.exp(t, out=t)
+    s = t.sum(axis=2)
+    s *= 2.0
+    s[:, 0] -= t[:, 0, 0]
+    s[~live] = 0.0
+    with np.errstate(divide="ignore"):
+        return shift + np.log(s)
+
+
+def _tilt(y, q):
+    """The tilt of ``_tilted_rows`` at index q: the central difference of y,
+    rounded to 24 significant bits, or 0 where it is not finite or not below
+    ``_TILT_MAX_SHIFT``."""
+    if not 0 < q < len(y) - 1:
+        return 0.0
+    lam = (float(y[q + 1]) - float(y[q - 1])) / 2.0  # Python floats: no warning for inf - inf
+    if not abs(lam) <= _TILT_MAX_SHIFT:
+        return 0.0
+    return float(np.float32(lam))
+
+
+def _tilted_rows(y, last, fwd, back):
+    """Entries 2p + e = 0 .. ``last`` of ``_log_self_convolve``'s output
+    over the sizes lo .. hi held in ``y``, by tilted blocks of
+    ``_TILT_ROWS`` rows (see the proof there). A row whose certificate
+    fails takes ``_exact_rows`` on the windows ``fwd`` and ``back``, at its
+    block's width."""
+    top, rows = len(y) - 1, last // 2 + 1
+    sums = np.zeros((rows, 2))  # a block without a tilt leaves 0: its rows fail
+    base = np.zeros((rows, 2))
+    shift = np.zeros((rows, 1))
+    for p0 in range(0, rows, _TILT_ROWS):
+        p1 = min(p0 + _TILT_ROWS, rows)
+        r, k = p1 - p0, min(p1 - 1, top - p0) + 1
+        q = (p0 + p1 - 1) // 2
+        lam = _tilt(y, q)
+        i0, i1 = max(0, p0 - k + 1), min(top, p1 + k - 1) + 1
+        v = y[i0:i1] - lam * np.arange(i0 - q, i1 - q)
+        mu = float(v.max())
+        if not abs(mu) <= _TILT_MAX_SHIFT:
+            continue
+        x = v - mu
+        # buf[z] holds E at index p0 - k + z, and 0 past either end of y
+        size = r + 2 * k
+        buf = np.zeros(size)
+        e = buf[i0 - p0 + k : i1 - p0 + k]
+        np.maximum(x, _EXP_FLOOR, out=e)
+        np.exp(e, out=e)
+        e[x < _EXP_FLOOR] = 0.0
+        rev = buf[::-1].copy()
+        s = buf.strides[0]
+        f = np.ndarray((r, k + 1), float, buf, k * s, (s, s))  # E[p + j]
+        b = np.ndarray((r, k), float, rev, (size - r - k) * s, (s, s))[::-1]  # E[p - j]
+        part = sums[p0:p1]
+        part[:, 0] = np.matmul(f[:, None, 1:k], b[:, 1:, None])[:, 0, 0]
+        part[:, 1] = np.matmul(f[:, None, 1:], b[:, :, None])[:, 0, 0]
+        part *= 2.0
+        part[:, 0] += f[:, 0] * f[:, 0]
+        base[p0:p1] = lam * (2 * np.arange(p0 - q, p1 - q)[:, None] + np.arange(2))
+        base[p0:p1] += 2.0 * mu
+        shift[p0:p1] = abs(mu)
+    p = np.arange(rows)[:, None]
+    n = np.maximum(np.minimum(p, top - p - np.arange(2)) + 1, 1)  # terms of a row
+    with np.errstate(divide="ignore"):
+        ln_s = np.log(sums)
+    vals = base + ln_s
+    spread = 41.0 + np.log(2.0 * n) - ln_s
+    bound = (np.abs(vals) + np.abs(base) + 8.0 * np.abs(ln_s) + 2.0 * shift
+             + 2.0 * spread + n + 17.0) * (1.01 * _UNIT) + 1e-43 * n
+    ok = (sums >= _TILT_MIN_SUM) & (bound <= _TILT_TOL * np.maximum(1.0, np.abs(vals)))
+    ok.reshape(-1)[last + 1 :] = True  # past the output: never read
+    bad = np.flatnonzero(~ok.all(axis=1))
+    block = bad // _TILT_ROWS
+    for i in sorted(set(block.tolist())):
+        p, p0 = bad[block == i], i * _TILT_ROWS
+        k = min(p0 + _TILT_ROWS - 1, rows - 1, top - p0) + 1
+        vals[p] = _exact_rows(fwd[p, : k + 1], back[top - p, :k])
+    return vals.reshape(-1)[: last + 1]
 
 
 def dp_W(spec, n, m_max=None, allow_large=False):
@@ -589,8 +745,18 @@ def _bracketed_rows(gains, new, reach, top_a):
     s = isqrt(reach), are taken over their whole range, recording each one's
     first and last argmax. The rows between two samples then take the
     populations from the first argmax of the sample below (1 below the
-    lowest) to the last argmax of the sample above. Every rectangle is cut
-    into blocks of at most ``_BLOCK`` entries.
+    lowest) to the last argmax of the sample above.
+
+    The gaps of s - 1 rows go in gathered blocks: a run of consecutive gaps
+    takes the populations lo_0 + i delta .. lo_0 + i delta + w - 1 for gap
+    i, a line below every gap's first population and wide enough for every
+    gap's last, so that the run is one strided view (``gains`` with arrays).
+    A run whose line leaves the populations 1 .. ``top_a``, or whose block
+    holds more than ``_BLOCK`` entries or more than 5/4 of its gaps'
+    entries, is split in two; a single gap that still fails, and a shorter
+    lowest gap, are cut into blocks of at most ``_BLOCK`` entries instead.
+    The extra entries of a run lie outside the gaps' brackets, so each is
+    -inf or strictly below its row's maximum, and no row maximum changes.
     """
     s = math.isqrt(reach)
     first = (reach - 1) % s + 1
@@ -603,15 +769,40 @@ def _bracketed_rows(gains, new, reach, top_a):
         new[t0:t1:s] = g.max(axis=1)
         lows += (lo + g.argmax(axis=1)).tolist()
         highs += (hi - 1 - g[:, ::-1].argmax(axis=1)).tolist()
-    low = 1
-    for t1, high, above in zip(range(first, reach + 1, s), highs, lows):
-        t0 = max(1, t1 - s + 1)
+    # the gap below sampled row t1: rows t0 .. t1 - 1, populations from the
+    # first argmax below (1 under the lowest sample) to the last one above
+    t1s = range(first, reach + 1, s)
+    t0s = [max(1, t1 - s + 1) for t1 in t1s]
+    lows = [1] + lows[:-1]
+    los = [max(low, (t0 + 1) // 2) for low, t0 in zip(lows, t0s)]
+    his = [min(high, t1 - 1) + 1 for high, t1 in zip(highs, t1s)]
+    h = s - 1
+    rows = np.arange(h)
+    rect = [0] if t1s[0] - t0s[0] < h else []  # the lowest gap may be shorter
+    todo = [(len(rect), len(t1s))]
+    while todo:
+        i0, i1 = todo.pop()
+        # populations lo + i delta .. lo + i delta + w - 1 cover gap i0 + i
+        m = i1 - i0
+        delta = (los[i1 - 1] - los[i0]) // max(1, m - 1)
+        lo = min(los[i0 + i] - i * delta for i in range(m))
+        w = max(his[i0 + i] - lo - i * delta for i in range(m))
+        if (lo >= 1 and lo + (m - 1) * delta + w - 1 <= top_a and m * h * w <= _BLOCK
+                and 4 * m * w <= 5 * sum(his[i0:i1]) - 5 * sum(los[i0:i1])):
+            t0 = np.arange(t0s[i0], t0s[i1 - 1] + 1, s)
+            a0 = lo + delta * np.arange(m)
+            new[t0[:, None] + rows] = gains(t0, t0 + h, a0, a0 + w).max(axis=1)
+        elif m > 1:
+            todo += [(i0, i0 + m // 2), (i0 + m // 2, i1)]
+        else:
+            rect.append(i0)
+    for i in rect:
+        t0, t1, low, high = t0s[i], t1s[i], lows[i], highs[i]
         step = max(1, _BLOCK // (high - low + 1))
         for u0 in range(t0, t1, step):
             u1 = min(u0 + step, t1)
             lo, hi = max(low, (u0 + 1) // 2), min(high, u1 - 1) + 1
             new[u0:u1] = gains(u0, u1, lo, hi).max(axis=1)
-        low = above
 
 
 def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
@@ -660,8 +851,10 @@ def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
     Why no bit changes. Each entry takes the same five operations on the
     same operands in whichever block it is formed, and max does not round.
     Every entry left out of a bracket is strictly below one inside it, so
-    each row's max is the full scan's. No entry is -0.0 (a sum is -0.0 only
-    when both addends are, and X never is), so no tie of zeros can differ.
+    each row's max is the full scan's, whether a block forms only the
+    bracket or, as the gathered gaps do, some entries outside it too. No
+    entry is -0.0 (a sum is -0.0 only when both addends are, and X never
+    is), so no tie of zeros can differ.
     """
     check_family(spec, ("first",), "dp_W_maxterm")
     n = _depth(n)
@@ -682,7 +875,8 @@ def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
     x = np.arange(-pad, 2 * cap + 3)
     lgx = np.full(len(x), np.inf)
     lgx[pad : pad + cap + 1] = lg
-    by_2a_t = sliding_window_view(np.stack((lgx, x * LN2)), 2 * cap + 1, axis=1)
+    two_a_t = np.stack((lgx, x * LN2))
+    by_2a_t = sliding_window_view(two_a_t, 2 * cap + 1, axis=1)
     by_2a_t = by_2a_t[:, :, ::2]
     back = np.empty((2, len(x)))
     back[0] = lgx
@@ -691,7 +885,29 @@ def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
 
     def gains(t0, t1, lo, hi, step=1):
         """Entries of rows t0, t0 + step, .. < t1 at populations lo .. hi - 1,
-        for lo >= ceil(t0 / 2): the windows start at a0 = ceil(t0 / 2)."""
+        for lo >= ceil(t0 / 2): the windows start at a0 = ceil(t0 / 2).
+
+        With arrays t0 and lo in arithmetic progression, one rectangle each
+        of t1 - t0 = h rows and hi - lo = w populations, for 1 <= lo and
+        lo + w <= top + 1, the entries of all of them as one (rectangle,
+        population, row) block: strided views of ``back`` at x = t - a and of
+        ``two_a_t`` at x = 2a - t."""
+        if isinstance(t0, np.ndarray):
+            n, h, w = len(t0), int(t1[0] - t0[0]), int(hi[0] - lo[0])
+            t, a = int(t0[0]), int(lo[0])
+            dt, da = (int(t0[1]) - t, int(lo[1]) - a) if n > 1 else (0, 0)
+            row, col = back.strides
+            r = np.ndarray((2, n, w, h), float, back, (pad + t - a) * col,
+                           (row, (dt - da) * col, -col, col))
+            f = np.ndarray((2, n, w, h), float, two_a_t, (pad + 2 * a - t) * col,
+                           (row, (2 * da - dt) * col, 2 * col, -col))
+            by_a = (da * col, col, 0)
+            g = np.ndarray((n, w, 1), float, lg, a * col, by_a) - r[0]
+            g -= f[0]
+            g += f[1]
+            g -= r[1]
+            g += np.ndarray((n, w, 1), float, best, a * col, by_a)
+            return g
         a0 = (t0 + 1) // 2
         f = by_2a_t[:, pad + 2 * a0 - t0 : pad + 2 * a0 - t1 : -step, lo - a0 : hi - a0]
         r = by_t_a[:, end - t0 + a0 : end - t1 + a0 : -step, lo - a0 : hi - a0]

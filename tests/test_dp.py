@@ -360,6 +360,87 @@ def test_blocked_convolution_spans_blocks():
     assert_conv_close(_log_self_convolve(y, 8192), ref_log_self_convolve(y, 8192))
 
 
+@st.composite
+def _tilted_inputs(draw):
+    """Inputs that the exact formula would take in more than one block, so
+    that they run in tilted blocks: sizes lo = 1 .. hi >= 299 with hi past
+    7/8 of the table and out_len >= 1.5 size, so at least 224 rows of width
+    224 or more. -inf runs stay inside the table."""
+    size = draw(st.integers(300, 2100))
+    kind = draw(st.sampled_from(["line", "binomial", "walk"]))
+    scale = draw(st.sampled_from([1.0, 50.0, 1e6, 1e300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i = np.arange(size)
+    if kind == "line":  # steep: slopes up to 30 per size, with a little noise
+        y = rng.uniform(-30.0, 30.0) * i + rng.uniform(-1e-3, 1e-3, size)
+    elif kind == "binomial":  # ln C(m, i), concave and steep at both ends
+        m = size - 1 + int(rng.integers(0, 4 * size))
+        lg = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m + 1)))))
+        y = lg[m] - lg[i] - lg[m - i]
+    else:  # a rough random walk
+        y = np.cumsum(rng.normal(0.0, rng.uniform(0.1, 5.0), size))
+    y = y * scale
+    y[0] = -np.inf
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(size // 4, 3 * size // 4))
+        y[start : start + draw(st.integers(1, size // 8))] = -np.inf
+    out_len = draw(st.integers(size + size // 2, 2 * size + 2))
+    return y, out_len
+
+
+@given(_tilted_inputs())
+@settings(max_examples=40, deadline=None)
+def test_tilted_convolution_matches_reference(case):
+    y, out_len = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_self_convolve(y, out_len)
+    assert_conv_close(got, ref_log_self_convolve(y, out_len))
+
+
+def test_tilted_rows_fall_back_to_the_exact_formula(monkeypatch):
+    # Noise of 1e6 leaves most rows' scaled sums below e^-600, and the gap
+    # between two runs of sizes leaves rows with no finite term at all: all
+    # of them take the exact formula, and the rows without terms stay -inf.
+    rng = np.random.default_rng(38)
+    y = rng.uniform(-1.0, 1.0, 1001) * 1e6
+    y[0] = -np.inf
+    y[101:900] = -np.inf
+    exact = []
+    rows = dp._exact_rows
+    monkeypatch.setattr(dp, "_exact_rows", lambda f, b: exact.append(len(b)) or rows(f, b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_self_convolve(y, 2000)
+    want = ref_log_self_convolve(y, 2000)
+    assert_conv_close(got, want)
+    assert np.isneginf(want[201:901]).all() and np.isfinite(want[901:1101]).all()
+    assert sum(exact) > 500
+
+
+def _ln_binomials(m):
+    """ln C(m, a) for a = 0 .. m, each the log of the exact integer."""
+    out, c = [], 1
+    for a in range(m + 1):
+        out.append(math.log(c))
+        c = c * (m - a) // (a + 1)
+    return np.array(out)
+
+
+def test_zero_tables_stay_as_close_as_the_exact_formula(monkeypatch):
+    # The zero family's table is ln C(2^n, a); its last levels run in tilted
+    # blocks, and their error may at most double that of the exact formula.
+    def error(n):
+        want = _ln_binomials(1 << n)
+        got = dp_W(zero_spec(), n, allow_large=True).ln_w
+        return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+
+    tilted = [error(n) for n in range(10, 14)]
+    monkeypatch.setattr(dp, "_TILT_MAX_TOP", 0)
+    exact = [error(n) for n in range(10, 14)]
+    assert all(t <= 2.0 * e for t, e in zip(tilted, exact)), (tilted, exact)
+
+
 def test_maxterm_is_bit_identical_to_reference(monkeypatch):
     # Past depth 8 a level larger than one block fills its rows by monotone
     # argmax where its float certificate holds, and forms every entry where
@@ -644,9 +725,11 @@ def test_shared_row_work_counts(monkeypatch):
     assert dp._level_ends(zeros, n, 2) == list(range(2, n + 3))
 
 
-def test_convolution_floor_is_bit_identical():
+def test_convolution_floor_is_bit_identical(monkeypatch):
     # Interior -inf entries leave output sizes without any finite term, and
     # a spread of over 1400 puts shifted terms below numpy's slow exp range.
+    # Every input takes the exact formula: tilted rows have other bits.
+    monkeypatch.setattr(dp, "_TILT_MAX_TOP", 0)
     rng = np.random.default_rng(21)
     cases = [np.array([-np.inf, 0.0, -np.inf, -np.inf, -np.inf, -5.0])]
     for size in (2, 9, 40, 300, 2049):
