@@ -93,18 +93,19 @@ to the bit whatever the blocking. A level larger than one block does not
 form every pair. Its gain is supermodular in (population, target), so each
 target's best population is monotone in the target (Topkis; the row maxima
 of a monotone matrix, as in Aggarwal, Klawe, Moran, Shor and Wilber 1987):
-the level takes every s-th target over its whole range, s = isqrt(size),
-then each gap between two such targets over the populations between their
-argmaxes, O(m^1.5) pairs at size m instead of O(m^2). A float certificate,
-checked per level, shows that rounding cannot carry a row's maximum out of
-its bracket; a level that fails it (weights of huge magnitude, or sizes
-near 2^22) forms every pair. Either way every row takes the max the full
-scan takes, over the same entries, so no bit changes. The rows between two
-sampled rows go in gathered blocks of many brackets at once. A full table
-takes about 4.3 ms at depth 12 (15 ms forming every pair) and 16 ms at depth
-14 (190 ms), on one core of a shared 2-core host. No second-order analogue is
-provided: the per-level multinomials couple every ancestor-descendant pair,
-and no polynomial-state exact recursion is known to us.
+the level takes every s-th target over its whole range, s a power of two
+near sqrt(size), then halves s down to 1, each new row taking only the
+populations between the argmaxes of its two neighbours s away: O(m^1.5)
+pairs at size m for the sampled rows and, as the brackets telescope, about
+O(m) per halving, instead of O(m^2). A float certificate, checked per
+level, shows that rounding cannot carry a row's maximum out of its bracket;
+a level that fails it (weights of huge magnitude, or sizes near 2^22) forms
+every pair. Either way every row takes the max the full scan takes, over
+the same entries, so no bit changes. A full table takes about 3.4 ms at
+depth 12 (15 ms forming every pair) and 12 ms at depth 14 (195 ms), on one
+core of a shared 2-core host. No second-order analogue is provided: the
+per-level multinomials couple every ancestor-descendant pair, and no
+polynomial-state exact recursion is known to us.
 """
 
 from __future__ import annotations
@@ -739,70 +740,45 @@ def _lg_margin(lg):
 
 def _bracketed_rows(gains, new, reach, top_a):
     """Fill rows 1 .. ``reach`` of ``new`` with the row maxima of ``gains``
-    by monotone argmax (see ``dp_W_maxterm``).
+    by monotone argmax (see ``dp_W_maxterm``): the divide and conquer for
+    the row maxima of a monotone matrix, one argmax per row.
 
-    The sampled rows reach, reach - s, .., down to ``first`` <= s, with
-    s = isqrt(reach), are taken over their whole range, recording each one's
-    first and last argmax. The rows between two samples then take the
-    populations from the first argmax of the sample below (1 below the
-    lowest) to the last argmax of the sample above.
+    The rows reach, reach - s, reach - 2s, .., s the largest power of two
+    <= isqrt(reach), are taken over their whole range. Then s halves down
+    to 1, and at each stride the rows t = reach - s, reach - 3s, .. take the
+    populations from the argmax of row t - s (1 below row 1) through the
+    argmax of row t + s. Anchored at reach, every such t + s is a row
+    already computed. Each row's computed argmax is an argmax of its whole
+    row, since every entry outside its bracket is strictly below its max.
 
-    The gaps of s - 1 rows go in gathered blocks: a run of consecutive gaps
-    takes the populations lo_0 + i delta .. lo_0 + i delta + w - 1 for gap
-    i, a line below every gap's first population and wide enough for every
-    gap's last, so that the run is one strided view (``gains`` with arrays).
-    A run whose line leaves the populations 1 .. ``top_a``, or whose block
-    holds more than ``_BLOCK`` entries or more than 5/4 of its gaps'
-    entries, is split in two; a single gap that still fails, and a shorter
-    lowest gap, are cut into blocks of at most ``_BLOCK`` entries instead.
-    The extra entries of a run lie outside the gaps' brackets, so each is
-    -inf or strictly below its row's maximum, and no row maximum changes.
+    A stride's rows are gathered by index in blocks of at most ``_BLOCK``
+    entries, every row as wide as the stride's widest bracket, w; a row
+    whose window would pass population ``top_a`` starts lower instead. The
+    extra entries lie outside the row's bracket, so each is -inf or strictly
+    below the row's max, and neither the max nor the argmax moves.
     """
-    s = math.isqrt(reach)
+    s = 1 << (math.isqrt(reach).bit_length() - 1)
+    arg = np.ones(reach + 1, dtype=np.intp)  # arg[0] = 1 stands below row 1
     first = (reach - 1) % s + 1
-    lows, highs = [], []
     per = max(1, _BLOCK // (top_a + 1))  # sampled rows per block
     for t0 in range(first, reach + 1, per * s):
         t1 = min(t0 + per * s, reach + 1)
-        lo, hi = (t0 + 1) // 2, min(t1 - 1, top_a) + 1
-        g = gains(t0, t1, lo, hi, s)
+        lo = (t0 + 1) // 2
+        g = gains(t0, t1, lo, min(t1 - 1, top_a) + 1, s)
         new[t0:t1:s] = g.max(axis=1)
-        lows += (lo + g.argmax(axis=1)).tolist()
-        highs += (hi - 1 - g[:, ::-1].argmax(axis=1)).tolist()
-    # the gap below sampled row t1: rows t0 .. t1 - 1, populations from the
-    # first argmax below (1 under the lowest sample) to the last one above
-    t1s = range(first, reach + 1, s)
-    t0s = [max(1, t1 - s + 1) for t1 in t1s]
-    lows = [1] + lows[:-1]
-    los = [max(low, (t0 + 1) // 2) for low, t0 in zip(lows, t0s)]
-    his = [min(high, t1 - 1) + 1 for high, t1 in zip(highs, t1s)]
-    h = s - 1
-    rows = np.arange(h)
-    rect = [0] if t1s[0] - t0s[0] < h else []  # the lowest gap may be shorter
-    todo = [(len(rect), len(t1s))]
-    while todo:
-        i0, i1 = todo.pop()
-        # populations lo + i delta .. lo + i delta + w - 1 cover gap i0 + i
-        m = i1 - i0
-        delta = (los[i1 - 1] - los[i0]) // max(1, m - 1)
-        lo = min(los[i0 + i] - i * delta for i in range(m))
-        w = max(his[i0 + i] - lo - i * delta for i in range(m))
-        if (lo >= 1 and lo + (m - 1) * delta + w - 1 <= top_a and m * h * w <= _BLOCK
-                and 4 * m * w <= 5 * sum(his[i0:i1]) - 5 * sum(los[i0:i1])):
-            t0 = np.arange(t0s[i0], t0s[i1 - 1] + 1, s)
-            a0 = lo + delta * np.arange(m)
-            new[t0[:, None] + rows] = gains(t0, t0 + h, a0, a0 + w).max(axis=1)
-        elif m > 1:
-            todo += [(i0, i0 + m // 2), (i0 + m // 2, i1)]
-        else:
-            rect.append(i0)
-    for i in rect:
-        t0, t1, low, high = t0s[i], t1s[i], lows[i], highs[i]
-        step = max(1, _BLOCK // (high - low + 1))
-        for u0 in range(t0, t1, step):
-            u1 = min(u0 + step, t1)
-            lo, hi = max(low, (u0 + 1) // 2), min(high, u1 - 1) + 1
-            new[u0:u1] = gains(u0, u1, lo, hi).max(axis=1)
+        arg[t0:t1:s] = lo + g.argmax(axis=1)
+    while s > 1:
+        s //= 2
+        t = np.arange(reach - s, 0, -2 * s)
+        lo = np.maximum(arg[np.maximum(t - s, 0)], (t + 1) // 2)
+        w = int((np.minimum(arg[t + s], t) + 1 - lo).max())
+        lo = np.minimum(lo, top_a + 1 - w)
+        per = max(1, _BLOCK // w)
+        for i in range(0, len(t), per):
+            u, low = t[i : i + per], lo[i : i + per]
+            g = gains(u, low + np.arange(w)[:, None])  # one column per row
+            new[u] = g.max(axis=0)
+            arg[u] = low + g.argmax(axis=0)
 
 
 def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
@@ -841,18 +817,22 @@ def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
     off a mixed difference, and the lg part of one is at least the bound
     ``_lg_margin`` takes from the lg array in use (about
     ln(1 + 1/cap) + ln(1 + 2/cap)). A level is certified when that bound
-    exceeds 28u S, so that M > 4E. Then, with L the first computed argmax of
-    a row s < t and a < L, the computed entries G satisfy
-    G(L, t) - G(a, t) >= G(L, s) - G(a, s) + M - 4E > 0, and in the same way
-    no population past the last computed argmax of a row after t reaches
-    row t's max. A certified level larger than ``_BLOCK`` entries fills its
-    rows by ``_bracketed_rows``; any other level forms every entry.
+    exceeds 28u S, so that M > 4E. Then, for any computed argmax L of a row
+    s < t and any a < L, the computed entries G satisfy
+    G(L, t) - G(a, t) >= G(L, s) - G(a, s) + M - 4E > 0, as G(L, s) >=
+    G(a, s). The mirror rectangle [U, a] x [t, u] gives, for any computed
+    argmax U of a row u > t and any a > U, G(U, t) - G(a, t) >=
+    G(U, u) - G(a, u) + M - 4E > 0. So one argmax per row bounds the rows on
+    both sides of it, whichever of several equal entries it names: row t's
+    max lies in [L, U], and every entry outside is strictly below it. A
+    certified level larger than ``_BLOCK`` entries fills its rows by
+    ``_bracketed_rows``; any other level forms every entry.
 
     Why no bit changes. Each entry takes the same five operations on the
     same operands in whichever block it is formed, and max does not round.
     Every entry left out of a bracket is strictly below one inside it, so
     each row's max is the full scan's, whether a block forms only the
-    bracket or, as the gathered gaps do, some entries outside it too. No
+    bracket or, as the padded blocks do, some entries outside it too. No
     entry is -0.0 (a sum is -0.0 only when both addends are, and X never
     is), so no tie of zeros can differ.
     """
@@ -883,30 +863,20 @@ def dp_W_maxterm(spec, n, m_max=None, allow_large=False):
     by_t_a = sliding_window_view(back[:, ::-1], cap + 1, axis=1)
     end = len(x) - 1 - pad
 
-    def gains(t0, t1, lo, hi, step=1):
+    def gains(t0, t1, lo=None, hi=None, step=1):
         """Entries of rows t0, t0 + step, .. < t1 at populations lo .. hi - 1,
         for lo >= ceil(t0 / 2): the windows start at a0 = ceil(t0 / 2).
 
-        With arrays t0 and lo in arithmetic progression, one rectangle each
-        of t1 - t0 = h rows and hi - lo = w populations, for 1 <= lo and
-        lo + w <= top + 1, the entries of all of them as one (rectangle,
-        population, row) block: strided views of ``back`` at x = t - a and of
-        ``two_a_t`` at x = 2a - t."""
+        With arrays, ``gains(t, a)`` gathers the entries of targets t at
+        populations a, broadcast against each other, for 1 <= a <= top and
+        t <= reach: ``back`` at x = t - a and ``two_a_t`` at x = 2a - t."""
         if isinstance(t0, np.ndarray):
-            n, h, w = len(t0), int(t1[0] - t0[0]), int(hi[0] - lo[0])
-            t, a = int(t0[0]), int(lo[0])
-            dt, da = (int(t0[1]) - t, int(lo[1]) - a) if n > 1 else (0, 0)
-            row, col = back.strides
-            r = np.ndarray((2, n, w, h), float, back, (pad + t - a) * col,
-                           (row, (dt - da) * col, -col, col))
-            f = np.ndarray((2, n, w, h), float, two_a_t, (pad + 2 * a - t) * col,
-                           (row, (2 * da - dt) * col, 2 * col, -col))
-            by_a = (da * col, col, 0)
-            g = np.ndarray((n, w, 1), float, lg, a * col, by_a) - r[0]
-            g -= f[0]
-            g += f[1]
-            g -= r[1]
-            g += np.ndarray((n, w, 1), float, best, a * col, by_a)
+            a, b, c = t1, (pad + t0) - t1, 2 * t1 + (pad - t0)
+            g = lg[a] - lgx[b]
+            g -= lgx[c]
+            g += two_a_t[1, c]
+            g -= back[1, b]
+            g += best[a]
             return g
         a0 = (t0 + 1) // 2
         f = by_2a_t[:, pad + 2 * a0 - t0 : pad + 2 * a0 - t1 : -step, lo - a0 : hi - a0]

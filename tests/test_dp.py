@@ -445,11 +445,21 @@ def test_maxterm_is_bit_identical_to_reference(monkeypatch):
     # Past depth 8 a level larger than one block fills its rows by monotone
     # argmax where its float certificate holds, and forms every entry where
     # it fails; either way every table has the reference's bits.
-    bracketed = []
+    bracketed, formed = [], []
     rows = dp._bracketed_rows
-    monkeypatch.setattr(dp, "_bracketed_rows",
-                        lambda gains, new, reach, top_a: bracketed.append(reach)
-                        or rows(gains, new, reach, top_a))
+
+    def counted(gains, new, reach, top_a):
+        # entries formed per bracketed level, through the gains it is handed
+        def count(*args):
+            g = gains(*args)
+            formed[-1] += g.size
+            return g
+
+        bracketed.append(reach)
+        formed.append(0)
+        rows(count, new, reach, top_a)
+
+    monkeypatch.setattr(dp, "_bracketed_rows", counted)
 
     def check(spec, n, m_max=None):
         got = dp_W_maxterm(spec, n, m_max=m_max).ln_w
@@ -473,6 +483,24 @@ def test_maxterm_is_bit_identical_to_reference(monkeypatch):
         bracketed.clear()
         check(random_first_order(12, rng, scale=1e9), 12)
         assert bracketed == []
+        # The bench's maxterm presets, full at depths 10 and 12 and truncated
+        # where reach is not a power of two. Each bracketed level forms at
+        # most 5 reach log2(reach) entries: the sampled rows and the halving
+        # strides form 2.1-4.2 times that here, and strides anchored at
+        # s, 2s, .. instead of at reach, whose rows above the last multiple
+        # of s read a sentinel argmax top_a and pad their whole stride to
+        # it, form 5.9-6.7 times that at m_max = 3000.
+        for preset in ("first:linear:3ln2", "first:logcorrected"):
+            for n, m_max, reaches in ((10, None, [512, 1024]),
+                                      (12, None, [512, 1024, 2048, 4096]),
+                                      (12, 3000, [512, 1024, 2048, 3000]),
+                                      (14, 4000, [512, 1024, 2048] + [4000] * 3)):
+                bracketed.clear()
+                formed.clear()
+                check(parse_preset(preset), n, m_max)
+                assert bracketed == reaches, (preset, n, m_max)
+                for reach, count in zip(bracketed, formed):
+                    assert count <= 5 * reach * math.log2(reach), (preset, n, reach, count)
 
 
 # The full-row kernels that the triangular ones replace: every level updates
